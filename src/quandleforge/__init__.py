@@ -25,7 +25,8 @@ from .core import (PermGroup, Permutation, Quandle, QuandleMap,
                    are_isomorphic, epimorphism_index, inn_image, inner_group,
                    is_connected, is_covering, is_faithful, product_quandle,
                    right_translation, validate_quandle)
-from .envgroup import (CosetTable, Presentation, enveloping_presentation,
+from .envgroup import (ConjugationCriterion, CosetTable, Presentation,
+                       conjugation_criterion, enveloping_presentation,
                        is_conjugation_quandle, rho_injective, todd_coxeter)
 from .knotdata import bundled_knots, bundled_tangles
 from .knots import (BraidKnot, Coloring, GroupRingElt, Tangle,

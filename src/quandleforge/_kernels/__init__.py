@@ -1,10 +1,11 @@
 """Hot kernels: braid coloring enumeration and coset enumeration.
 
-Two interchangeable backends live here.  _speedups is a compiled Cython
-module; _purepy is a numpy/pure-Python twin with identical semantics,
-including result ordering.  The compiled backend is selected at import when
-available; set QUANDLEFORGE_PURE=1 to force the fallback.  The benchmark in
-benchmarks/bench_kernels.py compares the two.
+Coset enumeration has one implementation, the pure-Python HLT with
+deductions in _purepy.  Coloring enumeration has two interchangeable
+backends: _speedups is a compiled Cython module and _purepy a numpy twin
+with identical semantics, including result ordering.  The compiled backend
+is selected at import when available; set QUANDLEFORGE_PURE=1 to force the
+fallback.  The benchmark in benchmarks/bench_kernels.py compares the two.
 """
 
 import os
@@ -22,7 +23,7 @@ else:
 BACKEND = "pure" if _impl is _purepy else "compiled"
 
 braid_closure_colorings = _impl.braid_closure_colorings
-coset_enumeration = _impl.coset_enumeration
+coset_enumeration = _purepy.coset_enumeration
 
 
 def available_backends():

@@ -1,9 +1,10 @@
-"""Pure-Python backend for the hot kernels.
+"""Pure-Python kernels.
 
 Coloring enumeration is vectorized with numpy over blocks of top
-assignments; coset enumeration is plain Python (inherently sequential).
-Results, including their order, must match _speedups exactly: colorings come
-back in lexicographic top-tuple order, cosets in discovery order.
+assignments, and must match _speedups exactly, ordering included: colorings
+come back in lexicographic top-tuple order.  Coset enumeration is the only
+implementation there is: textbook HLT with deductions, in plain Python
+(inherently sequential).
 """
 
 import numpy as np
@@ -54,27 +55,35 @@ def braid_closure_colorings(table, n, strands, word, relax_first=False):
     return out
 
 
-def coset_enumeration(ngens, relators, max_cosets):
+
+
+class _CapReached(Exception):
+    pass
+
+
+def coset_enumeration(ngens, relators, max_cosets, stats=None):
     """HLT coset enumeration of a presentation over the trivial subgroup.
 
     relators are words over column indices 0..2*ngens-1 (2i = generator i,
-    2i+1 = its inverse); inverse-cancellation relators are added here.  New
-    cosets are numbered in discovery order and coincidences are merged with
-    union-find, so the output is deterministic.
+    2i+1 = its inverse).  This is HLT as in Holt-Eick-O'Brien, Handbook of
+    Computational Group Theory, 5.1-5.2: every live coset, in order, has
+    each relator scanned from both ends (SCANANDFILL); a scan with a single
+    gap deduces that entry instead of defining a coset, and every definition
+    or deduction fills the inverse entry too.  Coincidences are processed
+    through a queue with the smaller coset kept as representative
+    (COINCIDENCE), so the numbering is deterministic.
 
     Returns (True, table) on completion, where table[c] lists the 2*ngens
-    neighbors of live coset c after renumbering, or (False, allocated) once
-    more than max_cosets cosets have been allocated.
+    neighbors of live coset c after renumbering, or (False, allocated) at
+    the definition that would allocate coset max_cosets + 1, so allocated
+    is then max_cosets + 1.  If stats is a dict, it receives 'allocated'
+    (cosets ever allocated) and 'live' (live cosets at the end or abort).
     """
     width = 2 * ngens
-    rels = []
-    for i in range(ngens):
-        rels.append((2 * i, 2 * i + 1))
-        rels.append((2 * i + 1, 2 * i))
-    rels.extend(tuple(r) for r in relators)
-
+    rels = [tuple(r) for r in relators]
+    table = [[-1] * width]
     parent = [0]
-    nbr = [[-1] * width]
+    live = 1
 
     def find(c):
         root = c
@@ -84,49 +93,100 @@ def coset_enumeration(ngens, relators, max_cosets):
             parent[c], c = root, parent[c]
         return root
 
-    def follow(c, d):
-        c = find(c)
-        row = nbr[c]
-        if row[d] < 0:
-            new = len(parent)
-            parent.append(new)
-            nbr.append([-1] * width)
-            row[d] = new
-            return new
-        return find(row[d])
+    def define(c, x):
+        nonlocal live
+        new = len(table)
+        if new >= max_cosets:
+            raise _CapReached
+        row = [-1] * width
+        row[x ^ 1] = c
+        table.append(row)
+        parent.append(new)
+        table[c][x] = new
+        live += 1
 
-    def unify(a, b):
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if b < a:
-                a, b = b, a
-            parent[b] = a
-            ra, rb = nbr[a], nbr[b]
-            for d in range(width):
-                if ra[d] < 0:
-                    ra[d] = rb[d]
-                elif rb[d] >= 0:
-                    stack.append((ra[d], rb[d]))
+    def coincidence(a, b):
+        nonlocal live
+        queue = []
 
-    visit = 0
-    while visit < len(parent):
-        if find(visit) == visit:
-            for rel in rels:
-                cur = visit
-                for d in rel:
-                    cur = follow(cur, d)
-                unify(cur, visit)
-                if len(parent) > max_cosets:
-                    return False, len(parent)
-                if find(visit) != visit:
+        def merge(k, m):
+            k, m = find(k), find(m)
+            if k != m:
+                if m < k:
+                    k, m = m, k
+                parent[m] = k
+                queue.append(m)
+
+        merge(a, b)
+        for dead in queue:          # merge appends while this runs
+            row = table[dead]
+            for x in range(width):
+                d = row[x]
+                if d < 0:
+                    continue
+                xi = x ^ 1
+                table[d][xi] = -1
+                mu, nu = find(dead), find(d)
+                if table[mu][x] >= 0:
+                    merge(nu, table[mu][x])
+                elif table[nu][xi] >= 0:
+                    merge(mu, table[nu][xi])
+                else:
+                    table[mu][x] = nu
+                    table[nu][xi] = mu
+        live -= len(queue)
+
+    def scan_and_fill(alpha, w):
+        f, i = alpha, 0
+        b, j = alpha, len(w) - 1
+        while True:
+            row = table[f]
+            while i <= j and row[w[i]] >= 0:
+                f = row[w[i]]
+                row = table[f]
+                i += 1
+            if i > j:
+                if f != alpha:
+                    coincidence(f, alpha)
+                return
+            row = table[b]
+            while j >= i and row[w[j] ^ 1] >= 0:
+                b = row[w[j] ^ 1]
+                row = table[b]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                x = w[i]
+                table[f][x] = b
+                table[b][x ^ 1] = f
+                return
+            define(f, w[i])
+
+    alpha = 0
+    try:
+        while alpha < len(table):
+            for w in rels:
+                if parent[alpha] != alpha:
                     break
-        visit += 1
+                scan_and_fill(alpha, w)
+            if parent[alpha] == alpha:
+                row = table[alpha]
+                for x in range(width):
+                    if row[x] < 0:
+                        define(alpha, x)
+            alpha += 1
+    except _CapReached:
+        allocated = max_cosets + 1
+    else:
+        allocated = len(table)
+    if stats is not None:
+        stats["allocated"] = allocated
+        stats["live"] = live
+    if allocated > max_cosets:
+        return False, allocated
 
-    live = [c for c in range(len(parent)) if find(c) == c]
-    renum = {c: i for i, c in enumerate(live)}
-    table = [[renum[find(nbr[c][d])] for d in range(width)] for c in live]
-    return True, table
+    alive = [c for c in range(len(table)) if parent[c] == c]
+    renum = {c: i for i, c in enumerate(alive)}
+    return True, [[renum[d] for d in table[c]] for c in alive]

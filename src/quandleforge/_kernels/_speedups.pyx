@@ -1,12 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled backend for the hot kernels.
+"""Compiled backend for the coloring scan.
 
-Twin of _purepy: same contracts, same result ordering.  Coloring enumeration
-walks an odometer over top assignments with the whole propagation in C;
-coset enumeration keeps the table in flat C arrays with union-find.
+Twin of _purepy.braid_closure_colorings: same contract, same result
+ordering.  It walks an odometer over top assignments with the whole
+propagation in C.  Coset enumeration has no compiled twin.
 """
 
-from libc.stdlib cimport free, malloc, realloc
+from libc.stdlib cimport free, malloc
 from libc.string cimport memcpy
 
 
@@ -78,139 +78,3 @@ def braid_closure_colorings(table, int n, int strands, word, bint relax_first=Fa
     finally:
         free(tab); free(inv); free(tops); free(state); free(mpos); free(msign)
     return out
-
-
-cdef long long _find(long long *parent, long long c):
-    cdef long long root = c, t
-    while parent[root] != root:
-        root = parent[root]
-    while parent[c] != root:
-        t = parent[c]
-        parent[c] = root
-        c = t
-    return root
-
-
-def coset_enumeration(int ngens, relators, long long max_cosets):
-    """See _purepy.coset_enumeration; identical contract and ordering."""
-    cdef int width = 2 * ngens
-    rels = []
-    cdef int i
-    for i in range(ngens):
-        rels.append((2 * i, 2 * i + 1))
-        rels.append((2 * i + 1, 2 * i))
-    for r in relators:
-        rels.append(tuple(r))
-    cdef int nrels = len(rels)
-    cdef int d, j
-
-    # flatten relators
-    cdef long long total_len = 0
-    for r in rels:
-        total_len += len(r)
-    cdef int *rbuf = <int *> malloc((total_len if total_len else 1) * sizeof(int))
-    cdef long long *roff = <long long *> malloc((nrels + 1) * sizeof(long long))
-    if not (rbuf and roff):
-        free(rbuf); free(roff)
-        raise MemoryError()
-    cdef long long pos = 0
-    for i in range(nrels):
-        roff[i] = pos
-        for d in rels[i]:
-            rbuf[pos] = d
-            pos += 1
-    roff[nrels] = pos
-
-    cdef long long cap = 1024
-    cdef long long *parent = <long long *> malloc(cap * sizeof(long long))
-    cdef long long *nbr = <long long *> malloc(cap * width * sizeof(long long))
-    # stack for unify
-    cdef long long scap = 1024, stop = 0
-    cdef long long *stack = <long long *> malloc(scap * 2 * sizeof(long long))
-    if not (parent and nbr and stack):
-        free(rbuf); free(roff); free(parent); free(nbr); free(stack)
-        raise MemoryError()
-
-    cdef long long nverts = 1, visit = 0, cur, new, a, b, ra, rb, k
-    parent[0] = 0
-    for j in range(width):
-        nbr[j] = -1
-
-    cdef bint capped = False
-    try:
-        while visit < nverts:
-            if _find(parent, visit) == visit:
-                for i in range(nrels):
-                    cur = visit
-                    for k in range(roff[i], roff[i + 1]):
-                        d = rbuf[k]
-                        # follow(cur, d)
-                        cur = _find(parent, cur)
-                        if nbr[cur * width + d] < 0:
-                            if nverts == cap:
-                                cap = cap * 2
-                                parent = <long long *> realloc(parent, cap * sizeof(long long))
-                                nbr = <long long *> realloc(nbr, cap * width * sizeof(long long))
-                                if not (parent and nbr):
-                                    raise MemoryError()
-                            new = nverts
-                            parent[new] = new
-                            for j in range(width):
-                                nbr[new * width + j] = -1
-                            nbr[cur * width + d] = new
-                            nverts += 1
-                            cur = new
-                        else:
-                            cur = _find(parent, nbr[cur * width + d])
-                    # unify(cur, visit)
-                    stop = 0
-                    stack[0] = cur
-                    stack[1] = visit
-                    stop = 1
-                    while stop > 0:
-                        stop -= 1
-                        a = _find(parent, stack[2 * stop])
-                        b = _find(parent, stack[2 * stop + 1])
-                        if a == b:
-                            continue
-                        if b < a:
-                            a, b = b, a
-                        parent[b] = a
-                        for d in range(width):
-                            ra = nbr[a * width + d]
-                            rb = nbr[b * width + d]
-                            if ra < 0:
-                                nbr[a * width + d] = rb
-                            elif rb >= 0:
-                                if stop == scap:
-                                    scap = scap * 2
-                                    stack = <long long *> realloc(stack, scap * 2 * sizeof(long long))
-                                    if not stack:
-                                        raise MemoryError()
-                                stack[2 * stop] = ra
-                                stack[2 * stop + 1] = rb
-                                stop += 1
-                    if nverts > max_cosets:
-                        capped = True
-                        break
-                    if _find(parent, visit) != visit:
-                        break
-                if capped:
-                    break
-            visit += 1
-
-        if capped:
-            return False, nverts
-
-        live = []
-        renum = {}
-        for k in range(nverts):
-            if _find(parent, k) == k:
-                renum[k] = len(live)
-                live.append(k)
-        table = []
-        for k in live:
-            table.append([renum[_find(parent, nbr[k * width + d])] for d in range(width)])
-        return True, table
-    finally:
-        free(rbuf); free(roff); free(parent); free(nbr); free(stack)

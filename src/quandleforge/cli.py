@@ -18,9 +18,7 @@ from .constructions import (abelian_extension, alexander_quandle,
                             GroupAutomorphism, symmetric_group,
                             trivial_quandle, conjugation_automorphism)
 from .core import inn_image, inner_group, is_connected, is_faithful
-from .envgroup import (DEFAULT_MAX_COSETS, enveloping_presentation,
-                       generator_collision, is_conjugation_quandle,
-                       todd_coxeter)
+from .envgroup import DEFAULT_MAX_COSETS, conjugation_criterion
 from .errors import AxiomViolation, QuandleError, TheoremViolation
 from .knotdata import bundled_knots
 from .knots import Tangle, is_constant, state_sum, tangle_colorings
@@ -148,16 +146,14 @@ def cmd_invariant(args):
 
 def cmd_vendramin(args):
     q = qio.read_quandle(args.quandle)
-    verdict = is_conjugation_quandle(q, max_cosets=args.max_cosets)
-    rec = {"record": "vendramin", "verdict": verdict}
-    if verdict != "not_applicable":
-        table = todd_coxeter(enveloping_presentation(q, finite=True),
-                             args.max_cosets)
-        rec["finite_enveloping_order"] = table.size
-        if verdict == "no":
-            rec["collision"] = list(generator_collision(q, args.max_cosets))
+    rec = {"record": "vendramin", "verdict": "not_applicable"}
+    if is_connected(q):
+        crit = conjugation_criterion(q, args.max_cosets)
+        rec.update(verdict=crit.verdict, finite_enveloping_order=crit.order)
+        if crit.collision is not None:
+            rec["collision"] = list(crit.collision)
     emit(rec)
-    note(f"conjugation quandle: {verdict}")
+    note(f"conjugation quandle: {rec['verdict']}")
     return 0
 
 

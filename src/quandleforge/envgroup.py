@@ -6,12 +6,14 @@ n_i is the order of the right translation by i, gives the finite enveloping
 group; coset enumeration over the trivial subgroup realizes it as a
 permutation group on itself (the regular action), and a connected quandle is
 a conjugation quandle exactly when the generator images stay pairwise
-distinct there.
+distinct there.  conjugation_criterion reads the verdict, the group order
+and the first collision off one enumeration.
 
-Words are tuples of signed 1-based generator indices.  Enumeration is
-HLT-style with union-find coincidence handling and deterministic numbering
-by discovery order; completed tables get a full verification pass (every
-column a permutation, every relator tracing trivially from every coset).
+Words are tuples of signed 1-based generator indices.  Enumeration is the
+single pure-Python HLT with deductions in _kernels (scans from both ends,
+queued coincidences, deterministic numbering); completed tables get a full
+verification pass (every column a permutation, every relator tracing
+trivially from every coset).
 """
 
 from dataclasses import dataclass
@@ -87,10 +89,11 @@ def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):
     verifies the completed table before returning it."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
+    stats = {}
     complete, result = coset_enumeration(
-        p.ngens, [_to_columns(r) for r in p.relators], max_cosets)
+        p.ngens, [_to_columns(r) for r in p.relators], max_cosets, stats)
     if not complete:
-        raise Capped(max_cosets, result)
+        raise Capped(max_cosets, result, stats["live"])
     table = CosetTable(presentation=p, size=len(result),
                        action=tuple(tuple(row) for row in result))
     verify_coset_table(table)
@@ -116,34 +119,62 @@ def verify_coset_table(t):
                     f"relator {rel} does not close at coset {c}")
 
 
+@dataclass(frozen=True)
+class ConjugationCriterion:
+    """Vendramin's criterion read off one enumeration of q's finite
+    enveloping group.
+
+    order is the group order; collision is the first pair (i, j), i < j,
+    of distinct elements with equal images, or None when the natural map
+    is injective.  The verdict applies to connected quandles only.
+    """
+
+    connected: bool
+    order: int
+    collision: tuple | None
+
+    @property
+    def verdict(self):
+        if not self.connected:
+            return "not_applicable"
+        return "yes" if self.collision is None else "no"
+
+
+def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
+    """Enumerate q's finite enveloping group once and derive the order,
+    the first generator collision and the verdict from that table."""
+    t = todd_coxeter(enveloping_presentation(q, finite=True), max_cosets)
+    seen = {}
+    collision = None
+    for i in range(q.n):
+        col = t.generator_column(i)
+        if col in seen:
+            collision = (seen[col], i)
+            break
+        seen[col] = i
+    return ConjugationCriterion(connected=is_connected(q), order=t.size,
+                                collision=collision)
+
+
 def rho_injective(q, max_cosets=DEFAULT_MAX_COSETS):
     """Whether the natural map into the finite enveloping group is injective:
     the generator images in the regular action must be pairwise distinct."""
-    t = todd_coxeter(enveloping_presentation(q, finite=True), max_cosets)
-    cols = [t.generator_column(i) for i in range(q.n)]
-    return len(set(cols)) == q.n
+    return conjugation_criterion(q, max_cosets).collision is None
 
 
 def generator_collision(q, max_cosets=DEFAULT_MAX_COSETS):
     """A pair (i, j) of distinct elements with equal images in the finite
     enveloping group, or None when the map is injective."""
-    t = todd_coxeter(enveloping_presentation(q, finite=True), max_cosets)
-    seen = {}
-    for i in range(q.n):
-        col = t.generator_column(i)
-        if col in seen:
-            return (seen[col], i)
-        seen[col] = i
-    return None
+    return conjugation_criterion(q, max_cosets).collision
 
 
 def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
     """'yes' / 'no' for connected quandles by the injectivity criterion;
     'not_applicable' for disconnected ones (the criterion is stated for
-    connected quandles only)."""
+    connected quandles only), which are not enumerated."""
     if not is_connected(q):
         return "not_applicable"
-    return "yes" if rho_injective(q, max_cosets) else "no"
+    return conjugation_criterion(q, max_cosets).verdict
 
 
 def enveloping_group_order(q, finite=True, max_cosets=DEFAULT_MAX_COSETS):

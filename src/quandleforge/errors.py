@@ -57,14 +57,18 @@ class DNotDividesModulus(QuandleError):
 
 class Capped(QuandleError):
     """Coset enumeration exceeded max_cosets. Either raise the cap or accept
-    that the group is larger than the budget."""
+    that the group is larger than the budget.
 
-    def __init__(self, max_cosets, allocated):
+    allocated counts the cosets allocated, including the one that broke the
+    cap; live counts the cosets still live at the abort."""
+
+    def __init__(self, max_cosets, allocated, live):
         self.max_cosets = max_cosets
         self.allocated = allocated
+        self.live = live
         super().__init__(
             f"coset enumeration exceeded cap {max_cosets} "
-            f"(allocated {allocated} cosets)")
+            f"(allocated {allocated} cosets, {live} live)")
 
 
 class NotAKnot(QuandleError):

@@ -6,7 +6,7 @@ row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), dihedral counts from mod-p linear
 algebra, cocycle/coboundary counts from exhaustive enumeration, group
 closures from repeated multiply-everything passes, and presented-group orders
-from word rewriting.
+from word rewriting or from a define-only coset enumerator.
 """
 
 from itertools import product
@@ -174,6 +174,90 @@ def coxeter_s3_order(max_len=12):
         frontier = nxt
     forms.add("")
     return len(forms)
+
+
+def define_only_coset_enumeration(ngens, relators, max_cosets):
+    """Define-only HLT coset enumeration over the trivial subgroup.
+
+    Every relator is traced forward from every live coset, defining a new
+    coset at each undefined entry; there is no backward scan, no deduction
+    and no inverse entry, so it allocates far more cosets than the package
+    kernel, but it is simple enough to trust.
+
+    relators are words over column indices 0..2*ngens-1 (2i = generator i,
+    2i+1 = its inverse); inverse-cancellation relators are added here.  New
+    cosets are numbered in discovery order and coincidences are merged with
+    union-find, so the output is deterministic.
+
+    Returns (True, table) on completion, where table[c] lists the 2*ngens
+    neighbors of live coset c after renumbering, or (False, allocated) once
+    more than max_cosets cosets have been allocated (checked only after each
+    whole relator trace).
+    """
+    width = 2 * ngens
+    rels = []
+    for i in range(ngens):
+        rels.append((2 * i, 2 * i + 1))
+        rels.append((2 * i + 1, 2 * i))
+    rels.extend(tuple(r) for r in relators)
+
+    parent = [0]
+    nbr = [[-1] * width]
+
+    def find(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def follow(c, d):
+        c = find(c)
+        row = nbr[c]
+        if row[d] < 0:
+            new = len(parent)
+            parent.append(new)
+            nbr.append([-1] * width)
+            row[d] = new
+            return new
+        return find(row[d])
+
+    def unify(a, b):
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            ra, rb = nbr[a], nbr[b]
+            for d in range(width):
+                if ra[d] < 0:
+                    ra[d] = rb[d]
+                elif rb[d] >= 0:
+                    stack.append((ra[d], rb[d]))
+
+    visit = 0
+    while visit < len(parent):
+        if find(visit) == visit:
+            for rel in rels:
+                cur = visit
+                for d in rel:
+                    cur = follow(cur, d)
+                unify(cur, visit)
+                if len(parent) > max_cosets:
+                    return False, len(parent)
+                if find(visit) != visit:
+                    break
+        visit += 1
+
+    live = [c for c in range(len(parent)) if find(c) == c]
+    renum = {c: i for i, c in enumerate(live)}
+    table = [[renum[find(nbr[c][d])] for d in range(width)] for c in live]
+    return True, table
 
 
 def all_quandle_tables(n):

@@ -1,10 +1,12 @@
 import pytest
 
 from oracles import coxeter_s3_order
-from quandleforge.constructions import (abelian_extension, dihedral_quandle,
-                                        trivial_quandle)
+from quandleforge.constructions import (abelian_extension, alexander_quandle,
+                                        dihedral_quandle, trivial_quandle)
 from quandleforge.core import Permutation, is_connected, is_faithful
-from quandleforge.envgroup import (CosetTable, Presentation,
+from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
+                                   Presentation, conjugation_criterion,
+                                   enveloping_group_order,
                                    enveloping_presentation,
                                    generator_collision, is_conjugation_quandle,
                                    rho_injective, todd_coxeter,
@@ -34,7 +36,11 @@ class TestPresentation:
         assert p.ngens == 1
         with pytest.raises(Capped) as exc:
             todd_coxeter(p, max_cosets=500)
-        assert exc.value.allocated > 500
+        # the cap is checked at every definition, and a free group's cosets
+        # never coincide
+        assert exc.value.allocated == 501
+        assert exc.value.live == 500
+        assert "allocated 501 cosets, 500 live" in str(exc.value)
 
     def test_bad_relator_rejected(self):
         with pytest.raises(ValueError):
@@ -93,6 +99,14 @@ class TestToddCoxeter:
         with pytest.raises(Capped) as exc:
             todd_coxeter(p, max_cosets=3)
         assert exc.value.max_cosets == 3
+        assert exc.value.allocated == 4
+        assert exc.value.live == 3
+        # coincidences before the abort take cosets out of the live count
+        p = enveloping_presentation(dihedral_quandle(27), finite=True)
+        with pytest.raises(Capped) as exc:
+            todd_coxeter(p, max_cosets=1000)
+        assert exc.value.allocated == 1001
+        assert 0 < exc.value.live < 1000
 
     def test_conjugation_action_realizes_quandle(self, d3, x6):
         for q in (d3, x6):
@@ -125,8 +139,16 @@ class TestVendramin:
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)
         assert is_connected(e)
         assert is_conjugation_quandle(e) == "no"
-        i, j = generator_collision(e)
-        assert i != j
+        assert generator_collision(e) == (0, 1)
+        crit = conjugation_criterion(e)
+        assert (crit.verdict, crit.order, crit.collision) == ("no", 24, (0, 1))
+        assert not rho_injective(e)
+
+    def test_order_25_alexander_within_default_budget(self):
+        # a connected order-25 quandle whose group has 500 elements
+        q = alexander_quandle(25, 2)
+        assert is_conjugation_quandle(q, DEFAULT_MAX_COSETS) == "yes"
+        assert enveloping_group_order(q) == 500
 
     def test_extension_verdict_yes(self, e12):
         e, _ = e12

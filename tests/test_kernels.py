@@ -1,12 +1,21 @@
-"""The two kernel backends must agree entry for entry, ordering included."""
+"""Kernel checks.
+
+The two coloring backends must agree entry for entry, ordering included.
+Coset enumeration has one implementation; it must give the same group
+orders and generator-column patterns as the define-only oracle.
+"""
+
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandleforge._kernels import available_backends
+from oracles import define_only_coset_enumeration
+from quandleforge._kernels import available_backends, coset_enumeration
 from quandleforge.constructions import (alexander_quandle, dihedral_quandle,
                                         trivial_quandle)
+from quandleforge.core import is_connected
 from quandleforge.envgroup import enveloping_presentation
 
 BACKENDS = available_backends()
@@ -49,29 +58,6 @@ class TestBackendsAgree:
         out = comp.braid_closure_colorings(flat(q), 3, 2, [1, 1, 1])
         assert out == sorted(out)
 
-    def test_coset_tables_identical(self):
-        pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-        presentations = [
-            (1, [(0, 0)]),
-            (2, [(0, 0), (2, 2), (0, 2, 0, 2, 0, 2)]),
-            (2, [(0, 0, 0), (2, 2), (0, 2) * 2]),
-        ]
-        q = dihedral_quandle(5)
-        p = enveloping_presentation(q, finite=True)
-        presentations.append((p.ngens, [to_columns(r) for r in p.relators]))
-        for ng, rels in presentations:
-            a = pure.coset_enumeration(ng, rels, 10 ** 6)
-            b = comp.coset_enumeration(ng, rels, 10 ** 6)
-            assert a == b
-
-    def test_cap_behaviour_identical(self):
-        pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-        # free group on one generator: both must give up at the same point
-        a = pure.coset_enumeration(1, [], 64)
-        b = comp.coset_enumeration(1, [], 64)
-        assert a[0] is False and b[0] is False
-        assert a == b
-
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_random_words_agree(self, data):
@@ -88,3 +74,83 @@ class TestBackendsAgree:
         b = comp.braid_closure_colorings(flat(q), n, s, word,
                                          relax_first=relax)
         assert a == b
+
+
+def coxeter(*ms):
+    """Relators of the linear Coxeter group with Coxeter matrix entries ms
+    between consecutive generators."""
+    n = len(ms) + 1
+    rels = [(2 * i, 2 * i) for i in range(n)]
+    for i, m in enumerate(ms):
+        rels.append((2 * i, 2 * (i + 1)) * m)
+    for i in range(n):
+        for j in range(i + 2, n):
+            rels.append((2 * i, 2 * j) * 2)
+    return n, rels
+
+
+def order_and_classes(ngens, relators, enumerate_cosets):
+    """The group order and, for each generator, the first generator with
+    the same column: both independent of the coset numbering."""
+    complete, table = enumerate_cosets(ngens, relators, 10 ** 6)
+    assert complete
+    first = {}
+    classes = tuple(first.setdefault(tuple(row[2 * i] for row in table), i)
+                    for i in range(ngens))
+    return len(table), classes
+
+
+def assert_matches_oracle(ngens, relators):
+    got = order_and_classes(ngens, relators, coset_enumeration)
+    assert got == order_and_classes(ngens, relators,
+                                    define_only_coset_enumeration)
+    return got[0]
+
+
+class TestCosetEnumerationAgainstOracle:
+    def test_small_presentations(self):
+        for ng, rels, order in [(1, [(0,)], 1), (1, [(0, 0)], 2),
+                                (1, [(0,) * 7], 7), (1, [(1,) * 5], 5),
+                                (1, [(0,) * 12, (0,) * 8], 4),
+                                (2, [(0, 0), (2, 2), (0, 2) * 3], 6)]:
+            assert assert_matches_oracle(ng, rels) == order
+
+    @pytest.mark.parametrize("ms,order", [((3, 3, 4), 384),
+                                          ((3, 3, 3, 4), 3840),
+                                          ((3, 3, 3, 3, 3), 5040)],
+                             ids=["B4", "B5", "A6"])
+    def test_coxeter_groups(self, ms, order):
+        ng, rels = coxeter(*ms)
+        assert assert_matches_oracle(ng, rels) == order
+
+    def test_connected_corpus_enveloping_groups(self, corpus):
+        seen = 0
+        for name, q in corpus:
+            if not is_connected(q):
+                continue
+            p = enveloping_presentation(q, finite=True)
+            assert_matches_oracle(p.ngens, [to_columns(r) for r in p.relators])
+            seen += 1
+        assert seen >= 10
+
+    def test_stats_count_cosets(self):
+        stats = {}
+        complete, table = coset_enumeration(*coxeter(3, 3, 4), 10 ** 6, stats)
+        assert complete and stats["live"] == len(table) == 384
+        assert stats["allocated"] >= 384
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_cyclic_and_dihedral(self, data):
+        if data.draw(st.booleans()):
+            ks = data.draw(st.lists(st.integers(1, 24), min_size=1,
+                                    max_size=3))
+            ng, order = 1, gcd(*ks)
+            rels = [(data.draw(st.sampled_from([0, 1])),) * k for k in ks]
+        else:
+            ms = data.draw(st.lists(st.integers(1, 12), min_size=1,
+                                    max_size=2))
+            ng, order = 2, 2 * gcd(*ms)
+            rels = [(0, 0), (2, 2)] + [(0, 2) * m for m in ms]
+        rels = data.draw(st.permutations(rels))
+        assert assert_matches_oracle(ng, rels) == order
