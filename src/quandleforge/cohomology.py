@@ -14,9 +14,16 @@ which matches relabeling extension fibers by (x, a) -> (x, a - gamma(x));
 the mirror convention differs by a sign and produces the same cohomology.
 
 H^2 is computed over the integers: the off-diagonal pairs index the cochain
-coordinates, the cocycle constraints are row-reduced, and one Smith normal
-form produces the kernel lattice while a second one presents the quotient by
-coboundaries plus m times everything.  Everything is exact.
+coordinates and the cocycle constraints are row-reduced.  Each matrix is put
+in Smith normal form once: the reduced constraints give the kernel lattice
+(with V, so representatives are V times a vector), the quotient of that
+lattice by coboundaries plus m times everything gives the invariant factors,
+and the coboundary matrix gives coordinates on cochains modulo coboundaries.
+The last one checks the result independently of the solve: each factor
+annihilates its representative, and for each prime p | m the elements of
+order p are independent over F_p (a map out of a finite abelian group is
+injective iff it is injective on elements of prime order).  Everything is
+exact.
 """
 
 from dataclasses import dataclass
@@ -224,9 +231,14 @@ def coboundary_space_order(q, m):
 def second_cohomology(q, m):
     """H^2_Q(q, Z_m): invariant factors plus representative cocycles.
 
-    Representatives come from the change of basis of the quotient
-    presentation; each is verified to be a cocycle, and the returned classes
-    are verified independent against the coboundary space.
+    Three Smith normal forms, one per matrix: the reduced cocycle
+    constraints (kernel lattice, with V and Vinv), the quotient presentation
+    (invariant factors, with Uinv) and, for the check, the coboundary
+    matrix.  Representatives are V times the generators of the quotient;
+    each is verified to be a cocycle, the order is verified against
+    cocycle_space_order // coboundary_space_order, and the classes are
+    verified independent one prime p | m at a time, by a rank over F_p that
+    uses only the coboundary matrix.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -239,12 +251,11 @@ def second_cohomology(q, m):
     rows = _constraint_rows(q, pairs, pidx)
     reduced = snf.row_reduce(rows, npairs)
     if reduced:
-        form = snf.smith_normal_form(reduced, want=("Vinv",))
-        vinv = form.Vinv
+        form = snf.smith_normal_form(reduced, want=("V", "Vinv"))
+        vmat, vinv = form.V, form.Vinv
         tdiag = [m // gcd(d, m) for d in form.diag]
     else:
-        form = None
-        vinv = snf.identity(npairs)
+        vmat = vinv = snf.identity(npairs)
         tdiag = []
     tdiag += [1] * (npairs - len(tdiag))
 
@@ -277,10 +288,9 @@ def second_cohomology(q, m):
         factors.append(d)
         # generator = K-basis times column i of Uinv, i.e. V . diag . Uinv[:, i]
         w = [tdiag[r] * uinv[r][i] for r in range(npairs)]
-        vec = _apply_v(form, npairs, w)
         vals = [[0] * n for _ in range(n)]
-        for k, (a, b) in enumerate(pairs):
-            vals[a][b] = vec[k] % m
+        for (a, b), row in zip(pairs, vmat):
+            vals[a][b] = sum(c * wr for c, wr in zip(row, w)) % m
         reps.append(cocycle(q, m, vals))
 
     # SNF already orders the factors by the divisibility chain
@@ -294,95 +304,71 @@ def second_cohomology(q, m):
     return group
 
 
-def _apply_v(form, npairs, w):
-    """V . w where V is the (untracked) inverse of form.Vinv; solved via Vinv."""
-    if form is None:
-        return list(w)
-    # V = Vinv^-1 is unimodular; solve Vinv * vec = w exactly by elimination
-    return _solve_unimodular(form.Vinv, w)
+def _coboundary_classes(q, m):
+    """The quotient C/B of all cochains by coboundaries, from one SNF of the
+    coboundary matrix: U D V = S gives C/B = (+) Z_{g_i} with g_i = gcd(s_i, m)
+    below the rank and m past it.  Returns (g, coords), where coords(phi) is
+    the list of coordinates of phi, each reduced mod its g_i; phi is a
+    coboundary iff all of them are 0."""
+    pairs, _ = _pair_index(q.n)
+    form = snf.smith_normal_form(_coboundary_matrix(q, pairs), want=("U",))
+    g = [gcd(form.diag[i], m) if i < form.rank else m
+         for i in range(len(pairs))]
+
+    def coords(phi):
+        target = [phi.values[a][b] for (a, b) in pairs]
+        return [sum(u * t for u, t in zip(row, target)) % gi
+                for row, gi in zip(form.U, g)]
+
+    return g, coords
 
 
-def _solve_unimodular(a, b):
-    """Solve a x = b for unimodular integer a (exact, destructive on copies)."""
-    k = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if m[r][col] != 0:
-                if piv is None or abs(m[r][col]) < abs(m[piv][col]):
-                    piv = r
-        if piv is None:
-            raise AssertionError("matrix is singular, expected unimodular")
-        m[col], m[piv] = m[piv], m[col]
-        while True:
-            done = True
-            for r in range(col + 1, k):
-                if m[r][col]:
-                    qq = m[r][col] // m[col][col]
-                    if qq:
-                        for j in range(col, k + 1):
-                            m[r][j] -= qq * m[col][j]
-                    if m[r][col]:
-                        m[col], m[r] = m[r], m[col]
-                        done = False
-            if done:
-                break
-    x = [0] * k
-    for r in range(k - 1, -1, -1):
-        s = m[r][k] - sum(m[r][j] * x[j] for j in range(r + 1, k))
-        if s % m[r][r]:
-            raise AssertionError("unimodular solve lost exactness")
-        x[r] = s // m[r][r]
-    return x
+def _prime_divisors(m):
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def _verify_independent(q, group):
-    """Every nonzero combination of the representatives must miss the
-    coboundary space; totals are tiny so the check is exhaustive."""
-    k = len(group.representatives)
-    if k == 0:
-        return
-    from itertools import product as iproduct
+    """The representatives must span a copy of (+) Z_{d_i} in C/B.
 
-    for combo in iproduct(*(range(d) for d in group.invariant_factors)):
-        if not any(combo):
-            continue
-        acc = Cocycle2.zero(q.n, group.m)
-        for c, rep in zip(combo, group.representatives):
-            acc = acc.add(rep.scale(c))
-        if _is_coboundary(q, acc):
-            raise AssertionError(
-                f"representatives are dependent at combination {combo}")
-    for d, rep in zip(group.invariant_factors, group.representatives):
-        if not _is_coboundary(q, rep.scale(d)):
+    The map (+) Z_{d_i} -> C/B is well defined iff each d_i . rep_i is a
+    coboundary, and then injective iff it is injective on the elements of
+    prime order: for each prime p | m, the classes of (d_i/p) . rep_i with
+    p | d_i must be independent over F_p.  Those classes lie in the p-torsion
+    of C/B, so dividing coordinate j by g_j/p gives vectors over F_p, and
+    their rank is the number of invariant factors prime to p.
+    """
+    g, coords = _coboundary_classes(q, group.m)
+    slots = list(zip(group.invariant_factors, group.representatives))
+    for d, rep in slots:
+        if any(coords(rep.scale(d))):
             raise AssertionError("representative order exceeds its factor")
-
-
-def _is_coboundary(q, phi):
-    n, m = q.n, phi.m
-    pairs, _ = _pair_index(n)
-    if not pairs:
-        return True
-    d = _coboundary_matrix(q, pairs)
-    form = snf.smith_normal_form(d, want=("U",))
-    target = [phi.values[a][b] for (a, b) in pairs]
-    c = [sum(form.U[i][j] * target[j] for j in range(len(pairs)))
-         for i in range(len(pairs))]
-    for i in range(len(pairs)):
-        if i < form.rank:
-            if c[i] % gcd(form.diag[i], m):
-                return False
-        elif c[i] % m:
-            return False
-    return True
+    for p in _prime_divisors(group.m):
+        rows = [[c // (gj // p) for c, gj in zip(coords(rep.scale(d // p)), g)
+                 if gj % p == 0]
+                for d, rep in slots if d % p == 0]
+        rank_p = sum(1 for s in snf.smith_normal_form(rows).diag if s % p)
+        if rank_p != len(rows):
+            raise AssertionError(
+                f"representatives are dependent modulo {p}: rank {rank_p} "
+                f"for {len(rows)} classes of order {p}")
 
 
 def cohomologous(q, phi1, phi2):
     """True iff phi1 - phi2 is a coboundary on q."""
     if (phi1.n, phi1.m) != (phi2.n, phi2.m) or phi1.n != q.n:
         raise ShapeMismatch("cocycles live on different spaces")
-    return _is_coboundary(q, phi1.add(phi2.scale(-1)))
+    _, coords = _coboundary_classes(q, phi1.m)
+    return not any(coords(phi1.add(phi2.scale(-1))))
 
 
 def cocycle_power(psi, d):

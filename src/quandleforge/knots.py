@@ -147,36 +147,30 @@ def _propagate(q, word, top):
     return tuple(state), tuple(pairs)
 
 
-def _raw_colorings(q, strands, word, relax_first, cap):
-    space = q.n ** strands
+def _colorings(q, knot, relax_first, cap):
+    space = q.n ** knot.strands
     if space > cap:
         raise EnumerationTooLarge(
             f"{space} top assignments exceed the cap {cap}")
     flat = [v for row in q.table for v in row]
-    return braid_closure_colorings(flat, q.n, strands, list(word),
+    tops = braid_closure_colorings(flat, q.n, knot.strands, list(knot.word),
                                    relax_first=relax_first)
+    out = []
+    for top in tops:
+        bottom, pairs = _propagate(q, knot.word, top)
+        out.append(Coloring(top=top, bottom=bottom, source_pairs=pairs))
+    return out
 
 
 def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):
     """All colorings of the closed braid diagram by q."""
-    tops = _raw_colorings(q, k.strands, k.word, False, cap)
-    out = []
-    for top in tops:
-        bottom, pairs = _propagate(q, k.word, top)
-        out.append(Coloring(top=top, bottom=bottom, source_pairs=pairs))
-    return out
+    return _colorings(q, k, False, cap)
 
 
 def tangle_colorings(q, t, cap=DEFAULT_ASSIGNMENT_CAP):
     """Colorings of the 1-tangle: the closure constraint is dropped at the
     cut arc, so y0 and y1 may differ."""
-    k = t.knot
-    tops = _raw_colorings(q, k.strands, k.word, True, cap)
-    out = []
-    for top in tops:
-        bottom, pairs = _propagate(q, k.word, top)
-        out.append(Coloring(top=top, bottom=bottom, source_pairs=pairs))
-    return out
+    return _colorings(q, t.knot, True, cap)
 
 
 def coloring_weight(phi, coloring):

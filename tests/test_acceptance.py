@@ -82,6 +82,11 @@ def test_criterion_2_cohomology_cross_validation():
                     failures.append(
                         f"order {n} mod {m}: SNF ({z_snf},{b_snf}) vs "
                         f"brute ({z_brute},{b_brute})")
+                h2_order = second_cohomology(q, m).order
+                if h2_order != z_brute // b_brute:
+                    failures.append(
+                        f"order {n} mod {m}: |H2| {h2_order} vs brute "
+                        f"{z_brute}/{b_brute} = {z_brute // b_brute}")
     # H^2(R_3; Z_m) is trivial for m = 2 and m = 3: exhaustive enumeration
     # finds as many cocycles as coboundaries (4/4 mod 2, 9/9 mod 3). The Z_3
     # class of R_3 is a 3-cocycle, not a 2-cocycle (Carter-Jelsovsky-Kamada-

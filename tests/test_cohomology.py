@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from oracles import (brute_coboundary_count, brute_cocycle_count,
                      quandles_up_to_iso)
-from quandleforge.cohomology import (Cocycle2, coboundary,
+from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
+                                     _verify_independent, coboundary,
                                      coboundary_space_order, cocycle,
                                      cocycle_power, cocycle_space_order,
                                      cohomologous, is_cocycle,
@@ -130,6 +131,43 @@ class TestSecondCohomology:
                 assert is_cocycle(q, m, rep)
                 assert not cohomologous(q, rep, zero)
                 assert cohomologous(q, rep.scale(d), zero)
+
+
+class TestVerifyIndependent:
+    """The independence check on H^2(dihedral(12); Z_4) = Z_2^2 + Z_4^2, fed
+    altered representative lists."""
+
+    @pytest.fixture(scope="class")
+    def d12(self):
+        q = dihedral_quandle(12)
+        h = second_cohomology(q, 4)
+        assert h.invariant_factors == (2, 2, 4, 4)
+        return q, h.representatives
+
+    def check(self, q, reps):
+        _verify_independent(q, CohomologyGroup(
+            m=4, invariant_factors=(2, 2, 4, 4), representatives=tuple(reps)))
+
+    @pytest.mark.parametrize("alter, message", [
+        (lambda r: (r[0], r[0], r[2], r[3]), "dependent modulo 2"),
+        (lambda r: (r[0], r[1], r[2].scale(2), r[3]), "dependent modulo 2"),
+        (lambda r: (r[0], r[1], r[2], r[2].scale(-1)), "dependent modulo 2"),
+        (lambda r: (r[0].add(r[2]), r[1], r[2], r[3]),
+         "order exceeds its factor"),
+    ], ids=["duplicate", "double_in_z4", "negated", "order4_in_z2"])
+    def test_rejects(self, d12, alter, message):
+        q, reps = d12
+        with pytest.raises(AssertionError, match=message):
+            self.check(q, alter(reps))
+
+    def test_accepts_basis_change(self, d12):
+        q, r = d12
+        self.check(q, (r[0], r[1], r[2], r[3].add(r[2])))
+
+    def test_accepts_plus_coboundary(self, d12):
+        q, r = d12
+        g = coboundary(q, 4, range(q.n))
+        self.check(q, (r[0].add(g), r[1], r[2].add(g), r[3]))
 
 
 class TestCohomologous:
