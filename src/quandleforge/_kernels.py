@@ -1,10 +1,9 @@
-"""Pure-Python kernels.
+"""Hot kernels: braid coloring enumeration and coset enumeration.
 
-Coloring enumeration is vectorized with numpy over blocks of top
-assignments, and must match _speedups exactly, ordering included: colorings
-come back in lexicographic top-tuple order.  Coset enumeration is the only
-implementation there is: textbook HLT with deductions, in plain Python
-(inherently sequential).
+Each kernel has one implementation.  Coloring enumeration is vectorized
+with numpy over blocks of top assignments; colorings come back in
+lexicographic top-tuple order.  Coset enumeration is textbook HLT with
+deductions, in plain Python (inherently sequential).
 """
 
 import numpy as np
@@ -53,8 +52,6 @@ def braid_closure_colorings(table, n, strands, word, relax_first=False):
         for row in tops[ok].tolist():
             out.append(tuple(row))
     return out
-
-
 
 
 class _CapReached(Exception):

@@ -126,8 +126,6 @@ def cmd_extend(args):
 def cmd_invariant(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    if phi.n != q.n:
-        raise QuandleError("cocycle size does not match the quandle")
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:

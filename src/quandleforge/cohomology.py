@@ -104,8 +104,11 @@ def is_cocycle(q, m, values):
 
 
 def cocycle(q, m, values):
-    """Validate values as a 2-cocycle on q and wrap it (NotACocycle otherwise)."""
+    """Validate values as a 2-cocycle on q and wrap it (ShapeMismatch or
+    NotACocycle otherwise)."""
     values = _as_values(values)
+    if len(values) != q.n or any(len(row) != q.n for row in values):
+        raise ShapeMismatch(f"cochain is not {q.n} x {q.n}")
     w = cocycle_witness(q, m, values)
     if w is not None:
         raise NotACocycle(w)

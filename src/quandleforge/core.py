@@ -86,13 +86,6 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def __contains__(self, p):
-        return p.images in self._index
-
-    @property
-    def _index(self):
-        return {e.images for e in self.elements}
-
     def orbit(self, x):
         seen = {x}
         frontier = [x]

@@ -179,35 +179,3 @@ def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
 
 def enveloping_group_order(q, finite=True, max_cosets=DEFAULT_MAX_COSETS):
     return todd_coxeter(enveloping_presentation(q, finite), max_cosets).size
-
-
-def regular_group(t):
-    """Rebuild the enumerated group as an explicit multiplication table.
-
-    Cosets over the trivial subgroup are the group elements; words reaching
-    each coset from 0 are found by breadth-first search, and i*j traces j's
-    word from i.  Returns the group plus the element index of each generator.
-    Quadratic in the group order, so keep it for small enumerations.
-    """
-    from .constructions import finite_group
-
-    size = t.size
-    ng = t.presentation.ngens
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in range(1, ng + 1):
-                for step in (g, -g):
-                    d = t.trace(c, (step,))
-                    if d not in words:
-                        words[d] = words[c] + (step,)
-                        nxt.append(d)
-        frontier = nxt
-    if len(words) != size:
-        raise AssertionError("coset table is not transitive")
-    mult = [[t.trace(i, words[j]) for j in range(size)] for i in range(size)]
-    g = finite_group(mult)
-    gens = tuple(t.trace(0, (i + 1,)) for i in range(ng))
-    return g, gens

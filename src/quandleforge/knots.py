@@ -19,9 +19,9 @@ endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
 from dataclasses import dataclass
 
 from ._kernels import braid_closure_colorings
-from .core import Permutation, is_covering
+from .core import is_covering
 from .errors import (BadGenerator, EnumerationTooLarge, FiberMismatch,
-                     NotACovering, NotAKnot, TheoremViolation)
+                     NotACovering, NotAKnot, ShapeMismatch, TheoremViolation)
 
 DEFAULT_ASSIGNMENT_CAP = 10 ** 8
 
@@ -183,6 +183,9 @@ def coloring_weight(phi, coloring):
 
 def state_sum(q, phi, k, cap=DEFAULT_ASSIGNMENT_CAP):
     """The cocycle invariant: one u^weight per coloring of the closure."""
+    if phi.n != q.n:
+        raise ShapeMismatch(f"cocycle on {phi.n} elements, quandle of "
+                            f"order {q.n}")
     coeffs = [0] * phi.m
     for c in enumerate_colorings(q, k, cap=cap):
         coeffs[coloring_weight(phi, c)] += 1
@@ -228,17 +231,3 @@ def lift_coloring(f, t, coloring, y, cap=DEFAULT_ASSIGNMENT_CAP):
         raise TheoremViolation(
             f"expected exactly one lift, found {len(lifts)}")
     return lifts[0]
-
-
-def propagation_map(q, strands, word):
-    """The permutation of Q^strands induced by the word; tuples are encoded
-    base |Q| with position 0 most significant.  Used by the braid-relation
-    soundness tests."""
-    n = q.n
-    size = n ** strands
-    images = []
-    for idx in range(size):
-        top = tuple((idx // n ** (strands - 1 - j)) % n for j in range(strands))
-        bottom, _ = _propagate(q, word, top)
-        images.append(sum(v * n ** (strands - 1 - j) for j, v in enumerate(bottom)))
-    return Permutation(tuple(images))

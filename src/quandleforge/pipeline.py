@@ -192,10 +192,12 @@ def power_coefficient_check(x, n, psi, d, knots=None,
                             max_cosets=DEFAULT_MAX_COSETS):
     """For psi mod n and phi = psi^d mod m = n/d: when the extension by phi
     is a conjugation quandle, every coefficient a_k of the psi-invariant with
-    k not divisible by m must vanish."""
+    k not divisible by m must vanish.  psi must be a 2-cocycle mod n on x
+    (ShapeMismatch or NotACocycle otherwise)."""
     knots = bundled_knots() if knots is None else knots
     if psi.m != n:
         raise ValueError("psi modulus disagrees with n")
+    psi = cocycle(x, n, psi)
     phi = cocycle_power(psi, d)
     m = phi.m
     report = PowerCheckReport(n=n, d=d, m=m, hypothesis_held=False,

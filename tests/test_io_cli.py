@@ -202,6 +202,28 @@ class TestCli:
         assert rec["m"] == 2 and rec["hypothesis_held"] is False
         assert rec["coefficients"]["3_1"] == [6, 24, 0, 0]
 
+    @pytest.mark.parametrize("command,n,m,d", [
+        ("thm35", 5, 4, "2"),   # not a cocycle mod 4, zero mod 2
+        ("thm35", 3, 4, "2"),   # cocycle on 3 elements
+        ("thm35", 7, 2, "2"),   # cocycle on 7 elements, m = 1
+        ("invariant", 3, 2, None),
+    ], ids=["thm35-not-cocycle", "thm35-order3", "thm35-order7-m1",
+            "invariant-order3"])
+    def test_bad_cocycle_rejected(self, capsys, tmp_path, command, n, m, d):
+        from quandleforge.cohomology import Cocycle2
+        values = [[0] * n for _ in range(n)]
+        if n == 5:
+            values[0][1] = 2
+        psi = Cocycle2(n, m, tuple(tuple(r) for r in values))
+        qpath, cpath = tmp_path / "d5.quandle", tmp_path / "psi.cocycle"
+        qio.write_text(qpath, qio.quandle_to_text(dihedral_quandle(5)))
+        qio.write_text(cpath, qio.cocycle_to_text(psi))
+        argv = [command, "--quandle", str(qpath), "--cocycle", str(cpath)]
+        code, records, err = run_cli(capsys, *argv,
+                                     *(["--d", d] if d else []))
+        assert code == 1 and "error:" in err
+        assert records == []
+
     def test_certify(self, capsys, tmp_path, tetrahedral, tet_psi):
         qpath, cpath = tmp_path / "q.quandle", tmp_path / "psi.cocycle"
         qio.write_text(qpath, qio.quandle_to_text(tetrahedral))

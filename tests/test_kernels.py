@@ -1,8 +1,10 @@
 """Kernel checks.
 
-The two coloring backends must agree entry for entry, ordering included.
-Coset enumeration has one implementation; it must give the same group
-orders and generator-column patterns as the define-only oracle.
+The coloring scan must find as many colorings as the grid-walk oracle, on
+closed braids and on 1-tangles, and return them in lexicographic top-tuple
+order, whatever the block size.
+Coset enumeration must give the same group orders and generator-column
+patterns as the define-only oracle.
 """
 
 from math import gcd
@@ -11,15 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import define_only_coset_enumeration
-from quandleforge._kernels import available_backends, coset_enumeration
-from quandleforge.constructions import (alexander_quandle, dihedral_quandle,
-                                        trivial_quandle)
+from oracles import define_only_coset_enumeration, grid_coloring_count
+from quandleforge import _kernels
+from quandleforge._kernels import braid_closure_colorings, coset_enumeration
+from quandleforge.cohomology import second_cohomology
+from quandleforge.constructions import (abelian_extension, alexander_quandle,
+                                        dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected
 from quandleforge.envgroup import enveloping_presentation
-
-BACKENDS = available_backends()
-HAVE_COMPILED = "compiled" in BACKENDS
+from quandleforge.pipeline import tetrahedral_quandle
 
 
 def flat(q):
@@ -30,8 +32,19 @@ def to_columns(word):
     return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled backend unavailable")
-class TestBackendsAgree:
+def tetrahedral_extension():
+    """E(tetrahedral, Z_2, generator), order 8: its trefoil tangle has
+    colorings with distinct endpoints, so relax_first changes the count.
+    Over faithful or Alexander quandles (all dihedral ones) it never does."""
+    t = tetrahedral_quandle()
+    psi = second_cohomology(t, 2).representatives[0]
+    return abelian_extension(t, 2, psi)[0]
+
+
+class TestColoringScan:
+    TET_EXT = tetrahedral_extension()
+    QUANDLES = [dihedral_quandle(3), dihedral_quandle(4), dihedral_quandle(5),
+                TET_EXT]
     WORDS = [
         (2, [1, 1, 1]),
         (3, [1, -2, 1, -2]),
@@ -40,40 +53,36 @@ class TestBackendsAgree:
         (3, [1, 1, 1, 2, -1, 2]),
     ]
 
-    def test_colorings_identical(self):
-        pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-        for q in (dihedral_quandle(3), dihedral_quandle(6),
-                  alexander_quandle(5, 2), trivial_quandle(4)):
+    def test_fixed_words(self, monkeypatch):
+        # lexicographic top-tuple order, also when a block smaller than the
+        # assignment space makes it cross block boundaries
+        for q in (dihedral_quandle(6), alexander_quandle(5, 2),
+                  trivial_quandle(4), self.TET_EXT):
             for s, w in self.WORDS:
                 for relax in (False, True):
-                    a = pure.braid_closure_colorings(flat(q), q.n, s, w,
-                                                     relax_first=relax)
-                    b = comp.braid_closure_colorings(flat(q), q.n, s, w,
-                                                     relax_first=relax)
-                    assert a == b
+                    whole = braid_closure_colorings(flat(q), q.n, s, w,
+                                                    relax_first=relax)
+                    assert whole == sorted(set(whole))
+                    assert len(whole) == grid_coloring_count(
+                        q.table, s, w, tangle=relax)
+                    with monkeypatch.context() as m:
+                        m.setattr(_kernels, "_BLOCK", 7)
+                        assert braid_closure_colorings(
+                            flat(q), q.n, s, w, relax_first=relax) == whole
 
-    def test_coloring_order_is_lexicographic(self):
-        comp = BACKENDS["compiled"]
-        q = dihedral_quandle(3)
-        out = comp.braid_closure_colorings(flat(q), 3, 2, [1, 1, 1])
-        assert out == sorted(out)
-
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_random_words_agree(self, data):
-        pure, comp = BACKENDS["pure"], BACKENDS["compiled"]
-        n = data.draw(st.sampled_from([3, 4, 5]))
-        q = dihedral_quandle(n)
+    def test_random_words_match_grid_oracle(self, data):
+        q = data.draw(st.sampled_from(self.QUANDLES))
         s = data.draw(st.integers(2, 4))
         word = data.draw(st.lists(
             st.sampled_from([g for g in range(-s + 1, s) if g != 0]),
             max_size=8))
         relax = data.draw(st.booleans())
-        a = pure.braid_closure_colorings(flat(q), n, s, word,
-                                         relax_first=relax)
-        b = comp.braid_closure_colorings(flat(q), n, s, word,
-                                         relax_first=relax)
-        assert a == b
+        got = braid_closure_colorings(flat(q), q.n, s, word,
+                                      relax_first=relax)
+        assert len(got) == grid_coloring_count(q.table, s, word,
+                                               tangle=relax)
 
 
 def coxeter(*ms):

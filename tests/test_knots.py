@@ -1,10 +1,12 @@
+from itertools import product
+
 import pytest
 
 from oracles import dihedral_linear_count, grid_coloring_count
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
-from quandleforge.core import QuandleMap, is_faithful
+from quandleforge.core import Permutation, QuandleMap, is_faithful
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
                                  FiberMismatch, NotACovering, NotAKnot)
 from quandleforge.knotdata import (BUNDLED_WORDS, bundled_tangles,
@@ -12,8 +14,8 @@ from quandleforge.knotdata import (BUNDLED_WORDS, bundled_tangles,
 from quandleforge.knots import (GroupRingElt, Tangle, coloring_weight,
                                 end_monochromatic, endpoints_same_translation,
                                 enumerate_colorings, is_constant,
-                                lift_coloring, parse_braid, propagation_map,
-                                state_sum, tangle_colorings, _propagate)
+                                lift_coloring, parse_braid, state_sum,
+                                tangle_colorings, _propagate)
 
 # determinant parts: which dihedral orders should see extra colorings
 EXPECTED_FINGERPRINTS = {
@@ -89,6 +91,18 @@ class TestColoringCounts:
         k = parse_braid("3_1", 2, [1, 1, 1])
         with pytest.raises(EnumerationTooLarge):
             enumerate_colorings(d5, k, cap=10)
+
+
+def propagation_map(q, strands, word):
+    """The permutation of Q^strands induced by the word; tuples are encoded
+    base |Q| with position 0 most significant."""
+    n = q.n
+    images = []
+    for top in product(range(n), repeat=strands):
+        bottom, _ = _propagate(q, word, top)
+        images.append(sum(v * n ** (strands - 1 - j)
+                          for j, v in enumerate(bottom)))
+    return Permutation(tuple(images))
 
 
 class TestBraidMoves:

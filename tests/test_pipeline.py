@@ -4,13 +4,12 @@ from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension,
                                         conjugation_automorphism,
-                                        dihedral_quandle,
+                                        dihedral_quandle, finite_group,
                                         generalized_alexander_quandle,
                                         symmetric_group, trivial_quandle)
 from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
                                is_connected, is_covering, product_quandle)
-from quandleforge.envgroup import (enveloping_presentation, regular_group,
-                                   todd_coxeter)
+from quandleforge.envgroup import enveloping_presentation, todd_coxeter
 from quandleforge.errors import NotACovering, NotIndex2
 from quandleforge.knots import is_constant
 from quandleforge.pipeline import (constancy_pipeline, corpus_extensions,
@@ -129,6 +128,35 @@ class TestFiberCriterion:
         f = QuandleMap(p, target, images)
         assert is_covering(f)
         assert not fiber_criterion(f).holds
+
+
+def regular_group(t):
+    """Rebuild the enumerated group as an explicit multiplication table.
+
+    Cosets over the trivial subgroup are the group elements; words reaching
+    each coset from 0 are found by breadth-first search, and i*j traces j's
+    word from i.  Returns the group plus the element index of each generator.
+    Quadratic in the group order, so keep it for small enumerations.
+    """
+    size = t.size
+    ng = t.presentation.ngens
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for g in range(1, ng + 1):
+                for step in (g, -g):
+                    d = t.trace(c, (step,))
+                    if d not in words:
+                        words[d] = words[c] + (step,)
+                        nxt.append(d)
+        frontier = nxt
+    assert len(words) == size, "coset table is not transitive"
+    mult = [[t.trace(i, words[j]) for j in range(size)] for i in range(size)]
+    g = finite_group(mult)
+    gens = tuple(t.trace(0, (i + 1,)) for i in range(ng))
+    return g, gens
 
 
 class TestConstancyPipeline:
