@@ -2,7 +2,8 @@
 
 Each kernel has one implementation.  Coloring enumeration is vectorized
 with numpy over blocks of top assignments; colorings come back in
-lexicographic top-tuple order.  Coset enumeration is textbook HLT with
+lexicographic top-tuple order, each with its bottom colors and source pairs
+from the one move loop, _propagate.  Coset enumeration is textbook HLT with
 deductions, in plain Python (inherently sequential).
 """
 
@@ -11,23 +12,52 @@ import numpy as np
 _BLOCK = 1 << 18
 
 
+def _tables(table, n):
+    """The flat table as an array, and its inverse translations: inv[c*n+d]
+    is the unique x with x*c = d."""
+    tab = np.asarray(table, dtype=np.int64)
+    inv = np.empty(n * n, dtype=np.int64)
+    inv[np.tile(np.arange(n), n) * n + tab] = np.repeat(np.arange(n), n)
+    return tab, inv
+
+
+def _propagate(tab, inv, n, state, word, pairs=None):
+    """Push each row of state (colors at the top) through the braid word, in
+    place, and return it.  At a positive letter incoming (a, b) becomes
+    (b, a*b); at a negative letter incoming (c, d) becomes (Rc^-1(d), c).
+    If pairs is an array of shape (rows, len(word), 2), it receives the
+    source pair of each crossing: the incoming pair at a positive letter,
+    the outgoing pair at a negative one."""
+    for i, g in enumerate(word):
+        p = abs(g) - 1
+        if pairs is not None and g > 0:
+            pairs[:, i] = state[:, p:p + 2]
+        ab = state[:, p] * n + state[:, p + 1]
+        if g > 0:
+            state[:, p] = state[:, p + 1]
+            state[:, p + 1] = tab[ab]
+        else:
+            state[:, p + 1] = state[:, p]
+            state[:, p] = inv[ab]
+        if pairs is not None and g < 0:
+            pairs[:, i] = state[:, p:p + 2]
+    return state
+
+
 def braid_closure_colorings(table, n, strands, word, relax_first=False):
-    """Top tuples whose propagation through the braid word closes up.
+    """The colorings of the braid closure, in lexicographic top-tuple order.
 
     table: flat row-major n*n quandle table (a*b at index a*n+b).
     word: signed 1-based braid generators.
-    Propagation at a positive letter with incoming (a, b) is (b, a*b); at a
-    negative letter with incoming (c, d) it is (Rc^-1(d), c).  The closure
+    Each coloring is (top, bottom, source_pairs), with one (x, y, sign) per
+    crossing in word order; see _propagate for the rules.  The closure
     constraint bottom == top is checked at every position, or at positions
-    1.. when relax_first is set (the 1-tangle case).
+    1.. when relax_first is set (the 1-tangle case).  Each block of top
+    tuples is filtered by one pass of the moves; a second pass over the
+    closing rows alone records their source pairs.
     """
-    tab = np.asarray(table, dtype=np.int64)
-    inv = np.empty(n * n, dtype=np.int64)
-    for c in range(n):
-        for q in range(n):
-            inv[c * n + tab[q * n + c]] = q
-
-    moves = [(abs(g) - 1, 1 if g > 0 else -1) for g in word]
+    tab, inv = _tables(table, n)
+    signs = [1 if g > 0 else -1 for g in word]
     total = n ** strands
     out = []
     start_col = 1 if relax_first else 0
@@ -38,19 +68,17 @@ def braid_closure_colorings(table, n, strands, word, relax_first=False):
         tops = np.empty((hi - lo, strands), dtype=np.int64)
         for j in range(strands):
             tops[:, j] = (idx // n ** (strands - 1 - j)) % n
-        state = tops.copy()
-        for p, sign in moves:
-            a = state[:, p].copy()
-            b = state[:, p + 1].copy()
-            if sign > 0:
-                state[:, p] = b
-                state[:, p + 1] = tab[a * n + b]
-            else:
-                state[:, p] = inv[a * n + b]
-                state[:, p + 1] = a
-        ok = np.all(state[:, start_col:] == tops[:, start_col:], axis=1)
-        for row in tops[ok].tolist():
-            out.append(tuple(row))
+        # one name for both passes, so the first pass's array is freed
+        # before the next block allocates its own
+        bottoms = _propagate(tab, inv, n, tops.copy(), word)
+        tops = tops[np.all(bottoms[:, start_col:] == tops[:, start_col:],
+                           axis=1)]
+        pairs = np.empty((len(tops), len(word), 2), dtype=np.int64)
+        bottoms = _propagate(tab, inv, n, tops.copy(), word, pairs)
+        for top, bottom, src in zip(tops.tolist(), bottoms.tolist(),
+                                    pairs.tolist()):
+            out.append((tuple(top), tuple(bottom),
+                        tuple((x, y, s) for (x, y), s in zip(src, signs))))
     return out
 
 

@@ -125,7 +125,9 @@ def cmd_extend(args):
 
 def cmd_invariant(args):
     q = qio.read_quandle(args.quandle)
-    phi = qio.read_cocycle(args.cocycle)
+    if not (args.tangle or args.cocycle):
+        raise QuandleError("invariant needs --cocycle unless --tangle is set")
+    phi = None if args.tangle else qio.read_cocycle(args.cocycle)
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:
@@ -308,7 +310,7 @@ def build_parser():
     p = add("invariant", cmd_invariant,
             help="cocycle state-sum invariants over a knot table")
     p.add_argument("--quandle", required=True)
-    p.add_argument("--cocycle", required=True)
+    p.add_argument("--cocycle", help="required unless --tangle is set")
     p.add_argument("--knots")
     p.add_argument("--tangle", action="store_true",
                    help="report 1-tangle colorings instead")

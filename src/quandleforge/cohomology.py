@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import snf
+from .core import orbits
 from .errors import DNotDividesModulus, NotACocycle, ShapeMismatch
 
 
@@ -81,9 +82,12 @@ def _as_values(phi):
 
 def cocycle_witness(q, m, values):
     """None if values is a diagonal-zero 2-cocycle mod m on q; otherwise a
-    witness: ('diagonal', x) or ('identity', x, y, z)."""
+    witness: ('diagonal', x) or ('identity', x, y, z).  ShapeMismatch if
+    values is not q.n x q.n."""
     values = _as_values(values)
     n = q.n
+    if len(values) != n or any(len(row) != n for row in values):
+        raise ShapeMismatch(f"cochain is not {n} x {n}")
     t = q.table
     for x in range(n):
         if values[x][x] % m != 0:
@@ -104,11 +108,12 @@ def is_cocycle(q, m, values):
 
 
 def cocycle(q, m, values):
-    """Validate values as a 2-cocycle on q and wrap it (ShapeMismatch or
-    NotACocycle otherwise)."""
+    """Validate values as a 2-cocycle mod m on q and wrap it: ShapeMismatch
+    for a table that is not q.n x q.n or a cochain of another modulus,
+    NotACocycle when the identity fails."""
+    if getattr(values, "m", m) != m:
+        raise ShapeMismatch(f"cochain is mod {values.m}, not mod {m}")
     values = _as_values(values)
-    if len(values) != q.n or any(len(row) != q.n for row in values):
-        raise ShapeMismatch(f"cochain is not {q.n} x {q.n}")
     w = cocycle_witness(q, m, values)
     if w is not None:
         raise NotACocycle(w)
@@ -220,15 +225,9 @@ def cocycle_space_order(q, m):
 
 
 def coboundary_space_order(q, m):
-    """Number of distinct coboundaries mod m (SNF route)."""
-    n = q.n
-    pairs, _ = _pair_index(n)
-    if not pairs:
-        return 1
-    d = _coboundary_matrix(q, pairs)
-    form = snf.smith_normal_form(d)
-    kernel = _space_orders(form.diag, form.rank, n, m)
-    return m ** n // kernel
+    """Number of distinct coboundaries mod m: m^(n - r) for r orbits, since
+    d gamma = 0 exactly when gamma is constant on orbits."""
+    return m ** (q.n - len(orbits(q)))
 
 
 def second_cohomology(q, m):

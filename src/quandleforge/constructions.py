@@ -14,8 +14,9 @@ from math import gcd
 
 import numpy as np
 
+from .cohomology import cocycle
 from .core import QuandleMap, validate_quandle
-from .errors import NotACocycle, NotAUnit
+from .errors import NotAUnit
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,6 @@ def conjugation_automorphism(g, x):
     return GroupAutomorphism(g, tuple(g.conj(a, x) for a in range(g.order)))
 
 
-def inversion_automorphism(g):
-    """a -> a^-1; an automorphism exactly when g is abelian."""
-    return GroupAutomorphism(g, g.inverse)
-
-
 def dihedral_quandle(n):
     """a*b = 2b - a mod n."""
     if n < 1:
@@ -175,17 +171,10 @@ def extension_table(x, m, values):
 def abelian_extension(x, m, phi):
     """The extension quandle E(X, Z_m, phi) plus the projection onto X.
 
-    phi may be a Cocycle2 or a raw n x n value table; it is checked to be a
-    diagonal-zero 2-cocycle (NotACocycle with a witness otherwise).
+    phi may be a Cocycle2 or a raw n x n value table; it is validated by
+    cohomology.cocycle (ShapeMismatch, or NotACocycle with a witness).
     """
-    from .cohomology import cocycle_witness
-
-    values = getattr(phi, "values", phi)
-    if getattr(phi, "m", m) != m or len(values) != x.n:
-        raise NotACocycle(None, "cocycle shape does not match the quandle")
-    w = cocycle_witness(x, m, values)
-    if w is not None:
-        raise NotACocycle(w)
+    values = cocycle(x, m, phi).values
     e = validate_quandle(x.n * m, extension_table(x, m, values))
     proj = QuandleMap(e, x, tuple(i // m for i in range(e.n)))
     return e, proj

@@ -86,20 +86,6 @@ class PermGroup:
     def order(self):
         return len(self.elements)
 
-    def orbit(self, x):
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in self.generators:
-                    z = g.images[y]
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(seen)
-
 
 @dataclass(frozen=True)
 class Quandle:
@@ -239,21 +225,29 @@ def inner_group(q, cap=DEFAULT_GROUP_CAP):
                      elements=tuple(Permutation(e) for e in elements))
 
 
+def orbits(q):
+    """The orbits of the translations (equivalently of Inn(q)) on q, each a
+    sorted tuple, in order of their least elements.  Row x of the table is
+    the set of images x*a, so a search along rows closes each orbit."""
+    seen = [False] * q.n
+    out = []
+    for x in range(q.n):
+        if seen[x]:
+            continue
+        seen[x] = True
+        orbit = [x]
+        for y in orbit:             # grows while this runs
+            for z in q.table[y]:
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
 def is_connected(q):
     """True iff the translations act transitively (single orbit)."""
-    gens = [q.column(a) for a in range(q.n)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen) == q.n
+    return len(orbits(q)) == 1
 
 
 def is_faithful(q):

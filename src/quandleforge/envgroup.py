@@ -53,7 +53,6 @@ class CosetTable:
     presentation: Presentation
     size: int
     action: tuple
-    status: str = "complete"
 
     def generator_column(self, i):
         """The permutation induced by generator i on the cosets."""
@@ -162,12 +161,6 @@ def rho_injective(q, max_cosets=DEFAULT_MAX_COSETS):
     return conjugation_criterion(q, max_cosets).collision is None
 
 
-def generator_collision(q, max_cosets=DEFAULT_MAX_COSETS):
-    """A pair (i, j) of distinct elements with equal images in the finite
-    enveloping group, or None when the map is injective."""
-    return conjugation_criterion(q, max_cosets).collision
-
-
 def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
     """'yes' / 'no' for connected quandles by the injectivity criterion;
     'not_applicable' for disconnected ones (the criterion is stated for
@@ -175,7 +168,3 @@ def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
     if not is_connected(q):
         return "not_applicable"
     return conjugation_criterion(q, max_cosets).verdict
-
-
-def enveloping_group_order(q, finite=True, max_cosets=DEFAULT_MAX_COSETS):
-    return todd_coxeter(enveloping_presentation(q, finite), max_cosets).size

@@ -129,14 +129,6 @@ def parse_knots_text(text):
     return knots
 
 
-def knots_to_text(knots):
-    lines = []
-    for k in knots:
-        word = ",".join(str(g) for g in k.word)
-        lines.append(f"{k.name};{k.strands};{word}")
-    return "\n".join(lines) + "\n"
-
-
 def read_quandle(path):
     with open(path) as fh:
         text = fh.read()

@@ -4,8 +4,8 @@ Diagram model: a braid on s strands, all oriented downward, closed by the
 trace (bottom of position p returns to top of position p).  The word is a
 sequence of nonzero signed integers; letter g acts at positions |g|-1, |g|.
 
-Propagation of colors, fixed once and certified by the braid-relation and
-Markov tests rather than by pictures:
+Propagation of colors, fixed once in _kernels.braid_closure_colorings and
+certified by the braid-relation and Markov tests rather than by pictures:
 
 * positive letter, incoming (a, b):  outgoing (b, a*b), source pair (a, b),
   weight +phi(a, b);
@@ -124,42 +124,15 @@ def parse_braid(name, strands, word):
                      closure_perm=tuple(cur))
 
 
-def _inverse_translation(q, c, d):
-    # the unique x with x*c = d
-    col = q.column(c)
-    return col.index(d)
-
-
-def _propagate(q, word, top):
-    """Replay the propagation, recording bottom colors and source pairs."""
-    state = list(top)
-    pairs = []
-    for g in word:
-        p = abs(g) - 1
-        a, b = state[p], state[p + 1]
-        if g > 0:
-            state[p], state[p + 1] = b, q.table[a][b]
-            pairs.append((a, b, 1))
-        else:
-            x = _inverse_translation(q, a, b)
-            state[p], state[p + 1] = x, a
-            pairs.append((x, a, -1))
-    return tuple(state), tuple(pairs)
-
-
 def _colorings(q, knot, relax_first, cap):
     space = q.n ** knot.strands
     if space > cap:
         raise EnumerationTooLarge(
             f"{space} top assignments exceed the cap {cap}")
     flat = [v for row in q.table for v in row]
-    tops = braid_closure_colorings(flat, q.n, knot.strands, list(knot.word),
-                                   relax_first=relax_first)
-    out = []
-    for top in tops:
-        bottom, pairs = _propagate(q, knot.word, top)
-        out.append(Coloring(top=top, bottom=bottom, source_pairs=pairs))
-    return out
+    return [Coloring(top, bottom, pairs) for top, bottom, pairs
+            in braid_closure_colorings(flat, q.n, knot.strands,
+                                       list(knot.word), relax_first)]
 
 
 def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):

@@ -14,8 +14,7 @@ bug detector, not a report line.
 
 from dataclasses import dataclass, field
 
-from .cohomology import (Cocycle2, cocycle, cocycle_power,
-                         second_cohomology)
+from .cohomology import Cocycle2, cocycle, cocycle_power
 from .constructions import (abelian_extension, alexander_quandle,
                             conjugation_quandle, dihedral_quandle,
                             finite_group, generalized_alexander_quandle,
@@ -23,12 +22,12 @@ from .constructions import (abelian_extension, alexander_quandle,
                             trivial_quandle)
 from .core import (Permutation, QuandleMap, are_isomorphic, inner_group,
                    inn_image, is_covering, is_faithful, product_quandle,
-                   validate_quandle, DEFAULT_GROUP_CAP)
+                   DEFAULT_GROUP_CAP)
 from .envgroup import DEFAULT_MAX_COSETS, is_conjugation_quandle
 from .errors import (ExtensionLawFails, NotACovering, NotIndex2,
                      TheoremViolation)
 from .knotdata import bundled_knots
-from .knots import is_constant, state_sum
+from .knots import GroupRingElt, is_constant, state_sum
 
 
 @dataclass(frozen=True)
@@ -151,28 +150,37 @@ class ExtensionVerdict:
     invariant_constant_on_corpus: bool | None = None
 
 
+def _extension_verdict(x, m, phi, invariants, max_cosets):
+    """Build E(X, Z_m, phi) and take its Vendramin verdict, beside the
+    phi-invariants of a knot table (knot name -> GroupRingElt).
+
+    Theorem 3.1: an extension that is a conjugation quandle has constant
+    invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
+    """
+    e, proj = abelian_extension(x, m, phi)
+    conjugation = is_conjugation_quandle(e, max_cosets)
+    constant = all(is_constant(inv) for inv in invariants.values())
+    if conjugation == "yes" and not constant:
+        raise TheoremViolation(
+            "extension is a conjugation quandle but some invariant is "
+            "non-constant; the implementation is broken")
+    return ExtensionVerdict(base=x, m=m, phi=phi, extension=e,
+                            projection=proj, is_conjugation=conjugation,
+                            inn_preimage_found=conjugation == "yes",
+                            invariants=invariants,
+                            invariant_constant_on_corpus=constant)
+
+
 def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
     """Build E(X, Z_m, phi), decide whether E is a conjugation quandle (hence
     has an inner-representation preimage), and compute the cocycle invariant
     on the knot corpus.  A 'yes' verdict together with any non-constant
-    invariant raises TheoremViolation."""
+    invariant raises TheoremViolation.  phi is validated before any state
+    sum (ShapeMismatch or NotACocycle)."""
     knots = bundled_knots() if knots is None else knots
-    e, proj = abelian_extension(x, m, phi)
-    verdict = ExtensionVerdict(base=x, m=m, phi=phi, extension=e,
-                               projection=proj)
-    verdict.is_conjugation = is_conjugation_quandle(e, max_cosets)
-    verdict.inn_preimage_found = verdict.is_conjugation == "yes"
-    allconst = True
-    for k in knots:
-        inv = state_sum(x, phi, k)
-        verdict.invariants[k.name] = inv
-        allconst = allconst and is_constant(inv)
-    verdict.invariant_constant_on_corpus = allconst
-    if verdict.is_conjugation == "yes" and not allconst:
-        raise TheoremViolation(
-            "extension is a conjugation quandle but some invariant is "
-            "non-constant; the implementation is broken")
-    return verdict
+    cocycle(x, m, phi)
+    invariants = {k.name: state_sum(x, phi, k) for k in knots}
+    return _extension_verdict(x, m, phi, invariants, max_cosets)
 
 
 @dataclass
@@ -195,21 +203,23 @@ def power_coefficient_check(x, n, psi, d, knots=None,
     k not divisible by m must vanish.  psi must be a 2-cocycle mod n on x
     (ShapeMismatch or NotACocycle otherwise)."""
     knots = bundled_knots() if knots is None else knots
-    if psi.m != n:
-        raise ValueError("psi modulus disagrees with n")
     psi = cocycle(x, n, psi)
     phi = cocycle_power(psi, d)
     m = phi.m
     report = PowerCheckReport(n=n, d=d, m=m, hypothesis_held=False,
                               verdict=None)
-    for k in knots:
-        report.coefficients[k.name] = state_sum(x, psi, k).coeffs
+    invariants = {k.name: state_sum(x, psi, k) for k in knots}
+    report.coefficients = {name: inv.coeffs
+                           for name, inv in invariants.items()}
     if m == 1:
         # phi is trivial mod 1; nothing to test, the report stands vacuously
         report.vanishing_ok = True
         return report
-    report.verdict = constancy_pipeline(x, m, phi, knots=knots,
-                                        max_cosets=max_cosets)
+    # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
+    folded = {name: GroupRingElt(m, tuple(sum(inv.coeffs[j::m])
+                                          for j in range(m)))
+              for name, inv in invariants.items()}
+    report.verdict = _extension_verdict(x, m, phi, folded, max_cosets)
     report.hypothesis_held = report.verdict.is_conjugation == "yes"
     if report.hypothesis_held:
         ok = all(c == 0
@@ -246,20 +256,20 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     """Emit a certificate when some knot invariant is non-constant: the
     extension then has no inner-representation preimage and is not a
     conjugation quandle.  The enveloping-group verdict cross-checks this; a
-    'yes' would contradict the certificate and raises TheoremViolation."""
+    'yes' would contradict the certificate and raises TheoremViolation.  phi
+    is validated first (ShapeMismatch or NotACocycle), and the extension is
+    built only once a witness knot exists."""
     knots = bundled_knots() if knots is None else knots
-    e, _ = abelian_extension(x, m, phi)
-    witnesses = [k.name for k in knots
-                 if not is_constant(state_sum(x, phi, k))]
+    cocycle(x, m, phi)
+    invariants = {k.name: state_sum(x, phi, k) for k in knots}
+    witnesses = [name for name, inv in invariants.items()
+                 if not is_constant(inv)]
     if not witnesses:
         return None
-    verdict = is_conjugation_quandle(e, max_cosets)
-    if verdict == "yes":
-        raise TheoremViolation(
-            "non-constant invariant coexists with a conjugation-quandle "
-            "verdict; the implementation is broken")
-    return Certificate(base=x, m=m, phi=phi, extension=e,
-                       witness_knots=witnesses, conjugation_verdict=verdict)
+    verdict = _extension_verdict(x, m, phi, invariants, max_cosets)
+    return Certificate(base=x, m=m, phi=phi, extension=verdict.extension,
+                       witness_knots=witnesses,
+                       conjugation_verdict=verdict.is_conjugation)
 
 
 def tetrahedral_quandle():
@@ -278,32 +288,6 @@ def sym4_class_quandle(cycle_type):
         if Permutation(p).cycle_type() == tuple(sorted(cycle_type)):
             return conjugation_quandle(g, i)[0]
     raise ValueError(f"no element of cycle type {cycle_type}")
-
-
-def synthetic_noncommuting_covering():
-    """A covering that is not an abelian extension, built at desk scale.
-
-    On the trivial quandle of order 2, any choice of beta(x, y) in Sym(S)
-    with beta(x, x) = id gives a quandle on X x S projecting to X as a
-    covering.  Taking beta(0, 1) to fix one fiber point and swap two others
-    defeats the fixed-fiber criterion, certifying non-abelian-ness.
-    """
-    base = trivial_quandle(2)
-    s = 3
-    beta = {(0, 0): (0, 1, 2), (1, 1): (0, 1, 2),
-            (0, 1): (0, 2, 1),      # fixes level 0, swaps 1 and 2
-            (1, 0): (1, 2, 0)}      # 3-cycle, for variety
-    size = 2 * s
-    table = [[0] * size for _ in range(size)]
-    for xx in range(2):
-        for lv in range(s):
-            for yy in range(2):
-                for lw in range(s):
-                    table[xx * s + lv][yy * s + lw] = \
-                        xx * s + beta[(xx, yy)][lv]
-    q = validate_quandle(size, table)
-    proj = QuandleMap(q, base, tuple(i // s for i in range(size)))
-    return q, proj
 
 
 def corpus_quandles(max_order=24):
@@ -341,19 +325,3 @@ def corpus_quandles(max_order=24):
     d3 = dihedral_quandle(3)
     out.append(("dihedral3_squared", product_quandle(d3, d3)))
     return [(name, q) for name, q in out if q.n <= max_order]
-
-
-def corpus_extensions(max_base_order=6, moduli=(2, 3)):
-    """Extensions E(X, Z_m, phi) over the corpus: the zero cocycle plus every
-    cohomology representative, for each small connected-or-not base."""
-    out = []
-    for name, x in corpus_quandles(max_order=max_base_order):
-        for m in moduli:
-            reps = [("zero", Cocycle2.zero(x.n, m))]
-            h = second_cohomology(x, m)
-            for i, rep in enumerate(h.representatives):
-                reps.append((f"h2gen{i}", rep))
-            for tag, phi in reps:
-                e, proj = abelian_extension(x, m, phi)
-                out.append((f"E({name},Z{m},{tag})", x, m, phi, e, proj))
-    return out

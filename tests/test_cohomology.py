@@ -12,13 +12,30 @@ from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
-from quandleforge.core import are_isomorphic, validate_quandle
+from quandleforge.core import (are_isomorphic, is_connected, orbits,
+                               validate_quandle)
 from quandleforge.errors import DNotDividesModulus, NotACocycle, ShapeMismatch
 
 
 class TestIsCocycle:
     def test_zero(self, d3):
         assert is_cocycle(d3, 3, Cocycle2.zero(3, 3))
+
+    @pytest.mark.parametrize("rows,cols", [(3, 3), (5, 3), (7, 5)],
+                             ids=["small", "short-rows", "extra-rows"])
+    def test_shape_mismatch(self, d5, rows, cols):
+        values = [[0] * cols for _ in range(rows)]
+        with pytest.raises(ShapeMismatch):
+            is_cocycle(d5, 2, values)
+        with pytest.raises(ShapeMismatch):
+            abelian_extension(d5, 2, values)
+
+    def test_modulus_mismatch(self, d3):
+        # a cochain mod 4 is not silently reduced to one mod 2
+        with pytest.raises(ShapeMismatch):
+            cocycle(d3, 2, Cocycle2.zero(3, 4))
+        with pytest.raises(ShapeMismatch):
+            abelian_extension(d3, 2, Cocycle2.zero(3, 4))
 
     def test_coboundaries_are_cocycles(self, d3):
         for gamma in [(0, 1, 2), (1, 1, 0), (2, 0, 1)]:
@@ -117,11 +134,25 @@ class TestSecondCohomology:
         for n in (1, 2, 3):
             for table in quandles_up_to_iso(n):
                 q = validate_quandle(n, table)
+                parts = orbits(q)
+                assert sorted(x for o in parts for x in o) == list(range(n))
+                assert all(q.op(x, a) in o for o in parts for x in o
+                           for a in range(n))
+                assert is_connected(q) == (len(parts) == 1)
                 for m in (2, 3):
                     assert cocycle_space_order(q, m) \
                         == brute_cocycle_count(table, m)
                     assert coboundary_space_order(q, m) \
                         == brute_coboundary_count(table, m)
+
+    def test_coboundary_order_on_corpus(self, corpus):
+        # m^(n - r) for r orbits, against enumeration of all 1-cochains
+        for name, q in corpus:
+            for m in (2, 3):
+                if m ** q.n > 3 ** 7:
+                    continue
+                assert coboundary_space_order(q, m) \
+                    == brute_coboundary_count(q.table, m), (name, m)
 
     def test_representatives_verified(self, tetrahedral, x6):
         for q, m in [(tetrahedral, 2), (x6, 2), (trivial_quandle(3), 3)]:

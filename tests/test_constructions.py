@@ -10,12 +10,16 @@ from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
                                         dihedral_quandle, extension_table,
                                         finite_group,
                                         generalized_alexander_quandle,
-                                        inversion_automorphism,
                                         symmetric_group, trivial_quandle)
 from quandleforge.core import (Permutation, QuandleMap, are_isomorphic,
                                inn_image, is_connected, is_covering,
                                validate_quandle)
 from quandleforge.errors import AxiomViolation, NotACocycle, NotAUnit
+
+
+def inversion_automorphism(g):
+    """a -> a^-1; an automorphism exactly when g is abelian."""
+    return GroupAutomorphism(g, g.inverse)
 
 
 def element_of_cycle_type(elems, ct):

@@ -10,6 +10,14 @@ from quandleforge.constructions import (cyclic_group, dihedral_quandle,
 from quandleforge.knotdata import bundled_knots
 
 
+def knots_to_text(knots):
+    lines = []
+    for k in knots:
+        word = ",".join(str(g) for g in k.word)
+        lines.append(f"{k.name};{k.strands};{word}")
+    return "\n".join(lines) + "\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -62,7 +70,7 @@ class TestFormats:
     def test_knot_table_roundtrip(self, tmp_path):
         knots = bundled_knots()
         path = tmp_path / "knots.txt"
-        qio.write_text(path, qio.knots_to_text(knots))
+        qio.write_text(path, knots_to_text(knots))
         back = qio.read_knots(path)
         assert [(k.name, k.strands, k.word) for k in back] \
             == [(k.name, k.strands, k.word) for k in knots]
@@ -259,6 +267,20 @@ class TestCli:
                                    "--cocycle", cpath.as_posix(), "--tangle")
         assert code == 0
         assert all(r["end_monochromatic"] for r in records)
+
+    def test_tangle_mode_needs_no_cocycle(self, capsys, d3_file):
+        code, records, _ = run_cli(capsys, "invariant", "--quandle", d3_file,
+                                   "--tangle")
+        assert code == 0
+        assert [r["record"] for r in records] \
+            == ["tangle"] * len(bundled_knots())
+        assert all(r["end_monochromatic"] for r in records)
+
+    def test_invariant_without_cocycle_rejected(self, capsys, d3_file):
+        code, records, err = run_cli(capsys, "invariant", "--quandle",
+                                     d3_file)
+        assert code == 1 and "error:" in err and "--cocycle" in err
+        assert records == []
 
     def test_error_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "props", "--quandle",

@@ -2,7 +2,8 @@
 
 The coloring scan must find as many colorings as the grid-walk oracle, on
 closed braids and on 1-tangles, and return them in lexicographic top-tuple
-order, whatever the block size.
+order, whatever the block size, each with a bottom that closes up and one
+signed source pair per crossing.
 Coset enumeration must give the same group orders and generator-column
 patterns as the define-only oracle.
 """
@@ -62,7 +63,13 @@ class TestColoringScan:
                 for relax in (False, True):
                     whole = braid_closure_colorings(flat(q), q.n, s, w,
                                                     relax_first=relax)
-                    assert whole == sorted(set(whole))
+                    tops = [top for top, _, _ in whole]
+                    assert tops == sorted(set(tops))
+                    start = 1 if relax else 0
+                    for top, bottom, pairs in whole:
+                        assert bottom[start:] == top[start:]
+                        assert [sign for _, _, sign in pairs] \
+                            == [1 if g > 0 else -1 for g in w]
                     assert len(whole) == grid_coloring_count(
                         q.table, s, w, tangle=relax)
                     with monkeypatch.context() as m:

@@ -1,8 +1,10 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from oracles import dihedral_linear_count, grid_coloring_count
+from quandleforge import _kernels
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
@@ -15,7 +17,7 @@ from quandleforge.knots import (GroupRingElt, Tangle, coloring_weight,
                                 end_monochromatic, endpoints_same_translation,
                                 enumerate_colorings, is_constant,
                                 lift_coloring, parse_braid, state_sum,
-                                tangle_colorings, _propagate)
+                                tangle_colorings)
 
 # determinant parts: which dihedral orders should see extra colorings
 EXPECTED_FINGERPRINTS = {
@@ -93,16 +95,22 @@ class TestColoringCounts:
             enumerate_colorings(d5, k, cap=10)
 
 
+def propagate(q, strands, word):
+    """Every top tuple in lexicographic order, pushed through the word by the
+    coloring kernel's move loop: (bottoms, source pairs) as arrays."""
+    tab, inv = _kernels._tables([v for row in q.table for v in row], q.n)
+    tops = np.array(list(product(range(q.n), repeat=strands)),
+                    dtype=np.int64)
+    pairs = np.empty((len(tops), len(word), 2), dtype=np.int64)
+    return _kernels._propagate(tab, inv, q.n, tops, word, pairs), pairs
+
+
 def propagation_map(q, strands, word):
     """The permutation of Q^strands induced by the word; tuples are encoded
     base |Q| with position 0 most significant."""
-    n = q.n
-    images = []
-    for top in product(range(n), repeat=strands):
-        bottom, _ = _propagate(q, word, top)
-        images.append(sum(v * n ** (strands - 1 - j)
-                          for j, v in enumerate(bottom)))
-    return Permutation(tuple(images))
+    bottoms, _ = propagate(q, strands, word)
+    images = bottoms @ q.n ** np.arange(strands - 1, -1, -1)
+    return Permutation(tuple(images.tolist()))
 
 
 class TestBraidMoves:
@@ -118,12 +126,16 @@ class TestBraidMoves:
     def test_cancellation_exact(self, d5):
         # [g, -g] must undo itself with identical source pairs of opposite
         # sign, so the weight cancels for every cocycle
-        for a in range(5):
-            for b in range(5):
-                bottom, pairs = _propagate(d5, [1, -1], (a, b))
-                assert bottom == (a, b)
-                (x1, y1, s1), (x2, y2, s2) = pairs
-                assert (x1, y1) == (x2, y2) and s1 == -s2
+        bottoms, pairs = propagate(d5, 2, [1, -1])
+        assert bottoms.tolist() == [list(t) for t in product(range(5),
+                                                             repeat=2)]
+        assert (pairs[:, 0] == pairs[:, 1]).all()
+        cols = _kernels.braid_closure_colorings(
+            [v for row in d5.table for v in row], 5, 2, [1, -1])
+        assert len(cols) == 25
+        for top, bottom, ((x1, y1, s1), (x2, y2, s2)) in cols:
+            assert bottom == top
+            assert (x1, y1) == (x2, y2) and s1 == -s2
         assert propagation_map(d5, 2, [1, -1]) \
             == propagation_map(d5, 2, [])
 

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import corpus_extensions
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension,
@@ -8,17 +9,43 @@ from quandleforge.constructions import (abelian_extension,
                                         generalized_alexander_quandle,
                                         symmetric_group, trivial_quandle)
 from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
-                               is_connected, is_covering, product_quandle)
+                               is_connected, is_covering, product_quandle,
+                               validate_quandle)
 from quandleforge.envgroup import enveloping_presentation, todd_coxeter
-from quandleforge.errors import NotACovering, NotIndex2
-from quandleforge.knots import is_constant
-from quandleforge.pipeline import (constancy_pipeline, corpus_extensions,
-                                   fiber_criterion, inn_sequence,
-                                   nonconstancy_certificates,
+from quandleforge.errors import (NotACocycle, NotACovering, NotIndex2,
+                                 ShapeMismatch)
+from quandleforge import pipeline
+from quandleforge.knots import is_constant, state_sum
+from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
+                                   inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
-                                   recover_index2_cocycle,
-                                   sym4_class_quandle,
-                                   synthetic_noncommuting_covering)
+                                   recover_index2_cocycle, sym4_class_quandle)
+
+
+def synthetic_noncommuting_covering():
+    """A covering that is not an abelian extension, built at desk scale.
+
+    On the trivial quandle of order 2, any choice of beta(x, y) in Sym(S)
+    with beta(x, x) = id gives a quandle on X x S projecting to X as a
+    covering.  Taking beta(0, 1) to fix one fiber point and swap two others
+    defeats the fixed-fiber criterion, certifying non-abelian-ness.
+    """
+    base = trivial_quandle(2)
+    s = 3
+    beta = {(0, 0): (0, 1, 2), (1, 1): (0, 1, 2),
+            (0, 1): (0, 2, 1),      # fixes level 0, swaps 1 and 2
+            (1, 0): (1, 2, 0)}      # 3-cycle, for variety
+    size = 2 * s
+    table = [[0] * size for _ in range(size)]
+    for xx in range(2):
+        for lv in range(s):
+            for yy in range(2):
+                for lw in range(s):
+                    table[xx * s + lv][yy * s + lw] = \
+                        xx * s + beta[(xx, yy)][lv]
+    q = validate_quandle(size, table)
+    proj = QuandleMap(q, base, tuple(i // s for i in range(size)))
+    return q, proj
 
 
 class TestInnSequence:
@@ -228,6 +255,55 @@ class TestPowerCheck:
         assert any(odd)
         assert report.coefficients["3_1"] == (6, 24, 0, 0)
         assert report.coefficients["6_1"] == (6, 0, 0, 24)
+
+
+    def test_folded_invariants_one_state_sum_per_knot(self, corpus, knots,
+                                                       monkeypatch):
+        # the phi-invariants folded from the psi-invariant equal the state
+        # sums of phi = psi^d, and each knot is summed once per request
+        calls = []
+
+        def counted(x, phi, k):
+            calls.append(k.name)
+            return state_sum(x, phi, k)
+
+        monkeypatch.setattr(pipeline, "state_sum", counted)
+        seen = 0
+        for name, x in corpus:
+            if x.n > 6:
+                continue
+            for psi in second_cohomology(x, 4).representatives:
+                for d in (1, 2, 4):
+                    calls.clear()
+                    report = power_coefficient_check(x, 4, psi, d,
+                                                     knots=knots)
+                    assert calls == [k.name for k in knots], (name, d)
+                    if d == 4:
+                        assert report.verdict is None
+                        continue
+                    phi = cocycle_power(psi, d)
+                    for k in knots:
+                        assert report.verdict.invariants[k.name] \
+                            == state_sum(x, phi, k), (name, d, k.name)
+                    seen += 1
+        assert seen >= 40
+
+
+@pytest.mark.parametrize("run", [
+    lambda x, phi: constancy_pipeline(x, 2, phi),
+    lambda x, phi: power_coefficient_check(x, 2, phi, 1),
+    lambda x, phi: nonconstancy_certificates(x, 2, phi),
+], ids=["thm31", "thm35", "certify"])
+def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "state_sum",
+                        lambda *args: calls.append(args))
+    not_cocycle = Cocycle2(3, 2, ((0, 1, 1), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(NotACocycle):
+        run(d3, not_cocycle)
+    with pytest.raises(ShapeMismatch):
+        run(d3, Cocycle2.zero(3, 4))
+    assert calls == []
 
 
 class TestCertificates:
