@@ -1,13 +1,29 @@
 """Hot kernels: braid coloring enumeration and coset enumeration.
 
-Each kernel has one implementation.  Coloring enumeration is vectorized
-with numpy over blocks of top assignments; colorings come back in
-lexicographic top-tuple order, each with its bottom colors and source pairs
-from the one move loop, _propagate.  Coset enumeration is textbook HLT with
-deductions, in plain Python (inherently sequential).
+Each kernel has one implementation.
+
+Colorings are solved from a propagation plan, not by scanning every top
+tuple.  Every top arc and every crossing output is a variable, each crossing
+is one relation X * O = Y, and the closure merges each bottom variable with
+its top (union-find), leaving classes of arcs.  A coloring is fixed by a few
+seed classes: X, O give Y through the table, O, Y give X through the inverse
+translation.  The seeds are chosen greedily, each time the class whose
+closure fixes the most others, once from the top-arc classes alone (at most
+s seeds, so never more candidates than the n^s top tuples) and once from all
+classes; the run with fewer seeds k wins.  Crossings not used to propagate
+are checks.  All n^k seed tuples are evaluated in numpy blocks of at most
+_BLOCK * s cells (rows times classes), and the survivors come back in
+lexicographic top-tuple order.
+
+Coset enumeration is textbook HLT with deductions, in plain Python
+(inherently sequential).
 """
 
+from collections import namedtuple
+
 import numpy as np
+
+from .errors import EnumerationTooLarge
 
 _BLOCK = 1 << 18
 
@@ -21,65 +37,136 @@ def _tables(table, n):
     return tab, inv
 
 
-def _propagate(tab, inv, n, state, word, pairs=None):
-    """Push each row of state (colors at the top) through the braid word, in
-    place, and return it.  At a positive letter incoming (a, b) becomes
-    (b, a*b); at a negative letter incoming (c, d) becomes (Rc^-1(d), c).
-    If pairs is an array of shape (rows, len(word), 2), it receives the
-    source pair of each crossing: the incoming pair at a positive letter,
-    the outgoing pair at a negative one."""
+# classes: number of arc classes; seeds: classes guessed, in digit order;
+# steps: (x, o, y, forward) relations that fix y (forward) or x; checks:
+# (x, o, y) relations left to test; top, bottom: class per position;
+# pairs: (x, o) classes per crossing, its source pair.
+_Plan = namedtuple("_Plan", "classes seeds steps checks top bottom pairs")
+
+
+def _closure(known, rels):
+    """Grow the set of known classes by the relations x * o = y until no
+    relation fixes another; return it and the (index, forward) steps."""
+    known = set(known)
+    steps = []
+    grown = True
+    while grown:
+        grown = False
+        for i, (x, o, y) in enumerate(rels):
+            if o not in known or (x in known) == (y in known):
+                continue
+            forward = x in known
+            known.add(y if forward else x)
+            steps.append((i, forward))
+            grown = True
+    return known, steps
+
+
+def _greedy(rels, classes, pool):
+    """Seeds from pool, each the one whose closure fixes the most classes
+    (the first in pool on ties), until every class is fixed."""
+    known, seeds, steps = set(), [], []
+    while len(known) < classes:
+        best = max((c for c in pool if c not in known),
+                   key=lambda c: len(_closure(known | {c}, rels)[0]))
+        seeds.append(best)
+        known, more = _closure(known | {best}, rels)
+        steps += more
+    return seeds, steps
+
+
+def _plan(strands, word, relax_first):
+    """The propagation plan of the braid closure; see the module docstring.
+    A positive letter on (a, b) outputs (b, a*b), the relation a * b = new;
+    a negative letter on (c, d) outputs (Rc^-1(d), c), the relation
+    new * c = d.  The source pair of a crossing is its (X, O)."""
+    parent = list(range(strands + len(word)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    state = list(range(strands))
+    rels = []
     for i, g in enumerate(word):
         p = abs(g) - 1
-        if pairs is not None and g > 0:
-            pairs[:, i] = state[:, p:p + 2]
-        ab = state[:, p] * n + state[:, p + 1]
+        a, b = state[p], state[p + 1]
+        new = strands + i
         if g > 0:
-            state[:, p] = state[:, p + 1]
-            state[:, p + 1] = tab[ab]
+            rels.append((a, b, new))
+            state[p], state[p + 1] = b, new
         else:
-            state[:, p + 1] = state[:, p]
-            state[:, p] = inv[ab]
-        if pairs is not None and g < 0:
-            pairs[:, i] = state[:, p:p + 2]
-    return state
+            rels.append((new, a, b))
+            state[p], state[p + 1] = new, a
+    for j in range(1 if relax_first else 0, strands):
+        parent[find(state[j])] = find(j)
+
+    ids = {}
+    cls = [ids.setdefault(find(v), len(ids)) for v in range(len(parent))]
+    rels = [tuple(cls[v] for v in r) for r in rels]
+    top = cls[:strands]
+    runs = [_greedy(rels, len(ids), pool)
+            for pool in (sorted(set(top)), range(len(ids)))]
+    seeds, steps = min(runs, key=lambda run: len(run[0]))
+    used = {i for i, _ in steps}
+    return _Plan(classes=len(ids), seeds=seeds,
+                 steps=[rels[i] + (forward,) for i, forward in steps],
+                 checks=[r for i, r in enumerate(rels) if i not in used],
+                 top=top, bottom=[cls[v] for v in state],
+                 pairs=[(x, o) for x, o, _ in rels])
 
 
-def braid_closure_colorings(table, n, strands, word, relax_first=False):
+def braid_closure_colorings(table, n, strands, word, relax_first=False,
+                            cap=None):
     """The colorings of the braid closure, in lexicographic top-tuple order.
 
     table: flat row-major n*n quandle table (a*b at index a*n+b).
     word: signed 1-based braid generators.
     Each coloring is (top, bottom, source_pairs), with one (x, y, sign) per
-    crossing in word order; see _propagate for the rules.  The closure
-    constraint bottom == top is checked at every position, or at positions
-    1.. when relax_first is set (the 1-tangle case).  Each block of top
-    tuples is filtered by one pass of the moves; a second pass over the
-    closing rows alone records their source pairs.
+    crossing in word order; see _plan for the rules.  The closure
+    constraint bottom == top holds at every position, or at positions 1..
+    when relax_first is set (the 1-tangle case).  When cap is given and the
+    plan's n^k seed tuples exceed it, EnumerationTooLarge is raised before
+    any is evaluated.
     """
+    plan = _plan(strands, word, relax_first)
+    k = len(plan.seeds)
+    total = n ** k
+    if cap is not None and total > cap:
+        raise EnumerationTooLarge(
+            f"{strands} strands need {k} seed arcs, {n}^{k} = {total} "
+            f"candidates exceed the cap {cap}")
     tab, inv = _tables(table, n)
-    signs = [1 if g > 0 else -1 for g in word]
-    total = n ** strands
-    out = []
-    start_col = 1 if relax_first else 0
+    # one buffer for every block, of at most _BLOCK * strands cells
+    rows = min(total, max(1, _BLOCK * strands // plan.classes))
+    buf = np.empty((rows, plan.classes), dtype=np.int64)
+    kept = []
 
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        tops = np.empty((hi - lo, strands), dtype=np.int64)
-        for j in range(strands):
-            tops[:, j] = (idx // n ** (strands - 1 - j)) % n
-        # one name for both passes, so the first pass's array is freed
-        # before the next block allocates its own
-        bottoms = _propagate(tab, inv, n, tops.copy(), word)
-        tops = tops[np.all(bottoms[:, start_col:] == tops[:, start_col:],
-                           axis=1)]
-        pairs = np.empty((len(tops), len(word), 2), dtype=np.int64)
-        bottoms = _propagate(tab, inv, n, tops.copy(), word, pairs)
-        for top, bottom, src in zip(tops.tolist(), bottoms.tolist(),
-                                    pairs.tolist()):
-            out.append((tuple(top), tuple(bottom),
-                        tuple((x, y, s) for (x, y), s in zip(src, signs))))
-    return out
+    for lo in range(0, total, rows):
+        vals = buf[:min(rows, total - lo)]
+        idx = np.arange(lo, lo + len(vals), dtype=np.int64)
+        for j, c in enumerate(plan.seeds):
+            vals[:, c] = (idx // n ** (k - 1 - j)) % n
+        for x, o, y, forward in plan.steps:
+            if forward:
+                vals[:, y] = tab[vals[:, x] * n + vals[:, o]]
+            else:
+                vals[:, x] = inv[vals[:, o] * n + vals[:, y]]
+        ok = np.ones(len(vals), dtype=bool)
+        for x, o, y in plan.checks:
+            ok &= tab[vals[:, x] * n + vals[:, o]] == vals[:, y]
+        kept.append(vals[ok])
+
+    vals = np.concatenate(kept)
+    vals = vals[np.lexsort(vals[:, plan.top].T[::-1])]
+    pairs = vals[:, np.array(plan.pairs, dtype=np.intp).reshape(-1, 2)]
+    signs = [1 if g > 0 else -1 for g in word]
+    return [(tuple(top), tuple(bottom),
+             tuple((x, y, s) for (x, y), s in zip(src, signs)))
+            for top, bottom, src in zip(vals[:, plan.top].tolist(),
+                                        vals[:, plan.bottom].tolist(),
+                                        pairs.tolist())]
 
 
 class _CapReached(Exception):

@@ -146,10 +146,10 @@ def cmd_invariant(args):
 
 def cmd_vendramin(args):
     q = qio.read_quandle(args.quandle)
-    rec = {"record": "vendramin", "verdict": "not_applicable"}
-    if is_connected(q):
-        crit = conjugation_criterion(q, args.max_cosets)
-        rec.update(verdict=crit.verdict, finite_enveloping_order=crit.order)
+    crit = conjugation_criterion(q, args.max_cosets)
+    rec = {"record": "vendramin", "verdict": crit.verdict}
+    if crit.connected:
+        rec["finite_enveloping_order"] = crit.order
         if crit.collision is not None:
             rec["collision"] = list(crit.collision)
     emit(rec)

@@ -6,8 +6,8 @@ n_i is the order of the right translation by i, gives the finite enveloping
 group; coset enumeration over the trivial subgroup realizes it as a
 permutation group on itself (the regular action), and a connected quandle is
 a conjugation quandle exactly when the generator images stay pairwise
-distinct there.  conjugation_criterion reads the verdict, the group order
-and the first collision off one enumeration.
+distinct there.  conjugation_criterion walks the orbits once and reads the
+verdict, the group order and the first collision off one enumeration.
 
 Words are tuples of signed 1-based generator indices.  Enumeration is the
 single pure-Python HLT with deductions in _kernels (scans from both ends,
@@ -125,11 +125,12 @@ class ConjugationCriterion:
 
     order is the group order; collision is the first pair (i, j), i < j,
     of distinct elements with equal images, or None when the natural map
-    is injective.  The verdict applies to connected quandles only.
+    is injective.  The criterion is stated for connected quandles only, so
+    a disconnected one is not enumerated and both are None.
     """
 
     connected: bool
-    order: int
+    order: int | None
     collision: tuple | None
 
     @property
@@ -139,32 +140,36 @@ class ConjugationCriterion:
         return "yes" if self.collision is None else "no"
 
 
-def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate q's finite enveloping group once and derive the order,
-    the first generator collision and the verdict from that table."""
+def _enumerate(q, max_cosets):
+    """Enumerate q's finite enveloping group once: its order and the first
+    generator collision."""
     t = todd_coxeter(enveloping_presentation(q, finite=True), max_cosets)
     seen = {}
-    collision = None
     for i in range(q.n):
         col = t.generator_column(i)
         if col in seen:
-            collision = (seen[col], i)
-            break
+            return t.size, (seen[col], i)
         seen[col] = i
-    return ConjugationCriterion(connected=is_connected(q), order=t.size,
-                                collision=collision)
+    return t.size, None
+
+
+def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
+    """Walk q's orbits once and, when q is connected, enumerate its finite
+    enveloping group once for the order, the first generator collision and
+    the verdict."""
+    if not is_connected(q):
+        return ConjugationCriterion(connected=False, order=None,
+                                    collision=None)
+    return ConjugationCriterion(True, *_enumerate(q, max_cosets))
 
 
 def rho_injective(q, max_cosets=DEFAULT_MAX_COSETS):
     """Whether the natural map into the finite enveloping group is injective:
     the generator images in the regular action must be pairwise distinct."""
-    return conjugation_criterion(q, max_cosets).collision is None
+    return _enumerate(q, max_cosets)[1] is None
 
 
 def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
     """'yes' / 'no' for connected quandles by the injectivity criterion;
-    'not_applicable' for disconnected ones (the criterion is stated for
-    connected quandles only), which are not enumerated."""
-    if not is_connected(q):
-        return "not_applicable"
+    'not_applicable' for disconnected ones, which are not enumerated."""
     return conjugation_criterion(q, max_cosets).verdict

@@ -4,13 +4,22 @@ Diagram model: a braid on s strands, all oriented downward, closed by the
 trace (bottom of position p returns to top of position p).  The word is a
 sequence of nonzero signed integers; letter g acts at positions |g|-1, |g|.
 
-Propagation of colors, fixed once in _kernels.braid_closure_colorings and
-certified by the braid-relation and Markov tests rather than by pictures:
+Colors propagate by these rules, fixed once in _kernels:
 
 * positive letter, incoming (a, b):  outgoing (b, a*b), source pair (a, b),
   weight +phi(a, b);
 * negative letter, incoming (c, d):  outgoing (Rc^-1(d), c), source pair
   (Rc^-1(d), c), weight -phi(Rc^-1(d), c).
+
+The kernel does not push every top tuple through these moves.  It turns the
+diagram into a propagation plan: each crossing is one relation X * O = Y
+between arc classes (the closure merges each bottom arc with its top), a few
+seed classes are guessed, the others follow from the relations, and the
+crossings not used to propagate are checked.  The n^k seed tuples, k <= s,
+are evaluated in numpy blocks of bounded size; the cap bounds n^k.  The
+tests hold the plan to the scan of all n^s top tuples in tests/oracles.py,
+whose move loop the braid-relation tests certify; the Markov tests compare
+the plan's state sums across presentations of one knot.
 
 A 1-tangle is the knot cut open at the closure arc of position 0; its
 endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
@@ -20,8 +29,8 @@ from dataclasses import dataclass
 
 from ._kernels import braid_closure_colorings
 from .core import is_covering
-from .errors import (BadGenerator, EnumerationTooLarge, FiberMismatch,
-                     NotACovering, NotAKnot, ShapeMismatch, TheoremViolation)
+from .errors import (BadGenerator, FiberMismatch, NotACovering, NotAKnot,
+                     ShapeMismatch, TheoremViolation)
 
 DEFAULT_ASSIGNMENT_CAP = 10 ** 8
 
@@ -125,14 +134,11 @@ def parse_braid(name, strands, word):
 
 
 def _colorings(q, knot, relax_first, cap):
-    space = q.n ** knot.strands
-    if space > cap:
-        raise EnumerationTooLarge(
-            f"{space} top assignments exceed the cap {cap}")
     flat = [v for row in q.table for v in row]
     return [Coloring(top, bottom, pairs) for top, bottom, pairs
             in braid_closure_colorings(flat, q.n, knot.strands,
-                                       list(knot.word), relax_first)]
+                                       list(knot.word), relax_first,
+                                       cap=cap)]
 
 
 def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the definitions,
 sharing no code with the package's engines: coloring counts come from a
 row-by-row grid walk (negative crossings resolved by scanning for the unique
-preimage, not by precomputed inverses), dihedral counts from mod-p linear
+preimage, not by precomputed inverses), coloring lists from a numpy scan of
+every top tuple through the braid moves, dihedral counts from mod-p linear
 algebra, cocycle/coboundary counts from exhaustive enumeration, group
 closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
@@ -44,6 +45,70 @@ def grid_coloring_count(table, strands, word, tangle=False):
         if all(row[j] == top[j] for j in range(start, strands)):
             count += 1
     return count
+
+
+def move_tables(table, n):
+    """A flat row-major n*n table as an array, and its inverse translations:
+    inv[c*n+d] is the unique x with x*c = d."""
+    tab = np.asarray(table, dtype=np.int64)
+    inv = np.empty(n * n, dtype=np.int64)
+    inv[np.tile(np.arange(n), n) * n + tab] = np.repeat(np.arange(n), n)
+    return tab, inv
+
+
+def propagate_moves(tab, inv, n, state, word, pairs=None):
+    """Push each row of state (colors at the top) through the braid word, in
+    place, and return it.  At a positive letter incoming (a, b) becomes
+    (b, a*b); at a negative letter incoming (c, d) becomes (Rc^-1(d), c).
+    If pairs is an array of shape (rows, len(word), 2), it receives the
+    source pair of each crossing: the incoming pair at a positive letter,
+    the outgoing pair at a negative one."""
+    for i, g in enumerate(word):
+        p = abs(g) - 1
+        if pairs is not None and g > 0:
+            pairs[:, i] = state[:, p:p + 2]
+        ab = state[:, p] * n + state[:, p + 1]
+        if g > 0:
+            state[:, p] = state[:, p + 1]
+            state[:, p + 1] = tab[ab]
+        else:
+            state[:, p + 1] = state[:, p]
+            state[:, p] = inv[ab]
+        if pairs is not None and g < 0:
+            pairs[:, i] = state[:, p:p + 2]
+    return state
+
+
+def scan_colorings(table, n, strands, word, relax_first=False,
+                   block=1 << 18):
+    """The colorings of the braid closure by scanning all n^strands top
+    tuples, in lexicographic order, through the moves, block rows at a time.
+
+    table is flat row-major (a*b at index a*n+b).  Each coloring is (top,
+    bottom, source_pairs), one (x, y, sign) per crossing in word order.
+    bottom == top must hold at every position, or at positions 1.. when
+    relax_first is set (the 1-tangle).
+    """
+    tab, inv = move_tables(table, n)
+    signs = [1 if g > 0 else -1 for g in word]
+    total = n ** strands
+    start = 1 if relax_first else 0
+    out = []
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        tops = np.empty((hi - lo, strands), dtype=np.int64)
+        for j in range(strands):
+            tops[:, j] = (idx // n ** (strands - 1 - j)) % n
+        bottoms = propagate_moves(tab, inv, n, tops.copy(), word)
+        tops = tops[np.all(bottoms[:, start:] == tops[:, start:], axis=1)]
+        pairs = np.empty((len(tops), len(word), 2), dtype=np.int64)
+        bottoms = propagate_moves(tab, inv, n, tops.copy(), word, pairs)
+        for top, bottom, src in zip(tops.tolist(), bottoms.tolist(),
+                                    pairs.tolist()):
+            out.append((tuple(top), tuple(bottom),
+                        tuple((x, y, s) for (x, y), s in zip(src, signs))))
+    return out
 
 
 def dihedral_linear_count(p, strands, word):

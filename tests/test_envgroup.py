@@ -126,6 +126,19 @@ class TestVendramin:
 
     def test_dihedral4_not_applicable(self, d4):
         assert is_conjugation_quandle(d4) == "not_applicable"
+        crit = conjugation_criterion(d4)
+        assert (crit.connected, crit.order, crit.collision) \
+            == (False, None, None)
+
+    def test_rho_injective_on_disconnected(self, corpus):
+        # the injectivity test still enumerates disconnected quandles
+        got = {name: rho_injective(q) for name, q in corpus
+               if q.n <= 9 and not is_connected(q)}
+        assert got == {"trivial_2": False, "trivial_3": False,
+                       "dihedral_4": True, "dihedral_6": True,
+                       "dihedral_8": True, "alexander_8_3": True,
+                       "sym4_double_transpositions": False,
+                       "galex_sym3_conj": True}
 
     def test_faithful_connected_corpus_all_yes(self, corpus):
         for name, q in corpus:

@@ -162,6 +162,25 @@ class TestCli:
                                    str(path))
         assert code == 0 and records[0]["verdict"] == "not_applicable"
 
+    @pytest.mark.parametrize("n,verdict", [(3, "yes"), (4, "not_applicable")])
+    def test_vendramin_walks_orbits_once(self, capsys, tmp_path, monkeypatch,
+                                         n, verdict):
+        from quandleforge import core
+        from quandleforge.envgroup import is_conjugation_quandle
+        calls = []
+        orbits = core.orbits
+        monkeypatch.setattr(core, "orbits",
+                            lambda q: calls.append(q.n) or orbits(q))
+        path = tmp_path / "q.quandle"
+        qio.write_text(path, qio.quandle_to_text(dihedral_quandle(n)))
+        code, records, _ = run_cli(capsys, "vendramin", "--quandle",
+                                   str(path))
+        assert code == 0 and records[0]["verdict"] == verdict
+        assert calls == [n]
+        calls.clear()
+        assert is_conjugation_quandle(dihedral_quandle(n)) == verdict
+        assert calls == [n]
+
     def test_inn_seq(self, capsys, tmp_path, tetrahedral, tet_psi):
         from quandleforge.constructions import abelian_extension
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)

@@ -1,9 +1,11 @@
 """Kernel checks.
 
-The coloring scan must find as many colorings as the grid-walk oracle, on
-closed braids and on 1-tangles, and return them in lexicographic top-tuple
-order, whatever the block size, each with a bottom that closes up and one
-signed source pair per crossing.
+The coloring kernel must return exactly the list of the scan oracle, on
+closed braids and on 1-tangles, and find as many colorings as the grid-walk
+oracle.  The list is in lexicographic top-tuple order, whatever the block
+size, each coloring with a bottom that closes up and one signed source pair
+per crossing, and the plan never guesses more seed arcs than there are
+strands.
 Coset enumeration must give the same group orders and generator-column
 patterns as the define-only oracle.
 """
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import define_only_coset_enumeration, grid_coloring_count
+from oracles import (define_only_coset_enumeration, grid_coloring_count,
+                     scan_colorings)
 from quandleforge import _kernels
 from quandleforge._kernels import braid_closure_colorings, coset_enumeration
 from quandleforge.cohomology import second_cohomology
@@ -22,6 +25,7 @@ from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected
 from quandleforge.envgroup import enveloping_presentation
+from quandleforge.knotdata import BUNDLED_WORDS, EXTRA_PRESENTATIONS
 from quandleforge.pipeline import tetrahedral_quandle
 
 
@@ -45,7 +49,7 @@ def tetrahedral_extension():
 class TestColoringScan:
     TET_EXT = tetrahedral_extension()
     QUANDLES = [dihedral_quandle(3), dihedral_quandle(4), dihedral_quandle(5),
-                TET_EXT]
+                dihedral_quandle(6), TET_EXT]
     WORDS = [
         (2, [1, 1, 1]),
         (3, [1, -2, 1, -2]),
@@ -76,6 +80,36 @@ class TestColoringScan:
                         m.setattr(_kernels, "_BLOCK", 7)
                         assert braid_closure_colorings(
                             flat(q), q.n, s, w, relax_first=relax) == whole
+
+    def test_corpus_matches_scan_oracle(self, corpus):
+        words = [(s, w) for _, s, w in BUNDLED_WORDS]
+        words += [p for extra in EXTRA_PRESENTATIONS.values() for p in extra]
+        seen = 0
+        for name, q in corpus:
+            if q.n > 9:
+                continue
+            for s, w in words:
+                for relax in (False, True):
+                    assert braid_closure_colorings(
+                        flat(q), q.n, s, w, relax_first=relax) \
+                        == scan_colorings(flat(q), q.n, s, w,
+                                          relax_first=relax), (name, w, relax)
+                    seen += 1
+        assert seen >= 400
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_words_match_scan_oracle(self, data):
+        q = data.draw(st.sampled_from(self.QUANDLES))
+        s = data.draw(st.integers(1, 5))
+        word = data.draw(st.lists(
+            st.sampled_from([g for g in range(-s + 1, s) if g != 0]),
+            max_size=10)) if s > 1 else []
+        relax = data.draw(st.booleans())
+        assert len(_kernels._plan(s, word, relax).seeds) <= s
+        assert braid_closure_colorings(flat(q), q.n, s, word,
+                                       relax_first=relax) \
+            == scan_colorings(flat(q), q.n, s, word, relax_first=relax)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

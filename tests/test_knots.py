@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import dihedral_linear_count, grid_coloring_count
+from oracles import (dihedral_linear_count, grid_coloring_count,
+                     move_tables, propagate_moves)
 from quandleforge import _kernels
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
@@ -90,19 +91,29 @@ class TestColoringCounts:
                                            list(k.word)), k.name
 
     def test_cap(self, d5):
+        # the trefoil needs 2 seed arcs: 5^2 = 25 candidates
         k = parse_braid("3_1", 2, [1, 1, 1])
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(EnumerationTooLarge, match=r"2 strands need 2 "
+                           r"seed arcs, 5\^2 = 25 candidates"):
             enumerate_colorings(d5, k, cap=10)
+
+    def test_cap_bounds_seed_tuples_not_top_tuples(self):
+        # 5_2 stabilized to 6 strands: 7^6 top tuples, but a plan of at
+        # most 5 seed arcs fits a cap of 7^5
+        k = parse_braid("5_2", 6, [1, 1, 1, 2, -1, 2, 3, 4, 5])
+        assert len(_kernels._plan(k.strands, k.word, False).seeds) <= 5
+        cols = enumerate_colorings(dihedral_quandle(7), k, cap=7 ** 5)
+        assert len(cols) == dihedral_linear_count(7, 6, k.word) == 49
 
 
 def propagate(q, strands, word):
     """Every top tuple in lexicographic order, pushed through the word by the
-    coloring kernel's move loop: (bottoms, source pairs) as arrays."""
-    tab, inv = _kernels._tables([v for row in q.table for v in row], q.n)
+    move loop of the scan oracle: (bottoms, source pairs) as arrays."""
+    tab, inv = move_tables([v for row in q.table for v in row], q.n)
     tops = np.array(list(product(range(q.n), repeat=strands)),
                     dtype=np.int64)
     pairs = np.empty((len(tops), len(word), 2), dtype=np.int64)
-    return _kernels._propagate(tab, inv, q.n, tops, word, pairs), pairs
+    return propagate_moves(tab, inv, q.n, tops, word, pairs), pairs
 
 
 def propagation_map(q, strands, word):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from helpers import corpus_extensions
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
@@ -12,10 +14,10 @@ from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
                                is_connected, is_covering, product_quandle,
                                validate_quandle)
 from quandleforge.envgroup import enveloping_presentation, todd_coxeter
-from quandleforge.errors import (NotACocycle, NotACovering, NotIndex2,
-                                 ShapeMismatch)
+from quandleforge.errors import (NotACocycle, NotACovering, NotAKnot,
+                                 NotIndex2, ShapeMismatch)
 from quandleforge import pipeline
-from quandleforge.knots import is_constant, state_sum
+from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
@@ -344,3 +346,37 @@ class TestCorpusCoherence:
                               for k in knots)
             if nonconstant:
                 assert is_conjugation_quandle(e) != "yes", name
+
+
+@pytest.fixture(scope="module")
+def fuzz_pools():
+    """The corpus extensions that are connected (the only ones with a 'yes'
+    or 'no' verdict), and all of them."""
+    pool = corpus_extensions(moduli=(2, 3, 4))
+    return [c for c in pool if is_connected(c[4])], pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_knots_never_violate_theorems(fuzz_pools, data):
+    # Theorems 3.1 and 3.5 on random knots: the closure of a braid word with
+    # one component is a classical knot.  One extension is drawn from each
+    # pool.
+    s = data.draw(st.integers(2, 5))
+    word = data.draw(st.lists(
+        st.sampled_from([g for g in range(1 - s, s) if g]), max_size=12))
+    try:
+        k = parse_braid("fuzz", s, word)
+    except NotAKnot:
+        reject()
+    for pool in fuzz_pools:
+        name, x, m, phi, _, _ = data.draw(st.sampled_from(pool))
+        verdict = constancy_pipeline(x, m, phi, knots=[k])
+        if verdict.is_conjugation == "yes":
+            assert is_constant(verdict.invariants["fuzz"]), name
+        # d = 1 is the constancy check above
+        for d in (d for d in range(2, m + 1) if m % d == 0):
+            report = power_coefficient_check(x, m, phi, d, knots=[k])
+            if report.hypothesis_held:
+                assert not any(c for j, c in enumerate(
+                    report.coefficients["fuzz"]) if j % report.m), (name, d)
