@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import io as qio
-from .cohomology import second_cohomology
+from .cohomology import cocycle, second_cohomology
 from .constructions import (abelian_extension, alexander_quandle,
                             conjugation_quandle, cyclic_group,
                             dihedral_quandle, generalized_alexander_quandle,
@@ -127,7 +127,10 @@ def cmd_invariant(args):
     q = qio.read_quandle(args.quandle)
     if not (args.tangle or args.cocycle):
         raise QuandleError("invariant needs --cocycle unless --tangle is set")
-    phi = None if args.tangle else qio.read_cocycle(args.cocycle)
+    phi = None
+    if not args.tangle:
+        phi = qio.read_cocycle(args.cocycle)
+        cocycle(q, phi.m, phi)
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:
@@ -225,7 +228,20 @@ def cmd_certify(args):
     return 0
 
 
+# the options each family of `forge make` cannot do without
+_MAKE_NEEDS = {"dihedral": ("n",), "trivial": ("n",), "alexander": ("n", "t"),
+               "conj": ("group", "elem"), "galex": ("group",),
+               "cyclic-group": ("n",), "sym-group": ("n",)}
+
+
 def cmd_make(args):
+    missing = [f"--{opt}" for opt in _MAKE_NEEDS[args.family]
+               if getattr(args, opt) is None]
+    if args.family == "galex" and args.conj_by is None \
+            and args.images is None:
+        missing.append("--conj-by or --images")
+    if missing:
+        raise QuandleError(f"make {args.family} needs {', '.join(missing)}")
     if args.family == "dihedral":
         q = dihedral_quandle(args.n)
         summary = f"dihedral quandle of order {args.n}"

@@ -103,8 +103,15 @@ class GroupAutomorphism:
         return self.images[a]
 
 
+def _check_element(g, x):
+    if not 0 <= x < g.order:
+        raise ValueError(
+            f"group element {x} (0-based) is not in 0..{g.order - 1}")
+
+
 def conjugation_automorphism(g, x):
     """The inner automorphism a -> x^-1 a x."""
+    _check_element(g, x)
     return GroupAutomorphism(g, tuple(g.conj(a, x) for a in range(g.order)))
 
 
@@ -118,6 +125,8 @@ def dihedral_quandle(n):
 
 def alexander_quandle(n, t):
     """a*b = t*a + (1-t)*b mod n for a unit t; t = n-1 is the dihedral case."""
+    if n < 1:
+        raise ValueError("order must be positive")
     if gcd(t % n, n) != 1:
         raise NotAUnit(f"{t} is not a unit mod {n}")
     return validate_quandle(
@@ -141,6 +150,7 @@ def generalized_alexander_quandle(g, f):
 def conjugation_quandle(g, x):
     """The conjugacy class of x under a*b = b^-1 a b, with labels mapping
     quandle indices back to group elements (ascending)."""
+    _check_element(g, x)
     cls = sorted({g.conj(x, h) for h in range(g.order)})
     pos = {v: i for i, v in enumerate(cls)}
     k = len(cls)

@@ -95,6 +95,8 @@ def parse_cocycle_text(text):
     if len(head) != 2:
         raise ValueError("cocycle header must be 'n m'")
     n, m = int(head[0]), int(head[1])
+    if m < 1:
+        raise ValueError(f"cocycle modulus must be >= 1, got {m}")
     if len(lines) < n + 1:
         raise ValueError(f"cocycle file promises {n} rows")
     rows = []

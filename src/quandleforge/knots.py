@@ -44,12 +44,6 @@ class BraidKnot:
     word: tuple
     closure_perm: tuple   # bottom position -> top position of the same strand
 
-    def crossings(self):
-        return len(self.word)
-
-    def writhe(self):
-        return sum(1 if g > 0 else -1 for g in self.word)
-
     def __repr__(self):
         return f"BraidKnot({self.name!r}, s={self.strands}, word={list(self.word)})"
 

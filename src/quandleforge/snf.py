@@ -1,8 +1,9 @@
 """Exact integer linear algebra: row reduction and Smith normal form.
 
-Matrices are lists of lists of Python ints, so everything is exact.  Sizes
-here are small (a few hundred rows/columns); no attempt is made to be
-asymptotically clever.
+Matrices are lists of lists of Python ints, so everything is exact.
+`row_reduce` cuts the tall, sparse cocycle constraint systems (10^4 rows at
+order 24) to at most one row per column; `smith_normal_form` is dense and
+meant for what is left, a few hundred rows and columns.
 """
 
 from dataclasses import dataclass
@@ -38,42 +39,35 @@ def mat_mul(a, b):
 def row_reduce(rows, ncols):
     """Row-echelon reduction over Z by gcd-style row operations.
 
-    Returns a list of at most ncols independent rows spanning the same row
-    lattice as the input; in particular the kernel is unchanged.  Input rows
-    are consumed (copied first by the caller if needed).
+    Returns at most ncols independent rows, leading entries positive, that
+    span the row lattice of the input (which is copied, not modified).  Per
+    column, the live rows (nonzero there) are reduced by the one with the
+    smallest entry until only that pivot is left.  Zero rows stay in the
+    working list: they are never live, so they never change the result.
+    The output order is part of the contract; the H^2 representatives
+    follow it.
     """
     rows = [list(r) for r in rows if any(r)]
     out = []
-    col = 0
-    while col < ncols and rows:
-        live = [r for r in rows if r[col] != 0]
+    for col in range(ncols):
+        live = [r for r in rows if r[col]]
         if not live:
-            rows = [r for r in rows if any(r[col + 1:])]
-            col += 1
             continue
-        # repeatedly reduce by the row with the smallest pivot until one remains
-        while True:
+        while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             piv = live[0]
-            done = True
+            support = [j for j in range(col, ncols) if piv[j]]
             for r in live[1:]:
                 q = r[col] // piv[col]
-                if q:
-                    for j in range(col, ncols):
-                        r[j] -= q * piv[j]
-                if r[col]:
-                    done = False
-            live = [piv] + [r for r in live[1:] if r[col] != 0]
-            if done or len(live) == 1:
-                break
+                for j in support:
+                    r[j] -= q * piv[j]
+            live = [piv] + [r for r in live[1:] if r[col]]
         piv = live[0]
         if piv[col] < 0:
             for j in range(col, ncols):
                 piv[j] = -piv[j]
         out.append(piv)
-        rest = [r for r in rows if r is not piv and r[col] == 0] + live[1:]
-        rows = [r for r in rest if any(r[col:])]
-        col += 1
+        rows = [r for r in rows if r is not piv]
     return out
 
 

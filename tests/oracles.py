@@ -5,7 +5,8 @@ sharing no code with the package's engines: coloring counts come from a
 row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
-algebra, cocycle/coboundary counts from exhaustive enumeration, group
+algebra, integer row reduction from the package's first elimination loop,
+cocycle/coboundary counts from exhaustive enumeration, group
 closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
 """
@@ -191,6 +192,46 @@ def brute_coboundary_count(table, m):
         seen.add(tuple(tuple((gamma[x] - gamma[table[x][y]]) % m
                              for y in range(n)) for x in range(n)))
     return len(seen)
+
+
+def reference_row_reduce(rows, ncols):
+    """The package's first row_reduce, kept as the reference its loop must
+    match list for list: the same gcd-style row operations, but zero rows
+    are filtered out after every column and the inner loop tracks a done
+    flag.  Returns the reduced rows, leading entries positive."""
+    rows = [list(r) for r in rows if any(r)]
+    out = []
+    col = 0
+    while col < ncols and rows:
+        live = [r for r in rows if r[col] != 0]
+        if not live:
+            rows = [r for r in rows if any(r[col + 1:])]
+            col += 1
+            continue
+        # repeatedly reduce by the row with the smallest pivot until one remains
+        while True:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            done = True
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                if q:
+                    for j in range(col, ncols):
+                        r[j] -= q * piv[j]
+                if r[col]:
+                    done = False
+            live = [piv] + [r for r in live[1:] if r[col] != 0]
+            if done or len(live) == 1:
+                break
+        piv = live[0]
+        if piv[col] < 0:
+            for j in range(col, ncols):
+                piv[j] = -piv[j]
+        out.append(piv)
+        rest = [r for r in rows if r is not piv and r[col] == 0] + live[1:]
+        rows = [r for r in rest if any(r[col:])]
+        col += 1
+    return out
 
 
 def naive_closure(generators):

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_coboundary_count, brute_cocycle_count,
-                     quandles_up_to_iso)
+                     quandles_up_to_iso, reference_row_reduce)
+from quandleforge import snf
 from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      _verify_independent, coboundary,
                                      coboundary_space_order, cocycle,
@@ -15,6 +16,7 @@ from quandleforge.constructions import (abelian_extension, dihedral_quandle,
 from quandleforge.core import (are_isomorphic, is_connected, orbits,
                                validate_quandle)
 from quandleforge.errors import DNotDividesModulus, NotACocycle, ShapeMismatch
+from quandleforge.pipeline import corpus_quandles
 
 
 class TestIsCocycle:
@@ -153,6 +155,23 @@ class TestSecondCohomology:
                     continue
                 assert coboundary_space_order(q, m) \
                     == brute_coboundary_count(q.table, m), (name, m)
+
+    def test_same_group_with_reference_row_reduce(self, monkeypatch):
+        # the representatives follow the order of the reduced rows, so the
+        # reference loop must give the same factors and the same cocycles
+        cases = [(name, q, m) for name, q in corpus_quandles(max_order=9)
+                 for m in (2, 3, 4)]
+        expected = [second_cohomology(q, m) for _, q, m in cases]
+        calls = []
+
+        def reference(rows, ncols):
+            calls.append(ncols)
+            return reference_row_reduce(rows, ncols)
+
+        monkeypatch.setattr(snf, "row_reduce", reference)
+        for (name, q, m), h in zip(cases, expected):
+            assert second_cohomology(q, m) == h, (name, m)
+        assert calls
 
     def test_representatives_verified(self, tetrahedral, x6):
         for q, m in [(tetrahedral, 2), (x6, 2), (trivial_quandle(3), 3)]:

@@ -234,8 +234,9 @@ class TestCli:
         ("thm35", 3, 4, "2"),   # cocycle on 3 elements
         ("thm35", 7, 2, "2"),   # cocycle on 7 elements, m = 1
         ("invariant", 3, 2, None),
+        ("invariant", 5, 4, None),   # not a cocycle mod 4
     ], ids=["thm35-not-cocycle", "thm35-order3", "thm35-order7-m1",
-            "invariant-order3"])
+            "invariant-order3", "invariant-not-cocycle"])
     def test_bad_cocycle_rejected(self, capsys, tmp_path, command, n, m, d):
         from quandleforge.cohomology import Cocycle2
         values = [[0] * n for _ in range(n)]
@@ -299,6 +300,32 @@ class TestCli:
         code, records, err = run_cli(capsys, "invariant", "--quandle",
                                      d3_file)
         assert code == 1 and "error:" in err and "--cocycle" in err
+        assert records == []
+
+    @pytest.mark.parametrize("argv", [
+        ["make", "dihedral"],
+        ["make", "alexander", "--n", "5"],
+        ["make", "alexander", "--n", "0", "--t", "1"],
+        ["make", "conj"],
+        ["make", "conj", "--group", "{s3}"],
+        ["make", "galex", "--group", "{s3}"],
+        ["make", "conj", "--group", "{s3}", "--elem", "0"],
+        ["make", "conj", "--group", "{s3}", "--elem", "7"],
+        ["make", "galex", "--group", "{s3}", "--conj-by", "0"],
+        ["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"],
+    ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
+            "conj-no-group", "conj-no-elem", "galex-no-automorphism",
+            "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
+            "cocycle-mod-0"])
+    def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
+                                         argv):
+        files = {"s3": tmp_path / "s3.group", "d3": d3_file,
+                 "m0": tmp_path / "m0.cocycle"}
+        qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
+        qio.write_text(files["m0"], "3 0\n0 0 0\n0 0 0\n0 0 0\n")
+        argv = [a.format(**files) for a in argv]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 1 and "error:" in err
         assert records == []
 
     def test_error_exit_code(self, capsys, tmp_path):

@@ -5,7 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_row_reduce
 from quandleforge import snf
+from quandleforge.cohomology import _constraint_rows, _pair_index
+from quandleforge.constructions import dihedral_quandle
+from quandleforge.pipeline import corpus_quandles
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 6).flatmap(
@@ -83,5 +87,39 @@ def test_row_reduce_spans_same_lattice(a):
 def test_row_reduce_preserves_rank(a):
     nc = len(a[0])
     reduced = snf.row_reduce(a, nc)
-    assert snf.smith_normal_form(reduced).rank if reduced else 0 \
+    assert (snf.smith_normal_form(reduced).rank if reduced else 0) \
         == snf.smith_normal_form(a).rank
+
+
+@st.composite
+def tall_matrices(draw):
+    """Integer matrices, usually with more rows than columns, with zero rows
+    and copies of earlier rows mixed in at random positions."""
+    c = draw(st.integers(1, 6))
+    base = draw(st.lists(
+        st.lists(st.integers(-20, 20), min_size=c, max_size=c),
+        min_size=1, max_size=12))
+    extra = draw(st.lists(st.one_of(st.just([0] * c), st.sampled_from(base)),
+                          max_size=6))
+    rows = base + extra
+    order = draw(st.permutations(range(len(rows))))
+    return [list(rows[i]) for i in order], c
+
+
+@settings(max_examples=300, deadline=None)
+@given(tall_matrices())
+def test_row_reduce_matches_reference(case):
+    a, nc = case
+    before = [list(r) for r in a]
+    assert snf.row_reduce(a, nc) == reference_row_reduce(a, nc)
+    assert a == before
+
+
+def test_row_reduce_matches_reference_on_constraint_systems():
+    cases = corpus_quandles(max_order=9) + [("dihedral_12",
+                                             dihedral_quandle(12))]
+    for name, q in cases:
+        pairs, pidx = _pair_index(q.n)
+        rows = _constraint_rows(q, pairs, pidx)
+        assert snf.row_reduce(rows, len(pairs)) \
+            == reference_row_reduce(rows, len(pairs)), name
