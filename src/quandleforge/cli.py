@@ -41,8 +41,8 @@ def _load_knots(args):
     return bundled_knots()
 
 
-def _write_quandle(q, args, summary):
-    text = qio.quandle_to_text(q, comment=summary)
+def _write_text(text, args, summary):
+    """Write a quandle or group file to -o, or to stdout without -o."""
     if args.output:
         qio.write_text(args.output, text)
         note(f"{summary} -> {args.output}")
@@ -119,7 +119,8 @@ def cmd_extend(args):
     emit({"record": "extend", "base_order": q.n, "mod": phi.m,
           "extension_order": e.n,
           "connected": is_connected(e), "faithful": is_faithful(e)})
-    _write_quandle(e, args, f"extension of order {e.n}")
+    summary = f"extension of order {e.n}"
+    _write_text(qio.quandle_to_text(e, comment=summary), args, summary)
     return 0
 
 
@@ -267,27 +268,18 @@ def cmd_make(args):
         q = generalized_alexander_quandle(g, f)
         summary = f"generalized Alexander quandle of order {q.n}"
     elif args.family == "cyclic-group":
-        g = cyclic_group(args.n)
-        text = qio.group_to_text(g, comment=f"cyclic group of order {args.n}")
-        if args.output:
-            qio.write_text(args.output, text)
-            note(f"cyclic group -> {args.output}")
-        else:
-            sys.stdout.write(text)
+        summary = f"cyclic group of order {args.n}"
+        _write_text(qio.group_to_text(cyclic_group(args.n), comment=summary),
+                    args, summary)
         return 0
     elif args.family == "sym-group":
+        summary = f"symmetric group on {args.n} points"
         g, _ = symmetric_group(args.n)
-        text = qio.group_to_text(
-            g, comment=f"symmetric group on {args.n} points")
-        if args.output:
-            qio.write_text(args.output, text)
-            note(f"symmetric group -> {args.output}")
-        else:
-            sys.stdout.write(text)
+        _write_text(qio.group_to_text(g, comment=summary), args, summary)
         return 0
     else:
         raise QuandleError(f"unknown family {args.family}")
-    _write_quandle(q, args, summary)
+    _write_text(qio.quandle_to_text(q, comment=summary), args, summary)
     return 0
 
 

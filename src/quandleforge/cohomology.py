@@ -14,12 +14,12 @@ which matches relabeling extension fibers by (x, a) -> (x, a - gamma(x));
 the mirror convention differs by a sign and produces the same cohomology.
 
 H^2 is computed over the integers: the off-diagonal pairs index the cochain
-coordinates and the cocycle constraints are row-reduced.  Each matrix is put
-in Smith normal form once: the reduced constraints give the kernel lattice
-(with V, so representatives are V times a vector), the quotient of that
-lattice by coboundaries plus m times everything gives the invariant factors,
-and the coboundary matrix gives coordinates on cochains modulo coboundaries.
-The last one checks the result independently of the solve: each factor
+coordinates and the cocycle constraints are row-reduced.  Two matrices are
+put in Smith normal form: the reduced constraints give the kernel lattice
+(with V, so representatives are V times a vector), and the quotient of that
+lattice by coboundaries plus m times everything gives the invariant factors.
+A spanning forest of the orbits gives coordinates on cochains modulo
+coboundaries, which check the result independently of the solve: each factor
 annihilates its representative, and for each prime p | m the elements of
 order p are independent over F_p (a map out of a finite abelian group is
 injective iff it is injective on elements of prime order).  Everything is
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import snf
-from .core import orbits
+from .core import orbit_forest, orbits
 from .errors import DNotDividesModulus, NotACocycle, ShapeMismatch
 
 
@@ -170,17 +170,6 @@ def _constraint_rows(q, pairs, pidx):
     return rows
 
 
-def _coboundary_matrix(q, pairs):
-    """Columns indexed by elements, rows by off-diagonal pairs."""
-    rows = []
-    for (x, y) in pairs:
-        row = [0] * q.n
-        row[x] += 1
-        row[q.table[x][y]] -= 1
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class CohomologyGroup:
     """H^2 as a product of cyclic groups: invariant factors (each dividing m,
@@ -233,14 +222,14 @@ def coboundary_space_order(q, m):
 def second_cohomology(q, m):
     """H^2_Q(q, Z_m): invariant factors plus representative cocycles.
 
-    Three Smith normal forms, one per matrix: the reduced cocycle
-    constraints (kernel lattice, with V and Vinv), the quotient presentation
-    (invariant factors, with Uinv) and, for the check, the coboundary
-    matrix.  Representatives are V times the generators of the quotient;
-    each is verified to be a cocycle, the order is verified against
-    cocycle_space_order // coboundary_space_order, and the classes are
-    verified independent one prime p | m at a time, by a rank over F_p that
-    uses only the coboundary matrix.
+    Two Smith normal forms, one per matrix: the reduced cocycle constraints
+    (kernel lattice, with V and Vinv) and the quotient presentation
+    (invariant factors, with Uinv).  Representatives are V times the
+    generators of the quotient; each is verified to be a cocycle, the order
+    is verified against cocycle_space_order // coboundary_space_order, and
+    the classes are verified independent one prime p | m at a time, by a
+    rank over F_p of their coordinates modulo coboundaries, which come from
+    the orbits' spanning forest and not from the solve.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -262,20 +251,19 @@ def second_cohomology(q, m):
     tdiag += [1] * (npairs - len(tdiag))
 
     # kernel lattice K = V . diag(tdiag); relations = coboundaries + m Z^N,
-    # expressed in the K basis as X = diag(tdiag)^-1 . Vinv . [D | mI]
-    dmat = _coboundary_matrix(q, pairs)
-    rel = [row + [0] * npairs for row in dmat]
-    for i in range(npairs):
-        rel[i][n + i] = m
-    x = snf.mat_mul(vinv, rel)
-    for i in range(npairs):
-        t = tdiag[i]
-        if t != 1:
-            for j in range(len(x[i])):
-                v = x[i][j]
-                if v % t:
-                    raise AssertionError("relation lattice not inside kernel")
-                x[i][j] = v // t
+    # in the K basis X = diag(tdiag)^-1 . [Vinv . D | m Vinv], where row
+    # (a, b) of the coboundary matrix D is +1 at a and -1 at a*b
+    x = []
+    for vrow, t in zip(vinv, tdiag):
+        row = [0] * n
+        for (a, b), v in zip(pairs, vrow):
+            if v:
+                row[a] += v
+                row[q.table[a][b]] -= v
+        row += [m * v for v in vrow]
+        if any(v % t for v in row):
+            raise AssertionError("relation lattice not inside kernel")
+        x.append([v // t for v in row])
 
     qform = snf.smith_normal_form(x, want=("Uinv",))
     if qform.rank != npairs:
@@ -307,22 +295,29 @@ def second_cohomology(q, m):
 
 
 def _coboundary_classes(q, m):
-    """The quotient C/B of all cochains by coboundaries, from one SNF of the
-    coboundary matrix: U D V = S gives C/B = (+) Z_{g_i} with g_i = gcd(s_i, m)
-    below the rank and m past it.  Returns (g, coords), where coords(phi) is
-    the list of coordinates of phi, each reduced mod its g_i; phi is a
-    coboundary iff all of them are 0."""
-    pairs, _ = _pair_index(q.n)
-    form = snf.smith_normal_form(_coboundary_matrix(q, pairs), want=("U",))
-    g = [gcd(form.diag[i], m) if i < form.rank else m
-         for i in range(len(pairs))]
+    """coords(phi): coordinates of phi in C/B, cochains mod coboundaries.
+
+    d is the incidence matrix of the graph x -> x*y, whose components are
+    the orbits.  phi agrees with d gamma on the orbits' spanning forest for
+    exactly one gamma that is 0 at each root, and the residues phi - d gamma
+    on the other pairs identify C/B with Z_m^(N - n + r) for N pairs and r
+    orbits: phi is a coboundary iff all are 0.  Each call is O(N)."""
+    _, edges = orbit_forest(q)
+    tree = set(edges)
+    n = q.n
+    rest = [(x, y) for x in range(n) for y in range(n)
+            if x != y and (x, y) not in tree]
+    table = q.table
 
     def coords(phi):
-        target = [phi.values[a][b] for (a, b) in pairs]
-        return [sum(u * t for u, t in zip(row, target)) % gi
-                for row, gi in zip(form.U, g)]
+        v = phi.values
+        gamma = [0] * n
+        for y, a in edges:          # y is reached before y*a
+            gamma[table[y][a]] = (gamma[y] - v[y][a]) % m
+        return [(v[x][y] - gamma[x] + gamma[table[x][y]]) % m
+                for x, y in rest]
 
-    return g, coords
+    return coords
 
 
 def _prime_divisors(m):
@@ -345,18 +340,17 @@ def _verify_independent(q, group):
     The map (+) Z_{d_i} -> C/B is well defined iff each d_i . rep_i is a
     coboundary, and then injective iff it is injective on the elements of
     prime order: for each prime p | m, the classes of (d_i/p) . rep_i with
-    p | d_i must be independent over F_p.  Those classes lie in the p-torsion
-    of C/B, so dividing coordinate j by g_j/p gives vectors over F_p, and
-    their rank is the number of invariant factors prime to p.
+    p | d_i must be independent over F_p.  C/B is Z_m^k in the coordinates
+    of _coboundary_classes, so such a class divided by m/p is a vector over
+    F_p, and their rank must be the number of factors divisible by p.
     """
-    g, coords = _coboundary_classes(q, group.m)
+    coords = _coboundary_classes(q, group.m)
     slots = list(zip(group.invariant_factors, group.representatives))
     for d, rep in slots:
         if any(coords(rep.scale(d))):
             raise AssertionError("representative order exceeds its factor")
     for p in _prime_divisors(group.m):
-        rows = [[c // (gj // p) for c, gj in zip(coords(rep.scale(d // p)), g)
-                 if gj % p == 0]
+        rows = [[c // (group.m // p) for c in coords(rep.scale(d // p))]
                 for d, rep in slots if d % p == 0]
         rank_p = sum(1 for s in snf.smith_normal_form(rows).diag if s % p)
         if rank_p != len(rows):
@@ -369,7 +363,7 @@ def cohomologous(q, phi1, phi2):
     """True iff phi1 - phi2 is a coboundary on q."""
     if (phi1.n, phi1.m) != (phi2.n, phi2.m) or phi1.n != q.n:
         raise ShapeMismatch("cocycles live on different spaces")
-    _, coords = _coboundary_classes(q, phi1.m)
+    coords = _coboundary_classes(q, phi1.m)
     return not any(coords(phi1.add(phi2.scale(-1))))
 
 

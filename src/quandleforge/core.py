@@ -225,24 +225,34 @@ def inner_group(q, cap=DEFAULT_GROUP_CAP):
                      elements=tuple(Permutation(e) for e in elements))
 
 
-def orbits(q):
-    """The orbits of the translations (equivalently of Inn(q)) on q, each a
-    sorted tuple, in order of their least elements.  Row x of the table is
-    the set of images x*a, so a search along rows closes each orbit."""
+def orbit_forest(q):
+    """(orbits(q), edges), edges a spanning forest of the orbits.  Each orbit
+    is searched from its least element, its root; edges lists in search order
+    the pair (y, a), y != a, whose product y*a first reached each non-root
+    element, so y was reached before y*a."""
     seen = [False] * q.n
     out = []
+    edges = []
     for x in range(q.n):
         if seen[x]:
             continue
         seen[x] = True
         orbit = [x]
         for y in orbit:             # grows while this runs
-            for z in q.table[y]:
+            for a, z in enumerate(q.table[y]):
                 if not seen[z]:
                     seen[z] = True
                     orbit.append(z)
+                    edges.append((y, a))
         out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    return tuple(out), edges
+
+
+def orbits(q):
+    """The orbits of the translations (equivalently of Inn(q)) on q, each a
+    sorted tuple, in order of their least elements.  Row x of the table is
+    the set of images x*a, so a search along rows closes each orbit."""
+    return orbit_forest(q)[0]
 
 
 def is_connected(q):

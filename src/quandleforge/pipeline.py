@@ -171,15 +171,28 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
                             invariant_constant_on_corpus=constant)
 
 
+def _knot_invariants(x, m, phi, knots):
+    """Validate phi as a 2-cocycle mod m on x (ShapeMismatch or NotACocycle)
+    and the knot names as distinct (ValueError), then take the phi-invariant
+    of each knot (default: the bundled table), keyed by name.  Returns the
+    validated cocycle and the invariants."""
+    knots = bundled_knots() if knots is None else knots
+    phi = cocycle(x, m, phi)
+    names = set()
+    for k in knots:
+        if k.name in names:
+            raise ValueError(f"knot name {k.name!r} is repeated in the table")
+        names.add(k.name)
+    return phi, {k.name: state_sum(x, phi, k) for k in knots}
+
+
 def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
     """Build E(X, Z_m, phi), decide whether E is a conjugation quandle (hence
     has an inner-representation preimage), and compute the cocycle invariant
     on the knot corpus.  A 'yes' verdict together with any non-constant
-    invariant raises TheoremViolation.  phi is validated before any state
-    sum (ShapeMismatch or NotACocycle)."""
-    knots = bundled_knots() if knots is None else knots
-    cocycle(x, m, phi)
-    invariants = {k.name: state_sum(x, phi, k) for k in knots}
+    invariant raises TheoremViolation.  phi and the knot names are validated
+    before any state sum (ShapeMismatch, NotACocycle or ValueError)."""
+    phi, invariants = _knot_invariants(x, m, phi, knots)
     return _extension_verdict(x, m, phi, invariants, max_cosets)
 
 
@@ -201,14 +214,13 @@ def power_coefficient_check(x, n, psi, d, knots=None,
     """For psi mod n and phi = psi^d mod m = n/d: when the extension by phi
     is a conjugation quandle, every coefficient a_k of the psi-invariant with
     k not divisible by m must vanish.  psi must be a 2-cocycle mod n on x
-    (ShapeMismatch or NotACocycle otherwise)."""
-    knots = bundled_knots() if knots is None else knots
-    psi = cocycle(x, n, psi)
+    (ShapeMismatch or NotACocycle otherwise) and the knot names distinct
+    (ValueError)."""
+    psi, invariants = _knot_invariants(x, n, psi, knots)
     phi = cocycle_power(psi, d)
     m = phi.m
     report = PowerCheckReport(n=n, d=d, m=m, hypothesis_held=False,
                               verdict=None)
-    invariants = {k.name: state_sum(x, psi, k) for k in knots}
     report.coefficients = {name: inv.coeffs
                            for name, inv in invariants.items()}
     if m == 1:
@@ -257,11 +269,9 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     extension then has no inner-representation preimage and is not a
     conjugation quandle.  The enveloping-group verdict cross-checks this; a
     'yes' would contradict the certificate and raises TheoremViolation.  phi
-    is validated first (ShapeMismatch or NotACocycle), and the extension is
-    built only once a witness knot exists."""
-    knots = bundled_knots() if knots is None else knots
-    cocycle(x, m, phi)
-    invariants = {k.name: state_sum(x, phi, k) for k in knots}
+    and the knot names are validated first (ShapeMismatch, NotACocycle or
+    ValueError), and the extension is built only once a witness knot exists."""
+    phi, invariants = _knot_invariants(x, m, phi, knots)
     witnesses = [name for name, inv in invariants.items()
                  if not is_constant(inv)]
     if not witnesses:

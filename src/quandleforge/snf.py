@@ -9,31 +9,11 @@ meant for what is left, a few hundred rows and columns.
 from dataclasses import dataclass
 
 
-def zeros(r, c):
-    return [[0] * c for _ in range(r)]
-
-
 def identity(k):
-    m = zeros(k, k)
+    m = [[0] * k for _ in range(k)]
     for i in range(k):
         m[i][i] = 1
     return m
-
-
-def mat_mul(a, b):
-    ra, ca = len(a), len(a[0]) if a else 0
-    cb = len(b[0]) if b else 0
-    out = zeros(ra, cb)
-    for i in range(ra):
-        ai = a[i]
-        oi = out[i]
-        for k in range(ca):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cb):
-                    oi[j] += v * bk[j]
-    return out
 
 
 def row_reduce(rows, ncols):
@@ -75,15 +55,14 @@ def row_reduce(rows, ncols):
 class SmithForm:
     """S = U @ A @ V with U, V unimodular; diag = invariant factors d1 | d2 | ...
 
-    Only the transform pieces requested from smith_normal_form are populated;
-    the rest are None.
+    U itself is never formed.  Only the transforms requested from
+    smith_normal_form are populated; the rest are None.
     """
 
     diag: list
     rank: int
     nrows: int
     ncols: int
-    U: list | None = None
     Uinv: list | None = None
     V: list | None = None
     Vinv: list | None = None
@@ -92,26 +71,23 @@ class SmithForm:
 def smith_normal_form(a, want=()):
     """Smith normal form of an integer matrix with optional transforms.
 
-    want is a subset of {"U", "Uinv", "V", "Vinv"}.  U acts on rows (S = U A V),
-    Uinv/Vinv are the exact integer inverses of U/V.
+    want is a subset of {"Uinv", "V", "Vinv"}: with S = U A V, U acting on
+    rows, these are V and the exact integer inverses of U and V, so
+    A = Uinv S Vinv.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
     s = [list(row) for row in a]
 
-    need_u = "U" in want
     need_ui = "Uinv" in want
     need_v = "V" in want
     need_vi = "Vinv" in want
-    U = identity(nr) if need_u else None
     Ui = identity(nr) if need_ui else None
     V = identity(nc) if need_v else None
     Vi = identity(nc) if need_vi else None
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
-        if need_u:
-            U[i], U[j] = U[j], U[i]
         if need_ui:  # columns of Uinv
             for r in Ui:
                 r[i], r[j] = r[j], r[i]
@@ -130,10 +106,6 @@ def smith_normal_form(a, want=()):
         rs, rd = s[src], s[dst]
         for j in range(nc):
             rd[j] += q * rs[j]
-        if need_u:
-            rs, rd = U[src], U[dst]
-            for j in range(nr):
-                rd[j] += q * rs[j]
         if need_ui:  # Uinv: col src -= q * col dst
             for r in Ui:
                 r[src] -= q * r[dst]
@@ -152,8 +124,6 @@ def smith_normal_form(a, want=()):
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
-        if need_u:
-            U[i] = [-x for x in U[i]]
         if need_ui:
             for r in Ui:
                 r[i] = -r[i]
@@ -234,4 +204,4 @@ def smith_normal_form(a, want=()):
     rank = sum(1 for d in diag if d != 0)
     diag = diag[:rank]
     return SmithForm(diag=diag, rank=rank, nrows=nr, ncols=nc,
-                     U=U, Uinv=Ui, V=V, Vinv=Vi)
+                     Uinv=Ui, V=V, Vinv=Vi)

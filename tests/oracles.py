@@ -6,7 +6,8 @@ row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
 algebra, integer row reduction from the package's first elimination loop,
-cocycle/coboundary counts from exhaustive enumeration, group
+cocycle/coboundary counts and coboundary sets from exhaustive enumeration,
+matrix products from the textbook triple sum, group
 closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
 """
@@ -184,14 +185,27 @@ def brute_cocycle_count(table, m):
     return int(good.sum())
 
 
-def brute_coboundary_count(table, m):
-    """Number of distinct coboundary tables, enumerated over all 1-cochains."""
+def brute_coboundaries(table, m):
+    """The set of coboundary tables (tuples of row tuples), enumerated over
+    all 1-cochains."""
     n = len(table)
     seen = set()
     for gamma in product(range(m), repeat=n):
         seen.add(tuple(tuple((gamma[x] - gamma[table[x][y]]) % m
                              for y in range(n)) for x in range(n)))
-    return len(seen)
+    return seen
+
+
+def brute_coboundary_count(table, m):
+    """Number of distinct coboundary tables."""
+    return len(brute_coboundaries(table, m))
+
+
+def mat_mul(a, b):
+    """The integer matrix product a . b of lists of rows."""
+    cb = len(b[0]) if b else 0
+    return [[sum(ai[k] * b[k][j] for k in range(len(b))) for j in range(cb)]
+            for ai in a]
 
 
 def reference_row_reduce(rows, ncols):

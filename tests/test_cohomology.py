@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_coboundary_count, brute_cocycle_count,
-                     quandles_up_to_iso, reference_row_reduce)
+from oracles import (brute_coboundaries, brute_coboundary_count,
+                     brute_cocycle_count, quandles_up_to_iso,
+                     reference_row_reduce)
 from quandleforge import snf
 from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      _verify_independent, coboundary,
@@ -236,6 +239,39 @@ class TestCohomologous:
     def test_shape_mismatch(self, d3, tet_psi):
         with pytest.raises(ShapeMismatch):
             cohomologous(d3, tet_psi, Cocycle2.zero(3, 2))
+
+    def test_matches_enumerated_coboundaries(self):
+        # random cochains, coboundaries, their sums and one-entry changes of
+        # coboundaries, against the set of all coboundary tables
+        rng = random.Random(9)
+        for name, q in corpus_quandles(max_order=6):
+            n = q.n
+            for m in (2, 3, 4):
+                tables = brute_coboundaries(q.table, m)
+                zero = Cocycle2.zero(n, m)
+
+                def cochain():
+                    return Cocycle2(n, m, tuple(
+                        tuple(0 if x == y else rng.randrange(m)
+                              for y in range(n)) for x in range(n)))
+
+                def cob():
+                    return coboundary(q, m, [rng.randrange(m)
+                                             for _ in range(n)])
+
+                cases = []
+                for _ in range(8):
+                    phi, b = cochain(), cob()
+                    cases += [phi, b, phi.add(b), b.add(cob())]
+                    if n > 1:
+                        x, y = rng.sample(range(n), 2)
+                        vals = [list(r) for r in b.values]
+                        vals[x][y] = (vals[x][y] + 1) % m
+                        cases.append(Cocycle2(n, m, tuple(map(tuple, vals))))
+                for phi in cases:
+                    assert cohomologous(q, phi, zero) \
+                        == (phi.values in tables), (name, m, phi.values)
+                    assert cohomologous(q, phi, phi), (name, m)
 
     def test_extension_iso_under_coboundary(self, tetrahedral, tet_psi):
         g = coboundary(tetrahedral, 2, (0, 1, 1, 0))

@@ -9,8 +9,8 @@ from quandleforge.cohomology import Cocycle2
 from quandleforge.core import (Permutation, QuandleMap, are_isomorphic,
                                epimorphism_index, inn_image, inner_group,
                                is_connected, is_covering, is_faithful,
-                               product_quandle, right_translation,
-                               validate_quandle)
+                               orbit_forest, orbits, product_quandle,
+                               right_translation, validate_quandle)
 from quandleforge.errors import (AxiomViolation, GroupTooLarge,
                                  NonIntegralIndex, NotEpimorphism)
 
@@ -135,6 +135,29 @@ class TestConnectivityFaithfulness:
 
     def test_trivial_one_connected(self):
         assert is_connected(trivial_quandle(1))
+
+    def test_orbit_forest_on_corpus(self, corpus):
+        for name, q in corpus:
+            # each orbit grown to a fixed point under all translations
+            expected = set()
+            for x in range(q.n):
+                orb = {x}
+                while True:
+                    grown = orb | {q.op(y, a) for y in orb for a in range(q.n)}
+                    if grown == orb:
+                        break
+                    orb = grown
+                expected.add(tuple(sorted(orb)))
+            parts, edges = orbit_forest(q)
+            assert orbits(q) == parts == tuple(sorted(expected)), name
+            roots = {o[0] for o in parts}
+            assert len(edges) == q.n - len(parts), name
+            reached = set(roots)
+            for y, a in edges:
+                assert y != a and y in reached, name
+                assert q.op(y, a) not in reached, name
+                reached.add(q.op(y, a))
+            assert reached == set(range(q.n)), name
 
     def test_dihedral3_faithful(self, d3):
         assert is_faithful(d3)

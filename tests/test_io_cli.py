@@ -107,6 +107,20 @@ class TestCli:
         assert code == 0
         assert qio.read_quandle(out).n == 5
 
+    @pytest.mark.parametrize("family, group, comment", [
+        ("cyclic-group", cyclic_group(5), "cyclic group of order 5"),
+        ("sym-group", symmetric_group(5)[0], "symmetric group on 5 points"),
+    ], ids=["cyclic", "sym"])
+    def test_make_group_stdout_or_file(self, capsys, tmp_path, family, group,
+                                       comment):
+        text = qio.group_to_text(group, comment=comment)
+        assert main(["make", family, "--n", "5"]) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "g.group"
+        assert main(["make", family, "--n", "5", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == text
+
     def test_make_conj_from_group_file(self, capsys, tmp_path):
         gpath = tmp_path / "s4.group"
         code, _, _ = run_cli(capsys, "make", "sym-group", "--n", "4",
@@ -278,6 +292,21 @@ class TestCli:
         assert code == 0
         assert [r["knot"] for r in records] == ["tref", "unknot"]
         assert records[0]["coefficients"] == [4, 12]
+
+    @pytest.mark.parametrize("command", ["thm31", "certify"])
+    def test_repeated_knot_name_rejected(self, capsys, tmp_path, command,
+                                         tetrahedral, tet_psi):
+        # with the first line alone, "a" is non-constant and certified
+        kpath = tmp_path / "knots.txt"
+        qio.write_text(kpath, "a;2;1,1,1\na;1;\n")
+        qpath, cpath = tmp_path / "t.quandle", tmp_path / "t.cocycle"
+        qio.write_text(qpath, qio.quandle_to_text(tetrahedral))
+        qio.write_text(cpath, qio.cocycle_to_text(tet_psi))
+        code, records, err = run_cli(capsys, command, "--quandle", str(qpath),
+                                     "--cocycle", str(cpath),
+                                     "--knots", str(kpath))
+        assert code == 1 and "error:" in err and "'a'" in err
+        assert records == []
 
     def test_tangle_mode(self, capsys, tmp_path, d3_file):
         cpath = tmp_path / "z.cocycle"

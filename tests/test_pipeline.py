@@ -308,6 +308,23 @@ def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("run", [
+    lambda x, phi, knots: constancy_pipeline(x, 2, phi, knots=knots),
+    lambda x, phi, knots: power_coefficient_check(x, 2, phi, 1, knots=knots),
+    lambda x, phi, knots: nonconstancy_certificates(x, 2, phi, knots=knots),
+], ids=["thm31", "thm35", "certify"])
+def test_repeated_knot_name_rejected_before_any_state_sum(
+        run, tetrahedral, tet_psi, monkeypatch):
+    # keyed by name, the second "a" would hide the non-constant first one
+    calls = []
+    monkeypatch.setattr(pipeline, "state_sum",
+                        lambda *args: calls.append(args))
+    knots = [parse_braid("a", 2, [1, 1, 1]), parse_braid("a", 1, [])]
+    with pytest.raises(ValueError, match="'a'"):
+        run(tetrahedral, tet_psi, knots)
+    assert calls == []
+
+
 class TestCertificates:
     def test_tetrahedral_certificate(self, tetrahedral, tet_psi):
         cert = nonconstancy_certificates(tetrahedral, 2, tet_psi)
