@@ -17,11 +17,14 @@ lexicographic top-tuple order.
 
 Coset enumeration is textbook HLT with deductions, in plain Python
 (inherently sequential).
+
+numpy is imported inside the two functions that use it, _tables and
+braid_closure_colorings, not with this module.  The package imports this
+module, and most CLI requests never evaluate a coloring; they would
+otherwise pay the 0.1 s that importing numpy takes at each start-up.
 """
 
 from collections import namedtuple
-
-import numpy as np
 
 from .errors import EnumerationTooLarge
 
@@ -31,6 +34,8 @@ _BLOCK = 1 << 18
 def _tables(table, n):
     """The flat table as an array, and its inverse translations: inv[c*n+d]
     is the unique x with x*c = d."""
+    import numpy as np
+
     tab = np.asarray(table, dtype=np.int64)
     inv = np.empty(n * n, dtype=np.int64)
     inv[np.tile(np.arange(n), n) * n + tab] = np.repeat(np.arange(n), n)
@@ -130,6 +135,8 @@ def braid_closure_colorings(table, n, strands, word, relax_first=False,
     plan's n^k seed tuples exceed it, EnumerationTooLarge is raised before
     any is evaluated.
     """
+    import numpy as np
+
     plan = _plan(strands, word, relax_first)
     k = len(plan.seeds)
     total = n ** k

@@ -11,11 +11,10 @@ groups; group multiplication composes left to right like permutations.
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
-
-import numpy as np
+from operator import itemgetter
 
 from .cohomology import cocycle
-from .core import QuandleMap, validate_quandle
+from .core import QuandleMap, _first_failure, validate_quandle
 from .errors import NotAUnit
 
 
@@ -38,34 +37,36 @@ class FiniteGroup:
 
 
 def finite_group(mult_table):
-    """Validate associativity / identity / inverses and wrap the table."""
+    """Validate associativity / identity / inverses and wrap the table.
+
+    Associativity (ab)c == a(bc) is compared one (b, c) pair at a time over
+    all a, through one operator.itemgetter per column: O(k^2) calls into C
+    and O(k) memory beyond the table.  The identity is the first element
+    whose row and column are the identity, and the inverse of a the first b
+    with ab == ba == identity.
+    """
     k = len(mult_table)
-    m = np.asarray(mult_table, dtype=np.int64)
-    if m.shape != (k, k) or m.min() < 0 or m.max() >= k:
+    rows = tuple(tuple(map(int, r)) for r in mult_table)
+    if (not k or any(len(r) != k for r in rows)
+            or min(map(min, rows)) < 0 or max(map(max, rows)) >= k):
         raise ValueError("multiplication table must be k x k over 0..k-1")
-    # (ab)c == a(bc) by broadcasting
-    left = m[m, :]
-    right = m[:, m]        # right[a,b,c] = m[a, m[b,c]]
-    if not np.array_equal(left, right):
+    cols = list(zip(*rows))             # cols[c][a] = ac
+    # get[b](cols[c]) is ((ab)c)_a, and cols[bc] is (a(bc))_a
+    get = [itemgetter(*col) for col in cols]
+    if _first_failure(k, lambda b, c: (get[b](cols[c]), cols[rows[b][c]])):
         raise ValueError("multiplication is not associative")
-    ident = None
-    for e in range(k):
-        if all(m[e][a] == a and m[a][e] == a for a in range(k)):
-            ident = e
-            break
+    ids = tuple(range(k))
+    ident = next((e for e in range(k) if rows[e] == ids and cols[e] == ids),
+                 None)
     if ident is None:
         raise ValueError("no identity element")
-    inv = [-1] * k
-    for a in range(k):
-        for b in range(k):
-            if m[a][b] == ident and m[b][a] == ident:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise ValueError(f"element {a} has no inverse")
-    return FiniteGroup(order=k,
-                       mult=tuple(tuple(int(x) for x in row) for row in m),
-                       identity=ident, inverse=tuple(inv))
+    inv = [next((b for b, ab in enumerate(rows[a])
+                 if ab == ident and cols[a][b] == ident), -1)
+           for a in range(k)]
+    if -1 in inv:
+        raise ValueError(f"element {inv.index(-1)} has no inverse")
+    return FiniteGroup(order=k, mult=rows, identity=ident,
+                       inverse=tuple(inv))
 
 
 def cyclic_group(k):

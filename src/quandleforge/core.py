@@ -11,8 +11,7 @@ Conventions, used everywhere in this package:
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
                      NotAHomomorphism, NotEpimorphism)
@@ -155,38 +154,62 @@ class QuandleMap:
                           tuple(other.images[v] for v in self.images))
 
 
+def _first_failure(n, sides):
+    """The least triple (a, b, c), in lexicographic order, at which a law
+    over 0..n-1 fails, or None.  sides(b, c) gives the law's two sides at
+    every a, as two n-tuples; one (b, c) pair is held at a time, so the
+    memory used is O(n)."""
+    if n == 1:
+        # itemgetter of one index returns an item, not a 1-tuple; the one
+        # table of order 1 in range, [[0]], satisfies every law
+        return None
+    best = None
+    for b in range(n):
+        for c in range(n):
+            left, right = sides(b, c)
+            if left != right:
+                a = next(a for a in range(n) if left[a] != right[a])
+                best = min(best or (a, b, c), (a, b, c))
+    return best
+
+
 def validate_quandle(n, table):
     """Check the three quandle axioms and return the validated Quandle.
 
-    Raises AxiomViolation(kind, witness) on the first failure found: kind is
-    'idempotency' (witness a), 'invertibility' (witness the bad column), or
-    'distributivity' (witness the triple a, b, c).
+    Raises AxiomViolation(kind, witness) on the first failure found, in this
+    order: kind 'idempotency' (witness the least a with a*a != a),
+    'invertibility' (witness the least column that is not a bijection), or
+    'distributivity' (witness the lexicographically least triple a, b, c
+    with (a*b)*c != (a*c)*(b*c)).  Distributivity is compared one (b, c)
+    pair at a time over all a, through one operator.itemgetter per column:
+    O(n^2) calls into C and O(n) memory beyond the table.
     """
     if n <= 0:
         raise ValueError("order must be positive")
     if len(table) != n or any(len(r) != n for r in table):
         raise ValueError("table must be n x n")
-    t = np.asarray(table, dtype=np.int64)
-    if t.min() < 0 or t.max() >= n:
+    rows = tuple(tuple(map(int, r)) for r in table)
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise ValueError("entries must lie in 0..n-1")
 
-    diag = np.diagonal(t)
-    bad = np.nonzero(diag != np.arange(n))[0]
-    if bad.size:
-        raise AxiomViolation("idempotency", int(bad[0]))
+    bad = next((a for a in range(n) if rows[a][a] != a), None)
+    if bad is not None:
+        raise AxiomViolation("idempotency", bad)
 
-    for b in range(n):
-        if len(set(int(x) for x in t[:, b])) != n:
-            raise AxiomViolation("invertibility", b)
+    cols = list(zip(*rows))             # cols[c][x] = x*c
+    bad = next((b for b, col in enumerate(cols) if len(set(col)) != n), None)
+    if bad is not None:
+        raise AxiomViolation("invertibility", bad)
 
-    # (a*b)*c == (a*c)*(b*c), all triples at once
-    left = t[t, :]                      # left[a,b,c] = t[t[a,b], c]
-    right = t[t[:, None, :], t[None, :, :]]
-    if not np.array_equal(left, right):
-        a, b, c = (int(v) for v in np.argwhere(left != right)[0])
-        raise AxiomViolation("distributivity", (a, b, c))
+    # get[b](s) is (s[a*b])_a, so get[b](cols[c]) is ((a*b)*c)_a and
+    # get[c](cols[b*c]) is ((a*c)*(b*c))_a
+    get = [itemgetter(*col) for col in cols]
+    bad = _first_failure(n, lambda b, c: (get[b](cols[c]),
+                                          get[c](cols[rows[b][c]])))
+    if bad is not None:
+        raise AxiomViolation("distributivity", bad)
 
-    return Quandle(n=n, table=tuple(tuple(int(x) for x in row) for row in table))
+    return Quandle(n=n, table=rows)
 
 
 def right_translation(q, a):

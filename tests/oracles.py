@@ -6,6 +6,7 @@ row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
 algebra, integer row reduction from the package's first elimination loop,
+quandle and group axiom verdicts from the package's first numpy checks,
 cocycle/coboundary counts and coboundary sets from exhaustive enumeration,
 matrix products from the textbook triple sum, group
 closures from repeated multiply-everything passes, and presented-group orders
@@ -246,6 +247,52 @@ def reference_row_reduce(rows, ncols):
         rows = [r for r in rest if any(r[col:])]
         col += 1
     return out
+
+
+def quandle_axiom_failure(table):
+    """The package's first, numpy check of the quandle axioms on an n x n
+    table with entries in 0..n-1: (kind, witness) for the first axiom that
+    fails, in the order idempotency (the least a), invertibility (the least
+    column), distributivity (the first triple (a, b, c) of np.argwhere, so
+    the lexicographically least), or None for a quandle.  It holds two
+    n^3 arrays at once."""
+    t = np.asarray(table, dtype=np.int64)
+    n = len(t)
+    bad = np.nonzero(np.diagonal(t) != np.arange(n))[0]
+    if bad.size:
+        return "idempotency", int(bad[0])
+    for b in range(n):
+        if len(set(t[:, b].tolist())) != n:
+            return "invertibility", b
+    left = t[t, :]                      # left[a,b,c] = t[t[a,b], c]
+    right = t[t[:, None, :], t[None, :, :]]
+    if not np.array_equal(left, right):
+        return "distributivity", tuple(
+            int(v) for v in np.argwhere(left != right)[0])
+    return None
+
+
+def group_axiom_failure(table):
+    """The package's first, numpy check of a k x k multiplication table with
+    entries in 0..k-1: ('associativity', the first (a, b, c) with
+    (ab)c != a(bc)), ('identity', None), ('inverse', the least element
+    without one), checked in that order, or None for a group."""
+    m = np.asarray(table, dtype=np.int64)
+    k = len(m)
+    left = m[m, :]                      # left[a,b,c] = m[m[a,b], c]
+    right = m[:, m]                     # right[a,b,c] = m[a, m[b,c]]
+    if not np.array_equal(left, right):
+        return "associativity", tuple(
+            int(v) for v in np.argwhere(left != right)[0])
+    ident = next((e for e in range(k)
+                  if all(m[e][a] == a and m[a][e] == a for a in range(k))),
+                 None)
+    if ident is None:
+        return "identity", None
+    for a in range(k):
+        if not any(m[a][b] == ident and m[b][a] == ident for b in range(k)):
+            return "inverse", a
+    return None
 
 
 def naive_closure(generators):

@@ -1,7 +1,11 @@
+import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import group_axiom_failure
 from quandleforge.cohomology import Cocycle2, is_cocycle
 from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
                                         alexander_quandle,
@@ -43,6 +47,43 @@ class TestGroups:
     def test_bad_table_rejected(self):
         with pytest.raises(ValueError):
             finite_group([[0, 1], [1, 1]])   # not associative/invertible
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_verdict_matches_numpy_oracle(self, data):
+        # a cyclic or Sym(3) table with one entry changed is rejected exactly
+        # when the first, numpy check rejects it, for the same reason
+        k = data.draw(st.sampled_from([2, 3, 4, 6, "sym3"]))
+        g = symmetric_group(3)[0] if k == "sym3" else cyclic_group(k)
+        table = [list(r) for r in g.mult]
+        cell = st.integers(0, g.order - 1)
+        table[data.draw(cell)][data.draw(cell)] = data.draw(cell)
+        failure = group_axiom_failure(table)
+        if failure is None:
+            assert finite_group(table).mult == tuple(map(tuple, table))
+            return
+        kind, witness = failure
+        message = {"associativity": "multiplication is not associative",
+                   "identity": "no identity element",
+                   "inverse": f"element {witness} has no inverse"}[kind]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            finite_group(table)
+
+    def test_axiom_checks_need_little_memory(self):
+        # the checks compare one (b, c) pair at a time; two n^3 int64 arrays
+        # would be about 750 MB at order 360 and 100 MB at order 188, and
+        # numpy reports its buffers to tracemalloc
+        group = [[(a + b) % 360 for b in range(360)] for a in range(360)]
+        d188 = [[(2 * b - a) % 188 for b in range(188)] for a in range(188)]
+        for check in (lambda: finite_group(group),
+                      lambda: validate_quandle(188, d188)):
+            tracemalloc.start()
+            try:
+                check()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20
 
     def test_automorphism_validated(self):
         g = cyclic_group(5)

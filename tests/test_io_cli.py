@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import (cyclic_group, dihedral_quandle,
                                         symmetric_group)
 from quandleforge.knotdata import bundled_knots
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def knots_to_text(knots):
@@ -361,3 +367,23 @@ class TestCli:
         code, _, err = run_cli(capsys, "props", "--quandle",
                                str(tmp_path / "missing.quandle"))
         assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["props"], False),
+    (["h2", "--mod", "2"], False),
+    (["vendramin"], False),
+    (["invariant", "--tangle"], True),
+], ids=["props", "h2", "vendramin", "invariant"])
+def test_numpy_loads_only_for_the_coloring_kernel(d3_file, argv, loads_numpy):
+    # a fresh interpreter, as each forge request is; only the coloring
+    # kernel imports numpy
+    script = ("import sys\n"
+              "from quandleforge.cli import main\n"
+              f"code = main({argv + ['--quandle', d3_file]!r})\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"0 {loads_numpy}"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_extensions
@@ -14,8 +14,8 @@ from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
                                is_connected, is_covering, product_quandle,
                                validate_quandle)
 from quandleforge.envgroup import enveloping_presentation, todd_coxeter
-from quandleforge.errors import (NotACocycle, NotACovering, NotAKnot,
-                                 NotIndex2, ShapeMismatch)
+from quandleforge.errors import (NotACocycle, NotACovering, NotIndex2,
+                                 ShapeMismatch)
 from quandleforge import pipeline
 from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
@@ -373,19 +373,42 @@ def fuzz_pools():
     return [c for c in pool if is_connected(c[4])], pool
 
 
+def joining_letters(strands, word, signs):
+    """Letters that, appended to word, leave its closure one component: each
+    is the sigma_i (sign signs[j] for the j-th) whose positions i, i+1 lie in
+    different cycles of the permutation so far, which merges the two."""
+    perm = list(range(strands))
+    for g in word:
+        p = abs(g) - 1
+        perm[p], perm[p + 1] = perm[p + 1], perm[p]
+    out = []
+    while True:
+        cycle = [None] * strands        # the first position of each cycle
+        for start in range(strands):
+            j = start
+            while cycle[j] is None:
+                cycle[j] = start
+                j = perm[j]
+        i = next((i for i in range(strands - 1)
+                  if cycle[i] != cycle[i + 1]), None)
+        if i is None:
+            return out
+        out.append(signs[len(out)] * (i + 1))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_knots_never_violate_theorems(fuzz_pools, data):
-    # Theorems 3.1 and 3.5 on random knots: the closure of a braid word with
-    # one component is a classical knot.  One extension is drawn from each
-    # pool.
+    # Theorems 3.1 and 3.5 on random knots: a random braid word, closed to
+    # one component by joining letters, is a classical knot.  One extension
+    # is drawn from each pool.
     s = data.draw(st.integers(2, 5))
     word = data.draw(st.lists(
         st.sampled_from([g for g in range(1 - s, s) if g]), max_size=12))
-    try:
-        k = parse_braid("fuzz", s, word)
-    except NotAKnot:
-        reject()
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=s - 1,
+                               max_size=s - 1))
+    k = parse_braid("fuzz", s, word + joining_letters(s, word, signs))
     for pool in fuzz_pools:
         name, x, m, phi, _, _ = data.draw(st.sampled_from(pool))
         verdict = constancy_pipeline(x, m, phi, knots=[k])
