@@ -7,7 +7,6 @@ meant for what is left, a few hundred rows and columns.
 """
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 
 def identity(k):
@@ -20,53 +19,35 @@ def identity(k):
 def row_reduce(rows, ncols):
     """Row-echelon reduction over Z by gcd-style row operations.
 
-    rows are lists of ncols integers.  Returns at most ncols independent
-    rows, leading entries positive, that span the row lattice of the input
-    (which is copied, not modified).  Per column, the live rows (nonzero
-    there) are reduced by the one with the smallest entry, by a stable sort
-    from input order, until only that pivot is left.  The rows wait in
-    buckets by leading column: every earlier column is cleared, so the live
-    rows of a column are its bucket, taken in input order, and a row is
-    visited only at the columns where it is live.  A reduced row moves to
-    the bucket of its new leading column, mostly a few columns on, so a
-    plain loop finds it; a zero row drops out.  The output order is part of
-    the contract; the H^2 representatives follow it.
+    Returns at most ncols independent rows, leading entries positive, that
+    span the row lattice of the input (which is copied, not modified).  Per
+    column, the live rows (nonzero there) are reduced by the one with the
+    smallest entry until only that pivot is left.  Zero rows stay in the
+    working list: they are never live, so they never change the result.
+    The output order is part of the contract; the H^2 representatives
+    follow it.
     """
-    buckets = [[] for _ in range(ncols)]    # (input index, row) pairs
-    for i, r in enumerate(rows):
-        for j in range(ncols):
-            if r[j]:
-                buckets[j].append((i, list(r)))
-                break
+    rows = [list(r) for r in rows if any(r)]
     out = []
     for col in range(ncols):
-        live = buckets[col]
+        live = [r for r in rows if r[col]]
         if not live:
             continue
-        live.sort(key=itemgetter(0))
         while len(live) > 1:
-            live.sort(key=lambda e: abs(e[1][col]))
-            piv = live[0][1]
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
             support = [j for j in range(col, ncols) if piv[j]]
-            kept = live[:1]
-            for e in live[1:]:
-                r = e[1]
+            for r in live[1:]:
                 q = r[col] // piv[col]
                 for j in support:
                     r[j] -= q * piv[j]
-                if r[col]:
-                    kept.append(e)
-                    continue
-                for j in range(col + 1, ncols):
-                    if r[j]:
-                        buckets[j].append(e)
-                        break
-            live = kept
-        piv = live[0][1]
+            live = [piv] + [r for r in live[1:] if r[col]]
+        piv = live[0]
         if piv[col] < 0:
             for j in range(col, ncols):
                 piv[j] = -piv[j]
         out.append(piv)
+        rows = [r for r in rows if r is not piv]
     return out
 
 
