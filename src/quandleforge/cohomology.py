@@ -133,40 +133,46 @@ def _pair_index(n):
     return pairs, {p: i for i, p in enumerate(pairs)}
 
 
-def _constraint_rows(q, pairs, pidx):
-    """Integer rows of the cocycle identity, one per useful (x,y,z); rows are
-    deduplicated up to sign."""
+def _constraint_rows(q, pidx):
+    """Integer rows of the cocycle identity, one per useful (x,y,z), in the
+    sparse form snf.row_reduce takes: a tuple of (column, value) pairs in
+    increasing column order, at most 4 of them.  Rows are deduplicated up
+    to sign, keeping the first occurrence, and their first value is
+    positive."""
     n = q.n
     t = q.table
-    npairs = len(pairs)
+    col = [[pidx.get((x, y)) for y in range(n)] for x in range(n)]
     seen = set()
     rows = []
     for x in range(n):
+        cx = col[x]
         for y in range(n):
             if x == y:
                 continue
             xy = t[x][y]
+            cxy = col[xy]
             for z in range(n):
                 if y == z:
                     continue
-                row = [0] * npairs
-                row[pidx[(x, y)]] += 1
+                row = {cx[y]: 1}
                 if x != z:
-                    row[pidx[(x, z)]] -= 1
+                    j = cx[z]
+                    row[j] = row.get(j, 0) - 1
                 if xy != z:
-                    row[pidx[(xy, z)]] += 1
+                    j = cxy[z]
+                    row[j] = row.get(j, 0) + 1
                 xz, yz = t[x][z], t[y][z]
                 if xz != yz:
-                    row[pidx[(xz, yz)]] -= 1
-                if not any(row):
+                    j = col[xz][yz]
+                    row[j] = row.get(j, 0) - 1
+                key = tuple(sorted((j, v) for j, v in row.items() if v))
+                if not key:
                     continue
-                for v in row:
-                    if v:
-                        key = tuple(row) if v > 0 else tuple(-u for u in row)
-                        break
+                if key[0][1] < 0:
+                    key = tuple((j, -v) for j, v in key)
                 if key not in seen:
                     seen.add(key)
-                    rows.append(list(key))
+                    rows.append(key)
     return rows
 
 
@@ -205,7 +211,7 @@ def cocycle_space_order(q, m):
     pairs, pidx = _pair_index(n)
     if not pairs:
         return 1
-    rows = _constraint_rows(q, pairs, pidx)
+    rows = _constraint_rows(q, pidx)
     reduced = snf.row_reduce(rows, len(pairs))
     if not reduced:
         return m ** len(pairs)
@@ -239,7 +245,7 @@ def second_cohomology(q, m):
     if npairs == 0:
         return CohomologyGroup(m=m, invariant_factors=(), representatives=())
 
-    rows = _constraint_rows(q, pairs, pidx)
+    rows = _constraint_rows(q, pidx)
     reduced = snf.row_reduce(rows, npairs)
     if reduced:
         form = snf.smith_normal_form(reduced, want=("V", "Vinv"))

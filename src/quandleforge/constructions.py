@@ -14,7 +14,7 @@ from math import gcd
 from operator import itemgetter
 
 from .cohomology import cocycle
-from .core import QuandleMap, _first_failure, validate_quandle
+from .core import Quandle, QuandleMap, _first_failure, validate_quandle
 from .errors import NotAUnit
 
 
@@ -184,8 +184,12 @@ def abelian_extension(x, m, phi):
 
     phi may be a Cocycle2 or a raw n x n value table; it is validated by
     cohomology.cocycle (ShapeMismatch, or NotACocycle with a witness).
+    That check is the only one: the table satisfies the quandle axioms
+    exactly when phi is a diagonal-zero cocycle, so it is not validated
+    again.
     """
     values = cocycle(x, m, phi).values
-    e = validate_quandle(x.n * m, extension_table(x, m, values))
+    e = Quandle(n=x.n * m, table=tuple(
+        tuple(row) for row in extension_table(x, m, values)))
     proj = QuandleMap(e, x, tuple(i // m for i in range(e.n)))
     return e, proj

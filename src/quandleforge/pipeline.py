@@ -15,14 +15,10 @@ bug detector, not a report line.
 from dataclasses import dataclass, field
 
 from .cohomology import Cocycle2, cocycle, cocycle_power
-from .constructions import (abelian_extension, alexander_quandle,
-                            conjugation_quandle, dihedral_quandle,
-                            finite_group, generalized_alexander_quandle,
-                            GroupAutomorphism, symmetric_group,
-                            trivial_quandle)
-from .core import (Permutation, QuandleMap, are_isomorphic, inner_group,
-                   inn_image, is_covering, is_faithful, product_quandle,
-                   DEFAULT_GROUP_CAP)
+from .constructions import (abelian_extension, finite_group,
+                            generalized_alexander_quandle, GroupAutomorphism)
+from .core import (QuandleMap, are_isomorphic, inner_group, inn_image,
+                   is_covering, is_faithful, DEFAULT_GROUP_CAP)
 from .envgroup import DEFAULT_MAX_COSETS, is_conjugation_quandle
 from .errors import (ExtensionLawFails, NotACovering, NotIndex2,
                      TheoremViolation)
@@ -288,50 +284,3 @@ def tetrahedral_quandle():
     klein = finite_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     f = GroupAutomorphism(klein, (0, 2, 3, 1))
     return generalized_alexander_quandle(klein, f)
-
-
-def sym4_class_quandle(cycle_type):
-    """The conjugacy-class quandle of Sym(4) elements of the given cycle type
-    ((1,1,2) transpositions, (1,3), (2,2), (4,)...)."""
-    g, elems = symmetric_group(4)
-    for i, p in enumerate(elems):
-        if Permutation(p).cycle_type() == tuple(sorted(cycle_type)):
-            return conjugation_quandle(g, i)[0]
-    raise ValueError(f"no element of cycle type {cycle_type}")
-
-
-def corpus_quandles(max_order=24):
-    """The structural corpus every suite runs over: everything this package
-    can construct at desk scale, identified by name (never by any external
-    database labeling)."""
-    out = [
-        ("trivial_1", trivial_quandle(1)),
-        ("trivial_2", trivial_quandle(2)),
-        ("trivial_3", trivial_quandle(3)),
-        ("dihedral_3", dihedral_quandle(3)),
-        ("dihedral_4", dihedral_quandle(4)),
-        ("dihedral_5", dihedral_quandle(5)),
-        ("dihedral_6", dihedral_quandle(6)),
-        ("dihedral_7", dihedral_quandle(7)),
-        ("dihedral_8", dihedral_quandle(8)),
-        ("dihedral_9", dihedral_quandle(9)),
-        ("alexander_5_2", alexander_quandle(5, 2)),
-        ("alexander_7_3", alexander_quandle(7, 3)),
-        ("alexander_8_3", alexander_quandle(8, 3)),
-        ("alexander_9_2", alexander_quandle(9, 2)),
-        ("tetrahedral", tetrahedral_quandle()),
-        ("sym4_transpositions", sym4_class_quandle((1, 1, 2))),
-        ("sym4_fourcycles", sym4_class_quandle((4,))),
-        ("sym4_double_transpositions", sym4_class_quandle((2, 2))),
-    ]
-    g3, e3 = symmetric_group(3)
-    t3 = next(i for i, p in enumerate(e3)
-              if Permutation(p).cycle_type() == (1, 2))
-    out.append(("sym3_transpositions", conjugation_quandle(g3, t3)[0]))
-    out.append(("galex_sym3_conj",
-                generalized_alexander_quandle(
-                    g3, GroupAutomorphism(
-                        g3, tuple(g3.conj(a, t3) for a in range(6))))))
-    d3 = dihedral_quandle(3)
-    out.append(("dihedral3_squared", product_quandle(d3, d3)))
-    return [(name, q) for name, q in out if q.n <= max_order]

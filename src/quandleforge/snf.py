@@ -1,12 +1,16 @@
 """Exact integer linear algebra: row reduction and Smith normal form.
 
-Matrices are lists of lists of Python ints, so everything is exact.
-`row_reduce` cuts the tall, sparse cocycle constraint systems (10^4 rows at
-order 24) to at most one row per column; `smith_normal_form` is dense and
-meant for what is left, a few hundred rows and columns.
+Everything is Python ints, so everything is exact.  `row_reduce` cuts the
+tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
+nonzeros each) to at most one row per column.  It takes sparse rows of
+(column, value) pairs, keeps each working row as a dict in the bucket of its
+leading column, and returns dense rows, so its memory follows the fill and
+not rows x columns.  `smith_normal_form` is dense, on lists of lists, and
+meant for what is left: a few hundred rows and columns.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 def identity(k):
@@ -19,35 +23,60 @@ def identity(k):
 def row_reduce(rows, ncols):
     """Row-echelon reduction over Z by gcd-style row operations.
 
-    Returns at most ncols independent rows, leading entries positive, that
-    span the row lattice of the input (which is copied, not modified).  Per
-    column, the live rows (nonzero there) are reduced by the one with the
-    smallest entry until only that pivot is left.  Zero rows stay in the
-    working list: they are never live, so they never change the result.
-    The output order is part of the contract; the H^2 representatives
-    follow it.
+    rows are sparse: each is a sequence of (column, value) pairs, in
+    increasing column order with nonzero values, and is not modified.
+    Returns at most ncols independent dense rows (lists of length ncols),
+    leading entries positive, that span the row lattice of the input.
+
+    Each row waits in the bucket of its leading column.  At a column, the
+    rows of its bucket are taken in input order and reduced by the one with
+    the smallest entry there until only that pivot is left; each row that
+    drops out moves to the bucket of its new leading column, or is dropped
+    when it reaches zero.  The working rows are dicts and a step touches
+    only the pivot's support, so memory follows the fill.  The output order
+    is part of the contract; the H^2 representatives follow it.
     """
-    rows = [list(r) for r in rows if any(r)]
+    buckets = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if row:
+            buckets[row[0][0]].append((i, dict(row)))
     out = []
     for col in range(ncols):
-        live = [r for r in rows if r[col]]
+        live, buckets[col] = buckets[col], None
         if not live:
             continue
+        live.sort(key=itemgetter(0))
         while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            piv = live[0]
-            support = [j for j in range(col, ncols) if piv[j]]
-            for r in live[1:]:
-                q = r[col] // piv[col]
-                for j in support:
-                    r[j] -= q * piv[j]
-            live = [piv] + [r for r in live[1:] if r[col]]
-        piv = live[0]
-        if piv[col] < 0:
-            for j in range(col, ncols):
-                piv[j] = -piv[j]
-        out.append(piv)
-        rows = [r for r in rows if r is not piv]
+            live.sort(key=lambda e: abs(e[1][col]))
+            piv = live[0][1]
+            p = piv[col]
+            support = [(j, v) for j, v in piv.items() if j != col]
+            rest = [live[0]]
+            for e in live[1:]:
+                r = e[1]
+                c = r[col]
+                q = c // p      # nonzero: |p| is least among live entries
+                for j, v in support:
+                    w = r.get(j, 0) - q * v
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+                c -= q * p
+                if c:
+                    r[col] = c
+                    rest.append(e)
+                else:
+                    del r[col]
+                    if r:
+                        buckets[min(r)].append(e)
+            live = rest
+        piv = live[0][1]
+        sign = -1 if piv[col] < 0 else 1
+        dense = [0] * ncols
+        for j, v in piv.items():
+            dense[j] = sign * v
+        out.append(dense)
     return out
 
 

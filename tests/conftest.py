@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import abelian_extension, dihedral_quandle
 from quandleforge.knotdata import bundled_knots, bundled_tangles
-from quandleforge.pipeline import (corpus_quandles, sym4_class_quandle,
-                                   tetrahedral_quandle)
+from quandleforge.pipeline import tetrahedral_quandle
+
+from helpers import corpus_quandles, sym4_class_quandle
 
 
 @pytest.fixture(scope="session")

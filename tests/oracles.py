@@ -5,7 +5,8 @@ sharing no code with the package's engines: coloring counts come from a
 row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
-algebra, integer row reduction from the package's first elimination loop,
+algebra, cocycle constraint rows from the package's first dense builder,
+integer row reduction from the package's first elimination loop,
 quandle and group axiom verdicts from the package's first numpy checks,
 cocycle/coboundary counts and coboundary sets from exhaustive enumeration,
 matrix products from the textbook triple sum, group
@@ -207,6 +208,48 @@ def mat_mul(a, b):
     cb = len(b[0]) if b else 0
     return [[sum(ai[k] * b[k][j] for k in range(len(b))) for j in range(cb)]
             for ai in a]
+
+
+def reference_constraint_rows(table):
+    """The package's first, dense builder of the cocycle constraint rows,
+    kept as the reference for the sparse one.  Columns are the pairs (a, b)
+    with a != b in lexicographic order.  Each (x, y, z) with x != y and
+    y != z gives the row of phi(x,y) - phi(x,z) + phi(x*y,z) -
+    phi(x*z,y*z), with diagonal terms dropped; zero rows are skipped, and
+    rows are kept up to sign, first occurrence first, with first nonzero
+    entry positive."""
+    n = len(table)
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    pidx = {p: i for i, p in enumerate(pairs)}
+    seen = set()
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            xy = table[x][y]
+            for z in range(n):
+                if y == z:
+                    continue
+                row = [0] * len(pairs)
+                row[pidx[(x, y)]] += 1
+                if x != z:
+                    row[pidx[(x, z)]] -= 1
+                if xy != z:
+                    row[pidx[(xy, z)]] += 1
+                xz, yz = table[x][z], table[y][z]
+                if xz != yz:
+                    row[pidx[(xz, yz)]] -= 1
+                if not any(row):
+                    continue
+                for v in row:
+                    if v:
+                        key = tuple(row) if v > 0 else tuple(-u for u in row)
+                        break
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(list(key))
+    return rows
 
 
 def reference_row_reduce(rows, ncols):

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import corpus_extensions
+from helpers import corpus_extensions, corpus_quandles, sym4_class_quandle
 from oracles import (brute_coboundary_count, brute_cocycle_count,
                      coxeter_s3_order, grid_coloring_count, quandles_up_to_iso)
 from quandleforge.cohomology import (Cocycle2, coboundary_space_order,
@@ -30,8 +30,7 @@ from quandleforge.knots import (Tangle, end_monochromatic,
                                 endpoints_same_translation,
                                 enumerate_colorings, is_constant, parse_braid,
                                 state_sum)
-from quandleforge.pipeline import (corpus_quandles, fiber_criterion,
-                                   recover_index2_cocycle, sym4_class_quandle)
+from quandleforge.pipeline import fiber_criterion, recover_index2_cocycle
 
 
 def report(num, desc, failures):

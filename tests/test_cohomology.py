@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import corpus_quandles, dense_rows, sym4_class_quandle
 from oracles import (brute_coboundaries, brute_coboundary_count,
                      brute_cocycle_count, quandles_up_to_iso,
                      reference_row_reduce)
@@ -14,12 +17,11 @@ from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      cocycle_power, cocycle_space_order,
                                      cohomologous, is_cocycle,
                                      second_cohomology)
-from quandleforge.constructions import (abelian_extension, dihedral_quandle,
-                                        trivial_quandle)
-from quandleforge.core import (are_isomorphic, is_connected, orbits,
-                               validate_quandle)
+from quandleforge.constructions import (abelian_extension, alexander_quandle,
+                                        dihedral_quandle, trivial_quandle)
+from quandleforge.core import (are_isomorphic, inner_group, is_connected,
+                               orbits, validate_quandle)
 from quandleforge.errors import DNotDividesModulus, NotACocycle, ShapeMismatch
-from quandleforge.pipeline import corpus_quandles
 
 
 class TestIsCocycle:
@@ -131,7 +133,6 @@ class TestSecondCohomology:
         assert second_cohomology(x6, 2).invariant_factors == (2,)
 
     def test_fourcycles_mod4(self):
-        from quandleforge.pipeline import sym4_class_quandle
         q = sym4_class_quandle((4,))
         assert second_cohomology(q, 4).invariant_factors == (4,)
 
@@ -169,12 +170,41 @@ class TestSecondCohomology:
 
         def reference(rows, ncols):
             calls.append(ncols)
-            return reference_row_reduce(rows, ncols)
+            return reference_row_reduce(dense_rows(rows, ncols), ncols)
 
         monkeypatch.setattr(snf, "row_reduce", reference)
         for (name, q, m), h in zip(cases, expected):
             assert second_cohomology(q, m) == h, (name, m)
         assert calls
+
+    def test_closed_form_at_primes_not_dividing_inn(self):
+        # torsion lives only at primes dividing |Inn X| (Etingof-Grana) and
+        # the free rank is r(r-1) for r orbits (Litherland-Nelson), so for
+        # gcd(m, |Inn X|) = 1 the group is Z_m^(r(r-1))
+        cases = 0
+        for name, q in corpus_quandles(max_order=12):
+            inn = inner_group(q).order
+            r = len(orbits(q))
+            for m in (2, 3, 4, 5, 7, 9):
+                if gcd(m, inn) != 1:
+                    continue
+                cases += 1
+                assert second_cohomology(q, m).invariant_factors \
+                    == (m,) * (r * (r - 1)), (name, m)
+        assert cases == 66
+
+    def test_sparse_system_memory(self):
+        # the constraint rows of alexander(16,3) are 3,280 x 240: as dense
+        # lists, with their dedup keys and a working copy, they peaked at
+        # 21 MB; sparse rows and bucketed dict rows stay far below that
+        q = alexander_quandle(16, 3)
+        tracemalloc.start()
+        try:
+            second_cohomology(q, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, peak
 
     def test_representatives_verified(self, tetrahedral, x6):
         for q, m in [(tetrahedral, 2), (x6, 2), (trivial_quandle(3), 3)]:
@@ -285,7 +315,6 @@ class TestCocyclePower:
         assert cocycle_power(tet_psi, 1).values == tet_psi.values
 
     def test_order4_to_z2(self):
-        from quandleforge.pipeline import sym4_class_quandle
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         phi = cocycle_power(psi, 2)

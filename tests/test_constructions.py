@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import corpus_extensions
 from oracles import group_axiom_failure
 from quandleforge.cohomology import Cocycle2, is_cocycle
 from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
@@ -203,6 +204,14 @@ class TestAbelianExtension:
         with pytest.raises(NotACocycle) as exc:
             abelian_extension(d3, 2, vals)
         assert exc.value.witness is not None
+
+    def test_extensions_pass_table_check(self):
+        # abelian_extension checks only the cocycle; the axioms of the table
+        # it builds must hold on every extension of the corpus
+        exts = corpus_extensions(max_base_order=12, moduli=(2, 3, 4))
+        assert len(exts) == 154
+        for name, x, m, phi, e, proj in exts:
+            assert validate_quandle(e.n, e.table) == e, name
 
     def test_extension_valid_iff_cocycle(self):
         # exhaustive equivalence between the quandle axioms on the raw

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import corpus_quandles
 from oracles import naive_closure, quandle_axiom_failure
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
@@ -13,7 +14,6 @@ from quandleforge.core import (Permutation, QuandleMap, are_isomorphic,
                                right_translation, validate_quandle)
 from quandleforge.errors import (AxiomViolation, GroupTooLarge,
                                  NonIntegralIndex, NotEpimorphism)
-from quandleforge.pipeline import corpus_quandles
 
 CORPUS_TABLES = [[list(r) for r in q.table] for _, q in corpus_quandles()]
 
@@ -280,7 +280,6 @@ class TestIsomorphism:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_random_relabelings(self, data):
-        from quandleforge.pipeline import corpus_quandles
         pool = [(n, q) for n, q in corpus_quandles() if q.n <= 9]
         name, q = data.draw(st.sampled_from(pool))
         sigma = data.draw(st.permutations(list(range(q.n))))

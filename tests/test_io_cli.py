@@ -146,7 +146,7 @@ class TestCli:
 
     def test_h2_and_extend_and_invariant(self, capsys, tmp_path):
         qpath = tmp_path / "x6.quandle"
-        from quandleforge.pipeline import sym4_class_quandle
+        from helpers import sym4_class_quandle
         x6 = sym4_class_quandle((1, 1, 2))
         qio.write_text(qpath, qio.quandle_to_text(x6))
 
@@ -236,7 +236,7 @@ class TestCli:
         assert rec["all_constant"] is False
 
     def test_thm35(self, capsys, tmp_path):
-        from quandleforge.pipeline import sym4_class_quandle
+        from helpers import sym4_class_quandle
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         qpath, cpath = tmp_path / "q.quandle", tmp_path / "psi.cocycle"

@@ -300,7 +300,7 @@ class TestPowerWeights:
     def test_exponent_law_per_coloring(self):
         # phi = psi^d: tangle weights reduce mod m, i.e. d*B_phi == d*B_psi
         # in Z_n, coloring by coloring
-        from quandleforge.pipeline import sym4_class_quandle
+        from helpers import sym4_class_quandle
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         d = 2

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_extensions
+from helpers import corpus_extensions, sym4_class_quandle
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension,
@@ -21,7 +21,7 @@ from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
-                                   recover_index2_cocycle, sym4_class_quandle)
+                                   recover_index2_cocycle)
 
 
 def synthetic_noncommuting_covering():
@@ -235,6 +235,16 @@ class TestConstancyPipeline:
 class TestPowerCheck:
     def test_d_one_reduces_to_constancy(self, x6, x6_psi):
         report = power_coefficient_check(x6, 2, x6_psi, 1)
+        assert report.m == 2
+        assert report.hypothesis_held
+        assert report.vanishing_ok
+
+    def test_x6_mod6_d3_hypothesis_holds(self, x6):
+        # the one corpus case of Theorem 3.5 with d > 1 whose hypothesis
+        # holds: phi = psi^3 mod 2 gives the conjugation quandle E(x6, Z_2)
+        h = second_cohomology(x6, 6)
+        assert h.invariant_factors == (2,)
+        report = power_coefficient_check(x6, 6, h.representatives[0], 3)
         assert report.m == 2
         assert report.hypothesis_held
         assert report.vanishing_ok

@@ -5,11 +5,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_mul, reference_row_reduce
+from helpers import corpus_quandles, dense_rows, sparse_rows
+from oracles import mat_mul, reference_constraint_rows, reference_row_reduce
 from quandleforge import snf
 from quandleforge.cohomology import _constraint_rows, _pair_index
-from quandleforge.constructions import dihedral_quandle
-from quandleforge.pipeline import corpus_quandles
+from quandleforge.constructions import alexander_quandle, dihedral_quandle
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 6).flatmap(
@@ -58,7 +58,7 @@ def test_smith_form_properties(a):
 @given(matrices)
 def test_row_reduce_spans_same_lattice(a):
     nc = len(a[0])
-    reduced = snf.row_reduce(a, nc)
+    reduced = snf.row_reduce(sparse_rows(a), nc)
     # reduced rows are combinations of the input by construction; check the
     # converse by echelon back-substitution membership
     pivots = []
@@ -80,7 +80,7 @@ def test_row_reduce_spans_same_lattice(a):
 @given(matrices)
 def test_row_reduce_preserves_rank(a):
     nc = len(a[0])
-    reduced = snf.row_reduce(a, nc)
+    reduced = snf.row_reduce(sparse_rows(a), nc)
     assert (snf.smith_normal_form(reduced).rank if reduced else 0) \
         == snf.smith_normal_form(a).rank
 
@@ -104,9 +104,10 @@ def tall_matrices(draw):
 @given(tall_matrices())
 def test_row_reduce_matches_reference(case):
     a, nc = case
-    before = [list(r) for r in a]
-    assert snf.row_reduce(a, nc) == reference_row_reduce(a, nc)
-    assert a == before
+    rows = [list(r) for r in sparse_rows(a)]
+    before = [list(r) for r in rows]
+    assert snf.row_reduce(rows, nc) == reference_row_reduce(a, nc)
+    assert rows == before
 
 
 def test_row_reduce_matches_reference_on_constraint_systems():
@@ -114,6 +115,24 @@ def test_row_reduce_matches_reference_on_constraint_systems():
                                              dihedral_quandle(12))]
     for name, q in cases:
         pairs, pidx = _pair_index(q.n)
-        rows = _constraint_rows(q, pairs, pidx)
+        rows = _constraint_rows(q, pidx)
         assert snf.row_reduce(rows, len(pairs)) \
-            == reference_row_reduce(rows, len(pairs)), name
+            == reference_row_reduce(dense_rows(rows, len(pairs)),
+                                    len(pairs)), name
+
+
+def test_sparse_constraint_rows_match_dense_reference():
+    # the same rows, in the same order, as the first dense builder; each has
+    # its columns increasing, its values nonzero and the first one positive
+    cases = corpus_quandles(max_order=12) + [
+        ("dihedral_12", dihedral_quandle(12)),
+        ("alexander_16_3", alexander_quandle(16, 3))]
+    for name, q in cases:
+        pairs, pidx = _pair_index(q.n)
+        rows = _constraint_rows(q, pidx)
+        assert dense_rows(rows, len(pairs)) \
+            == reference_constraint_rows(q.table), name
+        for row in rows:
+            cols = [j for j, _ in row]
+            assert cols == sorted(set(cols)) and 0 < len(row) <= 4, name
+            assert all(v for _, v in row) and row[0][1] > 0, name
