@@ -197,26 +197,14 @@ class CohomologyGroup:
         return not self.invariant_factors
 
 
-def _space_orders(diags, rank, ncols, m):
-    """(#solutions of Av=0 over Z_m, given SNF diagonal of A)."""
+def cocycle_space_order(diag, rank, ncols, m):
+    """Number of diagonal-zero 2-cocycles mod m, from the Smith diagonal
+    and rank of the ncols-column constraint matrix: the solutions of
+    Av = 0 over Z_m number prod gcd(d_i, m) * m^(ncols - rank)."""
     out = 1
-    for d in diags:
+    for d in diag:
         out *= gcd(d, m)
     return out * m ** (ncols - rank)
-
-
-def cocycle_space_order(q, m):
-    """Number of diagonal-zero 2-cocycles mod m (SNF route)."""
-    n = q.n
-    pairs, pidx = _pair_index(n)
-    if not pairs:
-        return 1
-    rows = _constraint_rows(q, pidx)
-    reduced = snf.row_reduce(rows, len(pairs))
-    if not reduced:
-        return m ** len(pairs)
-    form = snf.smith_normal_form(reduced)
-    return _space_orders(form.diag, form.rank, len(pairs), m)
 
 
 def coboundary_space_order(q, m):
@@ -231,11 +219,13 @@ def second_cohomology(q, m):
     Two Smith normal forms, one per matrix: the reduced cocycle constraints
     (kernel lattice, with V and Vinv) and the quotient presentation
     (invariant factors, with Uinv).  Representatives are V times the
-    generators of the quotient; each is verified to be a cocycle, the order
-    is verified against cocycle_space_order // coboundary_space_order, and
-    the classes are verified independent one prime p | m at a time, by a
-    rank over F_p of their coordinates modulo coboundaries, which come from
-    the orbits' spanning forest and not from the solve.
+    generators of the quotient; each is verified to be a cocycle.  The
+    order is verified exactly: |H^2| * coboundary_space_order must equal
+    cocycle_space_order read off the diagonal and rank of the first Smith
+    form, the one of the reduced constraints.  The classes are verified
+    independent one prime p | m at a time, by a rank over F_p of their
+    coordinates modulo coboundaries, which come from the orbits' spanning
+    forest and not from the solve.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -250,10 +240,11 @@ def second_cohomology(q, m):
     if reduced:
         form = snf.smith_normal_form(reduced, want=("V", "Vinv"))
         vmat, vinv = form.V, form.Vinv
-        tdiag = [m // gcd(d, m) for d in form.diag]
+        diag, rank = form.diag, form.rank
     else:
         vmat = vinv = snf.identity(npairs)
-        tdiag = []
+        diag, rank = (), 0
+    tdiag = [m // gcd(d, m) for d in diag]
     tdiag += [1] * (npairs - len(tdiag))
 
     # kernel lattice K = V . diag(tdiag); relations = coboundaries + m Z^N,
@@ -293,8 +284,8 @@ def second_cohomology(q, m):
     group = CohomologyGroup(m=m, invariant_factors=tuple(factors),
                             representatives=tuple(reps))
 
-    order = cocycle_space_order(q, m) // coboundary_space_order(q, m)
-    if order != group.order:
+    zorder = cocycle_space_order(diag, rank, npairs, m)
+    if group.order * coboundary_space_order(q, m) != zorder:
         raise AssertionError("invariant factors disagree with space orders")
     _verify_independent(q, group)
     return group

@@ -26,14 +26,19 @@ def dense_rows(rows, ncols):
     return out
 
 
-def sym4_class_quandle(cycle_type):
-    """The conjugacy-class quandle of Sym(4) elements of the given cycle type
-    ((1,1,2) transpositions, (1,3), (2,2), (4,)...)."""
-    g, elems = symmetric_group(4)
+def sym_class_quandle(degree, cycle_type):
+    """The conjugacy-class quandle of Sym(degree) elements of the given cycle
+    type, fixed points included ((1,1,2) is the transpositions of Sym(4),
+    (1,1,1,2) those of Sym(5))."""
+    g, elems = symmetric_group(degree)
     for i, p in enumerate(elems):
         if Permutation(p).cycle_type() == tuple(sorted(cycle_type)):
             return conjugation_quandle(g, i)[0]
     raise ValueError(f"no element of cycle type {cycle_type}")
+
+
+def sym4_class_quandle(cycle_type):
+    return sym_class_quandle(4, cycle_type)
 
 
 def corpus_quandles(max_order=24):

@@ -10,12 +10,11 @@ from helpers import corpus_quandles, dense_rows, sym4_class_quandle
 from oracles import (brute_coboundaries, brute_coboundary_count,
                      brute_cocycle_count, quandles_up_to_iso,
                      reference_row_reduce)
-from quandleforge import snf
+from quandleforge import cohomology, snf
 from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      _verify_independent, coboundary,
                                      coboundary_space_order, cocycle,
-                                     cocycle_power, cocycle_space_order,
-                                     cohomologous, is_cocycle,
+                                     cocycle_power, cohomologous, is_cocycle,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
@@ -110,7 +109,8 @@ class TestSecondCohomology:
         z = brute_cocycle_count(d3.rows_as_lists(), 3)
         b = brute_coboundary_count(d3.rows_as_lists(), 3)
         assert (z, b) == (9, 9)
-        assert cocycle_space_order(d3, 3) == z
+        assert second_cohomology(d3, 3).order \
+            * coboundary_space_order(d3, 3) == z
         assert coboundary_space_order(d3, 3) == b
         assert second_cohomology(d3, 3).invariant_factors == ()
 
@@ -146,7 +146,8 @@ class TestSecondCohomology:
                            for a in range(n))
                 assert is_connected(q) == (len(parts) == 1)
                 for m in (2, 3):
-                    assert cocycle_space_order(q, m) \
+                    assert second_cohomology(q, m).order \
+                        * coboundary_space_order(q, m) \
                         == brute_cocycle_count(table, m)
                     assert coboundary_space_order(q, m) \
                         == brute_coboundary_count(table, m)
@@ -175,7 +176,18 @@ class TestSecondCohomology:
         monkeypatch.setattr(snf, "row_reduce", reference)
         for (name, q, m), h in zip(cases, expected):
             assert second_cohomology(q, m) == h, (name, m)
-        assert calls
+        # one reduction per call; trivial_1 has no pairs and reduces nothing
+        assert len(calls) == sum(1 for _, q, _ in cases if q.n >= 2)
+
+    def test_order_check_is_exact(self, tetrahedral, monkeypatch):
+        # a cocycle count off by less than |B^2| = 2^3 still floor-divides
+        # to |H^2|; the product check must reject it
+        count = cohomology.cocycle_space_order
+        monkeypatch.setattr(cohomology, "cocycle_space_order",
+                            lambda *args: count(*args) + 1)
+        with pytest.raises(AssertionError, match="invariant factors "
+                           "disagree with space orders"):
+            second_cohomology(tetrahedral, 2)
 
     def test_closed_form_at_primes_not_dividing_inn(self):
         # torsion lives only at primes dividing |Inn X| (Etingof-Grana) and

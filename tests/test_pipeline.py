@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_extensions, sym4_class_quandle
+from helpers import corpus_extensions, sym4_class_quandle, sym_class_quandle
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension,
@@ -13,7 +13,8 @@ from quandleforge.constructions import (abelian_extension,
 from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
                                is_connected, is_covering, product_quandle,
                                validate_quandle)
-from quandleforge.envgroup import enveloping_presentation, todd_coxeter
+from quandleforge.envgroup import (conjugation_criterion,
+                                   enveloping_presentation, todd_coxeter)
 from quandleforge.errors import (NotACocycle, NotACovering, NotIndex2,
                                  ShapeMismatch)
 from quandleforge import pipeline
@@ -209,6 +210,18 @@ class TestConstancyPipeline:
         img, _ = inn_image(y)
         assert are_isomorphic(img, e) is not None
 
+    def test_sym5_transposition_extension_constant(self, sym5_ext):
+        # the second "yes" extension: H^2(S_5 transpositions; Z_2) = Z_2,
+        # and its generator's extension has an enveloping group of order 240
+        name, x, m, phi, e, _ = sym5_ext
+        assert (x.n, e.n) == (10, 20)
+        assert second_cohomology(x, m).invariant_factors == (2,)
+        criterion = conjugation_criterion(e)
+        assert (criterion.verdict, criterion.order) == ("yes", 240)
+        verdict = constancy_pipeline(x, m, phi)
+        assert verdict.is_conjugation == "yes"
+        assert verdict.invariant_constant_on_corpus
+
     def test_nonconjugation_extension_reports(self, tetrahedral, tet_psi):
         verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
         assert verdict.is_conjugation == "no"
@@ -376,11 +389,22 @@ class TestCorpusCoherence:
 
 
 @pytest.fixture(scope="module")
-def fuzz_pools():
+def sym5_ext():
+    """E(S_5 transpositions, Z_2, phi) for the generator phi of H^2 = Z_2,
+    as a corpus_extensions tuple."""
+    x = sym_class_quandle(5, (1, 1, 1, 2))
+    phi = second_cohomology(x, 2).representatives[0]
+    e, proj = abelian_extension(x, 2, phi)
+    return ("E(sym5_transpositions,Z2,h2gen0)", x, 2, phi, e, proj)
+
+
+@pytest.fixture(scope="module")
+def fuzz_pools(sym5_ext):
     """The corpus extensions that are connected (the only ones with a 'yes'
-    or 'no' verdict), and all of them."""
-    pool = corpus_extensions(moduli=(2, 3, 4))
-    return [c for c in pool if is_connected(c[4])], pool
+    or 'no' verdict), all of them, and the S_5 "yes" extension alone, whose
+    base of order 10 is outside the corpus pools."""
+    pool = corpus_extensions(moduli=(2, 3, 4, 6))
+    return [c for c in pool if is_connected(c[4])], pool, [sym5_ext]
 
 
 def joining_letters(strands, word, signs):
