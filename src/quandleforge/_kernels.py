@@ -1,6 +1,6 @@
 """Hot kernels: braid coloring enumeration and coset enumeration.
 
-Each kernel has one implementation.
+Each kernel has one implementation, in plain Python.
 
 Colorings are solved from a propagation plan, not by scanning every top
 tuple.  Every top arc and every crossing output is a variable, each crossing
@@ -11,35 +11,28 @@ translation.  The seeds are chosen greedily, each time the class whose
 closure fixes the most others, once from the top-arc classes alone (at most
 s seeds, so never more candidates than the n^s top tuples) and once from all
 classes; the run with fewer seeds k wins.  Crossings not used to propagate
-are checks.  All n^k seed tuples are evaluated in numpy blocks of at most
-_BLOCK * s cells (rows times classes), and the survivors come back in
-lexicographic top-tuple order.
+are checks.
 
-Coset enumeration is textbook HLT with deductions, in plain Python
-(inherently sequential).
+The seeds are assigned depth first, in plan order.  Once seed j has a value,
+the steps it enables run, then every check whose three classes are first all
+known at that level, so a failed check prunes the whole subtree below it.
 
-numpy is imported inside the two functions that use it, _tables and
-braid_closure_colorings, not with this module.  The package imports this
-module, and most CLI requests never evaluate a coloring; they would
-otherwise pay the 0.1 s that importing numpy takes at each start-up.
+The first seed runs over orbit representatives only.  A right translation
+R_a is a quandle automorphism, so applied to every arc it maps a coloring to
+a coloring, of a closure or of a tangle alike.  Along the spanning forest of
+core.orbit_forest, each orbit member v = y*a is reached from y, and
+g_v = R_a g_y, with g_r the identity at the root r: then g_v is a bijection
+from the colorings whose first seed is r onto those whose first seed is v.
+So the search visits at most r * n^(k-1) seed tuples for r orbits instead
+of n^k, and carries each coloring it finds to the whole orbit of its first
+seed.  The list is exact and comes back in lexicographic top-tuple order.
+
+Coset enumeration is textbook HLT with deductions (inherently sequential).
 """
 
 from collections import namedtuple
 
 from .errors import EnumerationTooLarge
-
-_BLOCK = 1 << 18
-
-
-def _tables(table, n):
-    """The flat table as an array, and its inverse translations: inv[c*n+d]
-    is the unique x with x*c = d."""
-    import numpy as np
-
-    tab = np.asarray(table, dtype=np.int64)
-    inv = np.empty(n * n, dtype=np.int64)
-    inv[np.tile(np.arange(n), n) * n + tab] = np.repeat(np.arange(n), n)
-    return tab, inv
 
 
 # classes: number of arc classes; seeds: classes guessed, in digit order;
@@ -122,21 +115,53 @@ def _plan(strands, word, relax_first):
                  pairs=[(x, o) for x, o, _ in rels])
 
 
-def braid_closure_colorings(table, n, strands, word, relax_first=False,
-                            cap=None):
+def _levels(plan, rows, inv):
+    """The plan split by seed: one (seed, steps, checks) per seed, with the
+    steps its value enables, as (target, lookup, a, b) meaning
+    vals[target] = lookup[vals[a]][vals[b]], and the checks (x, o, y) whose
+    classes are first all known at that level."""
+    known = set()
+    steps = iter(plan.steps)
+    step = next(steps, None)
+    checks = list(plan.checks)
+    levels = []
+    for seed in plan.seeds:
+        known.add(seed)
+        mine = []
+        # the plan lists each seed's steps after the previous seed's, each
+        # one's inputs known from the seeds and steps before it
+        while step is not None and step[1] in known \
+                and (step[0] if step[3] else step[2]) in known:
+            x, o, y, forward = step
+            if forward:
+                mine.append((y, rows, x, o))
+                known.add(y)
+            else:
+                mine.append((x, inv, o, y))
+                known.add(x)
+            step = next(steps, None)
+        now = [c for c in checks if known.issuperset(c)]
+        checks = [c for c in checks if not known.issuperset(c)]
+        levels.append((seed, mine, now))
+    return levels
+
+
+def braid_closure_colorings(table, n, strands, word, forest,
+                            relax_first=False, cap=None, stats=None):
     """The colorings of the braid closure, in lexicographic top-tuple order.
 
     table: flat row-major n*n quandle table (a*b at index a*n+b).
     word: signed 1-based braid generators.
+    forest: core.orbit_forest of the quandle, (orbits, edges).
     Each coloring is (top, bottom, source_pairs), with one (x, y, sign) per
     crossing in word order; see _plan for the rules.  The closure
     constraint bottom == top holds at every position, or at positions 1..
     when relax_first is set (the 1-tangle case).  When cap is given and the
     plan's n^k seed tuples exceed it, EnumerationTooLarge is raised before
-    any is evaluated.
+    any is evaluated.  If stats is a dict, it receives 'seeds' (k), 'orbits'
+    (r) and 'candidates' (complete seed tuples evaluated, at most
+    r * n^(k-1)).
     """
-    import numpy as np
-
     plan = _plan(strands, word, relax_first)
     k = len(plan.seeds)
     total = n ** k
@@ -144,36 +169,62 @@ def braid_closure_colorings(table, n, strands, word, relax_first=False,
         raise EnumerationTooLarge(
             f"{strands} strands need {k} seed arcs, {n}^{k} = {total} "
             f"candidates exceed the cap {cap}")
-    tab, inv = _tables(table, n)
-    # one buffer for every block, of at most _BLOCK * strands cells
-    rows = min(total, max(1, _BLOCK * strands // plan.classes))
-    buf = np.empty((rows, plan.classes), dtype=np.int64)
-    kept = []
+    orbits, edges = forest
+    rows = [table[x * n:(x + 1) * n] for x in range(n)]
+    inv = [[0] * n for _ in range(n)]
+    for x, row in enumerate(rows):
+        for o, y in enumerate(row):
+            inv[o][y] = x
+    cols = list(zip(*rows))                 # cols[a][x] = x*a
+    root = {v: orbit[0] for orbit in orbits for v in orbit}
+    paths = {orbit[0]: [] for orbit in orbits}
+    for y, a in edges:
+        paths[root[y]].append((y, a, rows[y][a]))
+    levels = _levels(plan, rows, inv)
+    roots = list(paths)
+    first = plan.seeds[0]
+    vals = [0] * plan.classes
+    found = []
+    candidates = 0
 
-    for lo in range(0, total, rows):
-        vals = buf[:min(rows, total - lo)]
-        idx = np.arange(lo, lo + len(vals), dtype=np.int64)
-        for j, c in enumerate(plan.seeds):
-            vals[:, c] = (idx // n ** (k - 1 - j)) % n
-        for x, o, y, forward in plan.steps:
-            if forward:
-                vals[:, y] = tab[vals[:, x] * n + vals[:, o]]
+    def search(j):
+        nonlocal candidates
+        seed, steps, checks = levels[j]
+        domain = roots if j == 0 else range(n)
+        last = j + 1 == k
+        if last:
+            candidates += len(domain)
+        for v in domain:
+            vals[seed] = v
+            for t, lookup, a, b in steps:
+                vals[t] = lookup[vals[a]][vals[b]]
+            for x, o, y in checks:
+                if rows[vals[x]][vals[o]] != vals[y]:
+                    break
             else:
-                vals[:, x] = inv[vals[:, o] * n + vals[:, y]]
-        ok = np.ones(len(vals), dtype=bool)
-        for x, o, y in plan.checks:
-            ok &= tab[vals[:, x] * n + vals[:, o]] == vals[:, y]
-        kept.append(vals[ok])
+                if not last:
+                    search(j + 1)
+                    continue
+                # g_z = R_a g_y carries this coloring to the one whose
+                # first seed is z, for each z = y*a of the first seed's orbit
+                image = {vals[first]: vals[:]}
+                for y, a, z in paths[vals[first]]:
+                    image[z] = list(map(cols[a].__getitem__, image[y]))
+                found.extend(image.values())
 
-    vals = np.concatenate(kept)
-    vals = vals[np.lexsort(vals[:, plan.top].T[::-1])]
-    pairs = vals[:, np.array(plan.pairs, dtype=np.intp).reshape(-1, 2)]
+    search(0)
+    if stats is not None:
+        stats.update(seeds=k, orbits=len(orbits), candidates=candidates)
     signs = [1 if g > 0 else -1 for g in word]
-    return [(tuple(top), tuple(bottom),
-             tuple((x, y, s) for (x, y), s in zip(src, signs)))
-            for top, bottom, src in zip(vals[:, plan.top].tolist(),
-                                        vals[:, plan.bottom].tolist(),
-                                        pairs.tolist())]
+    xs = [x for x, _ in plan.pairs]
+    ops = [o for _, o in plan.pairs]
+    out = []
+    for c in found:
+        get = c.__getitem__
+        out.append((tuple(map(get, plan.top)), tuple(map(get, plan.bottom)),
+                    tuple(zip(map(get, xs), map(get, ops), signs))))
+    out.sort(key=lambda col: col[0])
+    return out
 
 
 class _CapReached(Exception):

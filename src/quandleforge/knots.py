@@ -15,11 +15,13 @@ The kernel does not push every top tuple through these moves.  It turns the
 diagram into a propagation plan: each crossing is one relation X * O = Y
 between arc classes (the closure merges each bottom arc with its top), a few
 seed classes are guessed, the others follow from the relations, and the
-crossings not used to propagate are checked.  The n^k seed tuples, k <= s,
-are evaluated in numpy blocks of bounded size; the cap bounds n^k.  The
-tests hold the plan to the scan of all n^s top tuples in tests/oracles.py,
-whose move loop the braid-relation tests certify; the Markov tests compare
-the plan's state sums across presentations of one knot.
+crossings not used to propagate are checked.  The seeds, k <= s of them,
+are assigned depth first, the first one over orbit representatives only,
+and each coloring found is carried to the rest of that orbit by right
+translations; the cap bounds n^k.  The tests hold the plan to the scan of
+all n^s top tuples in tests/oracles.py, whose move loop the braid-relation
+tests certify; the Markov tests compare the plan's state sums across
+presentations of one knot.
 
 A 1-tangle is the knot cut open at the closure arc of position 0; its
 endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
@@ -28,7 +30,7 @@ endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
 from dataclasses import dataclass
 
 from ._kernels import braid_closure_colorings
-from .core import is_covering
+from .core import is_covering, orbit_forest
 from .errors import (BadGenerator, FiberMismatch, NotACovering, NotAKnot,
                      ShapeMismatch, TheoremViolation)
 
@@ -131,8 +133,8 @@ def _colorings(q, knot, relax_first, cap):
     flat = [v for row in q.table for v in row]
     return [Coloring(top, bottom, pairs) for top, bottom, pairs
             in braid_closure_colorings(flat, q.n, knot.strands,
-                                       list(knot.word), relax_first,
-                                       cap=cap)]
+                                       list(knot.word), orbit_forest(q),
+                                       relax_first, cap=cap)]
 
 
 def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from quandleforge import io as qio
 from quandleforge.cli import main
-from quandleforge.cohomology import second_cohomology
+from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (cyclic_group, dihedral_quandle,
                                         symmetric_group)
 from quandleforge.knotdata import bundled_knots
@@ -258,7 +259,6 @@ class TestCli:
     ], ids=["thm35-not-cocycle", "thm35-order3", "thm35-order7-m1",
             "invariant-order3", "invariant-not-cocycle"])
     def test_bad_cocycle_rejected(self, capsys, tmp_path, command, n, m, d):
-        from quandleforge.cohomology import Cocycle2
         values = [[0] * n for _ in range(n)]
         if n == 5:
             values[0][1] = 2
@@ -316,7 +316,6 @@ class TestCli:
 
     def test_tangle_mode(self, capsys, tmp_path, d3_file):
         cpath = tmp_path / "z.cocycle"
-        from quandleforge.cohomology import Cocycle2
         qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
         code, records, _ = run_cli(capsys, "invariant", "--quandle", d3_file,
                                    "--cocycle", cpath.as_posix(), "--tangle")
@@ -369,15 +368,22 @@ class TestCli:
         assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (["props"], False),
-    (["h2", "--mod", "2"], False),
-    (["vendramin"], False),
-    (["invariant", "--tangle"], True),
-], ids=["props", "h2", "vendramin", "invariant"])
-def test_numpy_loads_only_for_the_coloring_kernel(d3_file, argv, loads_numpy):
-    # a fresh interpreter, as each forge request is; only the coloring
-    # kernel imports numpy
+@pytest.mark.parametrize("argv", [
+    ["props"],
+    ["h2", "--mod", "2"],
+    ["vendramin"],
+    ["invariant", "--tangle"],
+    ["invariant", "--cocycle"],
+    ["thm31", "--cocycle"],
+], ids=["props", "h2", "vendramin", "invariant-tangle", "invariant",
+        "thm31"])
+def test_no_command_loads_numpy(tmp_path, d3_file, argv):
+    # a fresh interpreter, as each forge request is; a trailing --cocycle
+    # gets the zero cocycle mod 2 on D_3
+    if argv[-1] == "--cocycle":
+        cpath = tmp_path / "z.cocycle"
+        qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
+        argv = argv + [str(cpath)]
     script = ("import sys\n"
               "from quandleforge.cli import main\n"
               f"code = main({argv + ['--quandle', d3_file]!r})\n"
@@ -386,4 +392,21 @@ def test_numpy_loads_only_for_the_coloring_kernel(d3_file, argv, loads_numpy):
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_no_module_imports_numpy():
+    # the package runs in plain Python; numpy is a test and benchmark
+    # dependency only
+    paths = sorted((SRC / "quandleforge").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), \
+                (path.name, node.lineno)

@@ -2,10 +2,10 @@
 
 The coloring kernel must return exactly the list of the scan oracle, on
 closed braids and on 1-tangles, and find as many colorings as the grid-walk
-oracle.  The list is in lexicographic top-tuple order, whatever the block
-size, each coloring with a bottom that closes up and one signed source pair
-per crossing, and the plan never guesses more seed arcs than there are
-strands.
+oracle.  The list is in lexicographic top-tuple order, each coloring with
+a bottom that closes up and one signed source pair per crossing, the plan
+never guesses more seed arcs than there are strands, and the first seed
+runs over orbit representatives only.
 Coset enumeration must give the same group orders and generator-column
 patterns as the define-only oracle.
 """
@@ -23,7 +23,7 @@ from quandleforge._kernels import braid_closure_colorings, coset_enumeration
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
-from quandleforge.core import is_connected
+from quandleforge.core import is_connected, orbit_forest, orbits
 from quandleforge.envgroup import enveloping_presentation
 from quandleforge.knotdata import BUNDLED_WORDS, EXTRA_PRESENTATIONS
 from quandleforge.pipeline import tetrahedral_quandle
@@ -31,6 +31,11 @@ from quandleforge.pipeline import tetrahedral_quandle
 
 def flat(q):
     return [v for row in q.table for v in row]
+
+
+def colorings(q, s, word, relax, stats=None):
+    return braid_closure_colorings(flat(q), q.n, s, word, orbit_forest(q),
+                                   relax_first=relax, stats=stats)
 
 
 def to_columns(word):
@@ -58,15 +63,13 @@ class TestColoringScan:
         (3, [1, 1, 1, 2, -1, 2]),
     ]
 
-    def test_fixed_words(self, monkeypatch):
-        # lexicographic top-tuple order, also when a block smaller than the
-        # assignment space makes it cross block boundaries
+    def test_fixed_words(self):
+        # lexicographic top-tuple order
         for q in (dihedral_quandle(6), alexander_quandle(5, 2),
                   trivial_quandle(4), self.TET_EXT):
             for s, w in self.WORDS:
                 for relax in (False, True):
-                    whole = braid_closure_colorings(flat(q), q.n, s, w,
-                                                    relax_first=relax)
+                    whole = colorings(q, s, w, relax)
                     tops = [top for top, _, _ in whole]
                     assert tops == sorted(set(tops))
                     start = 1 if relax else 0
@@ -76,10 +79,6 @@ class TestColoringScan:
                             == [1 if g > 0 else -1 for g in w]
                     assert len(whole) == grid_coloring_count(
                         q.table, s, w, tangle=relax)
-                    with monkeypatch.context() as m:
-                        m.setattr(_kernels, "_BLOCK", 7)
-                        assert braid_closure_colorings(
-                            flat(q), q.n, s, w, relax_first=relax) == whole
 
     def test_corpus_matches_scan_oracle(self, corpus):
         words = [(s, w) for _, s, w in BUNDLED_WORDS]
@@ -90,12 +89,27 @@ class TestColoringScan:
                 continue
             for s, w in words:
                 for relax in (False, True):
-                    assert braid_closure_colorings(
-                        flat(q), q.n, s, w, relax_first=relax) \
+                    assert colorings(q, s, w, relax) \
                         == scan_colorings(flat(q), q.n, s, w,
                                           relax_first=relax), (name, w, relax)
                     seen += 1
         assert seen >= 400
+
+    def test_stats_count_seed_tuples(self):
+        # dihedral_quandle(5) is connected, dihedral_quandle(6) has 2 orbits
+        words = [(s, w) for name, s, w in BUNDLED_WORDS
+                 if name in ("3_1", "5_2")]
+        for q, r in ((dihedral_quandle(5), 1), (dihedral_quandle(6), 2)):
+            for s, w in words:
+                for relax in (False, True):
+                    stats = {}
+                    colorings(q, s, w, relax, stats)
+                    k = stats["seeds"]
+                    assert k == len(_kernels._plan(s, w, relax).seeds)
+                    assert stats["orbits"] == len(orbits(q)) == r
+                    assert 0 < stats["candidates"] <= r * q.n ** (k - 1)
+                    if r == 1:
+                        assert stats["candidates"] < q.n ** k
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -107,8 +121,7 @@ class TestColoringScan:
             max_size=10)) if s > 1 else []
         relax = data.draw(st.booleans())
         assert len(_kernels._plan(s, word, relax).seeds) <= s
-        assert braid_closure_colorings(flat(q), q.n, s, word,
-                                       relax_first=relax) \
+        assert colorings(q, s, word, relax) \
             == scan_colorings(flat(q), q.n, s, word, relax_first=relax)
 
     @settings(max_examples=60, deadline=None)
@@ -120,8 +133,7 @@ class TestColoringScan:
             st.sampled_from([g for g in range(-s + 1, s) if g != 0]),
             max_size=8))
         relax = data.draw(st.booleans())
-        got = braid_closure_colorings(flat(q), q.n, s, word,
-                                      relax_first=relax)
+        got = colorings(q, s, word, relax)
         assert len(got) == grid_coloring_count(q.table, s, word,
                                                tangle=relax)
 

@@ -9,7 +9,8 @@ from quandleforge import _kernels
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
-from quandleforge.core import Permutation, QuandleMap, is_faithful
+from quandleforge.core import (Permutation, QuandleMap, is_faithful,
+                              orbit_forest)
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
                                  FiberMismatch, NotACovering, NotAKnot)
 from quandleforge.knotdata import (BUNDLED_WORDS, bundled_tangles,
@@ -142,7 +143,8 @@ class TestBraidMoves:
                                                              repeat=2)]
         assert (pairs[:, 0] == pairs[:, 1]).all()
         cols = _kernels.braid_closure_colorings(
-            [v for row in d5.table for v in row], 5, 2, [1, -1])
+            [v for row in d5.table for v in row], 5, 2, [1, -1],
+            orbit_forest(d5))
         assert len(cols) == 25
         for top, bottom, ((x1, y1, s1), (x2, y2, s2)) in cols:
             assert bottom == top
