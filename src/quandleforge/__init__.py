@@ -8,7 +8,10 @@ cocycles force coefficient vanishing, non-constant invariants certify that no
 quandle has the extension as its inner image).
 
 All data types are immutable after construction and every operation is a
-pure function, so everything here is safe to call concurrently.
+pure function, so everything here is safe to call concurrently.  The data
+types are named tuples, checked in __new__: a value equals the plain tuple
+of its fields and iterates over them, and _make and _replace, which skip
+__new__ and its checks, are never called.
 """
 
 from .cohomology import (CohomologyGroup, Cocycle2, coboundary, cocycle,

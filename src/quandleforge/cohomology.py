@@ -26,7 +26,7 @@ injective iff it is injective on elements of prime order).  Everything is
 exact.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import snf
@@ -34,28 +34,26 @@ from .core import orbit_forest, orbits
 from .errors import DNotDividesModulus, NotACocycle, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(namedtuple("Cocycle2", "n m values")):
     """A Z_m-valued 2-cochain with zero diagonal.
 
     Shape and the diagonal are enforced here; use cocycle() to also verify
     the cocycle identity against a quandle.
     """
 
-    n: int
-    m: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, n, m, values):
+        if m < 1:
             raise ValueError("modulus must be >= 1")
-        if len(self.values) != self.n or any(len(r) != self.n for r in self.values):
+        if len(values) != n or any(len(r) != n for r in values):
             raise ValueError("values must be n x n")
-        for x in range(self.n):
-            if self.values[x][x] % self.m != 0:
+        for x in range(n):
+            if values[x][x] % m != 0:
                 raise NotACocycle(x, "nonzero diagonal entry")
-            if any(not (0 <= v < self.m) for v in self.values[x]):
+            if any(not (0 <= v < m) for v in values[x]):
                 raise ValueError("values must be reduced mod m")
+        return super().__new__(cls, n, m, values)
 
     def __call__(self, x, y):
         return self.values[x][y]
@@ -176,14 +174,12 @@ def _constraint_rows(q, pidx):
     return rows
 
 
-@dataclass(frozen=True)
-class CohomologyGroup:
+class CohomologyGroup(namedtuple("CohomologyGroup",
+                                 "m invariant_factors representatives")):
     """H^2 as a product of cyclic groups: invariant factors (each dividing m,
     ascending, 1s dropped) with one representative cocycle per factor."""
 
-    m: int
-    invariant_factors: tuple
-    representatives: tuple
+    __slots__ = ()
 
     @property
     def order(self):

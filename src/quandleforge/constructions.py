@@ -8,7 +8,7 @@ multiplication tables with helper constructors for cyclic and symmetric
 groups; group multiplication composes left to right like permutations.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import gcd
 from operator import itemgetter
@@ -18,14 +18,11 @@ from .core import Quandle, QuandleMap, _first_failure, validate_quandle
 from .errors import NotAUnit
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group as a multiplication table; validated on construction."""
+class FiniteGroup(namedtuple("FiniteGroup", "order mult identity inverse")):
+    """A finite group as a multiplication table; validated on construction
+    by finite_group."""
 
-    order: int
-    mult: tuple
-    identity: int
-    inverse: tuple
+    __slots__ = ()
 
     def op(self, a, b):
         return self.mult[a][b]
@@ -85,13 +82,14 @@ def symmetric_group(degree):
     return g, tuple(elems)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    group: FiniteGroup
-    images: tuple
+class GroupAutomorphism(namedtuple("GroupAutomorphism", "group images")):
+    """An automorphism of the FiniteGroup group, as the tuple of images;
+    verified on construction."""
 
-    def __post_init__(self):
-        g, img = self.group, self.images
+    __slots__ = ()
+
+    def __new__(cls, group, images):
+        g, img = group, images
         if sorted(img) != list(range(g.order)):
             raise ValueError("automorphism images must be a bijection")
         for a in range(g.order):
@@ -99,6 +97,7 @@ class GroupAutomorphism:
                 if img[g.mult[a][b]] != g.mult[img[a]][img[b]]:
                     raise ValueError(
                         f"not multiplicative at ({a}, {b})")
+        return super().__new__(cls, group, images)
 
     def __call__(self, a):
         return self.images[a]

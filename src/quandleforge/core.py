@@ -7,10 +7,15 @@ Conventions, used everywhere in this package:
 * the right translation by ``a`` sends ``x`` to ``x * a``, i.e. it is
   column ``a`` of the table,
 * permutations compose left to right: ``(p * q)(x) = q(p(x))``.  Under this
-  convention the translations satisfy ``R[a * b] == R[b].inverse() * R[a] * R[b]``.
+  convention the translations satisfy ``R[a * b] == R[b].inverse() * R[a] * R[b]``,
+* value types are ``collections.namedtuple`` subclasses with
+  ``__slots__ = ()``, checked in ``__new__``: immutable, equal and hashed by
+  their fields, so a value also equals the plain tuple of its fields and
+  iterates over them.  ``_make`` and ``_replace`` build a value without
+  ``__new__`` and its checks, so nothing may call them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
@@ -19,16 +24,15 @@ from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
 DEFAULT_GROUP_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """A bijection of 0..n-1, stored as the tuple of images."""
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a bijection: {self.images}")
+    def __new__(cls, images):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        return super().__new__(cls, images)
 
     def __call__(self, x):
         return self.images[x]
@@ -73,29 +77,24 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(namedtuple("PermGroup", "degree generators elements")):
     """A permutation group with its full element list (desk scale)."""
 
-    degree: int
-    generators: tuple
-    elements: tuple
+    __slots__ = ()
 
     @property
     def order(self):
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Quandle:
+class Quandle(namedtuple("Quandle", "n table")):
     """An order-n quandle given by its Cayley table.
 
     Construct through validate_quandle (or the constructors in
     quandleforge.constructions) so the axioms are guaranteed.
     """
 
-    n: int
-    table: tuple
+    __slots__ = ()
 
     def op(self, a, b):
         return self.table[a][b]
@@ -111,25 +110,24 @@ class Quandle:
         return f"Quandle(n={self.n})"
 
 
-@dataclass(frozen=True)
-class QuandleMap:
-    """A quandle homomorphism; verified on construction."""
+class QuandleMap(namedtuple("QuandleMap", "source target images")):
+    """A quandle homomorphism from the Quandle source to the Quandle
+    target; verified on construction."""
 
-    source: Quandle
-    target: Quandle
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != self.source.n:
+    def __new__(cls, source, target, images):
+        if len(images) != source.n:
             raise NotAHomomorphism("image list has wrong length")
-        if any(not (0 <= v < self.target.n) for v in self.images):
+        if any(not (0 <= v < target.n) for v in images):
             raise NotAHomomorphism("image out of range")
-        src, tgt, img = self.source.table, self.target.table, self.images
-        for a in range(self.source.n):
-            for b in range(self.source.n):
+        src, tgt, img = source.table, target.table, images
+        for a in range(source.n):
+            for b in range(source.n):
                 if img[src[a][b]] != tgt[img[a]][img[b]]:
                     raise NotAHomomorphism(
                         f"f({a}*{b}) != f({a})*f({b})")
+        return super().__new__(cls, source, target, images)
 
     def __call__(self, x):
         return self.images[x]
@@ -404,10 +402,11 @@ def product_quandle(q1, q2):
     return validate_quandle(n, table)
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    index: int
-    fibers_equal: bool
+class IndexReport(namedtuple("IndexReport", "index fibers_equal")):
+    """|source| / |target| of an epimorphism, and whether its fibers all
+    have that size."""
+
+    __slots__ = ()
 
 
 def epimorphism_index(f):

@@ -16,7 +16,7 @@ verification pass (every column a permutation, every relator tracing
 trivially from every coset).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._kernels import coset_enumeration
 from .core import is_connected, right_translation
@@ -25,34 +25,31 @@ from .errors import Capped
 DEFAULT_MAX_COSETS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "ngens relators")):
     """A finite group presentation; relators are words over signed 1-based
     generator indices."""
 
-    ngens: int
-    relators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for rel in self.relators:
+    def __new__(cls, ngens, relators):
+        for rel in relators:
             if len(rel) == 0:
                 raise ValueError("relators must be nonempty")
             for g in rel:
-                if g == 0 or abs(g) > self.ngens:
+                if g == 0 or abs(g) > ngens:
                     raise ValueError(f"bad generator {g}")
+        return super().__new__(cls, ngens, relators)
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """A completed coset table: the regular action of the presented group.
+class CosetTable(namedtuple("CosetTable", "presentation size action")):
+    """A completed coset table of a Presentation: the regular action of the
+    presented group.
 
     action[c][2*i] is c moved by generator i, action[c][2*i + 1] by its
     inverse.  size is the live coset count, i.e. the group order.
     """
 
-    presentation: Presentation
-    size: int
-    action: tuple
+    __slots__ = ()
 
     def generator_column(self, i):
         """The permutation induced by generator i on the cosets."""
@@ -118,8 +115,8 @@ def verify_coset_table(t):
                     f"relator {rel} does not close at coset {c}")
 
 
-@dataclass(frozen=True)
-class ConjugationCriterion:
+class ConjugationCriterion(namedtuple("ConjugationCriterion",
+                                      "connected order collision")):
     """Vendramin's criterion read off one enumeration of q's finite
     enveloping group.
 
@@ -129,9 +126,7 @@ class ConjugationCriterion:
     a disconnected one is not enumerated and both are None.
     """
 
-    connected: bool
-    order: int | None
-    collision: tuple | None
+    __slots__ = ()
 
     @property
     def verdict(self):

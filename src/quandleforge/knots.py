@@ -27,7 +27,7 @@ A 1-tangle is the knot cut open at the closure arc of position 0; its
 endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._kernels import braid_closure_colorings
 from .core import is_covering, orbit_forest
@@ -37,32 +37,30 @@ from .errors import (BadGenerator, FiberMismatch, NotACovering, NotAKnot,
 DEFAULT_ASSIGNMENT_CAP = 10 ** 8
 
 
-@dataclass(frozen=True)
-class BraidKnot:
-    """A braid word whose closure is a knot (single component)."""
+class BraidKnot(namedtuple("BraidKnot", "name strands word closure_perm")):
+    """A braid word whose closure is a knot (single component).
 
-    name: str
-    strands: int
-    word: tuple
-    closure_perm: tuple   # bottom position -> top position of the same strand
+    closure_perm maps each bottom position to the top position of the same
+    strand.
+    """
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"BraidKnot({self.name!r}, s={self.strands}, word={list(self.word)})"
 
 
-@dataclass(frozen=True)
-class Tangle:
-    """The 1-tangle of a knot: the closure arc at position 0 is cut."""
+class Tangle(namedtuple("Tangle", "knot")):
+    """The 1-tangle of a BraidKnot: the closure arc at position 0 is cut."""
 
-    knot: BraidKnot
+    __slots__ = ()
 
     @property
     def name(self):
         return self.knot.name
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "top bottom source_pairs")):
     """A quandle coloring of a braid diagram.
 
     top/bottom are the color tuples at the top and bottom of the braid;
@@ -70,9 +68,7 @@ class Coloring:
     tangles, y0/y1 are the endpoint colors of the cut arc.
     """
 
-    top: tuple
-    bottom: tuple
-    source_pairs: tuple
+    __slots__ = ()
 
     @property
     def y0(self):
@@ -83,16 +79,15 @@ class Coloring:
         return self.bottom[0]
 
 
-@dataclass(frozen=True)
-class GroupRingElt:
+class GroupRingElt(namedtuple("GroupRingElt", "m coeffs")):
     """Sum of non-negative multiples of powers of u, the generator of Z_m."""
 
-    m: int
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.m:
+    def __new__(cls, m, coeffs):
+        if len(coeffs) != m:
             raise ValueError("coefficient vector must have length m")
+        return super().__new__(cls, m, coeffs)
 
     def total(self):
         return sum(self.coeffs)

@@ -12,9 +12,9 @@ a pipeline that observes a counterexample raises TheoremViolation: that is a
 bug detector, not a report line.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .cohomology import Cocycle2, cocycle, cocycle_power
+from .cohomology import cocycle, cocycle_power
 from .constructions import (abelian_extension, finite_group,
                             generalized_alexander_quandle, GroupAutomorphism)
 from .core import (QuandleMap, are_isomorphic, inner_group, inn_image,
@@ -26,13 +26,11 @@ from .knotdata import bundled_knots
 from .knots import GroupRingElt, is_constant, state_sum
 
 
-@dataclass(frozen=True)
-class InnSequence:
+class InnSequence(namedtuple("InnSequence", "quandles maps")):
     """Q0 -> Q1 -> ... -> Qk with each map the projection onto the quandle of
     distinct translations; the terminal quandle is faithful."""
 
-    quandles: tuple
-    maps: tuple
+    __slots__ = ()
 
     @property
     def terminal_faithful(self):
@@ -106,10 +104,11 @@ def recover_index2_cocycle(f):
     return phi
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    holds: bool
-    witness: tuple | None   # (inner automorphism images, fixed point, moved point)
+class FiberReport(namedtuple("FiberReport", "holds witness")):
+    """Whether the fixed-fiber criterion holds; when it does not, witness is
+    (inner automorphism images, fixed point, moved point), else None."""
+
+    __slots__ = ()
 
 
 def fiber_criterion(f, cap=DEFAULT_GROUP_CAP):
@@ -131,19 +130,27 @@ def fiber_criterion(f, cap=DEFAULT_GROUP_CAP):
     return FiberReport(holds=True, witness=None)
 
 
-@dataclass
-class ExtensionVerdict:
-    """Outcome of the constancy pipeline for one (X, m, phi)."""
+class ExtensionVerdict(namedtuple(
+        "ExtensionVerdict",
+        "base m phi extension projection is_conjugation inn_preimage_found "
+        "invariants invariant_constant_on_corpus")):
+    """Outcome of the constancy pipeline for one (X, m, phi).
 
-    base: object
-    m: int
-    phi: Cocycle2
-    extension: object
-    projection: QuandleMap
-    is_conjugation: str | None = None          # yes / no / not_applicable
-    inn_preimage_found: bool | None = None
-    invariants: dict = field(default_factory=dict)
-    invariant_constant_on_corpus: bool | None = None
+    phi is the Cocycle2, projection the QuandleMap from the extension onto
+    the base; is_conjugation is "yes", "no" or "not_applicable", and
+    invariants maps knot names to GroupRingElt.  The fields from
+    is_conjugation on default to None, and invariants to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base, m, phi, extension, projection,
+                is_conjugation=None, inn_preimage_found=None,
+                invariants=None, invariant_constant_on_corpus=None):
+        return super().__new__(
+            cls, base, m, phi, extension, projection, is_conjugation,
+            inn_preimage_found, {} if invariants is None else invariants,
+            invariant_constant_on_corpus)
 
 
 def _extension_verdict(x, m, phi, invariants, max_cosets):
@@ -167,11 +174,10 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
                             invariant_constant_on_corpus=constant)
 
 
-def _knot_invariants(x, m, phi, knots):
+def _validated(x, m, phi, knots):
     """Validate phi as a 2-cocycle mod m on x (ShapeMismatch or NotACocycle)
-    and the knot names as distinct (ValueError), then take the phi-invariant
-    of each knot (default: the bundled table), keyed by name.  Returns the
-    validated cocycle and the invariants."""
+    and the knot names as distinct (ValueError).  Returns the validated
+    cocycle and the knot table (default: the bundled one)."""
     knots = bundled_knots() if knots is None else knots
     phi = cocycle(x, m, phi)
     names = set()
@@ -179,7 +185,12 @@ def _knot_invariants(x, m, phi, knots):
         if k.name in names:
             raise ValueError(f"knot name {k.name!r} is repeated in the table")
         names.add(k.name)
-    return phi, {k.name: state_sum(x, phi, k) for k in knots}
+    return phi, knots
+
+
+def _knot_invariants(x, phi, knots):
+    """The phi-invariant of each knot, keyed by name."""
+    return {k.name: state_sum(x, phi, k) for k in knots}
 
 
 def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
@@ -188,21 +199,28 @@ def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
     on the knot corpus.  A 'yes' verdict together with any non-constant
     invariant raises TheoremViolation.  phi and the knot names are validated
     before any state sum (ShapeMismatch, NotACocycle or ValueError)."""
-    phi, invariants = _knot_invariants(x, m, phi, knots)
-    return _extension_verdict(x, m, phi, invariants, max_cosets)
+    phi, knots = _validated(x, m, phi, knots)
+    return _extension_verdict(x, m, phi, _knot_invariants(x, phi, knots),
+                               max_cosets)
 
 
-@dataclass
-class PowerCheckReport:
-    """Coefficient-vanishing report for phi = psi^d."""
+class PowerCheckReport(namedtuple(
+        "PowerCheckReport",
+        "n d m hypothesis_held verdict coefficients vanishing_ok")):
+    """Coefficient-vanishing report for phi = psi^d.
 
-    n: int
-    d: int
-    m: int
-    hypothesis_held: bool
-    verdict: ExtensionVerdict | None
-    coefficients: dict = field(default_factory=dict)   # knot -> tuple over Z_n
-    vanishing_ok: bool | None = None
+    verdict is the ExtensionVerdict of phi, or None when m == 1;
+    coefficients maps each knot name to its coefficient tuple over Z_n.
+    coefficients defaults to a new empty dict and vanishing_ok to None.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, d, m, hypothesis_held, verdict, coefficients=None,
+                vanishing_ok=None):
+        return super().__new__(
+            cls, n, d, m, hypothesis_held, verdict,
+            {} if coefficients is None else coefficients, vanishing_ok)
 
 
 def power_coefficient_check(x, n, psi, d, knots=None,
@@ -210,47 +228,49 @@ def power_coefficient_check(x, n, psi, d, knots=None,
     """For psi mod n and phi = psi^d mod m = n/d: when the extension by phi
     is a conjugation quandle, every coefficient a_k of the psi-invariant with
     k not divisible by m must vanish.  psi must be a 2-cocycle mod n on x
-    (ShapeMismatch or NotACocycle otherwise) and the knot names distinct
-    (ValueError)."""
-    psi, invariants = _knot_invariants(x, n, psi, knots)
+    (ShapeMismatch or NotACocycle otherwise), d must divide n
+    (DNotDividesModulus) and the knot names must be distinct (ValueError);
+    all three are checked before any state sum."""
+    psi, knots = _validated(x, n, psi, knots)
     phi = cocycle_power(psi, d)
+    invariants = _knot_invariants(x, psi, knots)
+    coefficients = {name: inv.coeffs for name, inv in invariants.items()}
     m = phi.m
-    report = PowerCheckReport(n=n, d=d, m=m, hypothesis_held=False,
-                              verdict=None)
-    report.coefficients = {name: inv.coeffs
-                           for name, inv in invariants.items()}
+    verdict = vanishing_ok = None
+    held = False
     if m == 1:
         # phi is trivial mod 1; nothing to test, the report stands vacuously
-        report.vanishing_ok = True
-        return report
-    # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
-    folded = {name: GroupRingElt(m, tuple(sum(inv.coeffs[j::m])
-                                          for j in range(m)))
-              for name, inv in invariants.items()}
-    report.verdict = _extension_verdict(x, m, phi, folded, max_cosets)
-    report.hypothesis_held = report.verdict.is_conjugation == "yes"
-    if report.hypothesis_held:
-        ok = all(c == 0
-                 for coeffs in report.coefficients.values()
-                 for k, c in enumerate(coeffs) if k % m)
-        report.vanishing_ok = ok
-        if not ok:
-            raise TheoremViolation(
-                "power-cocycle coefficients fail to vanish under a "
-                "conjugation-quandle hypothesis")
-    return report
+        vanishing_ok = True
+    else:
+        # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
+        folded = {name: GroupRingElt(m, tuple(sum(inv.coeffs[j::m])
+                                              for j in range(m)))
+                  for name, inv in invariants.items()}
+        verdict = _extension_verdict(x, m, phi, folded, max_cosets)
+        held = verdict.is_conjugation == "yes"
+        if held:
+            vanishing_ok = all(c == 0
+                               for coeffs in coefficients.values()
+                               for k, c in enumerate(coeffs) if k % m)
+            if not vanishing_ok:
+                raise TheoremViolation(
+                    "power-cocycle coefficients fail to vanish under a "
+                    "conjugation-quandle hypothesis")
+    return PowerCheckReport(n=n, d=d, m=m, hypothesis_held=held,
+                            verdict=verdict, coefficients=coefficients,
+                            vanishing_ok=vanishing_ok)
 
 
-@dataclass
-class Certificate:
-    """A proof that no finite quandle has E as its inner image."""
+class Certificate(namedtuple(
+        "Certificate",
+        "base m phi extension witness_knots conjugation_verdict")):
+    """A proof that no finite quandle has E as its inner image.
 
-    base: object
-    m: int
-    phi: Cocycle2
-    extension: object
-    witness_knots: list
-    conjugation_verdict: str
+    phi is the Cocycle2, witness_knots the list of names of the knots whose
+    invariant is non-constant.
+    """
+
+    __slots__ = ()
 
     def text(self):
         w = ", ".join(self.witness_knots)
@@ -267,7 +287,8 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     'yes' would contradict the certificate and raises TheoremViolation.  phi
     and the knot names are validated first (ShapeMismatch, NotACocycle or
     ValueError), and the extension is built only once a witness knot exists."""
-    phi, invariants = _knot_invariants(x, m, phi, knots)
+    phi, knots = _validated(x, m, phi, knots)
+    invariants = _knot_invariants(x, phi, knots)
     witnesses = [name for name, inv in invariants.items()
                  if not is_constant(inv)]
     if not witnesses:

@@ -9,7 +9,7 @@ not rows x columns.  `smith_normal_form` is dense, on lists of lists, and
 meant for what is left: a few hundred rows and columns.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 
@@ -80,21 +80,16 @@ def row_reduce(rows, ncols):
     return out
 
 
-@dataclass
-class SmithForm:
+class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv",
+                           defaults=(None, None, None))):
     """S = U @ A @ V with U, V unimodular; diag = invariant factors d1 | d2 | ...
 
-    U itself is never formed.  Only the transforms requested from
-    smith_normal_form are populated; the rest are None.
+    diag is a list, and each transform a list of rows.  U itself is never
+    formed.  Only the transforms requested from smith_normal_form are
+    populated; the rest are None.
     """
 
-    diag: list
-    rank: int
-    nrows: int
-    ncols: int
-    Uinv: list | None = None
-    V: list | None = None
-    Vinv: list | None = None
+    __slots__ = ()
 
 
 def smith_normal_form(a, want=()):

@@ -368,6 +368,7 @@ class TestCli:
         assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
 @pytest.mark.parametrize("argv", [
     ["props"],
     ["h2", "--mod", "2"],
@@ -377,9 +378,11 @@ class TestCli:
     ["thm31", "--cocycle"],
 ], ids=["props", "h2", "vendramin", "invariant-tangle", "invariant",
         "thm31"])
-def test_no_command_loads_numpy(tmp_path, d3_file, argv):
+def test_no_command_loads(tmp_path, d3_file, argv, module):
     # a fresh interpreter, as each forge request is; a trailing --cocycle
-    # gets the zero cocycle mod 2 on D_3
+    # gets the zero cocycle mod 2 on D_3.  numpy is a test dependency only,
+    # and dataclasses (with inspect, ast and dis) cost every request
+    # milliseconds of start-up
     if argv[-1] == "--cocycle":
         cpath = tmp_path / "z.cocycle"
         qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
@@ -387,7 +390,7 @@ def test_no_command_loads_numpy(tmp_path, d3_file, argv):
     script = ("import sys\n"
               "from quandleforge.cli import main\n"
               f"code = main({argv + ['--quandle', d3_file]!r})\n"
-              "print(code, 'numpy' in sys.modules)\n")
+              f"print(code, {module!r} in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -395,9 +398,10 @@ def test_no_command_loads_numpy(tmp_path, d3_file, argv):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
-def test_no_module_imports_numpy():
-    # the package runs in plain Python; numpy is a test and benchmark
-    # dependency only
+@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+def test_no_module_imports(module):
+    # the package runs in plain Python, and its value types are named
+    # tuples, not dataclasses
     paths = sorted((SRC / "quandleforge").glob("*.py"))
     assert paths
     for path in paths:
@@ -408,5 +412,5 @@ def test_no_module_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(name.split(".")[0] == "numpy" for name in names), \
+            assert not any(name.split(".")[0] == module for name in names), \
                 (path.name, node.lineno)

@@ -18,8 +18,8 @@ from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
 from quandleforge.envgroup import (conjugation_criterion,
                                    enveloping_presentation,
                                    is_conjugation_quandle, todd_coxeter)
-from quandleforge.errors import (NotACocycle, NotACovering, NotIndex2,
-                                 ShapeMismatch)
+from quandleforge.errors import (DNotDividesModulus, NotACocycle,
+                                 NotACovering, NotIndex2, ShapeMismatch)
 from quandleforge import pipeline
 from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
@@ -331,6 +331,20 @@ def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
         run(d3, not_cocycle)
     with pytest.raises(ShapeMismatch):
         run(d3, Cocycle2.zero(3, 4))
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_d_not_dividing_modulus_rejected_before_any_state_sum(d,
+                                                              monkeypatch):
+    # c4 is the class of 4-cycles in Sym(4), with H^2(c4; Z_4) = Z_4
+    c4 = sym4_class_quandle((4,))
+    psi = second_cohomology(c4, 4).representatives[0]
+    calls = []
+    monkeypatch.setattr(pipeline, "state_sum",
+                        lambda *args: calls.append(args))
+    with pytest.raises(DNotDividesModulus):
+        power_coefficient_check(c4, 4, psi, d)
     assert calls == []
 
 
