@@ -368,7 +368,12 @@ class TestCli:
         assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+# numpy is a test dependency only, and dataclasses (with inspect, ast and
+# dis) cost every request milliseconds of start-up
+FORBIDDEN_AT_RUN = ("numpy", "dataclasses", "inspect")
+FORBIDDEN_IMPORTS = ("numpy", "dataclasses")
+
+
 @pytest.mark.parametrize("argv", [
     ["props"],
     ["h2", "--mod", "2"],
@@ -378,11 +383,10 @@ class TestCli:
     ["thm31", "--cocycle"],
 ], ids=["props", "h2", "vendramin", "invariant-tangle", "invariant",
         "thm31"])
-def test_no_command_loads(tmp_path, d3_file, argv, module):
+def test_no_command_loads_numpy(tmp_path, d3_file, argv):
     # a fresh interpreter, as each forge request is; a trailing --cocycle
-    # gets the zero cocycle mod 2 on D_3.  numpy is a test dependency only,
-    # and dataclasses (with inspect, ast and dis) cost every request
-    # milliseconds of start-up
+    # gets the zero cocycle mod 2 on D_3.  Every module of FORBIDDEN_AT_RUN
+    # must stay out of sys.modules
     if argv[-1] == "--cocycle":
         cpath = tmp_path / "z.cocycle"
         qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
@@ -390,18 +394,18 @@ def test_no_command_loads(tmp_path, d3_file, argv, module):
     script = ("import sys\n"
               "from quandleforge.cli import main\n"
               f"code = main({argv + ['--quandle', d3_file]!r})\n"
-              f"print(code, {module!r} in sys.modules)\n")
+              f"print(code, [m for m in {FORBIDDEN_AT_RUN!r} "
+              "if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
-def test_no_module_imports(module):
+def test_no_module_imports_numpy():
     # the package runs in plain Python, and its value types are named
-    # tuples, not dataclasses
+    # tuples, not dataclasses: no module imports any of FORBIDDEN_IMPORTS
     paths = sorted((SRC / "quandleforge").glob("*.py"))
     assert paths
     for path in paths:
@@ -412,5 +416,6 @@ def test_no_module_imports(module):
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(name.split(".")[0] == module for name in names), \
+            assert not any(name.split(".")[0] in FORBIDDEN_IMPORTS
+                           for name in names), \
                 (path.name, node.lineno)
