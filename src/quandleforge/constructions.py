@@ -187,8 +187,13 @@ def abelian_extension(x, m, phi):
     exactly when phi is a diagonal-zero cocycle, so it is not validated
     again.
     """
-    values = cocycle(x, m, phi).values
+    return _extension(x, m, cocycle(x, m, phi))
+
+
+def _extension(x, m, phi):
+    """E(X, Z_m, phi) and its projection, for a Cocycle2 phi that has
+    already been checked against x; nothing is checked again."""
     e = Quandle(n=x.n * m, table=tuple(
-        tuple(row) for row in extension_table(x, m, values)))
+        tuple(row) for row in extension_table(x, m, phi.values)))
     proj = QuandleMap(e, x, tuple(i // m for i in range(e.n)))
     return e, proj

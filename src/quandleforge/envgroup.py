@@ -9,6 +9,38 @@ a conjugation quandle exactly when the generator images stay pairwise
 distinct there.  conjugation_criterion walks the orbits once and reads the
 verdict, the group order and the first collision off one enumeration.
 
+enveloping_presentation is that definition, n generators and n^2 + n
+relators; it is kept as the reference the tests enumerate against.  The
+criterion enumerates generator_presentation instead, the same group over a
+generating set S of the quandle:
+
+- S is chosen greedily: the least element not yet generated joins S, and
+  the set is closed under the right translations R_s, s in S, breadth
+  first.  Each element v reached from u by s (v = u*s) records the tree
+  edge (u, s).
+- Every element gets a word over S: word(s) = x_s for s in S, and
+  word(v) = x_s^-1 word(u) x_s, freely reduced, along the tree.
+- The relators are x_s^-1 word(i) x_s word(i*s)^-1 for every pair (i, s),
+  s in S, that is not a tree edge, freely reduced, and the powers x_s^{n_s}
+  for s in S only.  A tree edge would give the empty word; a relator that
+  reduces to the empty word is dropped, and a repeated one kept once.
+
+These relators imply all of the original ones.  Write y_v = word(v); the
+relators give y_s^-1 y_i y_s = y_{i*s} for all i and all s in S.  For j
+reached from u by s, y_j = y_s^-1 y_u y_s, and since R_s is a bijection
+every i is k*s for some k, so y_s y_i y_s^-1 = y_k.  By induction along
+the tree, y_j^-1 y_i y_j = y_s^-1 y_u^-1 y_k y_u y_s = y_{(k*u)*s}, and
+(k*u)*s = (k*s)*(u*s) = i*j by right distributivity, which is the same as
+R_{u*s} = R_s^-1 R_u R_s.  So x_v -> y_v respects every conjugation
+relation, and x_s -> x_s inverts it.  Every x_v is conjugate to an x_s, and
+R_v to R_s, so n_v = n_s and the powers of elements outside S follow too.
+
+The table is still checked against the original presentation:
+verify_coset_table traces every reduced relator from every coset, and the
+permutation of each element, derived along the tree from the generator
+columns, must satisfy all n^2 relations x_i x_j = x_j x_{i*j}.  The order
+and the first collision are read off those permutations.
+
 Words are tuples of signed 1-based generator indices.  Enumeration is the
 single pure-Python HLT with deductions in _kernels (scans from both ends,
 queued coincidences, deterministic numbering); completed tables get a full
@@ -17,6 +49,7 @@ trivially from every coset).
 """
 
 from collections import namedtuple
+from operator import itemgetter
 
 from ._kernels import coset_enumeration
 from .core import is_connected, right_translation
@@ -79,6 +112,64 @@ def enveloping_presentation(q, finite=True):
     return Presentation(ngens=q.n, relators=tuple(rels))
 
 
+def _reduced(word):
+    """word with every adjacent generator-inverse pair cancelled."""
+    out = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _inverse(word):
+    return tuple(-g for g in reversed(word))
+
+
+def generator_presentation(q):
+    """The finite enveloping group of q over a generating set S of q, and
+    the spanning tree it came from (see the module docstring).
+
+    Returns (presentation, tree).  Generator k + 1 stands for the k-th
+    element of S.  tree lists (v, u, k) for every element v in the order
+    reached: u is None when v is the k-th element of S, and otherwise
+    v = u * S[k] by the tree edge that reached v.
+    """
+    n = q.n
+    table = q.table
+    gens = []
+    tree = []
+    word = [None] * n
+    for s in range(n):
+        if word[s] is not None:
+            continue
+        gens.append(s)
+        word[s] = (len(gens),)
+        tree.append((s, None, len(gens) - 1))
+        head = 0
+        while head < len(tree):         # tree grows while this runs
+            u = tree[head][0]
+            head += 1
+            for k, g in enumerate(gens):
+                v = table[u][g]
+                if word[v] is None:
+                    word[v] = _reduced((-(k + 1),) + word[u] + (k + 1,))
+                    tree.append((v, u, k))
+    edges = {(u, k) for _, u, k in tree}
+    rels = {}
+    for k, g in enumerate(gens):
+        for i in range(n):
+            if (i, k) not in edges:
+                rel = _reduced((-(k + 1),) + word[i] + (k + 1,)
+                               + _inverse(word[table[i][g]]))
+                if rel:
+                    rels[rel] = None
+    for k, g in enumerate(gens):
+        rels[(k + 1,) * right_translation(q, g).order()] = None
+    return Presentation(ngens=len(gens), relators=tuple(rels)), tuple(tree)
+
+
 def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate the cosets of the trivial subgroup; the live count is the
     group order.  Raises Capped when the allocation budget is exceeded, and
@@ -89,7 +180,8 @@ def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):
     complete, result = coset_enumeration(
         p.ngens, [_to_columns(r) for r in p.relators], max_cosets, stats)
     if not complete:
-        raise Capped(max_cosets, result, stats["live"])
+        raise Capped(max_cosets, result, stats["live"], p.ngens,
+                     len(p.relators))
     table = CosetTable(presentation=p, size=len(result),
                        action=tuple(tuple(row) for row in result))
     verify_coset_table(table)
@@ -135,13 +227,40 @@ class ConjugationCriterion(namedtuple("ConjugationCriterion",
         return "yes" if self.collision is None else "no"
 
 
+def _element_columns(q, t, tree):
+    """The permutation of each element of q on the cosets of t, the table
+    of generator_presentation(q), derived along its tree.  Raises
+    AssertionError unless all n^2 relations x_i x_j = x_j x_{i*j} hold."""
+    gens = [t.generator_column(k) for k in range(t.presentation.ngens)]
+    cols = [None] * q.n
+    for v, u, k in tree:
+        if u is None:
+            cols[v] = gens[k]
+        else:
+            # c . x_s^-1 x_u x_s, with the inverse column giving c . x_s^-1
+            gen, cu = gens[k], cols[u]
+            cols[v] = tuple([gen[cu[row[2 * k + 1]]] for row in t.action])
+    # then[i](col) is (col[c . x_i])_c, c moved by x_i and then by col; on
+    # one coset itemgetter returns an item, not a 1-tuple, and the two
+    # sides still compare
+    then = [itemgetter(*ci) for ci in cols]
+    for i, then_i in enumerate(then):
+        for j, cj in enumerate(cols):
+            ij = q.table[i][j]
+            if then_i(cj) != then[j](cols[ij]):
+                raise AssertionError(
+                    f"relation x_{i} x_{j} = x_{j} x_{ij} fails on the "
+                    f"enumerated table")
+    return cols
+
+
 def _enumerate(q, max_cosets):
-    """Enumerate q's finite enveloping group once: its order and the first
-    generator collision."""
-    t = todd_coxeter(enveloping_presentation(q, finite=True), max_cosets)
+    """Enumerate q's finite enveloping group once, over a generating set:
+    its order and the first generator collision."""
+    p, tree = generator_presentation(q)
+    t = todd_coxeter(p, max_cosets)
     seen = {}
-    for i in range(q.n):
-        col = t.generator_column(i)
+    for i, col in enumerate(_element_columns(q, t, tree)):
         if col in seen:
             return t.size, (seen[col], i)
         seen[col] = i

@@ -60,15 +60,20 @@ class Capped(QuandleError):
     that the group is larger than the budget.
 
     allocated counts the cosets allocated, including the one that broke the
-    cap; live counts the cosets still live at the abort."""
+    cap; live counts the cosets still live at the abort.  ngens and
+    relators give the size of the presentation enumerated: its generator
+    count and its relator count."""
 
-    def __init__(self, max_cosets, allocated, live):
+    def __init__(self, max_cosets, allocated, live, ngens, relators):
         self.max_cosets = max_cosets
         self.allocated = allocated
         self.live = live
+        self.ngens = ngens
+        self.relators = relators
         super().__init__(
             f"coset enumeration exceeded cap {max_cosets} "
-            f"(allocated {allocated} cosets, {live} live)")
+            f"(allocated {allocated} cosets, {live} live; presentation of "
+            f"{ngens} generators and {relators} relators)")
 
 
 class NotAKnot(QuandleError):

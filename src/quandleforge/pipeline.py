@@ -15,7 +15,7 @@ bug detector, not a report line.
 from collections import namedtuple
 
 from .cohomology import cocycle, cocycle_power
-from .constructions import (abelian_extension, finite_group,
+from .constructions import (_extension, abelian_extension, finite_group,
                             generalized_alexander_quandle, GroupAutomorphism)
 from .core import (QuandleMap, are_isomorphic, inner_group, inn_image,
                    is_covering, is_faithful, DEFAULT_GROUP_CAP)
@@ -155,12 +155,14 @@ class ExtensionVerdict(namedtuple(
 
 def _extension_verdict(x, m, phi, invariants, max_cosets):
     """Build E(X, Z_m, phi) and take its Vendramin verdict, beside the
-    phi-invariants of a knot table (knot name -> GroupRingElt).
+    phi-invariants of a knot table (knot name -> GroupRingElt).  phi is a
+    Cocycle2 already checked against x (by _validated, or as the power of
+    one), so the extension is built without a second check.
 
     Theorem 3.1: an extension that is a conjugation quandle has constant
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
-    e, proj = abelian_extension(x, m, phi)
+    e, proj = _extension(x, m, phi)
     conjugation = is_conjugation_quandle(e, max_cosets)
     constant = all(is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:

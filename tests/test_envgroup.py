@@ -1,12 +1,16 @@
 import pytest
 
+from helpers import corpus_extensions
+
 from oracles import coxeter_s3_order
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import Permutation, is_connected, is_faithful
 from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
-                                   Presentation, conjugation_criterion,
+                                   Presentation, _element_columns,
+                                   conjugation_criterion,
                                    enveloping_presentation,
+                                   generator_presentation,
                                    is_conjugation_quandle, rho_injective,
                                    todd_coxeter, verify_coset_table)
 from quandleforge.errors import Capped
@@ -99,6 +103,10 @@ class TestToddCoxeter:
         assert exc.value.max_cosets == 3
         assert exc.value.allocated == 4
         assert exc.value.live == 3
+        assert (exc.value.ngens, exc.value.relators) == (9, 90)
+        # the benchmark's frozen known failures match on this text
+        assert "coset enumeration exceeded cap 3" in str(exc.value)
+        assert "9 generators and 90 relators" in str(exc.value)
         # coincidences before the abort take cosets out of the live count
         p = enveloping_presentation(dihedral_quandle(27), finite=True)
         with pytest.raises(Capped) as exc:
@@ -164,3 +172,102 @@ class TestVendramin:
         e, _ = e12
         assert is_conjugation_quandle(e) == "yes"
         assert rho_injective(e)
+
+
+def _first_collision(cols):
+    seen = {}
+    for i, col in enumerate(cols):
+        if col in seen:
+            return seen[col], i
+        seen[col] = i
+    return None
+
+
+def _oracle(q):
+    """(order, first collision) from the full conjugation presentation."""
+    t = todd_coxeter(enveloping_presentation(q, finite=True))
+    return t.size, _first_collision(t.generator_column(i)
+                                    for i in range(q.n))
+
+
+def _fast(q):
+    p, tree = generator_presentation(q)
+    t = todd_coxeter(p)
+    cols = _element_columns(q, t, tree)
+    return t, cols
+
+
+class TestGeneratorPresentation:
+    def test_dihedral3_over_two_generators(self, d3):
+        p, tree = generator_presentation(d3)
+        # 0 and 1 generate: 0*1 = 2 is the only element reached by an edge
+        assert tree == ((0, None, 0), (1, None, 1), (2, 0, 1))
+        assert p.ngens == 2
+        assert (1, 1) in p.relators and (2, 2) in p.relators
+        assert todd_coxeter(p).size == 6
+
+    def test_tree_spans_and_words_hold(self, corpus):
+        for name, q in corpus:
+            p, tree = generator_presentation(q)
+            assert sorted(v for v, _, _ in tree) == list(range(q.n)), name
+            gens = [v for v, u, _ in tree if u is None]
+            assert len(gens) == p.ngens, name
+            reached = set()
+            for v, u, k in tree:
+                if u is not None:
+                    assert u in reached and q.table[u][gens[k]] == v, name
+                reached.add(v)
+            assert all(p.relators), name
+
+    def test_matches_full_presentation_on_corpus(self, corpus):
+        # every connected case, where the criterion applies, and every case
+        # of order <= 12.  The disconnected extensions of order 14-36 are
+        # left out: their groups reach 65,536 elements, and the full
+        # presentation takes minutes there
+        exts = [(name, e) for name, _, _, _, e, _ in corpus_extensions(
+            max_base_order=12, moduli=(2, 3, 4))]
+        cases = [(name, q) for name, q in list(corpus) + exts
+                 if q.n <= 12 or is_connected(q)]
+        assert len(cases) == 106
+        for name, q in cases:
+            t, cols = _fast(q)
+            assert (t.size, _first_collision(cols)) == _oracle(q), name
+
+    def test_derived_permutations_realize_quandle(self, d3, x6, e12):
+        for q in (d3, x6, e12[0]):
+            t, cols = _fast(q)
+            perms = [Permutation(c) for c in cols]
+            for i in range(q.n):
+                for j in range(q.n):
+                    conj = perms[j].inverse() * perms[i] * perms[j]
+                    assert conj == perms[q.table[i][j]]
+
+    def test_relation_check_rejects_a_wrong_table(self, d3):
+        # the Klein group satisfies the power relators of d3's generators
+        # but not its conjugation relations, so a derived x_2 = x_0 breaks
+        # x_0 x_1 = x_1 x_2
+        _, tree = generator_presentation(d3)
+        klein = todd_coxeter(Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2))))
+        with pytest.raises(AssertionError, match="relation x_"):
+            _element_columns(d3, klein, tree)
+
+    def test_alexander_47_5_within_default_budget(self):
+        # a paper-scale base: order 47, the group has 2,162 elements
+        crit = conjugation_criterion(alexander_quandle(47, 5),
+                                     DEFAULT_MAX_COSETS)
+        assert (crit.verdict, crit.order) == ("yes", 2162)
+
+    @pytest.mark.parametrize("ngens", [1, 2])
+    def test_free_presentation_capped(self, ngens):
+        # no relator survives: a free group, capped at the definition that
+        # would allocate coset max_cosets + 1
+        with pytest.raises(Capped) as exc:
+            todd_coxeter(Presentation(ngens, ()), max_cosets=200)
+        assert exc.value.allocated == 201
+        assert (exc.value.ngens, exc.value.relators) == (ngens, 0)
+
+    def test_relators_reducing_to_nothing_are_dropped(self):
+        # the one conjugation relator of the trivial quandle of order 1,
+        # x_1^-1 x_1 x_1 x_1^-1, reduces away and only its power is left
+        p, _ = generator_presentation(trivial_quandle(1))
+        assert p == Presentation(1, ((1,),))

@@ -20,7 +20,7 @@ from quandleforge.envgroup import (conjugation_criterion,
                                    is_conjugation_quandle, todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotIndex2, ShapeMismatch)
-from quandleforge import pipeline
+from quandleforge import cohomology, pipeline
 from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
@@ -363,6 +363,23 @@ def test_repeated_knot_name_rejected_before_any_state_sum(
     with pytest.raises(ValueError, match="'a'"):
         run(tetrahedral, tet_psi, knots)
     assert calls == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda x, phi: constancy_pipeline(x, 2, phi),
+    lambda x, phi: power_coefficient_check(x, 2, phi, 1),
+    lambda x, phi: nonconstancy_certificates(x, 2, phi),
+], ids=["thm31", "thm35", "certify"])
+def test_one_cocycle_check_per_request(run, tetrahedral, tet_psi):
+    # phi is checked in _validated; the extension is built from that
+    # Cocycle2 without a second check.  tet_psi has non-constant invariants,
+    # so certify builds the extension too
+    with mock.patch("quandleforge.cohomology.cocycle_witness",
+                    wraps=cohomology.cocycle_witness) as witness:
+        result = run(tetrahedral, tet_psi)
+    assert witness.call_count == 1
+    verdict = getattr(result, "verdict", result)
+    assert verdict.extension.n == 8
 
 
 class TestCertificates:
