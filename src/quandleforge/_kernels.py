@@ -150,7 +150,7 @@ def braid_closure_colorings(table, n, strands, word, forest,
                             relax_first=False, cap=None, stats=None):
     """The colorings of the braid closure, in lexicographic top-tuple order.
 
-    table: flat row-major n*n quandle table (a*b at index a*n+b).
+    table: the n rows of the quandle table (a*b is table[a][b]).
     word: signed 1-based braid generators.
     forest: core.orbit_forest of the quandle, (orbits, edges).
     Each coloring is (top, bottom, source_pairs), with one (x, y, sign) per
@@ -170,17 +170,16 @@ def braid_closure_colorings(table, n, strands, word, forest,
             f"{strands} strands need {k} seed arcs, {n}^{k} = {total} "
             f"candidates exceed the cap {cap}")
     orbits, edges = forest
-    rows = [table[x * n:(x + 1) * n] for x in range(n)]
     inv = [[0] * n for _ in range(n)]
-    for x, row in enumerate(rows):
+    for x, row in enumerate(table):
         for o, y in enumerate(row):
             inv[o][y] = x
-    cols = list(zip(*rows))                 # cols[a][x] = x*a
+    cols = list(zip(*table))                # cols[a][x] = x*a
     root = {v: orbit[0] for orbit in orbits for v in orbit}
     paths = {orbit[0]: [] for orbit in orbits}
     for y, a in edges:
-        paths[root[y]].append((y, a, rows[y][a]))
-    levels = _levels(plan, rows, inv)
+        paths[root[y]].append((y, a, table[y][a]))
+    levels = _levels(plan, table, inv)
     roots = list(paths)
     first = plan.seeds[0]
     vals = [0] * plan.classes
@@ -199,7 +198,7 @@ def braid_closure_colorings(table, n, strands, word, forest,
             for t, lookup, a, b in steps:
                 vals[t] = lookup[vals[a]][vals[b]]
             for x, o, y in checks:
-                if rows[vals[x]][vals[o]] != vals[y]:
+                if table[vals[x]][vals[o]] != vals[y]:
                     break
             else:
                 if not last:

@@ -188,10 +188,6 @@ class CohomologyGroup(namedtuple("CohomologyGroup",
             out *= d
         return out
 
-    @property
-    def is_trivial(self):
-        return not self.invariant_factors
-
 
 def cocycle_space_order(diag, rank, ncols, m):
     """Number of diagonal-zero 2-cocycles mod m, from the Smith diagonal

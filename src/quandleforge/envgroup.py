@@ -36,16 +36,17 @@ relation, and x_s -> x_s inverts it.  Every x_v is conjugate to an x_s, and
 R_v to R_s, so n_v = n_s and the powers of elements outside S follow too.
 
 The table is still checked against the original presentation:
-verify_coset_table traces every reduced relator from every coset, and the
-permutation of each element, derived along the tree from the generator
-columns, must satisfy all n^2 relations x_i x_j = x_j x_{i*j}.  The order
-and the first collision are read off those permutations.
+verify_coset_table traces every reduced relator from all cosets at once,
+one column lookup per letter, and the permutation of each element, derived
+along the tree from the generator columns, must satisfy all n^2 relations
+x_i x_j = x_j x_{i*j}.  The order and the first collision are read off
+those permutations.
 
 Words are tuples of signed 1-based generator indices.  Enumeration is the
 single pure-Python HLT with deductions in _kernels (scans from both ends,
-queued coincidences, deterministic numbering); completed tables get a full
-verification pass (every column a permutation, every relator tracing
-trivially from every coset).
+queued coincidences, deterministic numbering); a completed table is stored
+by columns and gets a full verification pass (each generator's two columns
+mutually inverse permutations, every relator closing at every coset).
 """
 
 from collections import namedtuple
@@ -74,24 +75,23 @@ class Presentation(namedtuple("Presentation", "ngens relators")):
         return super().__new__(cls, ngens, relators)
 
 
-class CosetTable(namedtuple("CosetTable", "presentation size action")):
+class CosetTable(namedtuple("CosetTable", "presentation size columns")):
     """A completed coset table of a Presentation: the regular action of the
     presented group.
 
-    action[c][2*i] is c moved by generator i, action[c][2*i + 1] by its
-    inverse.  size is the live coset count, i.e. the group order.
+    columns[2*i] is generator i's permutation of the cosets, columns[2*i + 1]
+    its inverse's.  size is the live coset count, i.e. the group order.
     """
 
     __slots__ = ()
 
     def generator_column(self, i):
         """The permutation induced by generator i on the cosets."""
-        return tuple(row[2 * i] for row in self.action)
+        return self.columns[2 * i]
 
     def trace(self, coset, word):
-        for g in word:
-            col = 2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1
-            coset = self.action[coset][col]
+        for col in _to_columns(word):
+            coset = self.columns[col][coset]
         return coset
 
 
@@ -183,28 +183,32 @@ def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):
         raise Capped(max_cosets, result, stats["live"], p.ngens,
                      len(p.relators))
     table = CosetTable(presentation=p, size=len(result),
-                       action=tuple(tuple(row) for row in result))
+                       columns=tuple(zip(*result)))
     verify_coset_table(table)
     return table
 
 
 def verify_coset_table(t):
-    """Full verification pass: permutation columns, inverse consistency, and
-    every relator tracing to its start from every coset."""
-    size = t.size
-    ng = t.presentation.ngens
-    for i in range(ng):
-        fwd = [row[2 * i] for row in t.action]
-        bwd = [row[2 * i + 1] for row in t.action]
-        if sorted(fwd) != list(range(size)) or sorted(bwd) != list(range(size)):
+    """Full verification pass over the columns: each generator's two columns
+    are mutually inverse permutations, and every relator, traced from all
+    cosets at once one column per letter, closes at every coset.  Raises
+    AssertionError naming the least coset where a relator fails."""
+    cols = t.columns
+    cosets = list(range(t.size))
+    for i in range(t.presentation.ngens):
+        fwd, bwd = cols[2 * i], cols[2 * i + 1]
+        if sorted(fwd) != cosets or sorted(bwd) != cosets:
             raise AssertionError(f"generator {i} does not act by a permutation")
-        if any(bwd[fwd[c]] != c for c in range(size)):
+        if [bwd[c] for c in fwd] != cosets:
             raise AssertionError(f"generator {i} columns are not inverse")
     for rel in t.presentation.relators:
-        for c in range(size):
-            if t.trace(c, rel) != c:
-                raise AssertionError(
-                    f"relator {rel} does not close at coset {c}")
+        ends = cosets
+        for col in _to_columns(rel):
+            step = cols[col]
+            ends = [step[c] for c in ends]
+        if ends != cosets:
+            c = next(c for c in cosets if ends[c] != c)
+            raise AssertionError(f"relator {rel} does not close at coset {c}")
 
 
 class ConjugationCriterion(namedtuple("ConjugationCriterion",
@@ -239,7 +243,7 @@ def _element_columns(q, t, tree):
         else:
             # c . x_s^-1 x_u x_s, with the inverse column giving c . x_s^-1
             gen, cu = gens[k], cols[u]
-            cols[v] = tuple([gen[cu[row[2 * k + 1]]] for row in t.action])
+            cols[v] = tuple([gen[cu[c]] for c in t.columns[2 * k + 1]])
     # then[i](col) is (col[c . x_i])_c, c moved by x_i and then by col; on
     # one coset itemgetter returns an item, not a 1-tuple, and the two
     # sides still compare

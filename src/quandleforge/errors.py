@@ -100,15 +100,6 @@ class NotIndex2(QuandleError):
     pass
 
 
-class ExtensionLawFails(QuandleError):
-    """The index-2 covering is not an abelian extension in the chosen fiber
-    labeling; witness is (x, a, z, b) with the offending product."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"extension law fails at {witness}")
-
-
 class TheoremViolation(QuandleError):
     """A mechanically checked theorem failed: this signals an implementation
     bug, never a mathematical discovery. Fail loudly."""

@@ -125,9 +125,8 @@ def parse_braid(name, strands, word):
 
 
 def _colorings(q, knot, relax_first, cap):
-    flat = [v for row in q.table for v in row]
     return [Coloring(top, bottom, pairs) for top, bottom, pairs
-            in braid_closure_colorings(flat, q.n, knot.strands,
+            in braid_closure_colorings(q.table, q.n, knot.strands,
                                        list(knot.word), orbit_forest(q),
                                        relax_first, cap=cap)]
 

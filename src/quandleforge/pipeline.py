@@ -15,13 +15,12 @@ bug detector, not a report line.
 from collections import namedtuple
 
 from .cohomology import cocycle, cocycle_power
-from .constructions import (_extension, abelian_extension, finite_group,
+from .constructions import (_extension, finite_group,
                             generalized_alexander_quandle, GroupAutomorphism)
-from .core import (QuandleMap, are_isomorphic, inner_group, inn_image,
-                   is_covering, is_faithful, DEFAULT_GROUP_CAP)
+from .core import (QuandleMap, inner_group, inn_image, is_covering,
+                   is_faithful, DEFAULT_GROUP_CAP)
 from .envgroup import DEFAULT_MAX_COSETS, is_conjugation_quandle
-from .errors import (ExtensionLawFails, NotACovering, NotIndex2,
-                     TheoremViolation)
+from .errors import NotACovering, NotIndex2, TheoremViolation
 from .knotdata import bundled_knots
 from .knots import GroupRingElt, is_constant, state_sum
 
@@ -61,12 +60,18 @@ def inn_sequence(q):
 def recover_index2_cocycle(f):
     """Express an index-2 covering as an abelian extension by Z_2.
 
-    The fiber over each base point is labeled {0, 1} with the
-    lexicographically least preimage at level 0; phi(x, z) is the level of
-    s(x) * s(z).  The full extension law is then verified for every pair, and
-    the rebuilt extension is checked isomorphic to the source.  When the
-    source is connected this must succeed; elsewhere ExtensionLawFails is
-    informative (no relabeling is attempted).
+    The fiber over each base point is labeled {0, 1} with the least
+    preimage at level 0; phi(a, b) is the level of s(a) * s(b), for s(a) the
+    level-0 point over a.  phi is checked once as a 2-cocycle, and
+    u -> 2 f(u) + level(u) once as a quandle map onto E(X, Z_2, phi); the
+    map is a bijection, so that check proves the isomorphism.
+
+    The check cannot fail for a covering whose fibers have two points,
+    connected or not.  f is a covering, so both points over z have one right
+    translation; it is a bijection and f a homomorphism, so it maps the
+    fiber over x bijectively onto the fiber over x*z.  So if s(x) lands at
+    level phi(x, z), the other point over x lands at the other level, which
+    is the extension law (x, a) * (z, b) = (x*z, a + phi(x, z)).
     """
     if not is_covering(f):
         raise NotACovering("index-2 recovery requires a covering")
@@ -75,32 +80,15 @@ def recover_index2_cocycle(f):
         raise NotIndex2("all fibers must have exactly two elements")
     y = f.source
     x = f.target
-    section = {b: min(fib) for b, fib in fibers.items()}
-    level = {}
-    for b, fib in fibers.items():
-        level[section[b]] = 0
-        level[max(fib)] = 1
-
-    vals = [[0] * x.n for _ in range(x.n)]
-    for a in range(x.n):
-        for b in range(x.n):
-            vals[a][b] = level[y.table[section[a]][section[b]]]
-    for a in range(x.n):
-        if vals[a][a]:
-            raise ExtensionLawFails((a, 0, a, 0))
-
-    # (level la over a) * (level lb over b) must land at level la + phi(a,b)
-    for ya in range(y.n):
-        for yb in range(y.n):
-            prod = y.table[ya][yb]
-            a, b = f.images[ya], f.images[yb]
-            if level[prod] != (level[ya] + vals[a][b]) % 2:
-                raise ExtensionLawFails((a, level[ya], b, level[yb]))
-
-    phi = cocycle(x, 2, vals)
-    rebuilt, _ = abelian_extension(x, 2, phi)
-    if are_isomorphic(rebuilt, y) is None:
-        raise ExtensionLawFails(("rebuilt extension not isomorphic",))
+    section = [0] * x.n
+    level = [0] * y.n
+    for b, (low, high) in fibers.items():   # preimages in ascending order
+        section[b] = low
+        level[high] = 1
+    phi = cocycle(x, 2, [[level[y.table[sa][sb]] for sb in section]
+                         for sa in section])
+    e, _ = _extension(x, 2, phi)
+    QuandleMap(y, e, tuple(2 * b + level[u] for u, b in enumerate(f.images)))
     return phi
 
 
@@ -138,19 +126,10 @@ class ExtensionVerdict(namedtuple(
 
     phi is the Cocycle2, projection the QuandleMap from the extension onto
     the base; is_conjugation is "yes", "no" or "not_applicable", and
-    invariants maps knot names to GroupRingElt.  The fields from
-    is_conjugation on default to None, and invariants to a new empty dict.
+    invariants maps knot names to GroupRingElt.
     """
 
     __slots__ = ()
-
-    def __new__(cls, base, m, phi, extension, projection,
-                is_conjugation=None, inn_preimage_found=None,
-                invariants=None, invariant_constant_on_corpus=None):
-        return super().__new__(
-            cls, base, m, phi, extension, projection, is_conjugation,
-            inn_preimage_found, {} if invariants is None else invariants,
-            invariant_constant_on_corpus)
 
 
 def _extension_verdict(x, m, phi, invariants, max_cosets):
@@ -213,16 +192,9 @@ class PowerCheckReport(namedtuple(
 
     verdict is the ExtensionVerdict of phi, or None when m == 1;
     coefficients maps each knot name to its coefficient tuple over Z_n.
-    coefficients defaults to a new empty dict and vanishing_ok to None.
     """
 
     __slots__ = ()
-
-    def __new__(cls, n, d, m, hypothesis_held, verdict, coefficients=None,
-                vanishing_ok=None):
-        return super().__new__(
-            cls, n, d, m, hypothesis_held, verdict,
-            {} if coefficients is None else coefficients, vanishing_ok)
 
 
 def power_coefficient_check(x, n, psi, d, knots=None,

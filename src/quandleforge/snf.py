@@ -80,8 +80,7 @@ def row_reduce(rows, ncols):
     return out
 
 
-class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv",
-                           defaults=(None, None, None))):
+class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv")):
     """S = U @ A @ V with U, V unimodular; diag = invariant factors d1 | d2 | ...
 
     diag is a list, and each transform a list of rows.  U itself is never

@@ -1,18 +1,30 @@
-"""The benchmark's per-layer metrics name package functions that exist.
+"""The benchmark's per-layer metrics name package functions that exist,
+and its counts read the arguments they mean.
 
 forgebench/shim.py wraps the public functions that each layer module
 defines, and forgebench/layers.py reads their spans by name, so a function
 that is renamed, made private or moved to another module would read zero
 there and fail a traced run.  layers.py is loaded read-only by path, the
-way forgebench/checks.py loads tests/oracles.py.
+way forgebench/checks.py loads tests/oracles.py.  The shim also derives
+counts from argument positions (assignments is n ** strands), which real
+traced requests check against what the requests print.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from quandleforge import io as qio
+from quandleforge.constructions import dihedral_quandle
+from quandleforge.knotdata import bundled_knots
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +52,43 @@ def test_span_is_a_public_function_of_its_layer(name):
     assert not attr.startswith("_"), name
     assert inspect.isfunction(fn), name
     assert fn.__module__ == module.__name__, name
+
+
+def traced(tmp_path, request, *args):
+    """Run one forge request under forgebench/shim.py: its stdout records
+    and its span counts, summed by span name and count name."""
+    spans = tmp_path / f"{request}.json"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "forgebench" / "shim.py"), str(spans),
+         request, *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=tmp_path,
+        capture_output=True, text=True, check=True)
+    counts = Counter()
+    for name, _, _, _, span_counts in json.loads(spans.read_text())["spans"]:
+        for key, value in (span_counts or {}).items():
+            counts[f"{name}.{key}"] += value
+    return [json.loads(line) for line in run.stdout.splitlines()], counts
+
+
+def test_shim_counts_read_the_kernel_arguments(tmp_path):
+    # the shim derives its counts from the positions of each call's
+    # arguments and from its result, so a kernel signature change must not
+    # shift them
+    quandle = tmp_path / "d5.quandle"
+    qio.write_text(quandle, qio.quandle_to_text(dihedral_quandle(5)))
+
+    (record,), counts = traced(tmp_path, "vendramin", "vendramin",
+                               "--quandle", str(quandle))
+    assert counts["kernels.coset_enumeration.live_cosets"] \
+        == record["finite_enveloping_order"]
+
+    records, counts = traced(tmp_path, "tangle", "invariant", "--tangle",
+                             "--quandle", str(quandle))
+    assert counts["kernels.braid_closure_colorings.colorings"] \
+        == sum(r["colorings"] for r in records) > 0
+    assert counts["kernels.braid_closure_colorings.assignments"] \
+        == sum(5 ** k.strands for k in bundled_knots())
+
+    _, counts = traced(tmp_path, "h2", "h2", "--quandle", str(quandle),
+                       "--mod", "2")
+    assert counts["snf.row_reduce.rows_in"] > 0

@@ -74,8 +74,8 @@ class TestToddCoxeter:
     def test_columns_are_inverse_permutations(self, d5):
         t = todd_coxeter(enveloping_presentation(d5, finite=True))
         for i in range(5):
-            fwd = t.generator_column(i)
-            bwd = tuple(row[2 * i + 1] for row in t.action)
+            fwd, bwd = t.columns[2 * i], t.columns[2 * i + 1]
+            assert t.generator_column(i) == fwd
             assert sorted(fwd) == list(range(t.size))
             assert all(bwd[fwd[c]] == c for c in range(t.size))
 
@@ -83,9 +83,25 @@ class TestToddCoxeter:
         t = todd_coxeter(enveloping_presentation(d3, finite=True))
         verify_coset_table(t)   # every relator from every coset
         broken = CosetTable(presentation=Presentation(1, ((1, 1),)),
-                            size=2, action=((1, 1), (1, 0)))
-        with pytest.raises(AssertionError):
+                            size=2, columns=((1, 1), (1, 0)))
+        with pytest.raises(AssertionError, match="not act by a permutation"):
             verify_coset_table(broken)
+
+    def test_verification_rejects_non_inverse_columns(self):
+        # both columns are permutations, but the second is not the inverse
+        # of the first
+        t = CosetTable(presentation=Presentation(1, ((1, 1, 1),)), size=3,
+                       columns=((1, 2, 0), (1, 2, 0)))
+        with pytest.raises(AssertionError, match="columns are not inverse"):
+            verify_coset_table(t)
+
+    def test_verification_names_least_failing_coset(self):
+        # x swaps cosets 1 and 2, so the relator x closes at 0 only
+        t = CosetTable(presentation=Presentation(1, ((1,),)), size=3,
+                       columns=((0, 2, 1), (0, 2, 1)))
+        with pytest.raises(AssertionError,
+                           match=r"relator \(1,\) does not close at coset 1$"):
+            verify_coset_table(t)
 
     def test_monotone_under_extra_relators(self):
         # adding relators never increases the enumerated order

@@ -34,7 +34,7 @@ def flat(q):
 
 
 def colorings(q, s, word, relax, stats=None):
-    return braid_closure_colorings(flat(q), q.n, s, word, orbit_forest(q),
+    return braid_closure_colorings(q.table, q.n, s, word, orbit_forest(q),
                                    relax_first=relax, stats=stats)
 
 

@@ -142,9 +142,8 @@ class TestBraidMoves:
         assert bottoms.tolist() == [list(t) for t in product(range(5),
                                                              repeat=2)]
         assert (pairs[:, 0] == pairs[:, 1]).all()
-        cols = _kernels.braid_closure_colorings(
-            [v for row in d5.table for v in row], 5, 2, [1, -1],
-            orbit_forest(d5))
+        cols = _kernels.braid_closure_colorings(d5.table, 5, 2, [1, -1],
+                                                orbit_forest(d5))
         assert len(cols) == 25
         for top, bottom, ((x1, y1, s1), (x2, y2, s2)) in cols:
             assert bottom == top

@@ -19,7 +19,8 @@ from quandleforge.envgroup import (conjugation_criterion,
                                    enveloping_presentation,
                                    is_conjugation_quandle, todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
-                                 NotACovering, NotIndex2, ShapeMismatch)
+                                 NotACovering, NotAHomomorphism, NotIndex2,
+                                 ShapeMismatch)
 from quandleforge import cohomology, pipeline
 from quandleforge.knots import is_constant, parse_braid, state_sum
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
@@ -115,6 +116,24 @@ class TestRecoverIndex2:
         phi = recover_index2_cocycle(f)
         rebuilt, _ = abelian_extension(img, 2, phi)
         assert are_isomorphic(rebuilt, y) is not None
+
+    def test_corpus_roundtrip_exact(self):
+        # every m = 2 corpus extension, disconnected bases included: the
+        # level labeling gives back phi itself, not only its class
+        cases = corpus_extensions(max_base_order=12, moduli=(2,))
+        assert any(not is_connected(x) for _, x, _, _, _, _ in cases)
+        for name, x, m, phi, e, proj in cases:
+            assert recover_index2_cocycle(proj).values == phi.values, name
+
+    def test_labeling_check_is_live(self, monkeypatch, x6, x6_psi):
+        # with E built from the zero cocycle instead of the recovered one,
+        # the labeling is no quandle map, and that check must say so
+        _, proj = abelian_extension(x6, 2, x6_psi)
+        build = pipeline._extension
+        monkeypatch.setattr(pipeline, "_extension", lambda x, m, phi: build(
+            x, m, Cocycle2.zero(x.n, m)))
+        with pytest.raises(NotAHomomorphism):
+            recover_index2_cocycle(proj)
 
     def test_not_index_two(self, d3):
         e, proj = abelian_extension(d3, 3, Cocycle2.zero(3, 3))

@@ -49,7 +49,7 @@ SAMPLES = {
     GroupAutomorphism: {"group": Z3, "images": (0, 2, 1)},
     Presentation: {"ngens": 1, "relators": ((1, 1, 1),)},
     CosetTable: {"presentation": CYCLIC, "size": 3,
-                 "action": todd_coxeter(CYCLIC).action},
+                 "columns": todd_coxeter(CYCLIC).columns},
     ConjugationCriterion: {"connected": True, "order": 6,
                            "collision": (0, 1)},
     BraidKnot: {"name": "3_1", "strands": 2, "word": (1, 1, 1),
@@ -129,19 +129,6 @@ def test_values_are_tuples_of_their_fields(cls):
     value = cls(**fields)
     assert value == tuple(fields.values())
     assert list(value) == list(fields.values())
-
-
-def test_defaults():
-    head = {k: SAMPLES[ExtensionVerdict][k]
-            for k in ("base", "m", "phi", "extension", "projection")}
-    a, b = ExtensionVerdict(**head), ExtensionVerdict(**head)
-    assert (a.is_conjugation, a.inn_preimage_found,
-            a.invariant_constant_on_corpus) == (None, None, None)
-    assert a.invariants == {} and a.invariants is not b.invariants
-    r = PowerCheckReport(4, 2, 2, False, None)
-    assert r.coefficients == {} and r.vanishing_ok is None
-    s = SmithForm([1], 1, 1, 1)
-    assert (s.Uinv, s.V, s.Vinv) == (None, None, None)
 
 
 @pytest.mark.parametrize("build, error, message", [
