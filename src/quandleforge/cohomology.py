@@ -212,6 +212,9 @@ def second_cohomology(q, m):
     (kernel lattice, with V and Vinv) and the quotient presentation
     (invariant factors, with Uinv).  Representatives are V times the
     generators of the quotient; each is verified to be a cocycle.  The
+    transforms are sparse, so each relation row is built from the nonzeros
+    of a row of Vinv, and each representative from the nonzeros of a
+    column of Uinv and the columns of V they select.  The
     order is verified exactly: |H^2| * coboundary_space_order must equal
     cocycle_space_order read off the diagonal and rank of the first Smith
     form, the one of the reduced constraints.  The classes are verified
@@ -231,10 +234,10 @@ def second_cohomology(q, m):
     reduced = snf.row_reduce(rows, npairs)
     if reduced:
         form = snf.smith_normal_form(reduced, want=("V", "Vinv"))
-        vmat, vinv = form.V, form.Vinv
+        vcols, vinv = form.V, form.Vinv
         diag, rank = form.diag, form.rank
     else:
-        vmat = vinv = snf.identity(npairs)
+        vcols = vinv = [{j: 1} for j in range(npairs)]
         diag, rank = (), 0
     tdiag = [m // gcd(d, m) for d in diag]
     tdiag += [1] * (npairs - len(tdiag))
@@ -244,15 +247,19 @@ def second_cohomology(q, m):
     # (a, b) of the coboundary matrix D is +1 at a and -1 at a*b
     x = []
     for vrow, t in zip(vinv, tdiag):
-        row = [0] * n
-        for (a, b), v in zip(pairs, vrow):
-            if v:
-                row[a] += v
-                row[q.table[a][b]] -= v
-        row += [m * v for v in vrow]
-        if any(v % t for v in row):
+        row = {}
+        for c, v in vrow.items():
+            a, b = pairs[c]
+            row[a] = row.get(a, 0) + v
+            ab = q.table[a][b]
+            row[ab] = row.get(ab, 0) - v
+            row[n + c] = m * v
+        if any(v % t for v in row.values()):
             raise AssertionError("relation lattice not inside kernel")
-        x.append([v // t for v in row])
+        dense = [0] * (n + npairs)
+        for j, v in row.items():
+            dense[j] = v // t
+        x.append(dense)
 
     qform = snf.smith_normal_form(x, want=("Uinv",))
     if qform.rank != npairs:
@@ -260,16 +267,20 @@ def second_cohomology(q, m):
 
     factors = []
     reps = []
-    uinv = qform.Uinv
-    for i, d in enumerate(qform.diag):
+    for d, ucol in zip(qform.diag, qform.Uinv):
         if d == 1:
             continue
         factors.append(d)
-        # generator = K-basis times column i of Uinv, i.e. V . diag . Uinv[:, i]
-        w = [tdiag[r] * uinv[r][i] for r in range(npairs)]
+        # generator = K-basis times this column of Uinv, i.e.
+        # V . diag(tdiag) . Uinv[:, i], summed over the column's nonzeros
+        w = [0] * npairs
+        for r, u in ucol.items():
+            tu = tdiag[r] * u
+            for c, v in vcols[r].items():
+                w[c] += v * tu
         vals = [[0] * n for _ in range(n)]
-        for (a, b), row in zip(pairs, vmat):
-            vals[a][b] = sum(c * wr for c, wr in zip(row, w)) % m
+        for (a, b), v in zip(pairs, w):
+            vals[a][b] = v % m
         reps.append(cocycle(q, m, vals))
 
     # SNF already orders the factors by the divisibility chain

@@ -89,11 +89,6 @@ class CosetTable(namedtuple("CosetTable", "presentation size columns")):
         """The permutation induced by generator i on the cosets."""
         return self.columns[2 * i]
 
-    def trace(self, coset, word):
-        for col in _to_columns(word):
-            coset = self.columns[col][coset]
-        return coset
-
 
 def _to_columns(word):
     return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)

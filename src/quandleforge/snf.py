@@ -5,19 +5,16 @@ tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
 nonzeros each) to at most one row per column.  It takes sparse rows of
 (column, value) pairs, keeps each working row as a dict in the bucket of its
 leading column, and returns dense rows, so its memory follows the fill and
-not rows x columns.  `smith_normal_form` is dense, on lists of lists, and
-meant for what is left: a few hundred rows and columns.
+not rows x columns.  `smith_normal_form` takes what is left as dense rows,
+thousands of rows and columns at order 47 but under 1 % nonzero, and works
+on sparse rows (dicts column -> value) with a column index (column -> set
+of rows), so each row or column operation touches only the nonzeros of
+that row or column.  Its transforms are sparse too.
 """
 
 from collections import namedtuple
+from itertools import compress
 from operator import itemgetter
-
-
-def identity(k):
-    m = [[0] * k for _ in range(k)]
-    for i in range(k):
-        m[i][i] = 1
-    return m
 
 
 def row_reduce(rows, ncols):
@@ -83,86 +80,134 @@ def row_reduce(rows, ncols):
 class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv")):
     """S = U @ A @ V with U, V unimodular; diag = invariant factors d1 | d2 | ...
 
-    diag is a list, and each transform a list of rows.  U itself is never
-    formed.  Only the transforms requested from smith_normal_form are
-    populated; the rest are None.
+    diag is a list.  Each transform is sparse, a list of dicts that hold only
+    nonzero entries, in the orientation its operations and its reader use:
+    Uinv and V by columns (V[j] is column j as {row: value}), Vinv by rows
+    (Vinv[i] is row i as {column: value}).  U itself is never formed.  Only
+    the transforms requested from smith_normal_form are populated; the rest
+    are None.
     """
 
     __slots__ = ()
 
 
+def _add(dst, src, q):
+    """dst += q * src on sparse vectors, dropping the entries that cancel."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + q * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
 def smith_normal_form(a, want=()):
     """Smith normal form of an integer matrix with optional transforms.
 
-    want is a subset of {"Uinv", "V", "Vinv"}: with S = U A V, U acting on
-    rows, these are V and the exact integer inverses of U and V, so
-    A = Uinv S Vinv.
+    a is a dense list of rows.  want is a subset of {"Uinv", "V", "Vinv"}:
+    with S = U A V, U acting on rows, these are V and the exact integer
+    inverses of U and V, so A = Uinv S Vinv; see SmithForm for their sparse
+    layout.
+
+    The pivot at (t, t) is the least |entry| of the block of rows and
+    columns >= t, the first in row-major order; the pivot row and column
+    are cleared by floor-quotient operations, and the block is searched
+    again until both are clear.  A last pass enforces d1 | d2 | ... on the
+    diagonal.  The rows are dicts and index[j] is the set of rows nonzero
+    in column j, so each operation costs the nonzeros it touches.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    s = [list(row) for row in a]
+    s = [dict(compress(enumerate(row), row)) for row in a]
+    index = [set() for _ in range(nc)]
+    for i, row in enumerate(s):
+        for j in row:
+            index[j].add(i)
 
-    need_ui = "Uinv" in want
-    need_v = "V" in want
-    need_vi = "Vinv" in want
-    Ui = identity(nr) if need_ui else None
-    V = identity(nc) if need_v else None
-    Vi = identity(nc) if need_vi else None
+    Ui = [{j: 1} for j in range(nr)] if "Uinv" in want else None
+    V = [{j: 1} for j in range(nc)] if "V" in want else None
+    Vi = [{j: 1} for j in range(nc)] if "Vinv" in want else None
+
+    def entry(i, j):
+        return s[i].get(j, 0)
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        if need_ui:  # columns of Uinv
-            for r in Ui:
-                r[i], r[j] = r[j], r[i]
+        ri, rj = s[i], s[j]
+        for k in ri:
+            index[k].discard(i)
+        for k in rj:
+            index[k].discard(j)
+        for k in ri:
+            index[k].add(j)
+        for k in rj:
+            index[k].add(i)
+        s[i], s[j] = rj, ri
+        if Ui is not None:  # columns of Uinv
+            Ui[i], Ui[j] = Ui[j], Ui[i]
 
     def swap_cols(i, j):
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        if need_v:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-        if need_vi:
+        for r in index[i] | index[j]:
+            row = s[r]
+            vi, vj = row.pop(i, 0), row.pop(j, 0)
+            if vj:
+                row[i] = vj
+            if vi:
+                row[j] = vi
+        index[i], index[j] = index[j], index[i]
+        if V is not None:
+            V[i], V[j] = V[j], V[i]
+        if Vi is not None:
             Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        rs, rd = s[src], s[dst]
-        for j in range(nc):
-            rd[j] += q * rs[j]
-        if need_ui:  # Uinv: col src -= q * col dst
-            for r in Ui:
-                r[src] -= q * r[dst]
+        rd = s[dst]
+        for j, v in s[src].items():
+            w = rd.get(j, 0) + q * v
+            if w:
+                rd[j] = w
+                index[j].add(dst)
+            else:
+                del rd[j]
+                index[j].discard(dst)
+        if Ui is not None:  # Uinv: col src -= q * col dst
+            _add(Ui[src], Ui[dst], -q)
 
     def add_col(src, dst, q):
         # col dst += q * col src
-        for r in s:
-            r[dst] += q * r[src]
-        if need_v:
-            for r in V:
-                r[dst] += q * r[src]
-        if need_vi:  # Vinv: row src -= q * row dst
-            rs, rd = Vi[src], Vi[dst]
-            for j in range(nc):
-                rs[j] -= q * rd[j]
+        rows = index[dst]
+        for i in index[src]:
+            row = s[i]
+            w = row.get(dst, 0) + q * row[src]
+            if w:
+                row[dst] = w
+                rows.add(i)
+            else:
+                del row[dst]
+                rows.discard(i)
+        if V is not None:
+            _add(V[dst], V[src], q)
+        if Vi is not None:  # Vinv: row src -= q * row dst
+            _add(Vi[src], Vi[dst], -q)
 
     def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        if need_ui:
-            for r in Ui:
-                r[i] = -r[i]
+        s[i] = {j: -v for j, v in s[i].items()}
+        if Ui is not None:
+            Ui[i] = {j: -v for j, v in Ui[i].items()}
 
     def select_pivot(t):
-        piv = None
-        best = None
+        # rows >= t are zero left of column t, so their entries are the block
+        best = piv = None
         for i in range(t, nr):
             row = s[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-                    if best == 1:
-                        return piv
+            if not row:
+                continue
+            least = min(map(abs, row.values()))
+            if best is None or least < best:
+                best = least
+                piv = (i, min(j for j, v in row.items() if abs(v) == least))
+                if best == 1:
+                    break
         return piv
 
     t = 0
@@ -182,16 +227,18 @@ def smith_normal_form(a, want=()):
             if s[t][t] < 0:
                 negate_row(t)
             p = s[t][t]
-            for i in range(t + 1, nr):
-                q = s[i][t] // p
-                if q:
-                    add_row(t, i, -q)
-            for j in range(t + 1, nc):
-                q = s[t][j] // p
-                if q:
-                    add_col(t, j, -q)
-            if any(s[i][t] for i in range(t + 1, nr)) \
-                    or any(s[t][j] for j in range(t + 1, nc)):
+            for i in sorted(index[t]):
+                if i > t:
+                    q = s[i][t] // p
+                    if q:
+                        add_row(t, i, -q)
+            row = s[t]
+            for j in sorted(row):
+                if j > t:
+                    q = row[j] // p
+                    if q:
+                        add_col(t, j, -q)
+            if len(index[t]) > 1 or len(row) > 1:
                 piv = select_pivot(t)
                 continue
             break
@@ -202,28 +249,28 @@ def smith_normal_form(a, want=()):
     while changed:
         changed = False
         for k in range(t - 1):
-            a_, b_ = s[k][k], s[k + 1][k + 1]
+            a_, b_ = entry(k, k), entry(k + 1, k + 1)
             if b_ % a_ == 0:
                 continue
             changed = True
             # fold entry b into position k via one column add, then re-clear
             add_col(k + 1, k, 1)
-            while s[k + 1][k] != 0:
+            while entry(k + 1, k) != 0:
                 # euclid on the 2x2 block (k,k),(k+1,k)
-                q = s[k][k] // s[k + 1][k]
+                q = entry(k, k) // entry(k + 1, k)
                 if q:
                     add_row(k + 1, k, -q)
                 swap_rows(k, k + 1)
-            if s[k][k] < 0:
+            if entry(k, k) < 0:
                 negate_row(k)
             # row op may have refilled (k, k+1); clear it
-            if s[k][k + 1]:
-                q = s[k][k + 1] // s[k][k]
+            if entry(k, k + 1):
+                q = entry(k, k + 1) // entry(k, k)
                 add_col(k, k + 1, -q)
-            if s[k + 1][k + 1] < 0:
+            if entry(k + 1, k + 1) < 0:
                 negate_row(k + 1)
 
-    diag = [s[i][i] for i in range(min(nr, nc))]
+    diag = [entry(i, i) for i in range(min(nr, nc))]
     rank = sum(1 for d in diag if d != 0)
     diag = diag[:rank]
     return SmithForm(diag=diag, rank=rank, nrows=nr, ncols=nc,

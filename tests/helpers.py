@@ -26,6 +26,22 @@ def dense_rows(rows, ncols):
     return out
 
 
+def dense_smith_form(form):
+    """form with its sparse transforms as dense lists of rows, the layout of
+    oracles.reference_smith_normal_form: Uinv and V come by columns, Vinv
+    by rows."""
+    def by_rows(vectors, k):
+        return dense_rows([v.items() for v in vectors], k)
+
+    def by_columns(vectors, k):
+        return [list(r) for r in zip(*by_rows(vectors, k))]
+
+    return form._replace(
+        Uinv=form.Uinv and by_columns(form.Uinv, form.nrows),
+        V=form.V and by_columns(form.V, form.ncols),
+        Vinv=form.Vinv and by_rows(form.Vinv, form.ncols))
+
+
 def sym_class_quandle(degree, cycle_type):
     """The conjugacy-class quandle of Sym(degree) elements of the given cycle
     type, fixed points included ((1,1,2) is the transpositions of Sym(4),

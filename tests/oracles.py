@@ -6,7 +6,8 @@ row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
 algebra, cocycle constraint rows from the package's first dense builder,
-integer row reduction from the package's first elimination loop,
+integer row reduction from the package's first elimination loop, Smith
+normal forms from the package's dense lists-of-lists version,
 quandle and group axiom verdicts from the package's first numpy checks,
 cocycle/coboundary counts and coboundary sets from exhaustive enumeration,
 matrix products from the textbook triple sum, group
@@ -14,6 +15,7 @@ closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
 """
 
+from collections import namedtuple
 from itertools import product
 
 import numpy as np
@@ -290,6 +292,147 @@ def reference_row_reduce(rows, ncols):
         rows = [r for r in rest if any(r[col:])]
         col += 1
     return out
+
+
+def identity(k):
+    """The k x k integer identity matrix as a list of rows."""
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+ReferenceSmithForm = namedtuple("ReferenceSmithForm",
+                                "diag rank nrows ncols Uinv V Vinv")
+
+
+def reference_smith_normal_form(a, want=()):
+    """The package's dense Smith normal form, kept as the reference that the
+    sparse one must match operation for operation: the same pivots, row and
+    column operations and divisibility fix-up on lists of lists.  Returns
+    diag, rank and the transforms of want (a subset of {"Uinv", "V",
+    "Vinv"}, A = Uinv S Vinv with S = U A V) as dense lists of rows; the
+    others are None."""
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    s = [list(row) for row in a]
+
+    need_ui = "Uinv" in want
+    need_v = "V" in want
+    need_vi = "Vinv" in want
+    Ui = identity(nr) if need_ui else None
+    V = identity(nc) if need_v else None
+    Vi = identity(nc) if need_vi else None
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        if need_ui:  # columns of Uinv
+            for r in Ui:
+                r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        if need_v:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+        if need_vi:
+            Vi[i], Vi[j] = Vi[j], Vi[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        rs, rd = s[src], s[dst]
+        for j in range(nc):
+            rd[j] += q * rs[j]
+        if need_ui:  # Uinv: col src -= q * col dst
+            for r in Ui:
+                r[src] -= q * r[dst]
+
+    def add_col(src, dst, q):
+        # col dst += q * col src
+        for r in s:
+            r[dst] += q * r[src]
+        if need_v:
+            for r in V:
+                r[dst] += q * r[src]
+        if need_vi:  # Vinv: row src -= q * row dst
+            rs, rd = Vi[src], Vi[dst]
+            for j in range(nc):
+                rs[j] -= q * rd[j]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        if need_ui:
+            for r in Ui:
+                r[i] = -r[i]
+
+    def select_pivot(t):
+        piv = None
+        best = None
+        for i in range(t, nr):
+            row = s[i]
+            for j in range(t, nc):
+                v = row[j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+                    if best == 1:
+                        return piv
+        return piv
+
+    t = 0
+    while t < min(nr, nc):
+        piv = select_pivot(t)
+        if piv is None:
+            break
+        while True:
+            i, j = piv
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            if s[t][t] < 0:
+                negate_row(t)
+            p = s[t][t]
+            for i in range(t + 1, nr):
+                q = s[i][t] // p
+                if q:
+                    add_row(t, i, -q)
+            for j in range(t + 1, nc):
+                q = s[t][j] // p
+                if q:
+                    add_col(t, j, -q)
+            if any(s[i][t] for i in range(t + 1, nr)) \
+                    or any(s[t][j] for j in range(t + 1, nc)):
+                piv = select_pivot(t)
+                continue
+            break
+        t += 1
+
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for k in range(t - 1):
+            a_, b_ = s[k][k], s[k + 1][k + 1]
+            if b_ % a_ == 0:
+                continue
+            changed = True
+            add_col(k + 1, k, 1)
+            while s[k + 1][k] != 0:
+                q = s[k][k] // s[k + 1][k]
+                if q:
+                    add_row(k + 1, k, -q)
+                swap_rows(k, k + 1)
+            if s[k][k] < 0:
+                negate_row(k)
+            if s[k][k + 1]:
+                q = s[k][k + 1] // s[k][k]
+                add_col(k, k + 1, -q)
+            if s[k + 1][k + 1] < 0:
+                negate_row(k + 1)
+
+    diag = [s[i][i] for i in range(min(nr, nc))]
+    rank = sum(1 for d in diag if d != 0)
+    return ReferenceSmithForm(diag=diag[:rank], rank=rank, nrows=nr, ncols=nc,
+                              Uinv=Ui, V=V, Vinv=Vi)
 
 
 def quandle_axiom_failure(table):

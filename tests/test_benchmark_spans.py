@@ -23,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from quandleforge import io as qio
+from quandleforge import snf
+from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import dihedral_quandle
 from quandleforge.knotdata import bundled_knots
 
@@ -70,7 +72,7 @@ def traced(tmp_path, request, *args):
     return [json.loads(line) for line in run.stdout.splitlines()], counts
 
 
-def test_shim_counts_read_the_kernel_arguments(tmp_path):
+def test_shim_counts_read_the_kernel_arguments(tmp_path, monkeypatch):
     # the shim derives its counts from the positions of each call's
     # arguments and from its result, so a kernel signature change must not
     # shift them
@@ -92,3 +94,14 @@ def test_shim_counts_read_the_kernel_arguments(tmp_path):
     _, counts = traced(tmp_path, "h2", "h2", "--quandle", str(quandle),
                        "--mod", "2")
     assert counts["snf.row_reduce.rows_in"] > 0
+    # cells is rows x columns of each dense matrix smith_normal_form takes
+    shapes = []
+    smith_normal_form = snf.smith_normal_form
+
+    def recorded(a, want=()):
+        shapes.append(len(a) * (len(a[0]) if a else 0))
+        return smith_normal_form(a, want)
+
+    monkeypatch.setattr(snf, "smith_normal_form", recorded)
+    second_cohomology(dihedral_quandle(5), 2)
+    assert counts["snf.smith_normal_form.cells"] == sum(shapes) > 0

@@ -185,29 +185,34 @@ class TestFiberCriterion:
 def regular_group(t):
     """Rebuild the enumerated group as an explicit multiplication table.
 
-    Cosets over the trivial subgroup are the group elements; words reaching
-    each coset from 0 are found by breadth-first search, and i*j traces j's
-    word from i.  Returns the group plus the element index of each generator.
-    Quadratic in the group order, so keep it for small enumerations.
+    Cosets over the trivial subgroup are the group elements; a word of
+    columns reaching each coset from 0 is found by breadth-first search, and
+    i*j follows j's word from i.  Returns the group plus the element index of
+    each generator.  Quadratic in the group order, so keep it for small
+    enumerations.
     """
     size = t.size
-    ng = t.presentation.ngens
     words = {0: ()}
     frontier = [0]
     while frontier:
         nxt = []
         for c in frontier:
-            for g in range(1, ng + 1):
-                for step in (g, -g):
-                    d = t.trace(c, (step,))
-                    if d not in words:
-                        words[d] = words[c] + (step,)
-                        nxt.append(d)
+            for k, col in enumerate(t.columns):
+                d = col[c]
+                if d not in words:
+                    words[d] = words[c] + (k,)
+                    nxt.append(d)
         frontier = nxt
     assert len(words) == size, "coset table is not transitive"
-    mult = [[t.trace(i, words[j]) for j in range(size)] for i in range(size)]
+
+    def follow(i, word):
+        for k in word:
+            i = t.columns[k][i]
+        return i
+
+    mult = [[follow(i, words[j]) for j in range(size)] for i in range(size)]
     g = finite_group(mult)
-    gens = tuple(t.trace(0, (i + 1,)) for i in range(ng))
+    gens = tuple(t.generator_column(i)[0] for i in range(t.presentation.ngens))
     return g, gens
 
 

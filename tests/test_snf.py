@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_quandles, dense_rows, sparse_rows
-from oracles import mat_mul, reference_constraint_rows, reference_row_reduce
+from helpers import corpus_quandles, dense_rows, dense_smith_form, sparse_rows
+from oracles import (identity, mat_mul, reference_constraint_rows,
+                     reference_row_reduce, reference_smith_normal_form)
 from quandleforge import snf
 from quandleforge.cohomology import _constraint_rows, _pair_index
 from quandleforge.constructions import alexander_quandle, dihedral_quandle
@@ -16,6 +17,17 @@ matrices = st.integers(1, 5).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-20, 20), min_size=c, max_size=c),
             min_size=r, max_size=r)))
+
+# mostly zero, like the matrices of second_cohomology, so that rows and
+# columns empty out and the pivot search skips zero rows
+sparse_matrices = st.integers(1, 7).flatmap(
+    lambda r: st.integers(1, 7).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(0), st.just(0), st.integers(-6, 6)),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+TRANSFORMS = ("Uinv", "V", "Vinv")
 
 
 def det(m):
@@ -41,7 +53,7 @@ def det(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_smith_form_properties(a):
-    form = snf.smith_normal_form(a, want=("Uinv", "V", "Vinv"))
+    form = dense_smith_form(snf.smith_normal_form(a, want=TRANSFORMS))
     nr, nc = len(a), len(a[0])
     s = [[form.diag[i] if i == j and i < form.rank else 0
           for j in range(nc)] for i in range(nr)]
@@ -49,9 +61,26 @@ def test_smith_form_properties(a):
     for i in range(form.rank - 1):
         assert form.diag[i + 1] % form.diag[i] == 0
     assert mat_mul(mat_mul(form.Uinv, s), form.Vinv) == a
-    assert mat_mul(form.Vinv, form.V) == snf.identity(nc)
+    assert mat_mul(form.Vinv, form.V) == identity(nc)
     assert abs(det(form.Uinv)) == 1
     assert abs(det(form.V)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices, sparse_matrices),
+       st.sets(st.sampled_from(TRANSFORMS)))
+def test_smith_form_matches_reference(a, want):
+    # the sparse form runs the reference's operations in the same order, so
+    # it must give the same diagonal and the same transforms, entry for entry
+    form = snf.smith_normal_form(a, want=want)
+    ref = reference_smith_normal_form(a, want=want)
+    assert (form.diag, form.rank, form.nrows, form.ncols) \
+        == (ref.diag, ref.rank, ref.nrows, ref.ncols)
+    for vectors in filter(None, (form.Uinv, form.V, form.Vinv)):
+        assert all(v for vector in vectors for v in vector.values())
+    dense = dense_smith_form(form)
+    for name in TRANSFORMS:
+        assert getattr(dense, name) == getattr(ref, name), name
 
 
 @settings(max_examples=150, deadline=None)

@@ -71,8 +71,8 @@ SAMPLES = {
     Certificate: {"base": D3, "m": 2, "phi": ZERO, "extension": E6,
                   "witness_knots": ["3_1"], "conjugation_verdict": "no"},
     SmithForm: {"diag": [1, 2], "rank": 2, "nrows": 2, "ncols": 3,
-                "Uinv": None, "V": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                "Vinv": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                "Uinv": None, "V": [{0: 1}, {1: 1}, {2: 1}],
+                "Vinv": [{0: 1}, {1: 1}, {2: 1}]},
 }
 
 # the types holding a dict or a list, which cannot be hashed
