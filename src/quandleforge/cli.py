@@ -243,6 +243,9 @@ def cmd_make(args):
         missing.append("--conj-by or --images")
     if missing:
         raise QuandleError(f"make {args.family} needs {', '.join(missing)}")
+    if args.family == "galex" and args.conj_by is not None \
+            and args.images is not None:
+        raise QuandleError("make galex takes one of --conj-by and --images")
     if args.family == "dihedral":
         q = dihedral_quandle(args.n)
         summary = f"dihedral quandle of order {args.n}"

@@ -115,16 +115,8 @@ def conjugation_automorphism(g, x):
     return GroupAutomorphism(g, tuple(g.conj(a, x) for a in range(g.order)))
 
 
-def dihedral_quandle(n):
-    """a*b = 2b - a mod n."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    return validate_quandle(
-        n, [[(2 * b - a) % n for b in range(n)] for a in range(n)])
-
-
 def alexander_quandle(n, t):
-    """a*b = t*a + (1-t)*b mod n for a unit t; t = n-1 is the dihedral case."""
+    """a*b = t*a + (1-t)*b mod n for a unit t."""
     if n < 1:
         raise ValueError("order must be positive")
     if gcd(t % n, n) != 1:
@@ -133,8 +125,14 @@ def alexander_quandle(n, t):
         n, [[(t * a + (1 - t) * b) % n for b in range(n)] for a in range(n)])
 
 
+def dihedral_quandle(n):
+    """a*b = 2b - a mod n: the Alexander quandle with t = -1."""
+    return alexander_quandle(n, -1)
+
+
 def trivial_quandle(n):
-    return validate_quandle(n, [[a] * n for a in range(n)])
+    """a*b = a: the Alexander quandle with t = 1."""
+    return alexander_quandle(n, 1)
 
 
 def generalized_alexander_quandle(g, f):

@@ -16,6 +16,7 @@ Conventions, used everywhere in this package:
 """
 
 from collections import namedtuple
+from math import lcm
 from operator import itemgetter
 
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
@@ -48,14 +49,7 @@ class Permutation(namedtuple("Permutation", "images")):
         return Permutation(tuple(inv))
 
     def order(self):
-        k = 1
-        p = self.images
-        cur = p
-        ident = tuple(range(len(p)))
-        while cur != ident:
-            cur = tuple(p[i] for i in cur)
-            k += 1
-        return k
+        return lcm(*self.cycle_type())
 
     def cycle_type(self):
         n = len(self.images)

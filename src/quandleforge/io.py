@@ -1,9 +1,13 @@
 """File formats.
 
-Cayley table:   line 1 is n, then n rows of n whitespace-separated 1-based
-                entries; row a, column b holds a*b.  '#' starts a comment.
-Group table:    same layout preceded by a '#group' header line.
-Cocycle:        line 1 is "n m", then n rows of n integers mod m.
+Quandle, group and cocycle files share one grammar: blank lines and lines
+that start with '#' are skipped; the first line left is a header whose first
+integer is n, and exactly n more lines follow, each of n whitespace-separated
+integers.
+
+Cayley table:   the header is n; row a, column b holds a*b, 1-based.
+Group table:    a Cayley table with a '#group' comment before its header.
+Cocycle:        the header is "n m", m >= 1; entries are read mod m.
 Knot table:     one "name;strands;comma-separated word" per line.
 
 Quandle and group entries are 1-based on disk (matching common Cayley-table
@@ -41,81 +45,71 @@ def _is_group_text(text):
     return False
 
 
-def _parse_table(text, kind):
+def _parse_table(text, kind, header="n", base=0):
+    """The header (the integers that header names) and the n rows of a
+    table file, each entry base less than on disk; ValueError for any
+    departure from the grammar.  A second header integer is a cocycle
+    modulus, checked before the rows."""
     lines = _content_lines(text)
     if not lines:
         raise ValueError(f"empty {kind} file")
-    n = int(lines[0])
-    if len(lines) < n + 1:
-        raise ValueError(f"{kind} file promises {n} rows, found {len(lines) - 1}")
+    head = [int(tok) for tok in lines[0].split()]
+    if len(head) != len(header.split()):
+        raise ValueError(f"{kind} header must be '{header}'")
+    n = head[0]
+    if len(head) > 1 and head[1] < 1:
+        raise ValueError(f"{kind} modulus must be >= 1, got {head[1]}")
+    if len(lines) != n + 1:
+        raise ValueError(
+            f"{kind} file promises {n} rows, found {len(lines) - 1}")
     rows = []
-    for line in lines[1:n + 1]:
-        row = [int(tok) - 1 for tok in line.split()]
+    for line in lines[1:]:
+        row = [int(tok) - base for tok in line.split()]
         if len(row) != n:
-            raise ValueError(f"{kind} row has {len(row)} entries, expected {n}")
+            raise ValueError(
+                f"{kind} row has {len(row)} entries, expected {n}")
         rows.append(row)
-    return n, rows
+    return head, rows
+
+
+def _table_to_text(head, rows, comment, base=0, marker=None):
+    """The text _parse_table reads: the marker line, the comment, the
+    header and one line per row, each entry written base more."""
+    lines = [marker] if marker else []
+    if comment:
+        lines.append(f"# {comment}")
+    lines.append(" ".join(map(str, head)))
+    lines += [" ".join(str(v + base) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_quandle_text(text):
-    n, rows = _parse_table(text, "quandle")
+    (n,), rows = _parse_table(text, "quandle", base=1)
     return validate_quandle(n, rows)
 
 
 def parse_group_text(text):
-    _, rows = _parse_table(text, "group")
+    _, rows = _parse_table(text, "group", base=1)
     return finite_group(rows)
 
 
+def parse_cocycle_text(text):
+    (n, m), rows = _parse_table(text, "cocycle", header="n m")
+    return Cocycle2(n=n, m=m,
+                    values=tuple(tuple(v % m for v in row) for row in rows))
+
+
 def quandle_to_text(q, comment=None):
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(str(q.n))
-    for row in q.table:
-        lines.append(" ".join(str(v + 1) for v in row))
-    return "\n".join(lines) + "\n"
+    return _table_to_text((q.n,), q.table, comment, base=1)
 
 
 def group_to_text(g, comment=None):
-    lines = [GROUP_HEADER]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(str(g.order))
-    for row in g.mult:
-        lines.append(" ".join(str(v + 1) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_cocycle_text(text):
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty cocycle file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("cocycle header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if m < 1:
-        raise ValueError(f"cocycle modulus must be >= 1, got {m}")
-    if len(lines) < n + 1:
-        raise ValueError(f"cocycle file promises {n} rows")
-    rows = []
-    for line in lines[1:n + 1]:
-        row = [int(tok) % m for tok in line.split()]
-        if len(row) != n:
-            raise ValueError(f"cocycle row has {len(row)} entries, expected {n}")
-        rows.append(tuple(row))
-    return Cocycle2(n=n, m=m, values=tuple(rows))
+    return _table_to_text((g.order,), g.mult, comment, base=1,
+                          marker=GROUP_HEADER)
 
 
 def cocycle_to_text(phi, comment=None):
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{phi.n} {phi.m}")
-    for row in phi.values:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _table_to_text((phi.n, phi.m), phi.values, comment)
 
 
 def parse_knots_text(text):

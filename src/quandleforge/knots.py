@@ -136,10 +136,10 @@ def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):
     return _colorings(q, k, False, cap)
 
 
-def tangle_colorings(q, t, cap=DEFAULT_ASSIGNMENT_CAP):
+def tangle_colorings(q, t):
     """Colorings of the 1-tangle: the closure constraint is dropped at the
     cut arc, so y0 and y1 may differ."""
-    return _colorings(q, t.knot, True, cap)
+    return _colorings(q, t.knot, True, DEFAULT_ASSIGNMENT_CAP)
 
 
 def coloring_weight(phi, coloring):
@@ -150,13 +150,13 @@ def coloring_weight(phi, coloring):
     return w % phi.m
 
 
-def state_sum(q, phi, k, cap=DEFAULT_ASSIGNMENT_CAP):
+def state_sum(q, phi, k):
     """The cocycle invariant: one u^weight per coloring of the closure."""
     if phi.n != q.n:
         raise ShapeMismatch(f"cocycle on {phi.n} elements, quandle of "
                             f"order {q.n}")
     coeffs = [0] * phi.m
-    for c in enumerate_colorings(q, k, cap=cap):
+    for c in enumerate_colorings(q, k):
         coeffs[coloring_weight(phi, c)] += 1
     return GroupRingElt(m=phi.m, coeffs=tuple(coeffs))
 
@@ -166,22 +166,22 @@ def is_constant(e):
     return all(c == 0 for c in e.coeffs[1:])
 
 
-def end_monochromatic(q, t, cap=DEFAULT_ASSIGNMENT_CAP):
+def end_monochromatic(q, t):
     """True iff every tangle coloring gives both endpoints the same color."""
-    return all(c.y0 == c.y1 for c in tangle_colorings(q, t, cap=cap))
+    return all(c.y0 == c.y1 for c in tangle_colorings(q, t))
 
 
-def endpoints_same_translation(q, t, cap=DEFAULT_ASSIGNMENT_CAP):
+def endpoints_same_translation(q, t):
     """True iff R_{y0} == R_{y1} for every tangle coloring.
 
     This must hold for every quandle, because our tangles are classical by
     construction; a failure here is an implementation bug.
     """
     return all(q.column(c.y0) == q.column(c.y1)
-               for c in tangle_colorings(q, t, cap=cap))
+               for c in tangle_colorings(q, t))
 
 
-def lift_coloring(f, t, coloring, y, cap=DEFAULT_ASSIGNMENT_CAP):
+def lift_coloring(f, t, coloring, y):
     """The unique lift of a base tangle coloring along a covering f, with top
     cut color y over coloring.y0.
 
@@ -193,7 +193,7 @@ def lift_coloring(f, t, coloring, y, cap=DEFAULT_ASSIGNMENT_CAP):
         raise NotACovering("lifting requires a covering map")
     if f.images[y] != coloring.y0:
         raise FiberMismatch(f"f({y}) != base color {coloring.y0}")
-    lifts = [c for c in tangle_colorings(f.source, t, cap=cap)
+    lifts = [c for c in tangle_colorings(f.source, t)
              if c.top[0] == y
              and tuple(f.images[v] for v in c.top) == coloring.top]
     if len(lifts) != 1:

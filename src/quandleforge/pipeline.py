@@ -18,7 +18,7 @@ from .cohomology import cocycle, cocycle_power
 from .constructions import (_extension, finite_group,
                             generalized_alexander_quandle, GroupAutomorphism)
 from .core import (QuandleMap, inner_group, inn_image, is_covering,
-                   is_faithful, DEFAULT_GROUP_CAP)
+                   is_faithful)
 from .envgroup import DEFAULT_MAX_COSETS, is_conjugation_quandle
 from .errors import NotACovering, NotIndex2, TheoremViolation
 from .knotdata import bundled_knots
@@ -99,13 +99,13 @@ class FiberReport(namedtuple("FiberReport", "holds witness")):
     __slots__ = ()
 
 
-def fiber_criterion(f, cap=DEFAULT_GROUP_CAP):
+def fiber_criterion(f):
     """Abelian extensions satisfy: an inner automorphism of the source fixing
     one point of a fiber fixes the fiber pointwise.  A False verdict (with
     witness) certifies that f is not an abelian extension."""
     if not f.is_epimorphism():
         raise NotACovering("fiber criterion expects an epimorphism")
-    inn = inner_group(f.source, cap=cap)
+    inn = inner_group(f.source)
     fibers = [tuple(v) for v in f.fibers().values()]
     for beta in inn.elements:
         img = beta.images

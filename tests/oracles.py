@@ -9,8 +9,10 @@ algebra, cocycle constraint rows from the package's first dense builder,
 integer row reduction from the package's first elimination loop, Smith
 normal forms from the package's dense lists-of-lists version,
 quandle and group axiom verdicts from the package's first numpy checks,
-cocycle/coboundary counts and coboundary sets from exhaustive enumeration,
-matrix products from the textbook triple sum, group
+dihedral and trivial tables from their own formulas, permutation orders
+from repeated composition, cocycle/coboundary counts and coboundary sets
+from exhaustive enumeration, matrix products from the textbook triple sum,
+group
 closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
 """
@@ -479,6 +481,26 @@ def group_axiom_failure(table):
         if not any(m[a][b] == ident and m[b][a] == ident for b in range(k)):
             return "inverse", a
     return None
+
+
+def dihedral_table(n):
+    """The package's first dihedral constructor: a*b = 2b - a mod n."""
+    return tuple(tuple((2 * b - a) % n for b in range(n)) for a in range(n))
+
+
+def trivial_table(n):
+    """The package's first trivial constructor: a*b = a."""
+    return tuple((a,) * n for a in range(n))
+
+
+def composition_order(images):
+    """The package's first permutation order: compose the permutation with
+    itself until the identity comes back, counting the factors."""
+    k, cur, ident = 1, tuple(images), tuple(range(len(images)))
+    while cur != ident:
+        cur = tuple(images[i] for i in cur)
+        k += 1
+    return k
 
 
 def naive_closure(generators):

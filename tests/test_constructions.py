@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_extensions
-from oracles import group_axiom_failure
+from oracles import dihedral_table, group_axiom_failure, trivial_table
 from quandleforge.cohomology import Cocycle2, is_cocycle
 from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
                                         alexander_quandle,
@@ -104,6 +104,18 @@ class TestDihedralAlexander:
 
     def test_dihedral1_trivial(self):
         assert dihedral_quandle(1).n == 1
+
+    def test_dihedral_and_trivial_match_their_formulas(self):
+        # both are now Alexander quandles, t = -1 and t = 1
+        for n in range(1, 31):
+            assert dihedral_quandle(n).table == dihedral_table(n), n
+            assert trivial_quandle(n).table == trivial_table(n), n
+
+    @pytest.mark.parametrize("make", [dihedral_quandle, trivial_quandle])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, make, n):
+        with pytest.raises(ValueError, match="order must be positive"):
+            make(n)
 
     def test_dihedral4_disconnected(self, d4):
         assert not is_connected(d4)

@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_quandles
-from oracles import naive_closure, quandle_axiom_failure
+from oracles import (composition_order, naive_closure,
+                     quandle_axiom_failure)
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
 from quandleforge.cohomology import Cocycle2
@@ -25,6 +28,26 @@ def relabel(q, sigma):
     table = [[sigma[q.table[inv[a]][inv[b]]] for b in range(q.n)]
              for a in range(q.n)]
     return validate_quandle(q.n, table)
+
+
+class TestPermutationOrder:
+    def test_matches_composition_count(self):
+        # every permutation of degree 0..6, the empty one included
+        for degree in range(7):
+            for images in permutations(range(degree)):
+                assert Permutation(images).order() \
+                    == composition_order(images), images
+
+    def test_lcm_of_large_coprime_cycles(self):
+        # cycles of lengths 2, 3, 5, 7, 11, 19 on 47 points, laid end to end
+        images, start = [], 0
+        for length in (2, 3, 5, 7, 11, 19):
+            images += [start + (i + 1) % length for i in range(length)]
+            start += length
+        p = Permutation(tuple(images))
+        assert len(images) == 47
+        assert p.cycle_type() == (2, 3, 5, 7, 11, 19)
+        assert p.order() == 43890
 
 
 class TestValidate:

@@ -86,6 +86,39 @@ class TestFormats:
         with pytest.raises(ValueError):
             qio.parse_quandle_text("3\n1 3 2\n3 2 1\n")
 
+    def test_group_roundtrip(self, tmp_path):
+        g, _ = symmetric_group(4)
+        path = tmp_path / "s4.group"
+        qio.write_text(path, qio.group_to_text(g, comment="s4"))
+        assert qio.read_group(path) == g
+
+    def test_written_bytes(self, d3):
+        # the three table formats share one writer; this is the layout each
+        # one has always had
+        assert qio.quandle_to_text(d3, comment="d3") \
+            == "# d3\n3\n1 3 2\n3 2 1\n2 1 3\n"
+        assert qio.group_to_text(cyclic_group(2), comment="c2") \
+            == "#group\n# c2\n2\n1 2\n2 1\n"
+        assert qio.cocycle_to_text(Cocycle2(2, 3, ((0, 1), (2, 0)))) \
+            == "2 3\n0 1\n2 0\n"
+
+    @pytest.mark.parametrize("read, text, rows", [
+        (qio.read_quandle, "3\n1 3 2\n3 2 1\n2 1 3\n1 1 1\n", 3),
+        (qio.read_group, "#group\n2\n1 2\n2 1\n1 2\n", 2),
+        (qio.read_cocycle, "2 2\n0 1\n1 0\n0 0\n", 2),
+    ], ids=["quandle", "group", "cocycle"])
+    def test_extra_row_rejected(self, tmp_path, read, text, rows):
+        # the header promises n rows; one more is an error, not ignored
+        path = tmp_path / "extra.txt"
+        qio.write_text(path, text)
+        with pytest.raises(ValueError,
+                           match=f"promises {rows} rows, found {rows + 1}"):
+            read(path)
+
+    def test_cocycle_modulus_checked_before_rows(self):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            qio.parse_cocycle_text("3 0\n0 0 0\n")
+
 
 class TestCli:
     def test_validate_good(self, capsys, d3_file):
@@ -99,6 +132,14 @@ class TestCli:
         assert code == 1
         assert records[0]["ok"] is False
         assert records[0]["kind"] == "invertibility"
+
+    def test_validate_extra_row(self, capsys, tmp_path):
+        path = tmp_path / "extra.quandle"
+        qio.write_text(path, "3\n1 3 2\n3 2 1\n2 1 3\n1 1 1\n")
+        code, records, err = run_cli(capsys, "validate", "--quandle",
+                                     str(path))
+        assert code == 1 and "error:" in err
+        assert records == []
 
     def test_props(self, capsys, d3_file):
         code, records, _ = run_cli(capsys, "props", "--quandle", d3_file)
@@ -346,11 +387,13 @@ class TestCli:
         ["make", "conj", "--group", "{s3}", "--elem", "0"],
         ["make", "conj", "--group", "{s3}", "--elem", "7"],
         ["make", "galex", "--group", "{s3}", "--conj-by", "0"],
+        ["make", "galex", "--group", "{s3}", "--conj-by", "2",
+         "--images", "1,2,3,4,5,6"],
         ["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"],
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
-            "cocycle-mod-0"])
+            "galex-conj-by-and-images", "cocycle-mod-0"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,

@@ -1,8 +1,10 @@
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
+from helpers import corpus_extensions
 from oracles import (dihedral_linear_count, grid_coloring_count,
                      move_tables, propagate_moves)
 from quandleforge import _kernels
@@ -313,3 +315,49 @@ class TestPowerWeights:
                 wm = coloring_weight(phi, c)
                 assert wm == wn % m
                 assert (d * wn) % n == (d * wm) % n
+
+
+def random_knots(seed, count):
+    """count knots drawn from a seeded generator: words of 4 to 10 letters
+    on 3 or 4 strands, kept when the closure has one component."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        s = rng.choice((3, 4))
+        word = [rng.choice([g for g in range(1 - s, s) if g])
+                for _ in range(rng.randrange(4, 11))]
+        try:
+            out.append(parse_braid(f"random{len(out)}", s, word))
+        except NotAKnot:
+            pass
+    return out
+
+
+class TestLiftCounts:
+    """Carter-Elhamdadi-Nikiforou-Saito: an X-coloring of a knot lifts to
+    E(X, Z_m, phi) exactly when its phi-weight is 0, and then in m ways.
+    Colorings of E use no weights at all, so the counts check the signed
+    weights that the state sum adds up.  The bundled knots of at most 3
+    strands alone cannot see the sign at negative crossings (dropping it
+    moves none of their state sums over these extensions); the seeded
+    random knots can."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_lift_counts_match_weights(self, knots, m):
+        knots = [k for k in knots if k.strands <= 3] + random_knots(1, 8)
+        for name, x, _, phi, e, _ in corpus_extensions(6, (m,)):
+            # E(X, Z_m, k*phi) for each k | m; k = m is the zero cocycle
+            scaled = [(k, e if k == 1 else abelian_extension(
+                x, m, [[k * v % m for v in row] for row in phi.values])[0])
+                for k in range(1, m + 1) if m % k == 0]
+            for knot in knots:
+                base = enumerate_colorings(x, knot)
+                weights = [coloring_weight(phi, c) for c in base]
+                lifts = {k: len(enumerate_colorings(ek, knot))
+                         for k, ek in scaled}
+                for k, count in lifts.items():
+                    assert count == m * sum(k * w % m == 0 for w in weights), \
+                        (name, k, knot.name)
+                # the state sum is constant iff every coloring lifts to E
+                assert is_constant(state_sum(x, phi, knot)) \
+                    == (lifts[1] == m * len(base)), (name, knot.name)
