@@ -166,9 +166,7 @@ def braid_closure_colorings(table, n, strands, word, forest,
     k = len(plan.seeds)
     total = n ** k
     if cap is not None and total > cap:
-        raise EnumerationTooLarge(
-            f"{strands} strands need {k} seed arcs, {n}^{k} = {total} "
-            f"candidates exceed the cap {cap}")
+        raise EnumerationTooLarge(n, strands, k, total, cap)
     orbits, edges = forest
     inv = [[0] * n for _ in range(n)]
     for x, row in enumerate(table):

@@ -222,8 +222,7 @@ def _closure(degree, gen_tuples, cap):
                 c = tuple(g[i] for i in p)
                 if c not in seen:
                     if len(seen) >= cap:
-                        raise GroupTooLarge(
-                            f"group closure exceeded cap {cap}")
+                        raise GroupTooLarge(cap, len(seen) + 1, degree)
                     seen[c] = None
                     nxt.append(c)
         frontier = nxt

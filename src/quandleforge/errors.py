@@ -31,7 +31,18 @@ class NonIntegralIndex(QuandleError):
 
 
 class GroupTooLarge(QuandleError):
-    """Permutation-group closure exceeded the configured element cap."""
+    """Permutation-group closure exceeded the configured element cap.
+
+    reached counts the elements found, including the one that broke the
+    cap, so it is cap + 1; degree is the number of points permuted."""
+
+    def __init__(self, cap, reached, degree):
+        self.cap = cap
+        self.reached = reached
+        self.degree = degree
+        super().__init__(
+            f"group closure exceeded cap {cap} (reached {reached} elements "
+            f"of degree {degree})")
 
 
 class NotAUnit(QuandleError):
@@ -85,7 +96,21 @@ class BadGenerator(QuandleError):
 
 
 class EnumerationTooLarge(QuandleError):
-    """Coloring enumeration would exceed the assignment cap."""
+    """Coloring enumeration would exceed the assignment cap.
+
+    n is the quandle's order and strands the braid's; seeds is the number
+    of seed arcs whose colors are enumerated, and candidates = n^seeds the
+    tuples that would be tried, which exceed cap."""
+
+    def __init__(self, n, strands, seeds, candidates, cap):
+        self.n = n
+        self.strands = strands
+        self.seeds = seeds
+        self.candidates = candidates
+        self.cap = cap
+        super().__init__(
+            f"{strands} strands need {seeds} seed arcs, {n}^{seeds} = "
+            f"{candidates} candidates exceed the cap {cap}")
 
 
 class NotACovering(QuandleError):

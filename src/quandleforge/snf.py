@@ -2,14 +2,24 @@
 
 Everything is Python ints, so everything is exact.  `row_reduce` cuts the
 tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
-nonzeros each) to at most one row per column.  It takes sparse rows of
-(column, value) pairs, keeps each working row as a dict in the bucket of its
-leading column, and returns dense rows, so its memory follows the fill and
-not rows x columns.  `smith_normal_form` takes what is left as dense rows,
-thousands of rows and columns at order 47 but under 1 % nonzero, and works
-on sparse rows (dicts column -> value) with a column index (column -> set
-of rows), so each row or column operation touches only the nonzeros of
-that row or column.  Its transforms are sparse too.
+nonzeros each) to at most one row per column.  Its output is defined by a
+bucket loop (`_bucket_reduce`): each row waits as a dict in the bucket of
+its leading column, and each column reduces its bucket by gcd-style row
+operations.  Most constraint rows end at zero there, after many moves from
+bucket to bucket.  `row_reduce` returns the same list but takes the rows in
+input order, and drops each row that lies in the Z-span of the pivots
+found before it, which it tests against a second, cleared copy of them.
+That is exact: such a row meets at each column a pivot that divides its
+entry, so the loop takes it to zero without it becoming or changing a
+pivot.  Where a row meets a pivot that does not divide its entry, the loop
+would choose another pivot or take a second pass, and `row_reduce` runs
+the loop itself, on the rows so far or, if that run took a second pass
+somewhere, on all rows.  It returns dense rows, and its memory follows the
+fill, not rows x columns.  `smith_normal_form` takes what is left as dense
+rows, thousands of rows and columns at order 47 but under 1 % nonzero, and
+works on sparse rows (dicts column -> value) with a column index (column
+-> set of rows), so each row or column operation touches only the nonzeros
+of that row or column.  Its transforms are sparse too.
 """
 
 from collections import namedtuple
@@ -17,27 +27,168 @@ from itertools import compress
 from operator import itemgetter
 
 
-def row_reduce(rows, ncols):
+def row_reduce(rows, ncols, stats=None):
     """Row-echelon reduction over Z by gcd-style row operations.
 
-    rows are sparse: each is a sequence of (column, value) pairs, in
-    increasing column order with nonzero values, and is not modified.
-    Returns at most ncols independent dense rows (lists of length ncols),
-    leading entries positive, that span the row lattice of the input.
+    rows are sparse: a sequence whose items are sequences of (column, value)
+    pairs, in increasing column order with nonzero values; they are not
+    modified.  Returns at most ncols independent dense rows (lists of
+    length ncols), leading entries positive, that span the row lattice of
+    the input.  The list is the one _bucket_reduce returns, and its order
+    is part of the contract: the H^2 representatives follow it.
+
+    The rows are taken in input order against two views of the pivots found
+    so far: pivots[c], the row with leading column c as the bucket loop
+    leaves it, and cleared[c], a basis of the same lattice in which each
+    row is cleared at the other pivot columns wherever their pivot divides
+    it.  A row that a chase through the cleared rows takes to zero lies in
+    the lattice and is dropped.  That is exact: its entry at every column
+    the loop takes it to is then a multiple of that column's earlier pivot,
+    the first row to reach the column, so the loop reduces it in one step
+    there and takes it to zero without it becoming or changing a pivot.
+    Any other row is chased through pivots; at a column without one it
+    becomes the pivot, as the first row the loop sees there would.
+
+    A row that meets a pivot which does not divide its entry is where the
+    loop would pick a later row as pivot or take a second pass, so
+    _bucket_reduce runs on the rows up to it (a restart).  If every column
+    of that run took one pass, its pivots stay the loop's pivots as long as
+    later rows divide them, and the pass resumes from them.  Otherwise, or
+    once the restarts have taken more rows than the input has (so that the
+    fallback costs at most about twice the loop), _bucket_reduce runs on
+    all rows.
+
+    If stats is a dict, it receives 'pivots' (rows returned), 'dropped'
+    (rows found in the lattice of earlier pivots, before any run on all
+    rows), 'restarts' and 'full_loop' (whether _bucket_reduce ran on all
+    rows).
+    """
+    pivots, cleared = {}, {}
+    index = [set() for _ in range(ncols)]
+    dropped = restarts = spent = 0
+    full = False
+    for i, row in enumerate(rows):
+        if _chase(dict(row), cleared) is None:
+            dropped += 1
+            continue
+        # outside the lattice, so r stops at a column without a pivot or
+        # at a pivot that does not divide it
+        r = dict(row)
+        col = _chase(r, pivots)
+        if col not in pivots:
+            pivots[col] = r
+            _add_pivot(cleared, index, col, r)
+            continue
+        restarts += 1
+        spent += i + 1
+        if spent <= len(rows):
+            out, one_pass = _bucket_reduce(rows[:i + 1], ncols)
+            if one_pass:
+                pivots, cleared = _from_dense(out, index)
+                continue
+        full = True
+        break
+    if full:
+        out = _bucket_reduce(rows, ncols)[0]
+    else:
+        out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
+    if stats is not None:
+        stats.update(pivots=len(out), dropped=dropped, restarts=restarts,
+                     full_loop=full)
+    return out
+
+
+def _chase(r, rows):
+    """Reduce the sparse row r in place by the row of rows (a dict by
+    leading column) at its leading column, while there is one and it
+    divides r's entry.  Returns the column where r then leads, or None
+    when r reaches zero.  Each row of rows is the only one leading at its
+    column, so r reaches zero exactly when it lies in their Z-span."""
+    while r:
+        col = min(r)
+        piv = rows.get(col)
+        if piv is None or r[col] % piv[col]:
+            return col
+        _add(r, piv, -(r[col] // piv[col]))
+    return None
+
+
+def _dense(row, col, ncols):
+    """The sparse row with leading column col as a dense list, its leading
+    entry made positive."""
+    sign = -1 if row[col] < 0 else 1
+    dense = [0] * ncols
+    for j, v in row.items():
+        dense[j] = sign * v
+    return dense
+
+
+def _add_pivot(cleared, index, col, row):
+    """Add the pivot row with leading column col to the cleared view:
+    clear it at the columns of the cleared rows, then clear column col
+    from them, each step where the pivot divides the entry."""
+    h = dict(row)
+    for j in sorted(j for j in h if j in cleared):
+        v = h.get(j)
+        if v:
+            q, rem = divmod(v, cleared[j][j])
+            if not rem:
+                _add(h, cleared[j], -q)
+    p = h[col]
+    for k in list(index[col]):
+        hk = cleared[k]
+        q, rem = divmod(hk[col], p)
+        if rem:
+            continue
+        for j, v in h.items():      # hk -= q * h, keeping index
+            w = hk.get(j, 0) - q * v
+            if w:
+                if j not in hk:
+                    index[j].add(k)
+                hk[j] = w
+            else:
+                del hk[j]
+                index[j].discard(k)
+    cleared[col] = h
+    for j in h:
+        index[j].add(col)
+
+
+def _from_dense(out, index):
+    """The pivots and the cleared view of the dense echelon rows out.  The
+    rows go in from the last, so each is cleared against rows that are
+    cleared already, and no earlier cleared row needs updating."""
+    for s in index:
+        s.clear()
+    pivots = {}
+    cleared = {}
+    for dense in reversed(out):
+        row = dict(compress(enumerate(dense), dense))
+        col = min(row)
+        pivots[col] = row
+        _add_pivot(cleared, index, col, row)
+    return pivots, cleared
+
+
+def _bucket_reduce(rows, ncols):
+    """The bucket loop that defines row_reduce's output, and its test
+    oracle.  Returns (out, one_pass): the reduced dense rows, and whether
+    every column took one pass, its first row of least absolute entry
+    dividing every other row there.
 
     Each row waits in the bucket of its leading column.  At a column, the
     rows of its bucket are taken in input order and reduced by the one with
     the smallest entry there until only that pivot is left; each row that
     drops out moves to the bucket of its new leading column, or is dropped
     when it reaches zero.  The working rows are dicts and a step touches
-    only the pivot's support, so memory follows the fill.  The output order
-    is part of the contract; the H^2 representatives follow it.
+    only the pivot's support, so memory follows the fill.
     """
     buckets = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
         if row:
             buckets[row[0][0]].append((i, dict(row)))
     out = []
+    one_pass = True
     for col in range(ncols):
         live, buckets[col] = buckets[col], None
         if not live:
@@ -68,13 +219,10 @@ def row_reduce(rows, ncols):
                     if r:
                         buckets[min(r)].append(e)
             live = rest
-        piv = live[0][1]
-        sign = -1 if piv[col] < 0 else 1
-        dense = [0] * ncols
-        for j, v in piv.items():
-            dense[j] = sign * v
-        out.append(dense)
-    return out
+            if len(live) > 1:
+                one_pass = False
+        out.append(_dense(live[0][1], col, ncols))
+    return out, one_pass
 
 
 class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv")):

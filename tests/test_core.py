@@ -160,8 +160,11 @@ class TestInnerGroup:
             assert inner_group(q).order == len(naive_closure(gens)), name
 
     def test_cap(self, d3):
-        with pytest.raises(GroupTooLarge):
+        with pytest.raises(GroupTooLarge) as info:
             inner_group(d3, cap=3)
+        err = info.value
+        assert (err.cap, err.reached, err.degree) == (3, 4, 3)
+        assert str(err).startswith("group closure exceeded cap 3")
 
     def test_group_axioms(self, d5):
         g = inner_group(d5)

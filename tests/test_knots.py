@@ -97,8 +97,11 @@ class TestColoringCounts:
         # the trefoil needs 2 seed arcs: 5^2 = 25 candidates
         k = parse_braid("3_1", 2, [1, 1, 1])
         with pytest.raises(EnumerationTooLarge, match=r"2 strands need 2 "
-                           r"seed arcs, 5\^2 = 25 candidates"):
+                           r"seed arcs, 5\^2 = 25 candidates") as info:
             enumerate_colorings(d5, k, cap=10)
+        err = info.value
+        assert (err.n, err.strands, err.seeds, err.candidates, err.cap) \
+            == (5, 2, 2, 25, 10)
 
     def test_cap_bounds_seed_tuples_not_top_tuples(self):
         # 5_2 stabilized to 6 strands: 7^6 top tuples, but a plan of at

@@ -22,7 +22,8 @@ from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotAHomomorphism, NotIndex2,
                                  ShapeMismatch)
 from quandleforge import cohomology, pipeline
-from quandleforge.knots import is_constant, parse_braid, state_sum
+from quandleforge.knots import (coloring_weight, enumerate_colorings,
+                               is_constant, parse_braid, state_sum)
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
@@ -459,10 +460,16 @@ def sym5_ext():
 @pytest.fixture(scope="module")
 def fuzz_pools(sym5_ext):
     """The corpus extensions that are connected (the only ones with a 'yes'
-    or 'no' verdict), all of them, and the S_5 "yes" extension alone, whose
-    base of order 10 is outside the corpus pools."""
+    or 'no' verdict), all of them, the S_5 "yes" extension alone, whose
+    base of order 10 is outside the corpus pools, and the extensions whose
+    lift counts can see the sign of a crossing's weight: m > 2, a nonzero
+    cocycle, and a base that is not trivial (a trivial quandle colors a
+    knot with one element, so every weight is 0)."""
     pool = corpus_extensions(moduli=(2, 3, 4, 6))
-    return [c for c in pool if is_connected(c[4])], pool, [sym5_ext]
+    signed = [c for c in pool if c[2] > 2 and any(map(any, c[3].values))
+              and any(b != a for a, row in enumerate(c[1].table) for b in row)]
+    return ([c for c in pool if is_connected(c[4])], pool, [sym5_ext],
+            signed)
 
 
 def joining_letters(strands, word, signs):
@@ -505,6 +512,10 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     # is drawn from each pool.  Every example still takes each verdict
     # through _extension_verdict and its TheoremViolation check; only the
     # enveloping group of an extension seen before is not enumerated again.
+    # The pools have only mod-2 "yes" extensions, so the weights are also
+    # checked by lift counts: an X-coloring lifts to E(X, Z_m, phi) exactly
+    # when its weight is 0, and then in m ways.  Dropping the sign at
+    # negative crossings fails this in most runs, through the last pool.
     def memoized(e, max_cosets):
         key = (e.table, max_cosets)
         if key not in conjugation_verdicts:
@@ -519,7 +530,11 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     k = parse_braid("fuzz", s, word + joining_letters(s, word, signs))
     with mock.patch.object(pipeline, "is_conjugation_quandle", memoized):
         for pool in fuzz_pools:
-            name, x, m, phi, _, _ = data.draw(st.sampled_from(pool))
+            name, x, m, phi, e, _ = data.draw(st.sampled_from(pool))
+            weights = [coloring_weight(phi, c)
+                       for c in enumerate_colorings(x, k)]
+            assert len(enumerate_colorings(e, k)) \
+                == m * weights.count(0), name
             verdict = constancy_pipeline(x, m, phi, knots=[k])
             if verdict.is_conjugation == "yes":
                 assert is_constant(verdict.invariants["fuzz"]), name
