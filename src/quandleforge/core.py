@@ -97,9 +97,6 @@ class Quandle(namedtuple("Quandle", "n table")):
         """The right translation by a, as a raw image tuple."""
         return tuple(row[a] for row in self.table)
 
-    def rows_as_lists(self):
-        return [list(r) for r in self.table]
-
     def __repr__(self):
         return f"Quandle(n={self.n})"
 

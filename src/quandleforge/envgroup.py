@@ -270,6 +270,8 @@ def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
     """Walk q's orbits once and, when q is connected, enumerate its finite
     enveloping group once for the order, the first generator collision and
     the verdict."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
     if not is_connected(q):
         return ConjugationCriterion(connected=False, order=None,
                                     collision=None)

@@ -11,15 +11,15 @@ input order, and drops each row that lies in the Z-span of the pivots
 found before it, which it tests against a second, cleared copy of them.
 That is exact: such a row meets at each column a pivot that divides its
 entry, so the loop takes it to zero without it becoming or changing a
-pivot.  Where a row meets a pivot that does not divide its entry, the loop
-would choose another pivot or take a second pass, and `row_reduce` runs
-the loop itself, on the rows so far or, if that run took a second pass
-somewhere, on all rows.  It returns dense rows, and its memory follows the
-fill, not rows x columns.  `smith_normal_form` takes what is left as dense
-rows, thousands of rows and columns at order 47 but under 1 % nonzero, and
-works on sparse rows (dicts column -> value) with a column index (column
--> set of rows), so each row or column operation touches only the nonzeros
-of that row or column.  Its transforms are sparse too.
+pivot.  The first time a row meets a pivot that does not divide its entry,
+the loop might choose another pivot or take a second pass, so `row_reduce`
+runs the loop itself on all rows and returns that.  Its rows are dense, and
+its memory follows the fill, not rows x columns.  `smith_normal_form` takes
+what is left as dense rows, thousands of rows and columns at order 47 but
+under 1 % nonzero, and works on sparse rows (dicts column -> value) with a
+column index (column -> set of rows), so each row or column operation
+touches only the nonzeros of that row or column.  Its transforms are
+sparse too.
 """
 
 from collections import namedtuple
@@ -49,25 +49,20 @@ def row_reduce(rows, ncols, stats=None):
     Any other row is chased through pivots; at a column without one it
     becomes the pivot, as the first row the loop sees there would.
 
-    A row that meets a pivot which does not divide its entry is where the
-    loop would pick a later row as pivot or take a second pass, so
-    _bucket_reduce runs on the rows up to it (a restart).  If every column
-    of that run took one pass, its pivots stay the loop's pivots as long as
-    later rows divide them, and the pass resumes from them.  Otherwise, or
-    once the restarts have taken more rows than the input has (so that the
-    fallback costs at most about twice the loop), _bucket_reduce runs on
-    all rows.
+    The first row that meets a pivot which does not divide its entry is
+    where the loop might pick a later row as pivot or take a second pass,
+    so row_reduce returns _bucket_reduce on all rows: from there the
+    output is the loop's by definition.
 
     If stats is a dict, it receives 'pivots' (rows returned), 'dropped'
-    (rows found in the lattice of earlier pivots, before any run on all
-    rows), 'restarts' and 'full_loop' (whether _bucket_reduce ran on all
-    rows).
+    (rows found in the lattice of earlier pivots before any fallback) and
+    'full_loop' (whether _bucket_reduce ran).
     """
     pivots, cleared = {}, {}
     index = [set() for _ in range(ncols)]
-    dropped = restarts = spent = 0
+    dropped = 0
     full = False
-    for i, row in enumerate(rows):
+    for row in rows:
         if _chase(dict(row), cleared) is None:
             dropped += 1
             continue
@@ -75,26 +70,17 @@ def row_reduce(rows, ncols, stats=None):
         # at a pivot that does not divide it
         r = dict(row)
         col = _chase(r, pivots)
-        if col not in pivots:
-            pivots[col] = r
-            _add_pivot(cleared, index, col, r)
-            continue
-        restarts += 1
-        spent += i + 1
-        if spent <= len(rows):
-            out, one_pass = _bucket_reduce(rows[:i + 1], ncols)
-            if one_pass:
-                pivots, cleared = _from_dense(out, index)
-                continue
-        full = True
-        break
+        if col in pivots:
+            full = True
+            break
+        pivots[col] = r
+        _add_pivot(cleared, index, col, r)
     if full:
-        out = _bucket_reduce(rows, ncols)[0]
+        out = _bucket_reduce(rows, ncols)
     else:
         out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
     if stats is not None:
-        stats.update(pivots=len(out), dropped=dropped, restarts=restarts,
-                     full_loop=full)
+        stats.update(pivots=len(out), dropped=dropped, full_loop=full)
     return out
 
 
@@ -154,27 +140,9 @@ def _add_pivot(cleared, index, col, row):
         index[j].add(col)
 
 
-def _from_dense(out, index):
-    """The pivots and the cleared view of the dense echelon rows out.  The
-    rows go in from the last, so each is cleared against rows that are
-    cleared already, and no earlier cleared row needs updating."""
-    for s in index:
-        s.clear()
-    pivots = {}
-    cleared = {}
-    for dense in reversed(out):
-        row = dict(compress(enumerate(dense), dense))
-        col = min(row)
-        pivots[col] = row
-        _add_pivot(cleared, index, col, row)
-    return pivots, cleared
-
-
 def _bucket_reduce(rows, ncols):
-    """The bucket loop that defines row_reduce's output, and its test
-    oracle.  Returns (out, one_pass): the reduced dense rows, and whether
-    every column took one pass, its first row of least absolute entry
-    dividing every other row there.
+    """The bucket loop that defines row_reduce's output, its fallback and
+    its test oracle: the reduced dense rows.
 
     Each row waits in the bucket of its leading column.  At a column, the
     rows of its bucket are taken in input order and reduced by the one with
@@ -188,7 +156,6 @@ def _bucket_reduce(rows, ncols):
         if row:
             buckets[row[0][0]].append((i, dict(row)))
     out = []
-    one_pass = True
     for col in range(ncols):
         live, buckets[col] = buckets[col], None
         if not live:
@@ -219,10 +186,8 @@ def _bucket_reduce(rows, ncols):
                     if r:
                         buckets[min(r)].append(e)
             live = rest
-            if len(live) > 1:
-                one_pass = False
         out.append(_dense(live[0][1], col, ncols))
-    return out, one_pass
+    return out
 
 
 class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv")):

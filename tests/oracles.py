@@ -26,10 +26,11 @@ import numpy as np
 def grid_coloring_count(table, strands, word, tangle=False):
     """Count colorings by walking the braid grid row by row.
 
-    table is a quandle table (list of rows).  At a positive letter the pair
-    (a, b) becomes (b, a*b); at a negative letter (c, d) becomes (q, c) for
-    the unique q with q*c == d, found by scanning all candidates.  Closure
-    requires bottom == top everywhere (or away from position 0 for tangles).
+    table is a quandle table (a sequence of rows).  At a positive letter
+    the pair (a, b) becomes (b, a*b); at a negative letter (c, d) becomes
+    (q, c) for the unique q with q*c == d, found by scanning all candidates.
+    Closure requires bottom == top everywhere (or away from position 0 for
+    tangles).
     """
     n = len(table)
     count = 0

@@ -53,7 +53,7 @@ def test_criterion_1_coloring_counts():
         (dihedral_quandle(5), 3, [1, -2, 1, -2], 25),
     ]
     for q, s, w, expected in cases:
-        oracle = grid_coloring_count(q.rows_as_lists(), s, w)
+        oracle = grid_coloring_count(q.table, s, w)
         engine = len(enumerate_colorings(q, parse_braid("k", s, w)))
         if oracle != expected:
             failures.append(f"oracle gave {oracle}, expected {expected}")
@@ -91,11 +91,10 @@ def test_criterion_2_cohomology_cross_validation():
     # class of R_3 is a 3-cocycle, not a 2-cocycle (Carter-Jelsovsky-Kamada-
     # Langford-Saito, Trans. AMS 355 (2003); Mochizuki, JPAA 179 (2003)).
     d3 = dihedral_quandle(3)
-    d3_table = d3.rows_as_lists()
     for m in (2, 3):
         h = second_cohomology(d3, m)
-        z_brute = brute_cocycle_count(d3_table, m)
-        b_brute = brute_coboundary_count(d3_table, m)
+        z_brute = brute_cocycle_count(d3.table, m)
+        b_brute = brute_coboundary_count(d3.table, m)
         if h.invariant_factors != () or h.order != z_brute // b_brute:
             failures.append(
                 f"H2(dihedral(3),Z{m}): engine factors "

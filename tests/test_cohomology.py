@@ -107,8 +107,8 @@ class TestSecondCohomology:
     def test_d3_mod3_trivial_by_brute_force(self, d3):
         # the exhaustive count over all 3^6 diagonal-zero functions: the
         # cocycles are exactly the coboundaries, so the quotient is trivial
-        z = brute_cocycle_count(d3.rows_as_lists(), 3)
-        b = brute_coboundary_count(d3.rows_as_lists(), 3)
+        z = brute_cocycle_count(d3.table, 3)
+        b = brute_coboundary_count(d3.table, 3)
         assert (z, b) == (9, 9)
         assert second_cohomology(d3, 3).order \
             * coboundary_space_order(d3, 3) == z
@@ -116,8 +116,8 @@ class TestSecondCohomology:
         assert second_cohomology(d3, 3).invariant_factors == ()
 
     def test_d3_mod2_trivial(self, d3):
-        z = brute_cocycle_count(d3.rows_as_lists(), 2)
-        b = brute_coboundary_count(d3.rows_as_lists(), 2)
+        z = brute_cocycle_count(d3.table, 2)
+        b = brute_coboundary_count(d3.table, 2)
         assert (z, b) == (4, 4)
         assert second_cohomology(d3, 2).invariant_factors == ()
 

@@ -154,6 +154,13 @@ class TestVendramin:
         assert (crit.connected, crit.order, crit.collision) \
             == (False, None, None)
 
+    @pytest.mark.parametrize("q", [dihedral_quandle(3), trivial_quandle(2)],
+                             ids=["connected", "disconnected"])
+    def test_max_cosets_checked_before_connectivity(self, q):
+        for check in (conjugation_criterion, is_conjugation_quandle):
+            with pytest.raises(ValueError, match="must be positive"):
+                check(q, 0)
+
     def test_rho_injective_on_disconnected(self, corpus):
         # the injectivity test still enumerates disconnected quandles
         got = {name: rho_injective(q) for name, q in corpus

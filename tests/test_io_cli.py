@@ -11,7 +11,7 @@ from quandleforge import io as qio
 from quandleforge.cli import main
 from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (cyclic_group, dihedral_quandle,
-                                        symmetric_group)
+                                        symmetric_group, trivial_quandle)
 from quandleforge.knotdata import bundled_knots
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -390,15 +390,19 @@ class TestCli:
         ["make", "galex", "--group", "{s3}", "--conj-by", "2",
          "--images", "1,2,3,4,5,6"],
         ["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"],
+        ["vendramin", "--quandle", "{d3}", "--max-cosets", "0"],
+        ["vendramin", "--quandle", "{t2}", "--max-cosets", "0"],
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
-            "galex-conj-by-and-images", "cocycle-mod-0"])
+            "galex-conj-by-and-images", "cocycle-mod-0",
+            "max-cosets-0-connected", "max-cosets-0-disconnected"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
-                 "m0": tmp_path / "m0.cocycle"}
+                 "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle"}
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
+        qio.write_text(files["t2"], qio.quandle_to_text(trivial_quandle(2)))
         qio.write_text(files["m0"], "3 0\n0 0 0\n0 0 0\n0 0 0\n")
         argv = [a.format(**files) for a in argv]
         code, records, err = run_cli(capsys, *argv)

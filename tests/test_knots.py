@@ -59,19 +59,19 @@ class TestParseBraid:
 class TestColoringCounts:
     def test_trefoil_d3(self, d3):
         k = parse_braid("3_1", 2, [1, 1, 1])
-        assert grid_coloring_count(d3.rows_as_lists(), 2, [1, 1, 1]) == 9
+        assert grid_coloring_count(d3.table, 2, [1, 1, 1]) == 9
         assert len(enumerate_colorings(d3, k)) == 9
 
     def test_figure8_d3_monochromatic(self, d3):
         k = parse_braid("4_1", 3, [1, -2, 1, -2])
-        assert grid_coloring_count(d3.rows_as_lists(), 3, k.word) == 3
+        assert grid_coloring_count(d3.table, 3, k.word) == 3
         cols = enumerate_colorings(d3, k)
         assert len(cols) == 3
         assert all(len(set(c.top)) == 1 for c in cols)
 
     def test_figure8_d5(self, d5):
         k = parse_braid("4_1", 3, [1, -2, 1, -2])
-        assert grid_coloring_count(d5.rows_as_lists(), 3, k.word) == 25
+        assert grid_coloring_count(d5.table, 3, k.word) == 25
         assert len(enumerate_colorings(d5, k)) == 25
 
     def test_bundled_fingerprints_vs_linear_oracle(self, knots):
@@ -90,7 +90,7 @@ class TestColoringCounts:
                 if k.strands > 3:
                     continue
                 assert len(enumerate_colorings(q, k)) \
-                    == grid_coloring_count(q.rows_as_lists(), k.strands,
+                    == grid_coloring_count(q.table, k.strands,
                                            list(k.word)), k.name
 
     def test_cap(self, d5):

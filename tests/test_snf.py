@@ -157,11 +157,10 @@ def check_row_reduce(a, nc):
     stats = {}
     out = snf.row_reduce(rows, nc, stats)
     assert rows == before
-    assert out == snf._bucket_reduce(rows, nc)[0] \
+    assert out == snf._bucket_reduce(rows, nc) \
         == reference_row_reduce(a, nc)
     assert stats["pivots"] == len(out)
-    if not stats["restarts"]:
-        assert not stats["full_loop"]
+    if not stats["full_loop"]:
         assert stats["pivots"] + stats["dropped"] == len(rows)
     return stats
 
@@ -180,19 +179,14 @@ def test_row_reduce_matches_reference_on_lattice_rows(case):
 
 @pytest.mark.parametrize("rows, out, stats", [
     # the second row is twice the first: it lies in the lattice
-    ([[1, 1], [2, 2]], [[1, 1]], dict(dropped=1, restarts=0)),
-    # 2 does not divide 1, and the loop on both rows takes one pass there
-    # with the later row as pivot, so the pass resumes from that pivot
-    # (the third row then lies in the lattice)
+    ([[1, 1], [2, 2]], [[1, 1]], dict(dropped=1, full_loop=False)),
+    # 2 does not divide 1, and the loop takes the later row as pivot there,
+    # so the loop runs on all rows
     ([[2, 1], [1, 0], [0, 3]], [[1, 0], [0, 1]],
-     dict(dropped=1, restarts=1, full_loop=False)),
+     dict(dropped=0, full_loop=True)),
     # 4 and 6 take a second pass at column 0, so the loop runs on all rows
     ([[4, 1], [6, 0], [0, 1]], [[2, -1], [0, 1]],
-     dict(restarts=1, full_loop=True)),
-    # each restart takes one pass, but the second would run on 3 rows after
-    # 2, more than there are, so the loop runs on all rows instead
-    ([[4, 1], [2, 1], [1, 1]], [[1, 1], [0, 1]],
-     dict(restarts=2, full_loop=True)),
+     dict(dropped=0, full_loop=True)),
 ])
 def test_row_reduce_paths(rows, out, stats):
     got = {}
@@ -205,37 +199,36 @@ def constraint_system(q):
     return _constraint_rows(q, pidx), len(pairs)
 
 
-@pytest.mark.parametrize("q, restarts", [
+@pytest.mark.parametrize("q, full_loop", [
     (alexander_quandle(16, 3), False),
     (alexander_quandle(25, 2), False),
+    (alexander_quandle(16, 5), True),
     (dihedral_quandle(12), True),
     (product_quandle(dihedral_quandle(3), dihedral_quandle(3)), True),
-], ids=["alexander_16_3", "alexander_25_2", "dihedral_12",
+], ids=["alexander_16_3", "alexander_25_2", "alexander_16_5", "dihedral_12",
         "dihedral3_squared"])
-def test_row_reduce_matches_bucket_loop_on_constraint_systems(q, restarts):
+def test_row_reduce_matches_bucket_loop_on_constraint_systems(q, full_loop):
     rows, ncols = constraint_system(q)
     stats = {}
     assert snf.row_reduce(rows, ncols, stats) \
-        == snf._bucket_reduce(rows, ncols)[0]
-    assert (stats["restarts"] > 0) == restarts
-    assert not stats["full_loop"]
+        == snf._bucket_reduce(rows, ncols)
+    assert stats["full_loop"] == full_loop
 
 
 def test_connected_constraint_systems_do_not_restart():
     # each constraint row of a connected corpus quandle is dropped or
     # becomes a pivot, so a regression into the bucket loop shows here.
     # The one exception is dihedral3_squared: a row with entry 1 meets a
-    # pivot with entry -3, and the loop on the rows so far takes one pass.
-    restarts = {"dihedral3_squared": 1}
+    # pivot with entry -3, so the loop runs on all rows.
+    full_loop = {"dihedral3_squared"}
     for name, q in corpus_quandles(24):
         if not is_connected(q):
             continue
         rows, ncols = constraint_system(q)
         stats = {}
         snf.row_reduce(rows, ncols, stats)
-        assert stats["restarts"] == restarts.get(name, 0), name
-        assert not stats["full_loop"], name
-        if not stats["restarts"]:
+        assert stats["full_loop"] == (name in full_loop), name
+        if not stats["full_loop"]:
             assert stats["pivots"] + stats["dropped"] == len(rows), name
 
 
