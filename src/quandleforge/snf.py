@@ -2,85 +2,90 @@
 
 Everything is Python ints, so everything is exact.  `row_reduce` cuts the
 tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
-nonzeros each) to at most one row per column.  Its output is defined by a
-bucket loop (`_bucket_reduce`): each row waits as a dict in the bucket of
-its leading column, and each column reduces its bucket by gcd-style row
-operations.  Most constraint rows end at zero there, after many moves from
-bucket to bucket.  `row_reduce` returns the same list but takes the rows in
-input order, and drops each row that lies in the Z-span of the pivots
-found before it, which it tests against a second, cleared copy of them.
-That is exact: such a row meets at each column a pivot that divides its
-entry, so the loop takes it to zero without it becoming or changing a
-pivot.  The first time a row meets a pivot that does not divide its entry,
-the loop might choose another pivot or take a second pass, so `row_reduce`
-runs the loop itself on all rows and returns that.  Its rows are dense, and
-its memory follows the fill, not rows x columns.  `smith_normal_form` takes
-what is left as dense rows, thousands of rows and columns at order 47 but
-under 1 % nonzero, and works on sparse rows (dicts column -> value) with a
-column index (column -> set of rows), so each row or column operation
-touches only the nonzeros of that row or column.  Its transforms are
-sparse too.
+nonzeros each) to an echelon basis of their row lattice, at most one row
+per column.  It takes the rows in input order against the pivots found so
+far.  It drops each row that lies in their Z-span, which it tests against
+a second, cleared copy of them, and chases the rest through them.  A row
+that meets a pivot which does not divide its entry swaps with it by a
+unimodular 2x2 extended-gcd step, so the lattice never changes.  Where no
+row swaps, the basis is the list of the bucket loop that first defined
+this reduction (`tests/oracles.py`), list for list.  Its rows are sparse,
+and its memory follows the fill, not rows x columns.  `smith_normal_form`
+takes what is left as dense rows, thousands of rows and columns at order
+47 but under 1 % nonzero, and works on sparse rows (dicts column -> value)
+with a column index (column -> set of rows), so each row or column
+operation touches only the nonzeros of that row or column.  Its transforms
+are sparse too.
 """
 
 from collections import namedtuple
 from itertools import compress
-from operator import itemgetter
 
 
 def row_reduce(rows, ncols, stats=None):
-    """Row-echelon reduction over Z by gcd-style row operations.
+    """Row-echelon reduction over Z by unimodular row operations.
 
     rows are sparse: a sequence whose items are sequences of (column, value)
     pairs, in increasing column order with nonzero values; they are not
-    modified.  Returns at most ncols independent dense rows (lists of
-    length ncols), leading entries positive, that span the row lattice of
-    the input.  The list is the one _bucket_reduce returns, and its order
-    is part of the contract: the H^2 representatives follow it.
+    modified.  Returns an echelon basis of the row lattice of the input:
+    dense rows (lists of length ncols) with strictly increasing leading
+    columns and positive leading entries.  The H^2 representatives follow
+    this list, so its rows are part of the contract.
 
     The rows are taken in input order against two views of the pivots found
-    so far: pivots[c], the row with leading column c as the bucket loop
-    leaves it, and cleared[c], a basis of the same lattice in which each
+    so far: pivots[c], the pivot with leading column c, which is what is
+    returned, and cleared[c], a basis of the same lattice in which each
     row is cleared at the other pivot columns wherever their pivot divides
     it.  A row that a chase through the cleared rows takes to zero lies in
-    the lattice and is dropped.  That is exact: its entry at every column
-    the loop takes it to is then a multiple of that column's earlier pivot,
-    the first row to reach the column, so the loop reduces it in one step
-    there and takes it to zero without it becoming or changing a pivot.
-    Any other row is chased through pivots; at a column without one it
-    becomes the pivot, as the first row the loop sees there would.
+    the lattice and is dropped.  Any other row is chased through pivots; at
+    a column without one it becomes the pivot.
 
-    The first row that meets a pivot which does not divide its entry is
-    where the loop might pick a later row as pivot or take a second pass,
-    so row_reduce returns _bucket_reduce on all rows: from there the
-    output is the loop's by definition.
+    At a column c whose pivot p does not divide the row's entry r_c, the
+    row swaps with the pivot: with g = gcd(p_c, r_c) = a p_c + b r_c, the
+    pivot becomes a p + b r, with entry g, and the chase goes on with
+    (p_c/g) r - (r_c/g) p, which is zero at c.  The 2x2 matrix of this
+    step has determinant 1, so the lattice is unchanged, and the pivot's
+    entry at c falls to a proper divisor, so the swaps end.  After a row
+    that swapped, the cleared view is rebuilt from pivots.
+
+    Where no row swaps, the list is the bucket loop's (tests/oracles.py),
+    list for list.  Each pivot is then the first row that reaches its
+    column, as in the loop, and a dropped row meets at each column the loop
+    takes it to a multiple of that column's pivot, so the loop takes it to
+    zero without it becoming or changing a pivot.
 
     If stats is a dict, it receives 'pivots' (rows returned), 'dropped'
-    (rows found in the lattice of earlier pivots before any fallback) and
-    'full_loop' (whether _bucket_reduce ran).
+    (rows found in the lattice of earlier pivots) and 'swaps' (2x2 steps).
     """
     pivots, cleared = {}, {}
     index = [set() for _ in range(ncols)]
-    dropped = 0
-    full = False
+    dropped = swaps = 0
     for row in rows:
         if _chase(dict(row), cleared) is None:
             dropped += 1
             continue
-        # outside the lattice, so r stops at a column without a pivot or
-        # at a pivot that does not divide it
+        # outside the lattice, so r becomes a pivot or swaps with one
         r = dict(row)
-        col = _chase(r, pivots)
-        if col in pivots:
-            full = True
-            break
-        pivots[col] = r
-        _add_pivot(cleared, index, col, r)
-    if full:
-        out = _bucket_reduce(rows, ncols)
-    else:
-        out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
+        swapped = False
+        while True:
+            col = _chase(r, pivots)
+            if col not in pivots:
+                break
+            pivots[col], r = _gcd_step(pivots[col], r, col)
+            swaps += 1
+            swapped = True
+        if col is not None:
+            pivots[col] = r
+        if swapped:
+            cleared = {}
+            index = [set() for _ in range(ncols)]
+            for c, p in pivots.items():
+                _add_pivot(cleared, index, c, p)
+        else:
+            _add_pivot(cleared, index, col, r)
+    out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
     if stats is not None:
-        stats.update(pivots=len(out), dropped=dropped, full_loop=full)
+        stats.update(pivots=len(out), dropped=dropped, swaps=swaps)
     return out
 
 
@@ -97,6 +102,31 @@ def _chase(r, rows):
             return col
         _add(r, piv, -(r[col] // piv[col]))
     return None
+
+
+def _gcd_step(p, r, col):
+    """The unimodular 2x2 step on the sparse rows p and r at column col,
+    where both lead: (a p + b r, (p_c/g) r - (r_c/g) p) for
+    g = gcd(p_c, r_c) = a p_c + b r_c > 0."""
+    x, y = p[col], r[col]
+    g, a, b = x, 1, 0           # g = a x + b y throughout
+    h, c, d = y, 0, 1
+    while h:
+        q = g // h
+        g, a, b, h, c, d = h, c, d, g - q * h, a - q * c, b - q * d
+    if g < 0:
+        g, a, b = -g, -a, -b
+    return _combine(a, p, b, r), _combine(x // g, r, -(y // g), p)
+
+
+def _combine(a, p, b, r):
+    """a p + b r on sparse rows, a new dict without zeros."""
+    out = {}
+    for j in p.keys() | r.keys():
+        w = a * p.get(j, 0) + b * r.get(j, 0)
+        if w:
+            out[j] = w
+    return out
 
 
 def _dense(row, col, ncols):
@@ -138,56 +168,6 @@ def _add_pivot(cleared, index, col, row):
     cleared[col] = h
     for j in h:
         index[j].add(col)
-
-
-def _bucket_reduce(rows, ncols):
-    """The bucket loop that defines row_reduce's output, its fallback and
-    its test oracle: the reduced dense rows.
-
-    Each row waits in the bucket of its leading column.  At a column, the
-    rows of its bucket are taken in input order and reduced by the one with
-    the smallest entry there until only that pivot is left; each row that
-    drops out moves to the bucket of its new leading column, or is dropped
-    when it reaches zero.  The working rows are dicts and a step touches
-    only the pivot's support, so memory follows the fill.
-    """
-    buckets = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        if row:
-            buckets[row[0][0]].append((i, dict(row)))
-    out = []
-    for col in range(ncols):
-        live, buckets[col] = buckets[col], None
-        if not live:
-            continue
-        live.sort(key=itemgetter(0))
-        while len(live) > 1:
-            live.sort(key=lambda e: abs(e[1][col]))
-            piv = live[0][1]
-            p = piv[col]
-            support = [(j, v) for j, v in piv.items() if j != col]
-            rest = [live[0]]
-            for e in live[1:]:
-                r = e[1]
-                c = r[col]
-                q = c // p      # nonzero: |p| is least among live entries
-                for j, v in support:
-                    w = r.get(j, 0) - q * v
-                    if w:
-                        r[j] = w
-                    else:
-                        del r[j]
-                c -= q * p
-                if c:
-                    r[col] = c
-                    rest.append(e)
-                else:
-                    del r[col]
-                    if r:
-                        buckets[min(r)].append(e)
-            live = rest
-        out.append(_dense(live[0][1], col, ncols))
-    return out
 
 
 class SmithForm(namedtuple("SmithForm", "diag rank nrows ncols Uinv V Vinv")):

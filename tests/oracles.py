@@ -6,8 +6,9 @@ row-by-row grid walk (negative crossings resolved by scanning for the unique
 preimage, not by precomputed inverses), coloring lists from a numpy scan of
 every top tuple through the braid moves, dihedral counts from mod-p linear
 algebra, cocycle constraint rows from the package's first dense builder,
-integer row reduction from the package's first elimination loop, Smith
-normal forms from the package's dense lists-of-lists version,
+integer row reduction from the package's first elimination loop and from
+its bucket loop, Smith normal forms from the package's dense lists-of-lists
+version,
 quandle and group axiom verdicts from the package's first numpy checks,
 dihedral and trivial tables from their own formulas, permutation orders
 from repeated composition, cocycle/coboundary counts and coboundary sets
@@ -19,6 +20,7 @@ from word rewriting or from a define-only coset enumerator.
 
 from collections import namedtuple
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -294,6 +296,62 @@ def reference_row_reduce(rows, ncols):
         rest = [r for r in rows if r is not piv and r[col] == 0] + live[1:]
         rows = [r for r in rest if any(r[col:])]
         col += 1
+    return out
+
+
+def bucket_reduce(rows, ncols):
+    """The package's bucket loop, which defined row_reduce's output before
+    the extended-gcd steps, kept as the reference that row_reduce must
+    match list for list wherever no row swaps.  rows are sparse (column,
+    value) pairs; returns the reduced dense rows, leading entries positive.
+
+    Each row waits in the bucket of its leading column.  At a column, the
+    rows of its bucket are taken in input order and reduced by the one with
+    the smallest entry there until only that pivot is left; each row that
+    drops out moves to the bucket of its new leading column, or is dropped
+    when it reaches zero.
+    """
+    buckets = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if row:
+            buckets[row[0][0]].append((i, dict(row)))
+    out = []
+    for col in range(ncols):
+        live, buckets[col] = buckets[col], None
+        if not live:
+            continue
+        live.sort(key=itemgetter(0))
+        while len(live) > 1:
+            live.sort(key=lambda e: abs(e[1][col]))
+            piv = live[0][1]
+            p = piv[col]
+            support = [(j, v) for j, v in piv.items() if j != col]
+            rest = [live[0]]
+            for e in live[1:]:
+                r = e[1]
+                c = r[col]
+                q = c // p      # nonzero: |p| is least among live entries
+                for j, v in support:
+                    w = r.get(j, 0) - q * v
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+                c -= q * p
+                if c:
+                    r[col] = c
+                    rest.append(e)
+                else:
+                    del r[col]
+                    if r:
+                        buckets[min(r)].append(e)
+            live = rest
+        piv = live[0][1]
+        sign = -1 if piv[col] < 0 else 1
+        dense = [0] * ncols
+        for j, v in piv.items():
+            dense[j] = sign * v
+        out.append(dense)
     return out
 
 

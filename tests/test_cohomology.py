@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import corpus_quandles, dense_rows, sym4_class_quandle
 from oracles import (brute_coboundaries, brute_coboundary_count,
-                     brute_cocycle_count, quandles_up_to_iso,
+                     brute_cocycle_count, bucket_reduce, quandles_up_to_iso,
                      reference_row_reduce, reference_smith_normal_form)
 from quandleforge import cohomology, snf
 from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
@@ -20,7 +20,7 @@ from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         conjugation_quandle, dihedral_quandle,
                                         symmetric_group, trivial_quandle)
 from quandleforge.core import (are_isomorphic, inner_group, is_connected,
-                               orbits, validate_quandle)
+                               orbits, product_quandle, validate_quandle)
 from quandleforge.errors import DNotDividesModulus, NotACocycle, ShapeMismatch
 
 
@@ -179,6 +179,24 @@ class TestSecondCohomology:
             assert second_cohomology(q, m) == h, (name, m)
         # one reduction per call; trivial_1 has no pairs and reduces nothing
         assert len(calls) == sum(1 for _, q, _ in cases if q.n >= 2)
+
+    @pytest.mark.parametrize("q", [
+        alexander_quandle(16, 5), dihedral_quandle(18),
+        product_quandle(dihedral_quandle(4), dihedral_quandle(4)),
+    ], ids=["alexander_16_5", "dihedral_18", "dihedral4_squared"])
+    def test_same_group_with_bucket_loop(self, q, monkeypatch):
+        # rows swap here (12, 5 and 13 times), and row_reduce returns
+        # another basis of the lattice than the bucket loop; the factors and
+        # the cocycles must not move.  The dense reference takes 1-4 s per
+        # reduction at this size, the bucket loop a tenth of that.
+        pairs, pidx = cohomology._pair_index(q.n)
+        rows = cohomology._constraint_rows(q, pidx)
+        assert snf.row_reduce(rows, len(pairs)) \
+            != bucket_reduce(rows, len(pairs))
+        expected = [second_cohomology(q, m) for m in (2, 3, 4, 6)]
+        monkeypatch.setattr(snf, "row_reduce", bucket_reduce)
+        for m, h in zip((2, 3, 4, 6), expected):
+            assert second_cohomology(q, m) == h, m
 
     def test_same_group_with_reference_smith_form(self, monkeypatch):
         # the representatives are read off the transforms, so the dense

@@ -1,17 +1,22 @@
 """Direct property tests for the exact integer linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_quandles, dense_rows, dense_smith_form, sparse_rows
-from oracles import (identity, mat_mul, reference_constraint_rows,
-                     reference_row_reduce, reference_smith_normal_form)
+from helpers import (corpus_quandles, dense_rows, dense_smith_form,
+                     sparse_rows, sym4_class_quandle)
+from oracles import (bucket_reduce, identity, mat_mul,
+                     reference_constraint_rows, reference_row_reduce,
+                     reference_smith_normal_form)
 from quandleforge import snf
-from quandleforge.cohomology import _constraint_rows, _pair_index
-from quandleforge.constructions import alexander_quandle, dihedral_quandle
+from quandleforge.cohomology import (_constraint_rows, _pair_index,
+                                     second_cohomology)
+from quandleforge.constructions import (abelian_extension, alexander_quandle,
+                                        dihedral_quandle)
 from quandleforge.core import is_connected, product_quandle
 
 matrices = st.integers(1, 5).flatmap(
@@ -85,26 +90,30 @@ def test_smith_form_matches_reference(a, want):
         assert getattr(dense, name) == getattr(ref, name), name
 
 
+def leading(row):
+    return next(j for j, v in enumerate(row) if v)
+
+
+def in_lattice(v, basis):
+    """Whether v lies in the Z-span of basis, an echelon list of dense rows,
+    by back-substitution in the order of the leading columns."""
+    rem = list(v)
+    for row in basis:
+        col = leading(row)
+        if rem[col] % row[col]:
+            return False
+        q = rem[col] // row[col]
+        rem = [x - q * y for x, y in zip(rem, row)]
+    return not any(rem)
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_row_reduce_spans_same_lattice(a):
-    nc = len(a[0])
-    reduced = snf.row_reduce(sparse_rows(a), nc)
     # reduced rows are combinations of the input by construction; check the
     # converse by echelon back-substitution membership
-    pivots = []
-    for row in reduced:
-        col = next(j for j in range(nc) if row[j])
-        pivots.append((col, row))
-    for original in a:
-        rem = list(original)
-        for col, row in pivots:
-            if rem[col]:
-                assert rem[col] % row[col] == 0
-                q = rem[col] // row[col]
-                for j in range(nc):
-                    rem[j] -= q * row[j]
-        assert not any(rem)
+    reduced = snf.row_reduce(sparse_rows(a), len(a[0]))
+    assert all(in_lattice(original, reduced) for original in a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,18 +158,27 @@ def lattice_matrices(draw):
 
 
 def check_row_reduce(a, nc):
-    """row_reduce on the sparse rows of a equals the bucket loop and the
-    reference, list for list, leaves its input alone and reports stats
-    that add up; returns the stats."""
+    """row_reduce on the sparse rows of a is an echelon basis of the lattice
+    of the reference, with positive leading entries, and the bucket loop's
+    list when no row swaps; it leaves its input alone and reports stats
+    that add up.  Returns the stats."""
     rows = [list(r) for r in sparse_rows(a)]
     before = [list(r) for r in rows]
     stats = {}
     out = snf.row_reduce(rows, nc, stats)
     assert rows == before
-    assert out == snf._bucket_reduce(rows, nc) \
-        == reference_row_reduce(a, nc)
+    ref = reference_row_reduce(a, nc)
+    assert bucket_reduce(rows, nc) == ref
+    cols = [leading(row) for row in out]
+    assert cols == sorted(set(cols))
+    assert all(row[col] > 0 for row, col in zip(out, cols))
+    assert all(in_lattice(row, ref) for row in out)
+    assert all(in_lattice(row, out) for row in ref)
     assert stats["pivots"] == len(out)
-    if not stats["full_loop"]:
+    if stats["swaps"]:
+        assert stats["pivots"] + stats["dropped"] <= len(rows)
+    else:
+        assert out == ref
         assert stats["pivots"] + stats["dropped"] == len(rows)
     return stats
 
@@ -177,16 +195,37 @@ def test_row_reduce_matches_reference_on_lattice_rows(case):
     check_row_reduce(*case)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.tuples(st.integers(-30, 30).filter(bool),
+              st.lists(st.integers(-9, 9), min_size=c, max_size=c)),
+    min_size=2, max_size=2)))
+def test_gcd_step_is_unimodular(case):
+    # two rows that lead at column 0
+    (x, ptail), (y, rtail) = case
+    p, r = [x] + ptail, [y] + rtail
+    piv, rem = snf._gcd_step(dict(sparse_rows([p])[0]),
+                             dict(sparse_rows([r])[0]), 0)
+    assert piv[0] == gcd(x, y) and 0 not in rem
+    # the same lattice both ways, so the 2x2 step has determinant +-1
+    step = dense_rows([piv.items(), rem.items()], len(p))
+    basis = [row for row in step if any(row)]
+    ref = reference_row_reduce([p, r], len(p))
+    assert all(in_lattice(row, ref) for row in step)
+    assert in_lattice(p, basis) and in_lattice(r, basis)
+
+
 @pytest.mark.parametrize("rows, out, stats", [
     # the second row is twice the first: it lies in the lattice
-    ([[1, 1], [2, 2]], [[1, 1]], dict(dropped=1, full_loop=False)),
-    # 2 does not divide 1, and the loop takes the later row as pivot there,
-    # so the loop runs on all rows
+    ([[1, 1], [2, 2]], [[1, 1]], dict(dropped=1, swaps=0)),
+    # 2 does not divide 1: the pivot becomes [1, 0] and the chase goes on
+    # with 2 [1, 0] - [2, 1] = [0, -1], which [0, 3] then lies on
     ([[2, 1], [1, 0], [0, 3]], [[1, 0], [0, 1]],
-     dict(dropped=0, full_loop=True)),
-    # 4 and 6 take a second pass at column 0, so the loop runs on all rows
+     dict(dropped=1, swaps=1)),
+    # gcd(4, 6) = 2 = -4 + 6: the pivot becomes [2, -1] and the chase goes
+    # on with [0, -3]; then [0, 1] swaps with that and reaches zero
     ([[4, 1], [6, 0], [0, 1]], [[2, -1], [0, 1]],
-     dict(dropped=0, full_loop=True)),
+     dict(dropped=0, swaps=2)),
 ])
 def test_row_reduce_paths(rows, out, stats):
     got = {}
@@ -199,36 +238,46 @@ def constraint_system(q):
     return _constraint_rows(q, pidx), len(pairs)
 
 
-@pytest.mark.parametrize("q, full_loop", [
-    (alexander_quandle(16, 3), False),
-    (alexander_quandle(25, 2), False),
-    (alexander_quandle(16, 5), True),
-    (dihedral_quandle(12), True),
-    (product_quandle(dihedral_quandle(3), dihedral_quandle(3)), True),
-], ids=["alexander_16_3", "alexander_25_2", "alexander_16_5", "dihedral_12",
-        "dihedral3_squared"])
-def test_row_reduce_matches_bucket_loop_on_constraint_systems(q, full_loop):
+def e12():
+    """E(x6, Z_2, rep0), the order-12 extension the benchmark builds with
+    `make conj --group s4.group --elem 2`, `h2 --emit-reps` and `extend`."""
+    x6 = sym4_class_quandle((1, 1, 2))
+    return abelian_extension(
+        x6, 2, second_cohomology(x6, 2).representatives[0])[0]
+
+
+# the H^2 representatives follow the reduced list, so every input whose
+# list the benchmark emits representatives from is pinned here, swaps or not
+@pytest.mark.parametrize("q, swaps", [
+    (alexander_quandle(16, 3), 0),
+    (alexander_quandle(25, 2), 0),
+    (dihedral_quandle(12), 3),
+    (product_quandle(dihedral_quandle(3), dihedral_quandle(3)), 1),
+    (e12(), 1),
+], ids=["alexander_16_3", "alexander_25_2", "dihedral_12",
+        "dihedral3_squared", "e12"])
+def test_row_reduce_matches_bucket_loop_on_constraint_systems(q, swaps):
     rows, ncols = constraint_system(q)
     stats = {}
     assert snf.row_reduce(rows, ncols, stats) \
-        == snf._bucket_reduce(rows, ncols)
-    assert stats["full_loop"] == full_loop
+        == bucket_reduce(rows, ncols)
+    assert stats["swaps"] == swaps
 
 
 def test_connected_constraint_systems_do_not_restart():
     # each constraint row of a connected corpus quandle is dropped or
-    # becomes a pivot, so a regression into the bucket loop shows here.
-    # The one exception is dihedral3_squared: a row with entry 1 meets a
-    # pivot with entry -3, so the loop runs on all rows.
-    full_loop = {"dihedral3_squared"}
+    # becomes a pivot, so a regression into many swaps shows here.  The
+    # one exception is dihedral3_squared: a row with entry 1 meets a pivot
+    # with entry -3 and swaps with it once.
+    swaps = {"dihedral3_squared": 1}
     for name, q in corpus_quandles(24):
         if not is_connected(q):
             continue
         rows, ncols = constraint_system(q)
         stats = {}
         snf.row_reduce(rows, ncols, stats)
-        assert stats["full_loop"] == (name in full_loop), name
-        if not stats["full_loop"]:
+        assert stats["swaps"] == swaps.get(name, 0), name
+        if not stats["swaps"]:
             assert stats["pivots"] + stats["dropped"] == len(rows), name
 
 
