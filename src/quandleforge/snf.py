@@ -5,17 +5,17 @@ tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
 nonzeros each) to an echelon basis of their row lattice, at most one row
 per column.  It takes the rows in input order against the pivots found so
 far.  It drops each row that lies in their Z-span, which it tests against
-a second, cleared copy of them, and chases the rest through them.  A row
-that meets a pivot which does not divide its entry swaps with it by a
-unimodular 2x2 extended-gcd step, so the lattice never changes.  Where no
-row swaps, the basis is the list of the bucket loop that first defined
-this reduction (`tests/oracles.py`), list for list.  Its rows are sparse,
-and its memory follows the fill, not rows x columns.  `smith_normal_form`
-takes what is left as dense rows, thousands of rows and columns at order
-47 but under 1 % nonzero, and works on sparse rows (dicts column -> value)
-with a column index (column -> set of rows), so each row or column
-operation touches only the nonzeros of that row or column.  Its transforms
-are sparse too.
+a second, cleared copy of them kept up to date in place, and chases the
+rest through them.  A row that meets a pivot which does not divide its
+entry swaps with it by a unimodular 2x2 extended-gcd step, so the lattice
+never changes.  Where no row swaps, the basis is the list of the bucket
+loop that first defined this reduction (`tests/oracles.py`), list for
+list.  Its rows are sparse, and its memory follows the fill, not rows x
+columns.  `smith_normal_form` takes what is left as dense rows, thousands
+of rows and columns at order 47 but under 1 % nonzero, and works on sparse
+rows (dicts column -> value) with a column index (column -> set of rows),
+so each row or column operation touches only the nonzeros of that row or
+column.  Its transforms are sparse too.
 """
 
 from collections import namedtuple
@@ -45,8 +45,10 @@ def row_reduce(rows, ncols, stats=None):
     pivot becomes a p + b r, with entry g, and the chase goes on with
     (p_c/g) r - (r_c/g) p, which is zero at c.  The 2x2 matrix of this
     step has determinant 1, so the lattice is unchanged, and the pivot's
-    entry at c falls to a proper divisor, so the swaps end.  After a row
-    that swapped, the cleared view is rebuilt from pivots.
+    entry at c falls to a proper divisor, so the swaps end.  At each column
+    whose pivot the row changed, the new pivot replaces the cleared row;
+    the other cleared rows lie in the grown lattice and keep its leading
+    entries, so the view stays an echelon basis of it.
 
     Where no row swaps, the list is the bucket loop's (tests/oracles.py),
     list for list.  Each pivot is then the first row that reaches its
@@ -66,22 +68,15 @@ def row_reduce(rows, ncols, stats=None):
             continue
         # outside the lattice, so r becomes a pivot or swaps with one
         r = dict(row)
-        swapped = False
         while True:
             col = _chase(r, pivots)
             if col not in pivots:
                 break
             pivots[col], r = _gcd_step(pivots[col], r, col)
+            _add_pivot(cleared, index, col, pivots[col])
             swaps += 1
-            swapped = True
         if col is not None:
             pivots[col] = r
-        if swapped:
-            cleared = {}
-            index = [set() for _ in range(ncols)]
-            for c, p in pivots.items():
-                _add_pivot(cleared, index, c, p)
-        else:
             _add_pivot(cleared, index, col, r)
     out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
     if stats is not None:
@@ -140,9 +135,11 @@ def _dense(row, col, ncols):
 
 
 def _add_pivot(cleared, index, col, row):
-    """Add the pivot row with leading column col to the cleared view:
-    clear it at the columns of the cleared rows, then clear column col
-    from them, each step where the pivot divides the entry."""
+    """Put the pivot row with leading column col into the cleared view in
+    place of its row at col: clear it at the columns of the cleared rows,
+    then clear column col from them, where the pivot divides the entry."""
+    for j in cleared.pop(col, ()):
+        index[j].discard(col)
     h = dict(row)
     for j in sorted(j for j in h if j in cleared):
         v = h.get(j)
@@ -154,17 +151,8 @@ def _add_pivot(cleared, index, col, row):
     for k in list(index[col]):
         hk = cleared[k]
         q, rem = divmod(hk[col], p)
-        if rem:
-            continue
-        for j, v in h.items():      # hk -= q * h, keeping index
-            w = hk.get(j, 0) - q * v
-            if w:
-                if j not in hk:
-                    index[j].add(k)
-                hk[j] = w
-            else:
-                del hk[j]
-                index[j].discard(k)
+        if not rem:
+            _add_indexed(hk, k, h, -q, index)
     cleared[col] = h
     for j in h:
         index[j].add(col)
@@ -192,6 +180,19 @@ def _add(dst, src, q):
             dst[k] = w
         else:
             del dst[k]
+
+
+def _add_indexed(dst, i, src, q, index):
+    """dst += q * src on sparse rows, where dst is row i of a matrix whose
+    column index (column -> set of rows) is kept up to date."""
+    for j, v in src.items():
+        w = dst.get(j, 0) + q * v
+        if w:
+            dst[j] = w
+            index[j].add(i)
+        else:
+            del dst[j]
+            index[j].discard(i)
 
 
 def smith_normal_form(a, want=()):
@@ -254,15 +255,7 @@ def smith_normal_form(a, want=()):
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        rd = s[dst]
-        for j, v in s[src].items():
-            w = rd.get(j, 0) + q * v
-            if w:
-                rd[j] = w
-                index[j].add(dst)
-            else:
-                del rd[j]
-                index[j].discard(dst)
+        _add_indexed(s[dst], dst, s[src], q, index)
         if Ui is not None:  # Uinv: col src -= q * col dst
             _add(Ui[src], Ui[dst], -q)
 

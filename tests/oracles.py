@@ -16,13 +16,15 @@ from exhaustive enumeration, matrix products from the textbook triple sum,
 group
 closures from repeated multiply-everything passes, and presented-group orders
 from word rewriting or from a define-only coset enumerator.
+
+numpy is imported only inside the oracles that use it, so a caller that
+loads this file for a pure-Python oracle, such as grid_coloring_count,
+does not load numpy.
 """
 
 from collections import namedtuple
 from itertools import product
 from operator import itemgetter
-
-import numpy as np
 
 
 def grid_coloring_count(table, strands, word, tangle=False):
@@ -61,6 +63,8 @@ def grid_coloring_count(table, strands, word, tangle=False):
 def move_tables(table, n):
     """A flat row-major n*n table as an array, and its inverse translations:
     inv[c*n+d] is the unique x with x*c = d."""
+    import numpy as np
+
     tab = np.asarray(table, dtype=np.int64)
     inv = np.empty(n * n, dtype=np.int64)
     inv[np.tile(np.arange(n), n) * n + tab] = np.repeat(np.arange(n), n)
@@ -100,6 +104,8 @@ def scan_colorings(table, n, strands, word, relax_first=False,
     bottom == top must hold at every position, or at positions 1.. when
     relax_first is set (the 1-tangle).
     """
+    import numpy as np
+
     tab, inv = move_tables(table, n)
     signs = [1 if g > 0 else -1 for g in word]
     total = n ** strands
@@ -125,6 +131,8 @@ def scan_colorings(table, n, strands, word, relax_first=False,
 def dihedral_linear_count(p, strands, word):
     """Colorings of the closure over the dihedral quandle of odd prime order
     p, via the linear propagation matrices: count = p^dim ker(M - I)."""
+    import numpy as np
+
     m = np.eye(strands, dtype=np.int64)
     for g in word:
         i = abs(g) - 1
@@ -167,6 +175,8 @@ def brute_cocycle_count(table, m):
     """Exhaustively count diagonal-zero 2-cocycles mod m by evaluating the
     identity on every function; vectorized over the m^(n^2-n) functions via
     mixed-radix digit arrays."""
+    import numpy as np
+
     n = len(table)
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
     npairs = len(pairs)
@@ -503,6 +513,8 @@ def quandle_axiom_failure(table):
     column), distributivity (the first triple (a, b, c) of np.argwhere, so
     the lexicographically least), or None for a quandle.  It holds two
     n^3 arrays at once."""
+    import numpy as np
+
     t = np.asarray(table, dtype=np.int64)
     n = len(t)
     bad = np.nonzero(np.diagonal(t) != np.arange(n))[0]
@@ -524,6 +536,8 @@ def group_axiom_failure(table):
     entries in 0..k-1: ('associativity', the first (a, b, c) with
     (ab)c != a(bc)), ('identity', None), ('inverse', the least element
     without one), checked in that order, or None for a group."""
+    import numpy as np
+
     m = np.asarray(table, dtype=np.int64)
     k = len(m)
     left = m[m, :]                      # left[a,b,c] = m[m[a,b], c]

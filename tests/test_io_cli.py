@@ -450,6 +450,24 @@ def test_no_command_loads_numpy(tmp_path, d3_file, argv):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_coloring_oracle_does_not_load_numpy():
+    # a fresh interpreter loads tests/oracles.py by path, as the benchmark
+    # checker does for grid_coloring_count; numpy loaded there would raise
+    # the peak RSS that every process the checker spawns afterwards reports
+    path = str(Path(__file__).resolve().parent / "oracles.py")
+    script = ("import importlib.util, sys\n"
+              f"spec = importlib.util.spec_from_file_location('o', {path!r})\n"
+              "mod = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(mod)\n"
+              "table = mod.dihedral_table(3)\n"
+              "print(mod.grid_coloring_count(table, 2, [1, 1, 1]),\n"
+              "      'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["9", "False"]
+
+
 def test_no_module_imports_numpy():
     # the package runs in plain Python, and its value types are named
     # tuples, not dataclasses: no module imports any of FORBIDDEN_IMPORTS

@@ -160,8 +160,9 @@ def lattice_matrices(draw):
 def check_row_reduce(a, nc):
     """row_reduce on the sparse rows of a is an echelon basis of the lattice
     of the reference, with positive leading entries, and the bucket loop's
-    list when no row swaps; it leaves its input alone and reports stats
-    that add up.  Returns the stats."""
+    list when no row swaps; it leaves its input alone, drops exactly the
+    rows that lie in the lattice of the rows before them, zero rows
+    included, and reports stats that add up.  Returns the stats."""
     rows = [list(r) for r in sparse_rows(a)]
     before = [list(r) for r in rows]
     stats = {}
@@ -175,6 +176,9 @@ def check_row_reduce(a, nc):
     assert all(in_lattice(row, ref) for row in out)
     assert all(in_lattice(row, out) for row in ref)
     assert stats["pivots"] == len(out)
+    assert stats["dropped"] == sum(
+        in_lattice(row, reference_row_reduce(a[:i], nc))
+        for i, row in enumerate(a))
     if stats["swaps"]:
         assert stats["pivots"] + stats["dropped"] <= len(rows)
     else:
