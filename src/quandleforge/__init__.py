@@ -28,8 +28,7 @@ from .core import (PermGroup, Permutation, Quandle, QuandleMap,
                    is_connected, is_covering, is_faithful, product_quandle,
                    right_translation, validate_quandle)
 from .envgroup import (ConjugationCriterion, CosetTable, Presentation,
-                       conjugation_criterion, enveloping_presentation,
-                       is_conjugation_quandle, rho_injective, todd_coxeter)
+                       conjugation_criterion, todd_coxeter)
 from .knotdata import bundled_knots, bundled_tangles
 from .knots import (BraidKnot, Coloring, GroupRingElt, Tangle,
                     end_monochromatic, endpoints_same_translation,

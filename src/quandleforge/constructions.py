@@ -14,7 +14,8 @@ from math import gcd
 from operator import itemgetter
 
 from .cohomology import cocycle
-from .core import Quandle, QuandleMap, _first_failure, validate_quandle
+from .core import (Quandle, QuandleMap, _first_failure, _law_failure,
+                   validate_quandle)
 from .errors import NotAUnit
 
 
@@ -89,14 +90,11 @@ class GroupAutomorphism(namedtuple("GroupAutomorphism", "group images")):
     __slots__ = ()
 
     def __new__(cls, group, images):
-        g, img = group, images
-        if sorted(img) != list(range(g.order)):
+        if sorted(images) != list(range(group.order)):
             raise ValueError("automorphism images must be a bijection")
-        for a in range(g.order):
-            for b in range(g.order):
-                if img[g.mult[a][b]] != g.mult[img[a]][img[b]]:
-                    raise ValueError(
-                        f"not multiplicative at ({a}, {b})")
+        bad = _law_failure(group.mult, group.mult, images)
+        if bad is not None:
+            raise ValueError(f"not multiplicative at {bad}")
         return super().__new__(cls, group, images)
 
     def __call__(self, a):

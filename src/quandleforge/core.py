@@ -112,12 +112,10 @@ class QuandleMap(namedtuple("QuandleMap", "source target images")):
             raise NotAHomomorphism("image list has wrong length")
         if any(not (0 <= v < target.n) for v in images):
             raise NotAHomomorphism("image out of range")
-        src, tgt, img = source.table, target.table, images
-        for a in range(source.n):
-            for b in range(source.n):
-                if img[src[a][b]] != tgt[img[a]][img[b]]:
-                    raise NotAHomomorphism(
-                        f"f({a}*{b}) != f({a})*f({b})")
+        bad = _law_failure(source.table, target.table, images)
+        if bad is not None:
+            a, b = bad
+            raise NotAHomomorphism(f"f({a}*{b}) != f({a})*f({b})")
         return super().__new__(cls, source, target, images)
 
     def __call__(self, x):
@@ -141,6 +139,18 @@ class QuandleMap(namedtuple("QuandleMap", "source target images")):
             raise NotAHomomorphism("composition target/source mismatch")
         return QuandleMap(self.source, other.target,
                           tuple(other.images[v] for v in self.images))
+
+
+def _law_failure(source, target, images):
+    """The least (a, b), in row-major order, with images[a*b] !=
+    images[a]*images[b], the products read off the source and target
+    tables, or None when images is a homomorphism."""
+    for a, row in enumerate(source):
+        image_row = target[images[a]]
+        for b, ab in enumerate(row):
+            if images[ab] != image_row[images[b]]:
+                return a, b
+    return None
 
 
 def _first_failure(n, sides):
@@ -342,14 +352,10 @@ def are_isomorphic(q1, q2):
     used = [False] * n
     t1, t2 = q1.table, q2.table
 
-    def complete():
-        # pruning checks only factor pairs; verify the whole table at leaves
-        return all(img[t1[a][b]] == t2[img[a]][img[b]]
-                   for a in range(n) for b in range(n))
-
     def extend(k):
         if k == n:
-            return complete()
+            # pruning checks only factor pairs; verify the whole table here
+            return _law_failure(t1, t2, img) is None
         a = order[k]
         for b in candidates[a]:
             if used[b]:

@@ -6,13 +6,14 @@ n_i is the order of the right translation by i, gives the finite enveloping
 group; coset enumeration over the trivial subgroup realizes it as a
 permutation group on itself (the regular action), and a connected quandle is
 a conjugation quandle exactly when the generator images stay pairwise
-distinct there.  conjugation_criterion walks the orbits once and reads the
-verdict, the group order and the first collision off one enumeration.
+distinct there.
 
-enveloping_presentation is that definition, n generators and n^2 + n
-relators; it is kept as the reference the tests enumerate against.  The
-criterion enumerates generator_presentation instead, the same group over a
-generating set S of the quandle:
+conjugation_criterion is the one entry point to that group: it walks the
+orbits once and, for a connected quandle only, reads the verdict, the group
+order and the first collision off one enumeration.  The definition above has
+n generators and n^2 + n relators, and the tests build it from the raw table
+as their reference; the criterion enumerates generator_presentation instead,
+the same group over a generating set S of the quandle:
 
 - S is chosen greedily: the least element not yet generated joins S, and
   the set is closed under the right translations R_s, s in S, breadth
@@ -92,19 +93,6 @@ class CosetTable(namedtuple("CosetTable", "presentation size columns")):
 
 def _to_columns(word):
     return tuple(2 * (g - 1) if g > 0 else 2 * (-g - 1) + 1 for g in word)
-
-
-def enveloping_presentation(q, finite=True):
-    """The conjugation presentation of q's enveloping group; with finite=True
-    the power relators that make it the finite enveloping group are added."""
-    rels = []
-    for i in range(q.n):
-        for j in range(q.n):
-            rels.append((-(j + 1), i + 1, j + 1, -(q.table[i][j] + 1)))
-    if finite:
-        for i in range(q.n):
-            rels.append((i + 1,) * right_translation(q, i).order())
-    return Presentation(ngens=q.n, relators=tuple(rels))
 
 
 def _reduced(word):
@@ -253,19 +241,6 @@ def _element_columns(q, t, tree):
     return cols
 
 
-def _enumerate(q, max_cosets):
-    """Enumerate q's finite enveloping group once, over a generating set:
-    its order and the first generator collision."""
-    p, tree = generator_presentation(q)
-    t = todd_coxeter(p, max_cosets)
-    seen = {}
-    for i, col in enumerate(_element_columns(q, t, tree)):
-        if col in seen:
-            return t.size, (seen[col], i)
-        seen[col] = i
-    return t.size, None
-
-
 def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
     """Walk q's orbits once and, when q is connected, enumerate its finite
     enveloping group once for the order, the first generator collision and
@@ -275,16 +250,11 @@ def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
     if not is_connected(q):
         return ConjugationCriterion(connected=False, order=None,
                                     collision=None)
-    return ConjugationCriterion(True, *_enumerate(q, max_cosets))
-
-
-def rho_injective(q, max_cosets=DEFAULT_MAX_COSETS):
-    """Whether the natural map into the finite enveloping group is injective:
-    the generator images in the regular action must be pairwise distinct."""
-    return _enumerate(q, max_cosets)[1] is None
-
-
-def is_conjugation_quandle(q, max_cosets=DEFAULT_MAX_COSETS):
-    """'yes' / 'no' for connected quandles by the injectivity criterion;
-    'not_applicable' for disconnected ones, which are not enumerated."""
-    return conjugation_criterion(q, max_cosets).verdict
+    p, tree = generator_presentation(q)
+    t = todd_coxeter(p, max_cosets)
+    seen = {}
+    for i, col in enumerate(_element_columns(q, t, tree)):
+        if col in seen:
+            return ConjugationCriterion(True, t.size, (seen[col], i))
+        seen[col] = i
+    return ConjugationCriterion(True, t.size, None)

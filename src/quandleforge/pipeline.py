@@ -19,7 +19,7 @@ from .constructions import (_extension, finite_group,
                             generalized_alexander_quandle, GroupAutomorphism)
 from .core import (QuandleMap, inner_group, inn_image, is_covering,
                    is_faithful)
-from .envgroup import DEFAULT_MAX_COSETS, is_conjugation_quandle
+from .envgroup import DEFAULT_MAX_COSETS, conjugation_criterion
 from .errors import NotACovering, NotIndex2, TheoremViolation
 from .knotdata import bundled_knots
 from .knots import GroupRingElt, is_constant, state_sum
@@ -142,7 +142,7 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
     e, proj = _extension(x, m, phi)
-    conjugation = is_conjugation_quandle(e, max_cosets)
+    conjugation = conjugation_criterion(e, max_cosets).verdict
     constant = all(is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:
         raise TheoremViolation(

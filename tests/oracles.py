@@ -13,9 +13,10 @@ quandle and group axiom verdicts from the package's first numpy checks,
 dihedral and trivial tables from their own formulas, permutation orders
 from repeated composition, cocycle/coboundary counts and coboundary sets
 from exhaustive enumeration, matrix products from the textbook triple sum,
-group
-closures from repeated multiply-everything passes, and presented-group orders
-from word rewriting or from a define-only coset enumerator.
+group closures from repeated multiply-everything passes, the finite
+enveloping group's relators from its definition, one generator per element,
+and presented-group orders from word rewriting or from a define-only coset
+enumerator.
 
 numpy is imported only inside the oracles that use it, so a caller that
 loads this file for a pure-Python oracle, such as grid_coloring_count,
@@ -574,6 +575,20 @@ def composition_order(images):
         cur = tuple(images[i] for i in cur)
         k += 1
     return k
+
+
+def enveloping_relators(table):
+    """The relators of the finite enveloping group of the quandle with this
+    table, one generator per element: the conjugation relators
+    x_j^-1 x_i x_j x_{i*j}^-1 for every (i, j), i-major, then the powers
+    x_i^{n_i}, n_i the composition order of the right translation by i.
+    Words are tuples of signed 1-based generator indices."""
+    n = len(table)
+    rels = [(-(j + 1), i + 1, j + 1, -(table[i][j] + 1))
+            for i in range(n) for j in range(n)]
+    for i in range(n):
+        rels.append((i + 1,) * composition_order([row[i] for row in table]))
+    return tuple(rels)
 
 
 def naive_closure(generators):

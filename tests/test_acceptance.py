@@ -21,9 +21,8 @@ from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         extension_table)
 from quandleforge.core import (are_isomorphic, inn_image, is_connected,
                                is_faithful, validate_quandle)
-from quandleforge.envgroup import (Presentation, is_conjugation_quandle,
-                                   rho_injective, todd_coxeter,
-                                   verify_coset_table)
+from quandleforge.envgroup import (Presentation, conjugation_criterion,
+                                   todd_coxeter, verify_coset_table)
 from quandleforge.errors import AxiomViolation
 from quandleforge.knotdata import bundled_knots, bundled_tangles, presentations
 from quandleforge.knots import (Tangle, end_monochromatic,
@@ -184,7 +183,7 @@ def test_criterion_5_theorem_constancy_end_to_end(x6):
         img, _ = inn_image(e)
         if are_isomorphic(img, x6) is None:
             failures.append("inn(E) is not isomorphic to the base")
-        if is_conjugation_quandle(e, max_cosets=10 ** 6) != "yes":
+        if conjugation_criterion(e, max_cosets=10 ** 6).verdict != "yes":
             failures.append("conjugation-quandle verdict is not 'yes'")
         for k in bundled_knots():
             inv = state_sum(x6, psi, k)
@@ -244,7 +243,7 @@ def test_criterion_8_coset_enumeration_targets(corpus):
     for name, q in corpus:
         if not (is_connected(q) and is_faithful(q)) or q.n > 9:
             continue
-        if not rho_injective(q):
+        if conjugation_criterion(q).collision is not None:
             failures.append(f"rho not injective on faithful connected {name}")
     report(8, "unit group orders, relator traces, and injectivity on "
               "faithful connected corpus quandles", failures)
@@ -280,7 +279,7 @@ def test_criterion_10_certificate_coherence(extensions):
         if not nonconstant:
             continue
         nonconstant_seen += 1
-        verdict = is_conjugation_quandle(e, max_cosets=10 ** 6)
+        verdict = conjugation_criterion(e, max_cosets=10 ** 6).verdict
         if verdict == "yes":
             failures.append(
                 f"{name}: non-constant invariant but verdict 'yes'")

@@ -2,29 +2,32 @@ import pytest
 
 from helpers import corpus_extensions
 
-from oracles import coxeter_s3_order
+from oracles import coxeter_s3_order, enveloping_relators
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import Permutation, is_connected, is_faithful
 from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
                                    Presentation, _element_columns,
                                    conjugation_criterion,
-                                   enveloping_presentation,
-                                   generator_presentation,
-                                   is_conjugation_quandle, rho_injective,
-                                   todd_coxeter, verify_coset_table)
+                                   generator_presentation, todd_coxeter,
+                                   verify_coset_table)
 from quandleforge.errors import Capped
+
+
+def full_presentation(q):
+    """q's finite enveloping group over one generator per element."""
+    return Presentation(q.n, enveloping_relators(q.table))
 
 
 class TestPresentation:
     def test_trivial_quandle_presentation(self):
-        p = enveloping_presentation(trivial_quandle(1), finite=True)
+        p = full_presentation(trivial_quandle(1))
         assert p.ngens == 1
         assert (1,) in p.relators          # translation has order 1
         assert todd_coxeter(p).size == 1
 
     def test_dihedral3_relator_counts(self, d3):
-        p = enveloping_presentation(d3, finite=True)
+        p = full_presentation(d3)
         assert p.ngens == 3
         conj = [r for r in p.relators if len(r) == 4]
         powers = [r for r in p.relators if r == (r[0],) * len(r) and r[0] > 0]
@@ -32,10 +35,9 @@ class TestPresentation:
         assert sorted(powers) == [(1, 1), (2, 2), (3, 3)]
 
     def test_infinite_without_power_relators(self):
-        # one generator, only the vacuous conjugation relator: a free group,
-        # so enumeration must hit the cap
-        p = enveloping_presentation(trivial_quandle(1), finite=False)
-        assert p.ngens == 1
+        # one generator, only the vacuous conjugation relator of the order-1
+        # quandle: a free group, so enumeration must hit the cap
+        p = Presentation(1, ((-1, 1, 1, -1),))
         with pytest.raises(Capped) as exc:
             todd_coxeter(p, max_cosets=500)
         # the cap is checked at every definition, and a free group's cosets
@@ -66,13 +68,13 @@ class TestToddCoxeter:
         assert t.size == 6
 
     def test_dihedral3_finite_enveloping(self, d3):
-        t = todd_coxeter(enveloping_presentation(d3, finite=True))
+        t = todd_coxeter(full_presentation(d3))
         assert t.size == 6
         cols = {t.generator_column(i) for i in range(3)}
         assert len(cols) == 3
 
     def test_columns_are_inverse_permutations(self, d5):
-        t = todd_coxeter(enveloping_presentation(d5, finite=True))
+        t = todd_coxeter(full_presentation(d5))
         for i in range(5):
             fwd, bwd = t.columns[2 * i], t.columns[2 * i + 1]
             assert t.generator_column(i) == fwd
@@ -80,7 +82,7 @@ class TestToddCoxeter:
             assert all(bwd[fwd[c]] == c for c in range(t.size))
 
     def test_full_relator_trace_verification(self, d3):
-        t = todd_coxeter(enveloping_presentation(d3, finite=True))
+        t = todd_coxeter(full_presentation(d3))
         verify_coset_table(t)   # every relator from every coset
         broken = CosetTable(presentation=Presentation(1, ((1, 1),)),
                             size=2, columns=((1, 1), (1, 0)))
@@ -113,7 +115,7 @@ class TestToddCoxeter:
                 assert todd_coxeter(bigger).size <= base
 
     def test_capped_carries_counts(self):
-        p = enveloping_presentation(dihedral_quandle(9), finite=True)
+        p = full_presentation(dihedral_quandle(9))
         with pytest.raises(Capped) as exc:
             todd_coxeter(p, max_cosets=3)
         assert exc.value.max_cosets == 3
@@ -124,7 +126,7 @@ class TestToddCoxeter:
         assert "coset enumeration exceeded cap 3" in str(exc.value)
         assert "9 generators and 90 relators" in str(exc.value)
         # coincidences before the abort take cosets out of the live count
-        p = enveloping_presentation(dihedral_quandle(27), finite=True)
+        p = full_presentation(dihedral_quandle(27))
         with pytest.raises(Capped) as exc:
             todd_coxeter(p, max_cosets=1000)
         assert exc.value.allocated == 1001
@@ -132,7 +134,7 @@ class TestToddCoxeter:
 
     def test_conjugation_action_realizes_quandle(self, d3, x6):
         for q in (d3, x6):
-            t = todd_coxeter(enveloping_presentation(q, finite=True))
+            t = todd_coxeter(full_presentation(q))
             perms = [Permutation(t.generator_column(i)) for i in range(q.n)]
             for i in range(q.n):
                 for j in range(q.n):
@@ -142,59 +144,48 @@ class TestToddCoxeter:
 
 class TestVendramin:
     def test_dihedral3_yes(self, d3):
-        assert rho_injective(d3)
-        assert is_conjugation_quandle(d3) == "yes"
+        crit = conjugation_criterion(d3)
+        assert crit.collision is None
+        assert crit.verdict == "yes"
 
     def test_order_one_yes(self):
-        assert rho_injective(trivial_quandle(1))
+        assert conjugation_criterion(trivial_quandle(1)).collision is None
 
     def test_dihedral4_not_applicable(self, d4):
-        assert is_conjugation_quandle(d4) == "not_applicable"
         crit = conjugation_criterion(d4)
+        assert crit.verdict == "not_applicable"
         assert (crit.connected, crit.order, crit.collision) \
             == (False, None, None)
 
     @pytest.mark.parametrize("q", [dihedral_quandle(3), trivial_quandle(2)],
                              ids=["connected", "disconnected"])
     def test_max_cosets_checked_before_connectivity(self, q):
-        for check in (conjugation_criterion, is_conjugation_quandle):
-            with pytest.raises(ValueError, match="must be positive"):
-                check(q, 0)
-
-    def test_rho_injective_on_disconnected(self, corpus):
-        # the injectivity test still enumerates disconnected quandles
-        got = {name: rho_injective(q) for name, q in corpus
-               if q.n <= 9 and not is_connected(q)}
-        assert got == {"trivial_2": False, "trivial_3": False,
-                       "dihedral_4": True, "dihedral_6": True,
-                       "dihedral_8": True, "alexander_8_3": True,
-                       "sym4_double_transpositions": False,
-                       "galex_sym3_conj": True}
+        with pytest.raises(ValueError, match="must be positive"):
+            conjugation_criterion(q, 0)
 
     def test_faithful_connected_corpus_all_yes(self, corpus):
         for name, q in corpus:
             if not (is_connected(q) and is_faithful(q)) or q.n > 9:
                 continue
-            assert is_conjugation_quandle(q) == "yes", name
+            assert conjugation_criterion(q).verdict == "yes", name
 
     def test_collision_on_non_injective(self, tetrahedral, tet_psi):
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)
         assert is_connected(e)
-        assert is_conjugation_quandle(e) == "no"
         crit = conjugation_criterion(e)
         assert (crit.verdict, crit.order, crit.collision) == ("no", 24, (0, 1))
-        assert not rho_injective(e)
 
     def test_order_25_alexander_within_default_budget(self):
         # a connected order-25 quandle whose group has 500 elements
-        q = alexander_quandle(25, 2)
-        assert is_conjugation_quandle(q, DEFAULT_MAX_COSETS) == "yes"
-        assert conjugation_criterion(q).order == 500
+        crit = conjugation_criterion(alexander_quandle(25, 2),
+                                     DEFAULT_MAX_COSETS)
+        assert (crit.verdict, crit.order) == ("yes", 500)
 
     def test_extension_verdict_yes(self, e12):
         e, _ = e12
-        assert is_conjugation_quandle(e) == "yes"
-        assert rho_injective(e)
+        crit = conjugation_criterion(e)
+        assert crit.verdict == "yes"
+        assert crit.collision is None
 
 
 def _first_collision(cols):
@@ -208,7 +199,7 @@ def _first_collision(cols):
 
 def _oracle(q):
     """(order, first collision) from the full conjugation presentation."""
-    t = todd_coxeter(enveloping_presentation(q, finite=True))
+    t = todd_coxeter(full_presentation(q))
     return t.size, _first_collision(t.generator_column(i)
                                     for i in range(q.n))
 

@@ -228,7 +228,7 @@ class TestCli:
     def test_vendramin_walks_orbits_once(self, capsys, tmp_path, monkeypatch,
                                          n, verdict):
         from quandleforge import core
-        from quandleforge.envgroup import is_conjugation_quandle
+        from quandleforge.envgroup import conjugation_criterion
         calls = []
         orbits = core.orbits
         monkeypatch.setattr(core, "orbits",
@@ -240,7 +240,7 @@ class TestCli:
         assert code == 0 and records[0]["verdict"] == verdict
         assert calls == [n]
         calls.clear()
-        assert is_conjugation_quandle(dihedral_quandle(n)) == verdict
+        assert conjugation_criterion(dihedral_quandle(n)).verdict == verdict
         assert calls == [n]
 
     def test_inn_seq(self, capsys, tmp_path, tetrahedral, tet_psi):

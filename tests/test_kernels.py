@@ -16,15 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (define_only_coset_enumeration, grid_coloring_count,
-                     scan_colorings)
+from oracles import (define_only_coset_enumeration, enveloping_relators,
+                     grid_coloring_count, scan_colorings)
 from quandleforge import _kernels
 from quandleforge._kernels import braid_closure_colorings, coset_enumeration
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected, orbit_forest, orbits
-from quandleforge.envgroup import enveloping_presentation
 from quandleforge.knotdata import BUNDLED_WORDS, EXTRA_PRESENTATIONS
 from quandleforge.pipeline import tetrahedral_quandle
 
@@ -190,8 +189,8 @@ class TestCosetEnumerationAgainstOracle:
         for name, q in corpus:
             if not is_connected(q):
                 continue
-            p = enveloping_presentation(q, finite=True)
-            assert_matches_oracle(p.ngens, [to_columns(r) for r in p.relators])
+            rels = enveloping_relators(q.table)
+            assert_matches_oracle(q.n, [to_columns(r) for r in rels])
             seen += 1
         assert seen >= 10
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_extensions, sym4_class_quandle, sym_class_quandle
+from oracles import enveloping_relators
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension,
@@ -15,13 +16,12 @@ from quandleforge.constructions import (abelian_extension,
 from quandleforge.core import (QuandleMap, are_isomorphic, inn_image,
                                is_connected, is_covering, product_quandle,
                                validate_quandle)
-from quandleforge.envgroup import (conjugation_criterion,
-                                   enveloping_presentation,
-                                   is_conjugation_quandle, todd_coxeter)
+from quandleforge.envgroup import (Presentation, conjugation_criterion,
+                                   todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotAHomomorphism, NotIndex2,
                                  ShapeMismatch)
-from quandleforge import cohomology, pipeline
+from quandleforge import cohomology, envgroup, pipeline
 from quandleforge.knots import (coloring_weight, enumerate_colorings,
                                is_constant, parse_braid, state_sum)
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
@@ -230,7 +230,7 @@ class TestConstancyPipeline:
         # rebuild the finite enveloping group explicitly and check that the
         # twisted group quandle over it has E as its inner image
         e, _ = e12
-        table = todd_coxeter(enveloping_presentation(e, finite=True))
+        table = todd_coxeter(Presentation(e.n, enveloping_relators(e.table)))
         assert table.size == 48
         g, gens = regular_group(table)
         y = generalized_alexander_quandle(
@@ -407,6 +407,35 @@ def test_one_cocycle_check_per_request(run, tetrahedral, tet_psi):
     assert verdict.extension.n == 8
 
 
+def test_one_enumeration_per_request(x6, x6_psi, tetrahedral, tet_psi,
+                                     monkeypatch):
+    # each request enumerates its extension's enveloping group once, and a
+    # disconnected extension not at all
+    calls = []
+    todd_coxeter_ = envgroup.todd_coxeter
+    monkeypatch.setattr(
+        envgroup, "todd_coxeter",
+        lambda *args: calls.append(args) or todd_coxeter_(*args))
+    c4 = sym4_class_quandle((4,))
+    c4_psi = second_cohomology(c4, 4).representatives[0]
+
+    def count(request):
+        calls.clear()
+        result = request()
+        return len(calls), result
+
+    n, verdict = count(lambda: constancy_pipeline(x6, 2, x6_psi))
+    assert (n, verdict.is_conjugation) == (1, "yes")
+    n, report = count(lambda: power_coefficient_check(c4, 4, c4_psi, 2))
+    assert (n, report.verdict.is_conjugation) == (1, "no")
+    n, cert = count(lambda: nonconstancy_certificates(tetrahedral, 2,
+                                                      tet_psi))
+    assert n == 1 and cert.witness_knots
+    n, verdict = count(lambda: constancy_pipeline(dihedral_quandle(4), 2,
+                                                  Cocycle2.zero(4, 2)))
+    assert (n, verdict.is_conjugation) == (0, "not_applicable")
+
+
 class TestCertificates:
     def test_tetrahedral_certificate(self, tetrahedral, tet_psi):
         cert = nonconstancy_certificates(tetrahedral, 2, tet_psi)
@@ -437,14 +466,13 @@ class TestCertificates:
 class TestCorpusCoherence:
     def test_verdicts_never_contradict(self, knots):
         # non-constant invariant forces a non-"yes" conjugation verdict
-        from quandleforge.envgroup import is_conjugation_quandle
         from quandleforge.knots import state_sum
         for name, x, m, phi, e, proj in corpus_extensions(
                 max_base_order=4, moduli=(2,)):
             nonconstant = any(not is_constant(state_sum(x, phi, k))
                               for k in knots)
             if nonconstant:
-                assert is_conjugation_quandle(e) != "yes", name
+                assert conjugation_criterion(e).verdict != "yes", name
 
 
 @pytest.fixture(scope="module")
@@ -497,8 +525,8 @@ def joining_letters(strands, word, signs):
 
 
 @pytest.fixture(scope="module")
-def conjugation_verdicts():
-    """Vendramin verdicts by (extension table, max_cosets), shared by the
+def conjugation_criteria():
+    """Vendramin criteria by (extension table, max_cosets), shared by the
     fuzz examples, which draw the same few extensions again and again."""
     return {}
 
@@ -506,7 +534,7 @@ def conjugation_verdicts():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_random_knots_never_violate_theorems(fuzz_pools,
-                                              conjugation_verdicts, data):
+                                              conjugation_criteria, data):
     # Theorems 3.1 and 3.5 on random knots: a random braid word, closed to
     # one component by joining letters, is a classical knot.  One extension
     # is drawn from each pool.  Every example still takes each verdict
@@ -518,9 +546,9 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     # negative crossings fails this in most runs, through the last pool.
     def memoized(e, max_cosets):
         key = (e.table, max_cosets)
-        if key not in conjugation_verdicts:
-            conjugation_verdicts[key] = is_conjugation_quandle(e, max_cosets)
-        return conjugation_verdicts[key]
+        if key not in conjugation_criteria:
+            conjugation_criteria[key] = conjugation_criterion(e, max_cosets)
+        return conjugation_criteria[key]
 
     s = data.draw(st.integers(2, 5))
     word = data.draw(st.lists(
@@ -528,7 +556,7 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=s - 1,
                                max_size=s - 1))
     k = parse_braid("fuzz", s, word + joining_letters(s, word, signs))
-    with mock.patch.object(pipeline, "is_conjugation_quandle", memoized):
+    with mock.patch.object(pipeline, "conjugation_criterion", memoized):
         for pool in fuzz_pools:
             name, x, m, phi, e, _ = data.draw(st.sampled_from(pool))
             weights = [coloring_weight(phi, c)
