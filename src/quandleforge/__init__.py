@@ -15,29 +15,25 @@ __new__ and its checks, are never called.
 """
 
 from .cohomology import (CohomologyGroup, Cocycle2, coboundary, cocycle,
-                         cocycle_power, cohomologous, is_cocycle,
-                         second_cohomology)
+                         cocycle_power, cohomologous, second_cohomology)
 from .constructions import (FiniteGroup, GroupAutomorphism, abelian_extension,
                             alexander_quandle, conjugation_automorphism,
                             conjugation_quandle, cyclic_group,
                             dihedral_quandle, finite_group,
                             generalized_alexander_quandle, symmetric_group,
                             trivial_quandle)
-from .core import (PermGroup, Permutation, Quandle, QuandleMap,
-                   are_isomorphic, epimorphism_index, inn_image, inner_group,
-                   is_connected, is_covering, is_faithful, product_quandle,
-                   right_translation, validate_quandle)
+from .core import (Permutation, Quandle, QuandleMap, epimorphism_index,
+                   inn_image, inner_group, is_connected, is_covering,
+                   is_faithful, right_translation, validate_quandle)
 from .envgroup import (ConjugationCriterion, CosetTable, Presentation,
                        conjugation_criterion, todd_coxeter)
-from .knotdata import bundled_knots, bundled_tangles
+from .knotdata import bundled_knots
 from .knots import (BraidKnot, Coloring, GroupRingElt, Tangle,
-                    end_monochromatic, endpoints_same_translation,
                     enumerate_colorings, is_constant, lift_coloring,
                     parse_braid, state_sum, tangle_colorings)
 from .pipeline import (InnSequence, constancy_pipeline, fiber_criterion,
                        inn_sequence, nonconstancy_certificates,
-                       power_coefficient_check, recover_index2_cocycle,
-                       tetrahedral_quandle)
+                       power_coefficient_check, recover_index2_cocycle)
 
 __version__ = "0.1.0"
 

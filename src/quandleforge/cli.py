@@ -1,8 +1,9 @@
 """forge: the command-line interface.
 
 Every subcommand writes line-oriented JSON records to stdout and a short
-human summary to stderr.  Exit codes: 0 ok, 1 bad input or data error,
-2 a mechanically checked theorem failed (implementation bug).
+human summary to stderr.  Exit codes: 0 ok (--help included), 1 bad input
+(a usage error included) or data error, 2 a mechanically checked theorem
+failed (implementation bug).
 """
 
 import argparse
@@ -66,19 +67,19 @@ def cmd_validate(args):
 
 def cmd_props(args):
     q = qio.read_quandle(args.quandle)
-    inn = inner_group(q)
+    inn_order = len(inner_group(q))
     img, _ = inn_image(q)
     rec = {
         "record": "props",
         "order": q.n,
         "connected": is_connected(q),
         "faithful": is_faithful(q),
-        "inner_group_order": inn.order,
+        "inner_group_order": inn_order,
         "inn_image_order": img.n,
     }
     emit(rec)
     note(f"order {q.n}: connected={rec['connected']} "
-         f"faithful={rec['faithful']} |Inn|={inn.order} |inn(Q)|={img.n}")
+         f"faithful={rec['faithful']} |Inn|={inn_order} |inn(Q)|={img.n}")
     return 0
 
 
@@ -164,9 +165,6 @@ def cmd_vendramin(args):
 def cmd_recover_ext(args):
     q = qio.read_quandle(args.quandle)
     img, f = inn_image(q)
-    if q.n != 2 * img.n:
-        note(f"inner representation has index {q.n}/{img.n}, not 2")
-        return 1
     phi = recover_index2_cocycle(f)
     emit({"record": "recover_ext", "base_order": img.n,
           "cocycle": [list(r) for r in phi.values]})
@@ -229,6 +227,14 @@ def cmd_certify(args):
     return 0
 
 
+def _element(g, flag, v):
+    """The 0-based index of the group element given 1-based as flag v."""
+    if not 1 <= v <= g.order:
+        raise QuandleError(f"{flag} {v} is not a group element; the group's "
+                           f"elements are 1..{g.order}")
+    return v - 1
+
+
 # the options each family of `forge make` cannot do without
 _MAKE_NEEDS = {"dihedral": ("n",), "trivial": ("n",), "alexander": ("n", "t"),
                "conj": ("group", "elem"), "galex": ("group",),
@@ -257,14 +263,15 @@ def cmd_make(args):
         summary = f"alexander quandle mod {args.n}, t={args.t}"
     elif args.family == "conj":
         g = qio.read_group(args.group)
-        q, labels = conjugation_quandle(g, args.elem - 1)
+        q, labels = conjugation_quandle(g, _element(g, "--elem", args.elem))
         summary = f"conjugacy class of element {args.elem}, order {q.n}"
         emit({"record": "conj_labels",
               "labels": [v + 1 for v in labels]})
     elif args.family == "galex":
         g = qio.read_group(args.group)
         if args.conj_by is not None:
-            f = conjugation_automorphism(g, args.conj_by - 1)
+            f = conjugation_automorphism(
+                g, _element(g, "--conj-by", args.conj_by))
         else:
             images = tuple(int(v) - 1 for v in args.images.split(","))
             f = GroupAutomorphism(g, images)
@@ -378,7 +385,12 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is bad
+        # input here: 2 is kept for TheoremViolation
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except TheoremViolation as exc:

@@ -101,10 +101,6 @@ def cocycle_witness(q, m, values):
     return None
 
 
-def is_cocycle(q, m, values):
-    return cocycle_witness(q, m, values) is None
-
-
 def cocycle(q, m, values):
     """Validate values as a 2-cocycle mod m on q and wrap it: ShapeMismatch
     for a table that is not q.n x q.n or a cochain of another modulus,

@@ -1,5 +1,11 @@
 """Finite quandles and their structural invariants.
 
+The value types Permutation, Quandle and QuandleMap; the axiom check; Inn(q)
+as its element tuple, the inner representation inn_image, orbits, and the
+relations among epimorphisms that the paper's statements use (is_covering,
+epimorphism_index).  The isomorphism search and product quandles that the
+tests use as corpus builders and oracle live in tests/helpers.py.
+
 Conventions, used everywhere in this package:
 
 * elements are 0-based indices; ``table[a][b]`` is the product ``a * b``
@@ -71,16 +77,6 @@ class Permutation(namedtuple("Permutation", "images")):
         return Permutation(tuple(range(n)))
 
 
-class PermGroup(namedtuple("PermGroup", "degree generators elements")):
-    """A permutation group with its full element list (desk scale)."""
-
-    __slots__ = ()
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-
 class Quandle(namedtuple("Quandle", "n table")):
     """An order-n quandle given by its Cayley table.
 
@@ -124,21 +120,11 @@ class QuandleMap(namedtuple("QuandleMap", "source target images")):
     def is_epimorphism(self):
         return len(set(self.images)) == self.target.n
 
-    def is_bijective(self):
-        return self.source.n == self.target.n and self.is_epimorphism()
-
     def fibers(self):
         out = {}
         for x, v in enumerate(self.images):
             out.setdefault(v, []).append(x)
         return out
-
-    def then(self, other):
-        """Composition self followed by other."""
-        if other.source is not self.target and other.source != self.target:
-            raise NotAHomomorphism("composition target/source mismatch")
-        return QuandleMap(self.source, other.target,
-                          tuple(other.images[v] for v in self.images))
 
 
 def _law_failure(source, target, images):
@@ -237,13 +223,11 @@ def _closure(degree, gen_tuples, cap):
 
 
 def inner_group(q, cap=DEFAULT_GROUP_CAP):
-    """The group generated by all right translations, with its full element
-    list in discovery order (identity first)."""
+    """Inn(q), the group generated by all right translations: the tuple of
+    its elements as Permutations, in discovery order (identity first).
+    GroupTooLarge once the closure would pass cap elements."""
     gens = [q.column(a) for a in range(q.n)]
-    elements = _closure(q.n, gens, cap)
-    return PermGroup(degree=q.n,
-                     generators=tuple(Permutation(g) for g in gens),
-                     elements=tuple(Permutation(e) for e in elements))
+    return tuple(Permutation(e) for e in _closure(q.n, gens, cap))
 
 
 def orbit_forest(q):
@@ -322,80 +306,6 @@ def is_covering(f):
             if q.column(y) != col0:
                 return False
     return True
-
-
-def _iso_profiles(q):
-    cols = [q.column(a) for a in range(q.n)]
-    mult = {}
-    for c in cols:
-        mult[c] = mult.get(c, 0) + 1
-    return [(Permutation(cols[a]).cycle_type(), mult[cols[a]])
-            for a in range(q.n)]
-
-
-def are_isomorphic(q1, q2):
-    """Search for an isomorphism q1 -> q2; returns a QuandleMap or None.
-
-    Backtracking over elements, pruned by per-element profiles (cycle type of
-    the translation and its multiplicity among the columns).
-    """
-    if q1.n != q2.n:
-        return None
-    p1, p2 = _iso_profiles(q1), _iso_profiles(q2)
-    if sorted(p1) != sorted(p2):
-        return None
-    n = q1.n
-    candidates = [[b for b in range(n) if p2[b] == p1[a]] for a in range(n)]
-    # rarest profiles first to fail fast
-    order = sorted(range(n), key=lambda a: len(candidates[a]))
-    img = [-1] * n
-    used = [False] * n
-    t1, t2 = q1.table, q2.table
-
-    def extend(k):
-        if k == n:
-            # pruning checks only factor pairs; verify the whole table here
-            return _law_failure(t1, t2, img) is None
-        a = order[k]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            ok = True
-            for c in order[:k]:
-                d = img[c]
-                ac, ca = img[t1[a][c]], img[t1[c][a]]
-                if (ac != -1 and ac != t2[b][d]) or (ca != -1 and ca != t2[d][b]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[a] = b
-            used[b] = True
-            if extend(k + 1):
-                return True
-            img[a] = -1
-            used[b] = False
-        return False
-
-    if not extend(0):
-        return None
-    return QuandleMap(q1, q2, tuple(img))
-
-
-def product_quandle(q1, q2):
-    """Componentwise operation on pairs, encoded as a*len(q2) + b."""
-    n1, n2 = q1.n, q2.n
-    n = n1 * n2
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            i = a1 * n2 + a2
-            row = table[i]
-            for b1 in range(n1):
-                rb1 = q1.table[a1][b1]
-                for b2 in range(n2):
-                    row[b1 * n2 + b2] = rb1 * n2 + q2.table[a2][b2]
-    return validate_quandle(n, table)
 
 
 class IndexReport(namedtuple("IndexReport", "index fibers_equal")):

@@ -2,12 +2,12 @@
 
 Each word's closure is verified to be a single component at load time, and
 the test suite pins coloring-count fingerprints over dihedral quandles of
-orders 3, 5, 7 (and 11, 13) for every entry.  Trefoil and figure-eight carry
-extra presentations so diagram independence is exercised across Markov
-moves.
+orders 3, 5, 7 (and 11, 13) for every entry.  This table is what the CLI's
+knot-taking commands read when no --knots file is given; the alternate
+presentations that the Markov-move tests compare live with those tests.
 """
 
-from .knots import Tangle, parse_braid
+from .knots import parse_braid
 
 # name, strands, word
 BUNDLED_WORDS = [
@@ -24,28 +24,7 @@ BUNDLED_WORDS = [
     ("8_20", 3, [1, 1, 1, -2, -1, -1, -1, -2]),
 ]
 
-# alternate presentations of the same knot, for the Markov/diagram tests
-EXTRA_PRESENTATIONS = {
-    "3_1": [(3, [1, 1, 1, 2]), (3, [1, 1, 1, -2])],
-    "4_1": [(4, [1, -2, 1, -2, 3])],
-}
-
 
 def bundled_knots():
     """The bundled table, parsed and closure-checked."""
     return [parse_braid(name, s, w) for name, s, w in BUNDLED_WORDS]
-
-
-def bundled_tangles():
-    return [Tangle(k) for k in bundled_knots()]
-
-
-def presentations(name):
-    """All bundled presentations of the named knot (canonical one first)."""
-    out = []
-    for n, s, w in BUNDLED_WORDS:
-        if n == name:
-            out.append(parse_braid(name, s, w))
-    for s, w in EXTRA_PRESENTATIONS.get(name, []):
-        out.append(parse_braid(name, s, w))
-    return out

@@ -25,6 +25,9 @@ presentations of one knot.
 
 A 1-tangle is the knot cut open at the closure arc of position 0; its
 endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
+Callers read the end colors off each Coloring (`forge invariant --tangle`
+reports whether they agree), and lift_coloring states the paper's lifting
+property of tangle colorings along a covering.
 """
 
 from collections import namedtuple
@@ -88,9 +91,6 @@ class GroupRingElt(namedtuple("GroupRingElt", "m coeffs")):
         if len(coeffs) != m:
             raise ValueError("coefficient vector must have length m")
         return super().__new__(cls, m, coeffs)
-
-    def total(self):
-        return sum(self.coeffs)
 
     def __str__(self):
         terms = [f"{c}*u^{j}" for j, c in enumerate(self.coeffs) if c]
@@ -164,21 +164,6 @@ def state_sum(q, phi, k):
 def is_constant(e):
     """True iff every coefficient away from u^0 vanishes."""
     return all(c == 0 for c in e.coeffs[1:])
-
-
-def end_monochromatic(q, t):
-    """True iff every tangle coloring gives both endpoints the same color."""
-    return all(c.y0 == c.y1 for c in tangle_colorings(q, t))
-
-
-def endpoints_same_translation(q, t):
-    """True iff R_{y0} == R_{y1} for every tangle coloring.
-
-    This must hold for every quandle, because our tangles are classical by
-    construction; a failure here is an implementation bug.
-    """
-    return all(q.column(c.y0) == q.column(c.y1)
-               for c in tangle_colorings(q, t))
 
 
 def lift_coloring(f, t, coloring, y):

@@ -15,8 +15,7 @@ bug detector, not a report line.
 from collections import namedtuple
 
 from .cohomology import cocycle, cocycle_power
-from .constructions import (_extension, finite_group,
-                            generalized_alexander_quandle, GroupAutomorphism)
+from .constructions import _extension
 from .core import (QuandleMap, inner_group, inn_image, is_covering,
                    is_faithful)
 from .envgroup import DEFAULT_MAX_COSETS, conjugation_criterion
@@ -34,14 +33,6 @@ class InnSequence(namedtuple("InnSequence", "quandles maps")):
     @property
     def terminal_faithful(self):
         return is_faithful(self.quandles[-1])
-
-    def composite(self):
-        """The covering from Q0 onto the terminal faithful quandle."""
-        f = QuandleMap(self.quandles[0], self.quandles[0],
-                       tuple(range(self.quandles[0].n)))
-        for step in self.maps:
-            f = f.then(step)
-        return f
 
 
 def inn_sequence(q):
@@ -76,8 +67,10 @@ def recover_index2_cocycle(f):
     if not is_covering(f):
         raise NotACovering("index-2 recovery requires a covering")
     fibers = f.fibers()
-    if any(len(v) != 2 for v in fibers.values()):
-        raise NotIndex2("all fibers must have exactly two elements")
+    sizes = sorted({len(v) for v in fibers.values()})
+    if sizes != [2]:
+        raise NotIndex2(f"index-2 recovery needs fibers of two elements; "
+                        f"found fiber sizes {sizes}")
     y = f.source
     x = f.target
     section = [0] * x.n
@@ -105,9 +98,8 @@ def fiber_criterion(f):
     witness) certifies that f is not an abelian extension."""
     if not f.is_epimorphism():
         raise NotACovering("fiber criterion expects an epimorphism")
-    inn = inner_group(f.source)
     fibers = [tuple(v) for v in f.fibers().values()]
-    for beta in inn.elements:
+    for beta in inner_group(f.source):
         img = beta.images
         for fib in fibers:
             fixed = [p for p in fib if img[p] == p]
@@ -271,11 +263,3 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     return Certificate(base=x, m=m, phi=phi, extension=verdict.extension,
                        witness_knots=witnesses,
                        conjugation_verdict=verdict.is_conjugation)
-
-
-def tetrahedral_quandle():
-    """The connected faithful order-4 quandle on the Klein group with a cyclic
-    automorphism; the smallest base with nontrivial Z_2 cohomology."""
-    klein = finite_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-    f = GroupAutomorphism(klein, (0, 2, 3, 1))
-    return generalized_alexander_quandle(klein, f)

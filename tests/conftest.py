@@ -7,10 +7,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import abelian_extension, dihedral_quandle
-from quandleforge.knotdata import bundled_knots, bundled_tangles
-from quandleforge.pipeline import tetrahedral_quandle
+from quandleforge.knotdata import bundled_knots
+from quandleforge.knots import Tangle
 
-from helpers import corpus_quandles, sym4_class_quandle
+from helpers import corpus_quandles, sym4_class_quandle, tetrahedral_quandle
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +67,7 @@ def knots():
 
 @pytest.fixture(scope="session")
 def tangles():
-    return bundled_tangles()
+    return [Tangle(k) for k in bundled_knots()]
 
 
 @pytest.fixture(scope="session")

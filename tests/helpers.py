@@ -1,13 +1,135 @@
-"""Constructions shared by several test modules."""
+"""Constructions, test data and oracles shared by several test modules.
+
+Nothing in the package calls these: corpus builders (product_quandle,
+tetrahedral_quandle, corpus_quandles), the isomorphism search the census
+tests use as oracle (are_isomorphic), the alternate braid presentations of
+the Markov tests (presentations), and a tangle check whose failure would be
+an implementation bug (endpoints_same_translation).
+"""
 
 from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         conjugation_quandle, dihedral_quandle,
+                                        finite_group,
                                         generalized_alexander_quandle,
                                         GroupAutomorphism, symmetric_group,
                                         trivial_quandle)
-from quandleforge.core import Permutation, product_quandle
-from quandleforge.pipeline import tetrahedral_quandle
+from quandleforge.core import Permutation, QuandleMap, validate_quandle
+from quandleforge.errors import NotAHomomorphism
+from quandleforge.knotdata import BUNDLED_WORDS
+from quandleforge.knots import parse_braid, tangle_colorings
+
+# alternate presentations of the same knot, for the Markov/diagram tests
+EXTRA_PRESENTATIONS = {
+    "3_1": [(3, [1, 1, 1, 2]), (3, [1, 1, 1, -2])],
+    "4_1": [(4, [1, -2, 1, -2, 3])],
+}
+
+
+def presentations(name):
+    """All presentations of the named knot, the bundled one first."""
+    out = []
+    for n, s, w in BUNDLED_WORDS:
+        if n == name:
+            out.append(parse_braid(name, s, w))
+    for s, w in EXTRA_PRESENTATIONS.get(name, []):
+        out.append(parse_braid(name, s, w))
+    return out
+
+
+def endpoints_same_translation(q, t):
+    """True iff R_{y0} == R_{y1} for every tangle coloring.
+
+    This must hold for every quandle, because the tangles are classical by
+    construction; a failure here is an implementation bug.
+    """
+    return all(q.column(c.y0) == q.column(c.y1)
+               for c in tangle_colorings(q, t))
+
+
+def tetrahedral_quandle():
+    """The connected faithful order-4 quandle on the Klein group with a cyclic
+    automorphism; the smallest base with nontrivial Z_2 cohomology."""
+    klein = finite_group([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    f = GroupAutomorphism(klein, (0, 2, 3, 1))
+    return generalized_alexander_quandle(klein, f)
+
+
+def product_quandle(q1, q2):
+    """Componentwise operation on pairs, encoded as a*len(q2) + b."""
+    n1, n2 = q1.n, q2.n
+    n = n1 * n2
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(n1):
+        for a2 in range(n2):
+            i = a1 * n2 + a2
+            row = table[i]
+            for b1 in range(n1):
+                rb1 = q1.table[a1][b1]
+                for b2 in range(n2):
+                    row[b1 * n2 + b2] = rb1 * n2 + q2.table[a2][b2]
+    return validate_quandle(n, table)
+
+
+def _iso_profiles(q):
+    cols = [q.column(a) for a in range(q.n)]
+    mult = {}
+    for c in cols:
+        mult[c] = mult.get(c, 0) + 1
+    return [(Permutation(cols[a]).cycle_type(), mult[cols[a]])
+            for a in range(q.n)]
+
+
+def are_isomorphic(q1, q2):
+    """Search for an isomorphism q1 -> q2; returns a QuandleMap or None.
+
+    Backtracking over elements, pruned by per-element profiles (cycle type of
+    the translation and its multiplicity among the columns).
+    """
+    if q1.n != q2.n:
+        return None
+    p1, p2 = _iso_profiles(q1), _iso_profiles(q2)
+    if sorted(p1) != sorted(p2):
+        return None
+    n = q1.n
+    candidates = [[b for b in range(n) if p2[b] == p1[a]] for a in range(n)]
+    # rarest profiles first to fail fast
+    order = sorted(range(n), key=lambda a: len(candidates[a]))
+    img = [-1] * n
+    used = [False] * n
+    t1, t2 = q1.table, q2.table
+
+    def extend(k):
+        """The isomorphism extending img on order[:k], or None."""
+        if k == n:
+            # pruning checks only factor pairs; QuandleMap checks every pair
+            try:
+                return QuandleMap(q1, q2, tuple(img))
+            except NotAHomomorphism:
+                return None
+        a = order[k]
+        for b in candidates[a]:
+            if used[b]:
+                continue
+            ok = True
+            for c in order[:k]:
+                d = img[c]
+                ac, ca = img[t1[a][c]], img[t1[c][a]]
+                if (ac != -1 and ac != t2[b][d]) or (ca != -1 and ca != t2[d][b]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            img[a] = b
+            used[b] = True
+            found = extend(k + 1)
+            if found is not None:
+                return found
+            img[a] = -1
+            used[b] = False
+        return None
+
+    return extend(0)
 
 
 def sparse_rows(rows):

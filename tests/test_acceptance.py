@@ -11,24 +11,24 @@ from itertools import product
 
 import pytest
 
-from helpers import corpus_extensions, corpus_quandles, sym4_class_quandle
+from helpers import (are_isomorphic, corpus_extensions, corpus_quandles,
+                     endpoints_same_translation, presentations,
+                     sym4_class_quandle)
 from oracles import (brute_coboundary_count, brute_cocycle_count,
                      coxeter_s3_order, grid_coloring_count, quandles_up_to_iso)
 from quandleforge.cohomology import (Cocycle2, coboundary_space_order,
-                                     cohomologous, is_cocycle,
+                                     cocycle_witness, cohomologous,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         extension_table)
-from quandleforge.core import (are_isomorphic, inn_image, is_connected,
-                               is_faithful, validate_quandle)
+from quandleforge.core import (inn_image, is_connected, is_faithful,
+                               validate_quandle)
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter, verify_coset_table)
 from quandleforge.errors import AxiomViolation
-from quandleforge.knotdata import bundled_knots, bundled_tangles, presentations
-from quandleforge.knots import (Tangle, end_monochromatic,
-                                endpoints_same_translation,
-                                enumerate_colorings, is_constant, parse_braid,
-                                state_sum)
+from quandleforge.knotdata import bundled_knots
+from quandleforge.knots import (Tangle, enumerate_colorings, is_constant,
+                                parse_braid, state_sum, tangle_colorings)
 from quandleforge.pipeline import fiber_criterion, recover_index2_cocycle
 
 
@@ -119,7 +119,7 @@ def test_criterion_3_extension_iff_cocycle():
                 vals = [[0] * n for _ in range(n)]
                 for v, (x, y) in zip(assignment, pairs):
                     vals[x][y] = v
-                is_co = is_cocycle(q, m, vals)
+                is_co = cocycle_witness(q, m, vals) is None
                 try:
                     validate_quandle(n * m, extension_table(q, m, vals))
                     valid = True
@@ -196,16 +196,16 @@ def test_criterion_5_theorem_constancy_end_to_end(x6):
               f"every bundled knot ({elapsed:.2f}s)", failures)
 
 
-def test_criterion_6_tangle_lemma_suites(extensions):
+def test_criterion_6_tangle_lemma_suites(extensions, tangles):
     failures = []
     for name, q in corpus_quandles(max_order=12):
-        for t in bundled_tangles():
+        for t in tangles:
             if not endpoints_same_translation(q, t):
                 failures.append(f"translation equality fails: {name}/{t.name}")
     knots = bundled_knots()
     for name, x, m, phi, e, proj in extensions:
         for k in knots:
-            mono = end_monochromatic(e, Tangle(k))
+            mono = all(c.y0 == c.y1 for c in tangle_colorings(e, Tangle(k)))
             const = is_constant(state_sum(x, phi, k))
             if mono != const:
                 failures.append(

@@ -265,6 +265,15 @@ class TestCli:
         rec = qio.read_cocycle(out)
         assert rec.m == 2 and rec.n == 4
 
+    def test_recover_ext_not_index_two(self, capsys, tmp_path):
+        # inn(trivial_quandle(3)) is one point: one fiber of three elements
+        path = tmp_path / "t3.quandle"
+        qio.write_text(path, qio.quandle_to_text(trivial_quandle(3)))
+        code, records, err = run_cli(capsys, "recover-ext", "--quandle",
+                                     str(path))
+        assert code == 1 and records == []
+        assert "error:" in err and "fiber sizes [3]" in err
+
     def test_thm31(self, capsys, tmp_path, tetrahedral, tet_psi):
         qpath = tmp_path / "t.quandle"
         cpath = tmp_path / "t.cocycle"
@@ -377,28 +386,33 @@ class TestCli:
         assert code == 1 and "error:" in err and "--cocycle" in err
         assert records == []
 
-    @pytest.mark.parametrize("argv", [
-        ["make", "dihedral"],
-        ["make", "alexander", "--n", "5"],
-        ["make", "alexander", "--n", "0", "--t", "1"],
-        ["make", "conj"],
-        ["make", "conj", "--group", "{s3}"],
-        ["make", "galex", "--group", "{s3}"],
-        ["make", "conj", "--group", "{s3}", "--elem", "0"],
-        ["make", "conj", "--group", "{s3}", "--elem", "7"],
-        ["make", "galex", "--group", "{s3}", "--conj-by", "0"],
-        ["make", "galex", "--group", "{s3}", "--conj-by", "2",
-         "--images", "1,2,3,4,5,6"],
-        ["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"],
-        ["vendramin", "--quandle", "{d3}", "--max-cosets", "0"],
-        ["vendramin", "--quandle", "{t2}", "--max-cosets", "0"],
+    @pytest.mark.parametrize("argv, message", [
+        (["make", "dihedral"], None),
+        (["make", "alexander", "--n", "5"], None),
+        (["make", "alexander", "--n", "0", "--t", "1"], None),
+        (["make", "conj"], None),
+        (["make", "conj", "--group", "{s3}"], None),
+        (["make", "galex", "--group", "{s3}"], None),
+        # element numbers are 1-based, as in the group file format
+        (["make", "conj", "--group", "{s3}", "--elem", "0"],
+         "--elem 0 is not a group element; the group's elements are 1..6"),
+        (["make", "conj", "--group", "{s3}", "--elem", "7"],
+         "--elem 7 is not a group element; the group's elements are 1..6"),
+        (["make", "galex", "--group", "{s3}", "--conj-by", "0"],
+         "--conj-by 0 is not a group element; the group's elements are "
+         "1..6"),
+        (["make", "galex", "--group", "{s3}", "--conj-by", "2",
+          "--images", "1,2,3,4,5,6"], None),
+        (["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"], None),
+        (["vendramin", "--quandle", "{d3}", "--max-cosets", "0"], None),
+        (["vendramin", "--quandle", "{t2}", "--max-cosets", "0"], None),
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
             "galex-conj-by-and-images", "cocycle-mod-0",
             "max-cosets-0-connected", "max-cosets-0-disconnected"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
-                                         argv):
+                                         argv, message):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
                  "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle"}
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
@@ -408,6 +422,44 @@ class TestCli:
         code, records, err = run_cli(capsys, *argv)
         assert code == 1 and "error:" in err
         assert records == []
+        if message is not None:
+            assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["h2", "--mod", "2"],
+        ["h2", "--quandle", "{d3}", "--mod", "two"],
+        ["frobnicate"],
+    ], ids=["missing-option", "non-integer-mod", "unknown-command"])
+    def test_usage_error_exits_1(self, capsys, d3_file, argv):
+        # argparse's own exit status is 2, which forge keeps for
+        # TheoremViolation
+        argv = [a.format(d3=d3_file) for a in argv]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 1 and records == []
+        assert "usage: forge" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["h2", "--help"]],
+                             ids=["forge", "h2"])
+    def test_help_exits_0(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0 and out.startswith("usage: forge")
+
+    def test_theorem_violation_exits_2(self, capsys, tmp_path, monkeypatch,
+                                       d3_file):
+        from quandleforge import cli
+        from quandleforge.errors import TheoremViolation
+
+        def broken(*args, **kwargs):
+            raise TheoremViolation("planted by the test")
+
+        monkeypatch.setattr(cli, "constancy_pipeline", broken)
+        cpath = tmp_path / "z.cocycle"
+        qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
+        code, records, err = run_cli(capsys, "thm31", "--quandle", d3_file,
+                                     "--cocycle", str(cpath))
+        assert code == 2 and records == []
+        assert "THEOREM VIOLATION: planted by the test" in err
 
     def test_error_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "props", "--quandle",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import EXTRA_PRESENTATIONS, tetrahedral_quandle
 from oracles import (define_only_coset_enumeration, enveloping_relators,
                      grid_coloring_count, scan_colorings)
 from quandleforge import _kernels
@@ -24,8 +25,7 @@ from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected, orbit_forest, orbits
-from quandleforge.knotdata import BUNDLED_WORDS, EXTRA_PRESENTATIONS
-from quandleforge.pipeline import tetrahedral_quandle
+from quandleforge.knotdata import BUNDLED_WORDS
 
 
 def flat(q):

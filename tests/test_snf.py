@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (corpus_quandles, dense_rows, dense_smith_form,
-                     sparse_rows, sym4_class_quandle)
+                     product_quandle, sparse_rows, sym4_class_quandle)
 from oracles import (bucket_reduce, identity, mat_mul,
                      reference_constraint_rows, reference_row_reduce,
                      reference_smith_normal_form)
@@ -17,7 +17,7 @@ from quandleforge.cohomology import (_constraint_rows, _pair_index,
                                      second_cohomology)
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle)
-from quandleforge.core import is_connected, product_quandle
+from quandleforge.core import is_connected
 
 matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 6).flatmap(

@@ -4,6 +4,7 @@ construction where the type has a check."""
 
 import ast
 import copy
+import types
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,7 @@ from quandleforge.cohomology import Cocycle2, CohomologyGroup
 from quandleforge.constructions import (FiniteGroup, GroupAutomorphism,
                                         abelian_extension, cyclic_group,
                                         dihedral_quandle)
-from quandleforge.core import (IndexReport, PermGroup, Permutation, Quandle,
-                               QuandleMap)
+from quandleforge.core import IndexReport, Permutation, Quandle, QuandleMap
 from quandleforge.envgroup import (ConjugationCriterion, CosetTable,
                                    Presentation, todd_coxeter)
 from quandleforge.errors import NotACocycle, NotAHomomorphism
@@ -36,8 +36,6 @@ CYCLIC = Presentation(1, ((1, 1, 1),))
 # one value of each public type, as its fields in declaration order
 SAMPLES = {
     Permutation: {"images": (1, 2, 0)},
-    PermGroup: {"degree": 3, "generators": (CYCLE,),
-                "elements": (Permutation.identity(3), CYCLE, CYCLE * CYCLE)},
     Quandle: {"n": 3, "table": D3.table},
     QuandleMap: {"source": D3, "target": D3, "images": (0, 2, 1)},
     IndexReport: {"index": 2, "fibers_equal": True},
@@ -80,6 +78,35 @@ UNHASHABLE = {ExtensionVerdict, PowerCheckReport, Certificate, SmithForm}
 
 TYPES = pytest.mark.parametrize("cls", list(SAMPLES),
                                 ids=[cls.__name__ for cls in SAMPLES])
+
+
+# every name quandleforge exports serves a forge command or states a result
+# of the paper; a helper only the tests need belongs in tests/helpers.py
+EXPORTED = [
+    "BraidKnot", "Cocycle2", "CohomologyGroup", "Coloring",
+    "ConjugationCriterion", "CosetTable", "FiniteGroup", "GroupAutomorphism",
+    "GroupRingElt", "InnSequence", "Permutation", "Presentation", "Quandle",
+    "QuandleMap", "Tangle", "abelian_extension", "alexander_quandle",
+    "bundled_knots", "coboundary", "cocycle", "cocycle_power", "cohomologous",
+    "conjugation_automorphism", "conjugation_criterion", "conjugation_quandle",
+    "constancy_pipeline", "cyclic_group", "dihedral_quandle",
+    "enumerate_colorings", "epimorphism_index", "fiber_criterion",
+    "finite_group", "generalized_alexander_quandle", "inn_image",
+    "inn_sequence", "inner_group", "is_connected", "is_constant",
+    "is_covering", "is_faithful", "kernel_backend", "lift_coloring",
+    "nonconstancy_certificates", "parse_braid", "power_coefficient_check",
+    "recover_index2_cocycle", "right_translation", "second_cohomology",
+    "state_sum", "symmetric_group", "tangle_colorings", "todd_coxeter",
+    "trivial_quandle", "validate_quandle",
+]
+
+
+def test_exported_names_are_pinned():
+    import quandleforge
+    public = sorted(name for name, v in vars(quandleforge).items()
+                    if not name.startswith("_")
+                    and not isinstance(v, types.ModuleType))
+    assert public == EXPORTED
 
 
 def test_every_public_value_type_is_sampled():
