@@ -22,9 +22,9 @@ from .constructions import (FiniteGroup, GroupAutomorphism, abelian_extension,
                             dihedral_quandle, finite_group,
                             generalized_alexander_quandle, symmetric_group,
                             trivial_quandle)
-from .core import (Permutation, Quandle, QuandleMap, epimorphism_index,
-                   inn_image, inner_group, is_connected, is_covering,
-                   is_faithful, right_translation, validate_quandle)
+from .core import (Quandle, QuandleMap, epimorphism_index, inn_image,
+                   inner_group, is_connected, is_covering, is_faithful,
+                   validate_quandle)
 from .envgroup import (ConjugationCriterion, CosetTable, Presentation,
                        conjugation_criterion, todd_coxeter)
 from .knotdata import bundled_knots

@@ -273,7 +273,12 @@ def cmd_make(args):
             f = conjugation_automorphism(
                 g, _element(g, "--conj-by", args.conj_by))
         else:
-            images = tuple(int(v) - 1 for v in args.images.split(","))
+            images = tuple(_element(g, "--images", int(v))
+                           for v in args.images.split(","))
+            if len(images) != g.order:
+                raise QuandleError(
+                    f"--images gives {len(images)} values; the group has "
+                    f"{g.order} elements")
             f = GroupAutomorphism(g, images)
         q = generalized_alexander_quandle(g, f)
         summary = f"generalized Alexander quandle of order {q.n}"

@@ -1,19 +1,22 @@
 """Finite quandles and their structural invariants.
 
-The value types Permutation, Quandle and QuandleMap; the axiom check; Inn(q)
-as its element tuple, the inner representation inn_image, orbits, and the
-relations among epimorphisms that the paper's statements use (is_covering,
-epimorphism_index).  The isomorphism search and product quandles that the
-tests use as corpus builders and oracle live in tests/helpers.py.
+The value types Quandle and QuandleMap; the axiom check; Inn(q) as its
+element tuple, the inner representation inn_image, orbits, and the relations
+among epimorphisms that the paper's statements use (is_covering,
+epimorphism_index).  The isomorphism search, product quandles and the
+Permutation type that the tests use as corpus builders and oracles live in
+tests/helpers.py.
 
 Conventions, used everywhere in this package:
 
 * elements are 0-based indices; ``table[a][b]`` is the product ``a * b``
   (row = left argument),
-* the right translation by ``a`` sends ``x`` to ``x * a``, i.e. it is
-  column ``a`` of the table,
-* permutations compose left to right: ``(p * q)(x) = q(p(x))``.  Under this
-  convention the translations satisfy ``R[a * b] == R[b].inverse() * R[a] * R[b]``,
+* a permutation of 0..n-1 is the tuple of its images, and the right
+  translation R_a by ``a``, which sends ``x`` to ``x * a``, is column ``a``
+  of the table (``Quandle.column``),
+* permutations compose left to right: p then r is
+  ``tuple(r[i] for i in p)``.  Under this convention the translations
+  satisfy ``R_{a*b} = R_b^-1 R_a R_b``,
 * value types are ``collections.namedtuple`` subclasses with
   ``__slots__ = ()``, checked in ``__new__``: immutable, equal and hashed by
   their fields, so a value also equals the plain tuple of its fields and
@@ -22,59 +25,12 @@ Conventions, used everywhere in this package:
 """
 
 from collections import namedtuple
-from math import lcm
 from operator import itemgetter
 
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
                      NotAHomomorphism, NotEpimorphism)
 
 DEFAULT_GROUP_CAP = 10 ** 7
-
-
-class Permutation(namedtuple("Permutation", "images")):
-    """A bijection of 0..n-1, stored as the tuple of images."""
-
-    __slots__ = ()
-
-    def __new__(cls, images):
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection: {images}")
-        return super().__new__(cls, images)
-
-    def __call__(self, x):
-        return self.images[x]
-
-    def __mul__(self, other):
-        """Left-to-right composition: apply self first, then other."""
-        return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def order(self):
-        return lcm(*self.cycle_type())
-
-    def cycle_type(self):
-        n = len(self.images)
-        seen = [False] * n
-        lens = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            l, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                l += 1
-            lens.append(l)
-        return tuple(sorted(lens))
-
-    @staticmethod
-    def identity(n):
-        return Permutation(tuple(range(n)))
 
 
 class Quandle(namedtuple("Quandle", "n table")):
@@ -197,13 +153,6 @@ def validate_quandle(n, table):
     return Quandle(n=n, table=rows)
 
 
-def right_translation(q, a):
-    """The automorphism x -> x*a."""
-    if not 0 <= a < q.n:
-        raise ValueError("element out of range")
-    return Permutation(q.column(a))
-
-
 def _closure(degree, gen_tuples, cap):
     ident = tuple(range(degree))
     seen = {ident: None}
@@ -222,12 +171,50 @@ def _closure(degree, gen_tuples, cap):
     return list(seen)
 
 
+def _generating_tree(q):
+    """(gens, tree): a generating set S of q under the right translations,
+    chosen greedily, and the breadth-first tree that reaches every element
+    from it.
+
+    The least element not yet reached joins S, and the set is closed under
+    R_s, s in S, breadth first.  tree lists (v, u, k) for every element v in
+    the order reached: u is None when v is gens[k], and otherwise
+    v = u * gens[k] by the edge that reached v, u listed before v.  Since
+    R_{u*s} = R_s^-1 R_u R_s, the translations R_s, s in S, generate Inn(q).
+    The tree reached before s joins is closed under the earlier generators,
+    so its elements are tried with s alone: O(n |S|) steps in all.
+    """
+    table = q.table
+    gens = []
+    tree = []
+    reached = [False] * q.n
+    for s in range(q.n):
+        if reached[s]:
+            continue
+        closed = len(tree)
+        gens.append(s)
+        reached[s] = True
+        tree.append((s, None, len(gens) - 1))
+        head = 0
+        while head < len(tree):         # tree grows while this runs
+            u = tree[head][0]
+            first = len(gens) - 1 if head < closed else 0
+            head += 1
+            for k in range(first, len(gens)):
+                v = table[u][gens[k]]
+                if not reached[v]:
+                    reached[v] = True
+                    tree.append((v, u, k))
+    return gens, tuple(tree)
+
+
 def inner_group(q, cap=DEFAULT_GROUP_CAP):
-    """Inn(q), the group generated by all right translations: the tuple of
-    its elements as Permutations, in discovery order (identity first).
-    GroupTooLarge once the closure would pass cap elements."""
-    gens = [q.column(a) for a in range(q.n)]
-    return tuple(Permutation(e) for e in _closure(q.n, gens, cap))
+    """Inn(q), the group generated by the right translations: the tuple of
+    its elements as image tuples, in discovery order (identity first).  The
+    closure runs over R_s for s in the generating set of _generating_tree
+    only.  GroupTooLarge once the closure would pass cap elements."""
+    gens, _ = _generating_tree(q)
+    return tuple(_closure(q.n, [q.column(s) for s in gens], cap))
 
 
 def orbit_forest(q):

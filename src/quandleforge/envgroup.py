@@ -2,11 +2,11 @@
 
 The enveloping group of a quandle has one generator per element and the
 conjugation relations  x_j^-1 x_i x_j = x_{i*j}.  Adjoining x_i^{n_i}, where
-n_i is the order of the right translation by i, gives the finite enveloping
-group; coset enumeration over the trivial subgroup realizes it as a
-permutation group on itself (the regular action), and a connected quandle is
-a conjugation quandle exactly when the generator images stay pairwise
-distinct there.
+n_i is the order of the right translation by i (the lcm of its cycle
+lengths, _permutation_order), gives the finite enveloping group; coset
+enumeration over the trivial subgroup realizes it as a permutation group on
+itself (the regular action), and a connected quandle is a conjugation
+quandle exactly when the generator images stay pairwise distinct there.
 
 conjugation_criterion is the one entry point to that group: it walks the
 orbits once and, for a connected quandle only, reads the verdict, the group
@@ -15,10 +15,12 @@ n generators and n^2 + n relators, and the tests build it from the raw table
 as their reference; the criterion enumerates generator_presentation instead,
 the same group over a generating set S of the quandle:
 
-- S is chosen greedily: the least element not yet generated joins S, and
-  the set is closed under the right translations R_s, s in S, breadth
-  first.  Each element v reached from u by s (v = u*s) records the tree
-  edge (u, s).
+- S and its spanning tree come from core._generating_tree, which
+  core.inner_group closes over too, so Inn(q) and this group are generated
+  from one set.  S is chosen greedily: the least element not yet generated
+  joins S, and the set is closed under the right translations R_s, s in S,
+  breadth first.  Each element v reached from u by s (v = u*s) records the
+  tree edge (u, s).
 - Every element gets a word over S: word(s) = x_s for s in S, and
   word(v) = x_s^-1 word(u) x_s, freely reduced, along the tree.
 - The relators are x_s^-1 word(i) x_s word(i*s)^-1 for every pair (i, s),
@@ -51,10 +53,11 @@ mutually inverse permutations, every relator closing at every coset).
 """
 
 from collections import namedtuple
+from math import lcm
 from operator import itemgetter
 
 from ._kernels import coset_enumeration
-from .core import is_connected, right_translation
+from .core import _generating_tree, is_connected
 from .errors import Capped
 
 DEFAULT_MAX_COSETS = 10 ** 6
@@ -111,46 +114,47 @@ def _inverse(word):
 
 
 def generator_presentation(q):
-    """The finite enveloping group of q over a generating set S of q, and
-    the spanning tree it came from (see the module docstring).
+    """The finite enveloping group of q over the generating set S of
+    core._generating_tree (see the module docstring).
 
-    Returns (presentation, tree).  Generator k + 1 stands for the k-th
-    element of S.  tree lists (v, u, k) for every element v in the order
-    reached: u is None when v is the k-th element of S, and otherwise
-    v = u * S[k] by the tree edge that reached v.
+    Returns (presentation, tree), tree as core._generating_tree gives it.
+    Generator k + 1 stands for the k-th element of S.
     """
-    n = q.n
     table = q.table
-    gens = []
-    tree = []
-    word = [None] * n
-    for s in range(n):
-        if word[s] is not None:
-            continue
-        gens.append(s)
-        word[s] = (len(gens),)
-        tree.append((s, None, len(gens) - 1))
-        head = 0
-        while head < len(tree):         # tree grows while this runs
-            u = tree[head][0]
-            head += 1
-            for k, g in enumerate(gens):
-                v = table[u][g]
-                if word[v] is None:
-                    word[v] = _reduced((-(k + 1),) + word[u] + (k + 1,))
-                    tree.append((v, u, k))
+    gens, tree = _generating_tree(q)
+    word = [None] * q.n
+    for v, u, k in tree:
+        word[v] = (k + 1,) if u is None else _reduced(
+            (-(k + 1),) + word[u] + (k + 1,))
     edges = {(u, k) for _, u, k in tree}
     rels = {}
     for k, g in enumerate(gens):
-        for i in range(n):
+        for i in range(q.n):
             if (i, k) not in edges:
                 rel = _reduced((-(k + 1),) + word[i] + (k + 1,)
                                + _inverse(word[table[i][g]]))
                 if rel:
                     rels[rel] = None
     for k, g in enumerate(gens):
-        rels[(k + 1,) * right_translation(q, g).order()] = None
-    return Presentation(ngens=len(gens), relators=tuple(rels)), tuple(tree)
+        rels[(k + 1,) * _permutation_order(q.column(g))] = None
+    return Presentation(ngens=len(gens), relators=tuple(rels)), tree
+
+
+def _permutation_order(images):
+    """The order of the permutation with these images: the lcm of its cycle
+    lengths."""
+    seen = [False] * len(images)
+    lens = []
+    for i in range(len(images)):
+        if seen[i]:
+            continue
+        l, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            l += 1
+        lens.append(l)
+    return lcm(*lens)
 
 
 def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):

@@ -99,8 +99,7 @@ def fiber_criterion(f):
     if not f.is_epimorphism():
         raise NotACovering("fiber criterion expects an epimorphism")
     fibers = [tuple(v) for v in f.fibers().values()]
-    for beta in inner_group(f.source):
-        img = beta.images
+    for img in inner_group(f.source):
         for fib in fibers:
             fixed = [p for p in fib if img[p] == p]
             if fixed and len(fixed) != len(fib):

@@ -3,9 +3,13 @@
 Nothing in the package calls these: corpus builders (product_quandle,
 tetrahedral_quandle, corpus_quandles), the isomorphism search the census
 tests use as oracle (are_isomorphic), the alternate braid presentations of
-the Markov tests (presentations), and a tangle check whose failure would be
-an implementation bug (endpoints_same_translation).
+the Markov tests (presentations), a tangle check whose failure would be an
+implementation bug (endpoints_same_translation), and the permutation algebra
+the tests check translations and group elements with (Permutation; the
+package keeps permutations as plain image tuples).
 """
+
+from collections import namedtuple
 
 from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
@@ -14,10 +18,46 @@ from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         generalized_alexander_quandle,
                                         GroupAutomorphism, symmetric_group,
                                         trivial_quandle)
-from quandleforge.core import Permutation, QuandleMap, validate_quandle
+from quandleforge.core import QuandleMap, validate_quandle
 from quandleforge.errors import NotAHomomorphism
 from quandleforge.knotdata import BUNDLED_WORDS
 from quandleforge.knots import parse_braid, tangle_colorings
+
+
+class Permutation(namedtuple("Permutation", "images")):
+    """A bijection of 0..n-1, stored as the tuple of images."""
+
+    __slots__ = ()
+
+    def __new__(cls, images):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection: {images}")
+        return super().__new__(cls, images)
+
+    def __mul__(self, other):
+        """Left-to-right composition: apply self first, then other."""
+        return Permutation(tuple(other.images[i] for i in self.images))
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return Permutation(tuple(inv))
+
+    def cycle_type(self):
+        n = len(self.images)
+        seen = [False] * n
+        lens = []
+        for i in range(n):
+            if seen[i]:
+                continue
+            l, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = self.images[j]
+                l += 1
+            lens.append(l)
+        return tuple(sorted(lens))
 
 # alternate presentations of the same knot, for the Markov/diagram tests
 EXTRA_PRESENTATIONS = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import are_isomorphic, corpus_extensions
+from helpers import Permutation, are_isomorphic, corpus_extensions
 from oracles import dihedral_table, group_axiom_failure, trivial_table
 from quandleforge.cohomology import Cocycle2, cocycle_witness
 from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
@@ -16,8 +16,8 @@ from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
                                         finite_group,
                                         generalized_alexander_quandle,
                                         symmetric_group, trivial_quandle)
-from quandleforge.core import (Permutation, QuandleMap, inn_image,
-                               is_connected, is_covering, validate_quandle)
+from quandleforge.core import (QuandleMap, inn_image, is_connected,
+                               is_covering, validate_quandle)
 from quandleforge.errors import AxiomViolation, NotACocycle, NotAUnit
 
 

@@ -4,20 +4,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import are_isomorphic, corpus_quandles, product_quandle
+from helpers import (Permutation, are_isomorphic, corpus_quandles,
+                     product_quandle)
 from oracles import (composition_order, naive_closure,
                      quandle_axiom_failure)
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
 from quandleforge.cohomology import Cocycle2
-from quandleforge.core import (Permutation, QuandleMap, epimorphism_index,
-                               inn_image, inner_group, is_connected,
-                               is_covering, is_faithful, orbit_forest, orbits,
-                               right_translation, validate_quandle)
+from quandleforge.core import (QuandleMap, _generating_tree,
+                               epimorphism_index, inn_image, inner_group,
+                               is_connected, is_covering, is_faithful,
+                               orbit_forest, orbits, validate_quandle)
+from quandleforge.envgroup import _permutation_order
 from quandleforge.errors import (AxiomViolation, GroupTooLarge,
                                  NonIntegralIndex, NotEpimorphism)
 
 CORPUS_TABLES = [[list(r) for r in q.table] for _, q in corpus_quandles()]
+
+
+def restarting_tree(q):
+    """_generating_tree's first form: each time an element joins S, the
+    breadth-first pass restarts at the first tree entry and tries every
+    generator on every entry."""
+    gens, tree, reached = [], [], [False] * q.n
+    for s in range(q.n):
+        if reached[s]:
+            continue
+        gens.append(s)
+        reached[s] = True
+        tree.append((s, None, len(gens) - 1))
+        head = 0
+        while head < len(tree):
+            u = tree[head][0]
+            head += 1
+            for k, g in enumerate(gens):
+                v = q.table[u][g]
+                if not reached[v]:
+                    reached[v] = True
+                    tree.append((v, u, k))
+    return gens, tuple(tree)
 
 
 def relabel(q, sigma):
@@ -34,7 +59,7 @@ class TestPermutationOrder:
         # every permutation of degree 0..6, the empty one included
         for degree in range(7):
             for images in permutations(range(degree)):
-                assert Permutation(images).order() \
+                assert _permutation_order(images) \
                     == composition_order(images), images
 
     def test_lcm_of_large_coprime_cycles(self):
@@ -43,10 +68,9 @@ class TestPermutationOrder:
         for length in (2, 3, 5, 7, 11, 19):
             images += [start + (i + 1) % length for i in range(length)]
             start += length
-        p = Permutation(tuple(images))
         assert len(images) == 47
-        assert p.cycle_type() == (2, 3, 5, 7, 11, 19)
-        assert p.order() == 43890
+        assert Permutation(tuple(images)).cycle_type() == (2, 3, 5, 7, 11, 19)
+        assert _permutation_order(tuple(images)) == 43890
 
 
 class TestValidate:
@@ -116,23 +140,22 @@ class TestValidate:
 
 class TestTranslations:
     def test_dihedral3_column(self, d3):
-        assert right_translation(d3, 0).images == (0, 2, 1)
+        assert d3.column(0) == (0, 2, 1)
 
     def test_fixed_point(self, corpus):
         for _, q in corpus:
             for a in range(q.n):
-                assert right_translation(q, a)(a) == a
+                assert q.column(a)[a] == a
 
     def test_trivial_identity(self):
-        t = trivial_quandle(1)
-        assert right_translation(t, 0).images == (0,)
+        assert trivial_quandle(1).column(0) == (0,)
 
     def test_matches_table(self, corpus):
         for _, q in corpus:
             for b in range(q.n):
-                r = right_translation(q, b)
+                r = q.column(b)
                 for a in range(q.n):
-                    assert r(a) == q.table[a][b]
+                    assert r[a] == q.table[a][b]
 
 
 class TestInnerGroup:
@@ -151,12 +174,30 @@ class TestInnerGroup:
         assert expected == 4
         assert len(inner_group(d4)) == expected
 
-    def test_corpus_matches_closure_oracle(self, corpus):
-        for name, q in corpus:
-            if q.n > 9:
-                continue
+    def test_corpus_matches_closure_oracle(self, corpus, e12):
+        # inner_group closes over the translations of its generating set
+        # only; the oracle closes over all n of them
+        cases = [(name, q) for name, q in corpus if q.n <= 9]
+        for name, q in cases + [("E(x6, Z_2, rep0)", e12[0])]:
             gens = {q.column(a) for a in range(q.n)}
-            assert len(inner_group(q)) == len(naive_closure(gens)), name
+            assert set(inner_group(q)) == naive_closure(gens), name
+
+    def test_generating_tree(self, corpus, e12):
+        for name, q in list(corpus) + [("E(x6, Z_2, rep0)", e12[0])]:
+            gens, tree = _generating_tree(q)
+            # the generator presentation's bytes follow this order
+            assert (gens, tree) == restarting_tree(q), name
+            order = [v for v, _, _ in tree]
+            assert sorted(order) == list(range(q.n)), name
+            roots = [v for v, u, _ in tree if u is None]
+            assert roots == gens, name
+            place = {v: i for i, v in enumerate(order)}
+            for i, (v, u, k) in enumerate(tree):
+                if u is None:
+                    assert v == gens[k], name
+                else:
+                    assert v == q.table[u][gens[k]], name
+                    assert place[u] < i, name
 
     def test_cap(self, d3):
         with pytest.raises(GroupTooLarge) as info:
@@ -167,15 +208,15 @@ class TestInnerGroup:
 
     def test_group_axioms(self, d5):
         g = inner_group(d5)
-        assert g[0] == Permutation.identity(5)
+        assert g[0] == tuple(range(5))
         elems = set(g)
         assert len(elems) == len(g)
         for a in range(5):
-            assert right_translation(d5, a) in elems
-        for a in list(elems)[:10]:
-            assert a.inverse() in elems
-            for b in list(elems)[:10]:
-                assert a * b in elems
+            assert d5.column(a) in elems
+        for a in map(Permutation, list(elems)[:10]):
+            assert a.inverse().images in elems
+            for b in map(Permutation, list(elems)[:10]):
+                assert (a * b).images in elems
 
 
 class TestConnectivityFaithfulness:
@@ -245,7 +286,7 @@ class TestInnImage:
         for name, q in corpus:
             if q.n > 9:
                 continue
-            rs = [right_translation(q, a) for a in range(q.n)]
+            rs = [Permutation(q.column(a)) for a in range(q.n)]
             for a in range(q.n):
                 for b in range(q.n):
                     conj = rs[b].inverse() * rs[a] * rs[b]
@@ -337,13 +378,13 @@ class TestProduct:
         p = product_quandle(d3, d5)
         for b1 in range(3):
             for b2 in range(5):
-                r = right_translation(p, b1 * 5 + b2)
-                r1 = right_translation(d3, b1)
-                r2 = right_translation(d5, b2)
+                r = p.column(b1 * 5 + b2)
+                r1 = d3.column(b1)
+                r2 = d5.column(b2)
                 for a1 in range(3):
                     for a2 in range(5):
-                        assert (r(a1 * 5 + a2)
-                                == r1(a1) * 5 + r2(a2))
+                        assert (r[a1 * 5 + a2]
+                                == r1[a1] * 5 + r2[a2])
 
 
 class TestEpimorphismIndex:

@@ -1,11 +1,11 @@
 import pytest
 
-from helpers import corpus_extensions
+from helpers import Permutation, corpus_extensions
 
 from oracles import coxeter_s3_order, enveloping_relators
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
-from quandleforge.core import Permutation, is_connected, is_faithful
+from quandleforge.core import is_connected, is_faithful
 from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
                                    Presentation, _element_columns,
                                    conjugation_criterion,
@@ -264,6 +264,12 @@ class TestGeneratorPresentation:
         klein = todd_coxeter(Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2))))
         with pytest.raises(AssertionError, match="relation x_"):
             _element_columns(d3, klein, tree)
+
+    def test_alexander_47_5_presentation_size(self):
+        # the README's figure: 2 generators and 49 relators, where the full
+        # presentation has 47 generators and 2,256 relators
+        p, _ = generator_presentation(alexander_quandle(47, 5))
+        assert (p.ngens, len(p.relators)) == (2, 49)
 
     def test_alexander_47_5_within_default_budget(self):
         # a paper-scale base: order 47, the group has 2,162 elements

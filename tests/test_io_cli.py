@@ -403,19 +403,29 @@ class TestCli:
          "1..6"),
         (["make", "galex", "--group", "{s3}", "--conj-by", "2",
           "--images", "1,2,3,4,5,6"], None),
+        (["make", "galex", "--group", "{klein}", "--images", "0,3,4,2"],
+         "--images 0 is not a group element; the group's elements are 1..4"),
+        (["make", "galex", "--group", "{klein}", "--images", "1,3,4,5"],
+         "--images 5 is not a group element; the group's elements are 1..4"),
+        (["make", "galex", "--group", "{klein}", "--images", "1,3,4"],
+         "--images gives 3 values; the group has 4 elements"),
         (["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"], None),
         (["vendramin", "--quandle", "{d3}", "--max-cosets", "0"], None),
         (["vendramin", "--quandle", "{t2}", "--max-cosets", "0"], None),
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
-            "galex-conj-by-and-images", "cocycle-mod-0",
+            "galex-conj-by-and-images", "galex-images-0",
+            "galex-images-past-end", "galex-images-short", "cocycle-mod-0",
             "max-cosets-0-connected", "max-cosets-0-disconnected"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv, message):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
+                 "klein": tmp_path / "klein.group",
                  "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle"}
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
+        qio.write_text(files["klein"],
+                       "#group\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n")
         qio.write_text(files["t2"], qio.quandle_to_text(trivial_quandle(2)))
         qio.write_text(files["m0"], "3 0\n0 0 0\n0 0 0\n0 0 0\n")
         argv = [a.format(**files) for a in argv]

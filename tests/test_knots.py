@@ -4,16 +4,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (corpus_extensions, endpoints_same_translation,
-                     presentations, product_quandle)
+from helpers import (Permutation, corpus_extensions,
+                     endpoints_same_translation, presentations,
+                     product_quandle)
 from oracles import (dihedral_linear_count, grid_coloring_count,
                      move_tables, propagate_moves)
 from quandleforge import _kernels
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
-from quandleforge.core import (Permutation, QuandleMap, is_faithful,
-                              orbit_forest)
+from quandleforge.core import QuandleMap, is_faithful, orbit_forest
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
                                  FiberMismatch, NotACovering, NotAKnot)
 from quandleforge.knotdata import BUNDLED_WORDS

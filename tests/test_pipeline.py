@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (are_isomorphic, corpus_extensions, product_quandle,
-                     sym4_class_quandle, sym_class_quandle)
+from helpers import (Permutation, are_isomorphic, corpus_extensions,
+                     product_quandle, sym4_class_quandle, sym_class_quandle)
 from oracles import enveloping_relators
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
@@ -111,7 +111,6 @@ class TestRecoverIndex2:
         # with all fibers of size two the level labeling always works, even
         # without connectivity
         g, elems = symmetric_group(3)
-        from quandleforge.core import Permutation
         t = next(i for i, p in enumerate(elems)
                  if Permutation(p).cycle_type() == (1, 2))
         y = generalized_alexander_quandle(g, conjugation_automorphism(g, t))

@@ -13,7 +13,7 @@ from quandleforge.cohomology import Cocycle2, CohomologyGroup
 from quandleforge.constructions import (FiniteGroup, GroupAutomorphism,
                                         abelian_extension, cyclic_group,
                                         dihedral_quandle)
-from quandleforge.core import IndexReport, Permutation, Quandle, QuandleMap
+from quandleforge.core import IndexReport, Quandle, QuandleMap
 from quandleforge.envgroup import (ConjugationCriterion, CosetTable,
                                    Presentation, todd_coxeter)
 from quandleforge.errors import NotACocycle, NotAHomomorphism
@@ -30,12 +30,10 @@ Z3 = cyclic_group(3)
 TREFOIL = parse_braid("3_1", 2, [1, 1, 1])
 ZERO = Cocycle2.zero(3, 2)
 E6, PROJ = abelian_extension(D3, 2, ZERO)
-CYCLE = Permutation((1, 2, 0))
 CYCLIC = Presentation(1, ((1, 1, 1),))
 
 # one value of each public type, as its fields in declaration order
 SAMPLES = {
-    Permutation: {"images": (1, 2, 0)},
     Quandle: {"n": 3, "table": D3.table},
     QuandleMap: {"source": D3, "target": D3, "images": (0, 2, 1)},
     IndexReport: {"index": 2, "fibers_equal": True},
@@ -85,9 +83,9 @@ TYPES = pytest.mark.parametrize("cls", list(SAMPLES),
 EXPORTED = [
     "BraidKnot", "Cocycle2", "CohomologyGroup", "Coloring",
     "ConjugationCriterion", "CosetTable", "FiniteGroup", "GroupAutomorphism",
-    "GroupRingElt", "InnSequence", "Permutation", "Presentation", "Quandle",
-    "QuandleMap", "Tangle", "abelian_extension", "alexander_quandle",
-    "bundled_knots", "coboundary", "cocycle", "cocycle_power", "cohomologous",
+    "GroupRingElt", "InnSequence", "Presentation", "Quandle", "QuandleMap",
+    "Tangle", "abelian_extension", "alexander_quandle", "bundled_knots",
+    "coboundary", "cocycle", "cocycle_power", "cohomologous",
     "conjugation_automorphism", "conjugation_criterion", "conjugation_quandle",
     "constancy_pipeline", "cyclic_group", "dihedral_quandle",
     "enumerate_colorings", "epimorphism_index", "fiber_criterion",
@@ -95,9 +93,9 @@ EXPORTED = [
     "inn_sequence", "inner_group", "is_connected", "is_constant",
     "is_covering", "is_faithful", "kernel_backend", "lift_coloring",
     "nonconstancy_certificates", "parse_braid", "power_coefficient_check",
-    "recover_index2_cocycle", "right_translation", "second_cohomology",
-    "state_sum", "symmetric_group", "tangle_colorings", "todd_coxeter",
-    "trivial_quandle", "validate_quandle",
+    "recover_index2_cocycle", "second_cohomology", "state_sum",
+    "symmetric_group", "tangle_colorings", "todd_coxeter", "trivial_quandle",
+    "validate_quandle",
 ]
 
 
@@ -159,7 +157,6 @@ def test_values_are_tuples_of_their_fields(cls):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Permutation((0, 0, 1)), ValueError, r"not a bijection: \(0, 0, 1\)"),
     (lambda: QuandleMap(D3, D3, (0, 1)), NotAHomomorphism,
      "image list has wrong length"),
     (lambda: QuandleMap(D3, D3, (0, 1, 3)), NotAHomomorphism,
@@ -183,7 +180,7 @@ def test_values_are_tuples_of_their_fields(cls):
      "automorphism images must be a bijection"),
     (lambda: GroupAutomorphism(Z3, (1, 2, 0)), ValueError,
      r"not multiplicative at \(0, 0\)"),
-], ids=["permutation", "map-length", "map-range", "map-law",
+], ids=["map-length", "map-range", "map-law",
         "cocycle-modulus", "cocycle-shape", "cocycle-diagonal",
         "cocycle-range", "group-ring", "presentation-empty",
         "presentation-range", "presentation-zero", "automorphism-bijection",
@@ -196,7 +193,6 @@ def test_validators_raise(build, error, message):
 def test_custom_reprs():
     assert repr(D3) == "Quandle(n=3)"
     assert repr(TREFOIL) == "BraidKnot('3_1', s=2, word=[1, 1, 1])"
-    assert repr(CYCLE) == "Permutation(images=(1, 2, 0))"
 
 
 def test_nothing_skips_the_checks():
