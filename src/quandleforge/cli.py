@@ -3,7 +3,10 @@
 Every subcommand writes line-oriented JSON records to stdout and a short
 human summary to stderr.  Exit codes: 0 ok (--help included), 1 bad input
 (a usage error included) or data error, 2 a mechanically checked theorem
-failed (implementation bug).
+failed (implementation bug).  A value of an int option, or an item of make
+--images, that is not an integer is a usage error.  _SHARED declares once
+the options that several subcommands take: --quandle, --cocycle, --knots,
+--max-cosets and -o.
 """
 
 import argparse
@@ -37,9 +40,7 @@ def note(msg):
 
 
 def _load_knots(args):
-    if getattr(args, "knots", None):
-        return qio.read_knots(args.knots)
-    return bundled_knots()
+    return qio.read_knots(args.knots) if args.knots else bundled_knots()
 
 
 def _write_text(text, args, summary):
@@ -235,7 +236,8 @@ def _element(g, flag, v):
     return v - 1
 
 
-# the options each family of `forge make` cannot do without
+# the families of `forge make`, in --help order, and the options each cannot
+# do without
 _MAKE_NEEDS = {"dihedral": ("n",), "trivial": ("n",), "alexander": ("n", "t"),
                "conj": ("group", "elem"), "galex": ("group",),
                "cyclic-group": ("n",), "sym-group": ("n",)}
@@ -273,8 +275,7 @@ def cmd_make(args):
             f = conjugation_automorphism(
                 g, _element(g, "--conj-by", args.conj_by))
         else:
-            images = tuple(_element(g, "--images", int(v))
-                           for v in args.images.split(","))
+            images = tuple(_element(g, "--images", v) for v in args.images)
             if len(images) != g.order:
                 raise QuandleError(
                     f"--images gives {len(images)} values; the group has "
@@ -292,10 +293,37 @@ def cmd_make(args):
         g, _ = symmetric_group(args.n)
         _write_text(qio.group_to_text(g, comment=summary), args, summary)
         return 0
-    else:
-        raise QuandleError(f"unknown family {args.family}")
     _write_text(qio.quandle_to_text(q, comment=summary), args, summary)
     return 0
+
+
+def _int_list(text):
+    """--images: comma-separated integers, each parsed as an int option."""
+    values = text.split(",")
+    for i, v in enumerate(values):
+        try:
+            values[i] = int(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {v!r}")
+    return values
+
+
+# the options that several commands take, declared once: build_parser adds
+# them by name, in each command's order
+_SHARED = {
+    "quandle": (("--quandle",), {"required": True}),
+    "cocycle": (("--cocycle",), {"required": True}),
+    "knots": (("--knots",), {}),
+    "max-cosets": (("--max-cosets",),
+                   {"type": int, "default": DEFAULT_MAX_COSETS}),
+    "output": (("-o", "--output"), {}),
+}
+
+
+def _add_shared(p, *names):
+    for flags, kw in (_SHARED[name] for name in names):
+        p.add_argument(*flags, **kw)
+    return p
 
 
 def build_parser():
@@ -305,76 +333,45 @@ def build_parser():
                     "invariants, enveloping groups")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, *shared, help):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        return p
+        return _add_shared(p, *shared)
 
-    p = add("validate", cmd_validate, help="check the quandle axioms")
-    p.add_argument("--quandle", required=True)
-
-    p = add("props", cmd_props, help="structural properties")
-    p.add_argument("--quandle", required=True)
-
-    p = add("inn-seq", cmd_inn_seq,
-            help="iterate the inner representation to a faithful quandle")
-    p.add_argument("--quandle", required=True)
-
-    p = add("h2", cmd_h2, help="second cohomology with Z_m coefficients")
-    p.add_argument("--quandle", required=True)
+    add("validate", cmd_validate, "quandle", help="check the quandle axioms")
+    add("props", cmd_props, "quandle", help="structural properties")
+    add("inn-seq", cmd_inn_seq, "quandle",
+        help="iterate the inner representation to a faithful quandle")
+    p = add("h2", cmd_h2, "quandle",
+            help="second cohomology with Z_m coefficients")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--emit-reps", metavar="DIR")
+    add("extend", cmd_extend, "quandle", "cocycle", "output",
+        help="build an abelian extension")
 
-    p = add("extend", cmd_extend, help="build an abelian extension")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("invariant", cmd_invariant,
+    p = add("invariant", cmd_invariant, "quandle",
             help="cocycle state-sum invariants over a knot table")
-    p.add_argument("--quandle", required=True)
     p.add_argument("--cocycle", help="required unless --tangle is set")
-    p.add_argument("--knots")
+    _add_shared(p, "knots")
     p.add_argument("--tangle", action="store_true",
                    help="report 1-tangle colorings instead")
 
-    p = add("vendramin", cmd_vendramin,
-            help="decide the conjugation-quandle criterion")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-
-    p = add("recover-ext", cmd_recover_ext,
-            help="recover the Z_2 cocycle of an index-2 inner representation")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("-o", "--output")
-
-    p = add("thm31", cmd_thm31,
-            help="extension constancy pipeline over the knot corpus")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--knots")
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-
-    p = add("thm35", cmd_thm35,
+    add("vendramin", cmd_vendramin, "quandle", "max-cosets",
+        help="decide the conjugation-quandle criterion")
+    add("recover-ext", cmd_recover_ext, "quandle", "output",
+        help="recover the Z_2 cocycle of an index-2 inner representation")
+    add("thm31", cmd_thm31, "quandle", "cocycle", "knots", "max-cosets",
+        help="extension constancy pipeline over the knot corpus")
+    p = add("thm35", cmd_thm35, "quandle", "cocycle",
             help="power-cocycle coefficient vanishing check")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--cocycle", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--knots")
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-
-    p = add("certify", cmd_certify,
-            help="emit no-inner-preimage certificates from non-constant "
-                 "invariants")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--cocycle", required=True)
-    p.add_argument("--knots")
-    p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    _add_shared(p, "knots", "max-cosets")
+    add("certify", cmd_certify, "quandle", "cocycle", "knots", "max-cosets",
+        help="emit no-inner-preimage certificates from non-constant "
+             "invariants")
 
     p = add("make", cmd_make, help="construct quandles and groups")
-    p.add_argument("family",
-                   choices=["dihedral", "trivial", "alexander", "conj",
-                            "galex", "cyclic-group", "sym-group"])
+    p.add_argument("family", choices=list(_MAKE_NEEDS))
     p.add_argument("--n", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--group")
@@ -382,8 +379,9 @@ def build_parser():
                    help="1-based group element, matching the file format")
     p.add_argument("--conj-by", type=int,
                    help="1-based group element to conjugate by")
-    p.add_argument("--images", help="comma-separated 1-based images")
-    p.add_argument("-o", "--output")
+    p.add_argument("--images", type=_int_list,
+                   help="comma-separated 1-based images")
+    _add_shared(p, "output")
 
     return ap
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quandleforge import io as qio
-from quandleforge.cli import main
+from quandleforge.cli import build_parser, main
 from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (cyclic_group, dihedral_quandle,
                                         symmetric_group, trivial_quandle)
@@ -409,6 +410,10 @@ class TestCli:
          "--images 5 is not a group element; the group's elements are 1..4"),
         (["make", "galex", "--group", "{klein}", "--images", "1,3,4"],
          "--images gives 3 values; the group has 4 elements"),
+        (["make", "galex", "--group", "{klein}", "--images", "1,x,3,4"],
+         "argument --images: invalid int value: 'x'"),
+        (["make", "galex", "--group", "{klein}", "--images", "1,,3,4"],
+         "argument --images: invalid int value: ''"),
         (["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"], None),
         (["vendramin", "--quandle", "{d3}", "--max-cosets", "0"], None),
         (["vendramin", "--quandle", "{t2}", "--max-cosets", "0"], None),
@@ -416,7 +421,9 @@ class TestCli:
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
             "galex-conj-by-and-images", "galex-images-0",
-            "galex-images-past-end", "galex-images-short", "cocycle-mod-0",
+            "galex-images-past-end", "galex-images-short",
+            "galex-images-not-integer", "galex-images-empty-item",
+            "cocycle-mod-0",
             "max-cosets-0-connected", "max-cosets-0-disconnected"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv, message):
@@ -454,6 +461,36 @@ class TestCli:
         code = main(argv)
         out = capsys.readouterr().out
         assert code == 0 and out.startswith("usage: forge")
+
+    # every option of every command, in --help order; the options several
+    # commands share are declared once in cli._SHARED
+    OPTIONS = {
+        "validate": ["--quandle"],
+        "props": ["--quandle"],
+        "inn-seq": ["--quandle"],
+        "h2": ["--quandle", "--mod", "--emit-reps"],
+        "extend": ["--quandle", "--cocycle", "-o", "--output"],
+        "invariant": ["--quandle", "--cocycle", "--knots", "--tangle"],
+        "vendramin": ["--quandle", "--max-cosets"],
+        "recover-ext": ["--quandle", "-o", "--output"],
+        "thm31": ["--quandle", "--cocycle", "--knots", "--max-cosets"],
+        "thm35": ["--quandle", "--cocycle", "--d", "--knots",
+                  "--max-cosets"],
+        "certify": ["--quandle", "--cocycle", "--knots", "--max-cosets"],
+        "make": ["--n", "--t", "--group", "--elem", "--conj-by", "--images",
+                 "-o", "--output"],
+    }
+
+    @pytest.mark.parametrize("command", list(OPTIONS))
+    def test_command_options_pinned(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: forge {command}")
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(self.OPTIONS)
+        strings = [s for a in sub.choices[command]._actions
+                   for s in a.option_strings]
+        assert strings == ["-h", "--help"] + self.OPTIONS[command]
 
     def test_theorem_violation_exits_2(self, capsys, tmp_path, monkeypatch,
                                        d3_file):

@@ -544,8 +544,12 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     # enveloping group of an extension seen before is not enumerated again.
     # The pools have only mod-2 "yes" extensions, so the weights are also
     # checked by lift counts: an X-coloring lifts to E(X, Z_m, phi) exactly
-    # when its weight is 0, and then in m ways.  Dropping the sign at
-    # negative crossings fails this in most runs, through the last pool.
+    # when its weight is 0, and then in m ways.  They are counted on the
+    # knot and on its mirror (every letter negated: again a knot, with every
+    # crossing sign flipped), over the extensions drawn from the first pools
+    # and over all of the last, whose counts can see a crossing's sign.
+    # Joining letters alone close to the unknot, whose colorings are all
+    # trivial and weigh 0, so each word has at least two letters of its own.
     def memoized(e, max_cosets):
         key = (e.table, max_cosets)
         if key not in conjugation_criteria:
@@ -554,17 +558,21 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
 
     s = data.draw(st.integers(2, 5))
     word = data.draw(st.lists(
-        st.sampled_from([g for g in range(1 - s, s) if g]), max_size=12))
+        st.sampled_from([g for g in range(1 - s, s) if g]), min_size=2,
+        max_size=12))
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=s - 1,
                                max_size=s - 1))
     k = parse_braid("fuzz", s, word + joining_letters(s, word, signs))
-    with mock.patch.object(pipeline, "conjugation_criterion", memoized):
-        for pool in fuzz_pools:
-            name, x, m, phi, e, _ = data.draw(st.sampled_from(pool))
+    mirror = parse_braid("mirror", s, [-g for g in k.word])
+    drawn = [data.draw(st.sampled_from(pool)) for pool in fuzz_pools]
+    for name, x, m, phi, e, _ in drawn[:-1] + fuzz_pools[-1]:
+        for knot in (k, mirror):
             weights = [coloring_weight(phi, c)
-                       for c in enumerate_colorings(x, k)]
-            assert len(enumerate_colorings(e, k)) \
-                == m * weights.count(0), name
+                       for c in enumerate_colorings(x, knot)]
+            assert len(enumerate_colorings(e, knot)) \
+                == m * weights.count(0), (name, knot.name)
+    with mock.patch.object(pipeline, "conjugation_criterion", memoized):
+        for name, x, m, phi, e, _ in drawn:
             verdict = constancy_pipeline(x, m, phi, knots=[k])
             if verdict.is_conjugation == "yes":
                 assert is_constant(verdict.invariants["fuzz"]), name
