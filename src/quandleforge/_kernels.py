@@ -228,17 +228,21 @@ class _CapReached(Exception):
     pass
 
 
-def coset_enumeration(ngens, relators, max_cosets, stats=None):
-    """HLT coset enumeration of a presentation over the trivial subgroup.
+def coset_enumeration(ngens, relators, max_cosets, stats=None,
+                      subgroup=()):
+    """HLT coset enumeration of a presentation over the subgroup that the
+    words of subgroup generate (the trivial subgroup when there are none).
 
-    relators are words over column indices 0..2*ngens-1 (2i = generator i,
-    2i+1 = its inverse).  This is HLT as in Holt-Eick-O'Brien, Handbook of
-    Computational Group Theory, 5.1-5.2: every live coset, in order, has
-    each relator scanned from both ends (SCANANDFILL); a scan with a single
-    gap deduces that entry instead of defining a coset, and every definition
-    or deduction fills the inverse entry too.  Coincidences are processed
-    through a queue with the smaller coset kept as representative
-    (COINCIDENCE), so the numbering is deterministic.
+    relators and subgroup words are over column indices 0..2*ngens-1
+    (2i = generator i, 2i+1 = its inverse).  This is HLT as in
+    Holt-Eick-O'Brien, Handbook of Computational Group Theory, 5.1-5.2: each
+    subgroup word is scanned at coset 0, the subgroup's own coset, first;
+    then every live coset, in order, has each relator scanned from both ends
+    (SCANANDFILL); a scan with a single gap deduces that entry instead of
+    defining a coset, and every definition or deduction fills the inverse
+    entry too.  Coincidences are processed through a queue with the smaller
+    coset kept as representative (COINCIDENCE), so the numbering is
+    deterministic and coset 0 stays coset 0.
 
     Returns (True, table) on completion, where table[c] lists the 2*ngens
     neighbors of live coset c after renumbering, or (False, allocated) at
@@ -333,6 +337,8 @@ def coset_enumeration(ngens, relators, max_cosets, stats=None):
 
     alpha = 0
     try:
+        for w in subgroup:
+            scan_and_fill(0, tuple(w))
         while alpha < len(table):
             for w in rels:
                 if parent[alpha] != alpha:

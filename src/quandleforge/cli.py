@@ -14,21 +14,15 @@ import json
 import os
 import sys
 
+# core and errors load with every command; the other layers are reached
+# through their modules at call time, so a command executes only the layers
+# it uses (see the package docstring)
+from . import cohomology, constructions, envgroup, knotdata, pipeline
 from . import io as qio
-from .cohomology import cocycle, second_cohomology
-from .constructions import (abelian_extension, alexander_quandle,
-                            conjugation_quandle, cyclic_group,
-                            dihedral_quandle, generalized_alexander_quandle,
-                            GroupAutomorphism, symmetric_group,
-                            trivial_quandle, conjugation_automorphism)
-from .core import inn_image, inner_group, is_connected, is_faithful
-from .envgroup import DEFAULT_MAX_COSETS, conjugation_criterion
+from . import knots as qknots
+from .core import (DEFAULT_MAX_COSETS, inn_image, inner_group, is_connected,
+                   is_faithful)
 from .errors import AxiomViolation, QuandleError, TheoremViolation
-from .knotdata import bundled_knots
-from .knots import Tangle, is_constant, state_sum, tangle_colorings
-from .pipeline import (constancy_pipeline, inn_sequence,
-                       nonconstancy_certificates, power_coefficient_check,
-                       recover_index2_cocycle)
 
 
 def emit(record):
@@ -40,7 +34,9 @@ def note(msg):
 
 
 def _load_knots(args):
-    return qio.read_knots(args.knots) if args.knots else bundled_knots()
+    if args.knots:
+        return qio.read_knots(args.knots)
+    return knotdata.bundled_knots()
 
 
 def _write_text(text, args, summary):
@@ -86,7 +82,7 @@ def cmd_props(args):
 
 def cmd_inn_seq(args):
     q = qio.read_quandle(args.quandle)
-    seq = inn_sequence(q)
+    seq = pipeline.inn_sequence(q)
     orders = [x.n for x in seq.quandles]
     emit({"record": "inn_sequence", "orders": orders,
           "terminal_faithful": seq.terminal_faithful})
@@ -96,7 +92,7 @@ def cmd_inn_seq(args):
 
 def cmd_h2(args):
     q = qio.read_quandle(args.quandle)
-    h = second_cohomology(q, args.mod)
+    h = cohomology.second_cohomology(q, args.mod)
     emit({"record": "h2", "mod": args.mod,
           "invariant_factors": list(h.invariant_factors),
           "order": h.order})
@@ -117,7 +113,7 @@ def cmd_h2(args):
 def cmd_extend(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    e, proj = abelian_extension(q, phi.m, phi)
+    e, proj = constructions.abelian_extension(q, phi.m, phi)
     emit({"record": "extend", "base_order": q.n, "mod": phi.m,
           "extension_order": e.n,
           "connected": is_connected(e), "faithful": is_faithful(e)})
@@ -133,26 +129,26 @@ def cmd_invariant(args):
     phi = None
     if not args.tangle:
         phi = qio.read_cocycle(args.cocycle)
-        cocycle(q, phi.m, phi)
+        cohomology.cocycle(q, phi.m, phi)
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:
-            cols = tangle_colorings(q, Tangle(k))
+            cols = qknots.tangle_colorings(q, qknots.Tangle(k))
             mono = all(c.y0 == c.y1 for c in cols)
             emit({"record": "tangle", "knot": k.name,
                   "colorings": len(cols), "end_monochromatic": mono})
         else:
-            inv = state_sum(q, phi, k)
+            inv = qknots.state_sum(q, phi, k)
             emit({"record": "invariant", "knot": k.name, "mod": phi.m,
                   "coefficients": list(inv.coeffs),
-                  "constant": is_constant(inv)})
+                  "constant": qknots.is_constant(inv)})
     note(f"{len(knots)} knots processed")
     return 0
 
 
 def cmd_vendramin(args):
     q = qio.read_quandle(args.quandle)
-    crit = conjugation_criterion(q, args.max_cosets)
+    crit = envgroup.conjugation_criterion(q, args.max_cosets)
     rec = {"record": "vendramin", "verdict": crit.verdict}
     if crit.connected:
         rec["finite_enveloping_order"] = crit.order
@@ -166,7 +162,7 @@ def cmd_vendramin(args):
 def cmd_recover_ext(args):
     q = qio.read_quandle(args.quandle)
     img, f = inn_image(q)
-    phi = recover_index2_cocycle(f)
+    phi = pipeline.recover_index2_cocycle(f)
     emit({"record": "recover_ext", "base_order": img.n,
           "cocycle": [list(r) for r in phi.values]})
     if args.output:
@@ -181,8 +177,9 @@ def cmd_recover_ext(args):
 def cmd_thm31(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    verdict = constancy_pipeline(q, phi.m, phi, knots=_load_knots(args),
-                                 max_cosets=args.max_cosets)
+    verdict = pipeline.constancy_pipeline(q, phi.m, phi,
+                                          knots=_load_knots(args),
+                                          max_cosets=args.max_cosets)
     emit({"record": "constancy",
           "extension_order": verdict.extension.n,
           "is_conjugation": verdict.is_conjugation,
@@ -198,9 +195,9 @@ def cmd_thm31(args):
 def cmd_thm35(args):
     q = qio.read_quandle(args.quandle)
     psi = qio.read_cocycle(args.cocycle)
-    report = power_coefficient_check(q, psi.m, psi, args.d,
-                                     knots=_load_knots(args),
-                                     max_cosets=args.max_cosets)
+    report = pipeline.power_coefficient_check(q, psi.m, psi, args.d,
+                                              knots=_load_knots(args),
+                                              max_cosets=args.max_cosets)
     emit({"record": "power_check", "n": report.n, "d": report.d,
           "m": report.m, "hypothesis_held": report.hypothesis_held,
           "vanishing_ok": report.vanishing_ok,
@@ -214,8 +211,9 @@ def cmd_thm35(args):
 def cmd_certify(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    cert = nonconstancy_certificates(q, phi.m, phi, knots=_load_knots(args),
-                                     max_cosets=args.max_cosets)
+    cert = pipeline.nonconstancy_certificates(q, phi.m, phi,
+                                              knots=_load_knots(args),
+                                              max_cosets=args.max_cosets)
     if cert is None:
         emit({"record": "certificate", "emitted": False})
         note("all invariants constant; no certificate")
@@ -255,24 +253,25 @@ def cmd_make(args):
             and args.images is not None:
         raise QuandleError("make galex takes one of --conj-by and --images")
     if args.family == "dihedral":
-        q = dihedral_quandle(args.n)
+        q = constructions.dihedral_quandle(args.n)
         summary = f"dihedral quandle of order {args.n}"
     elif args.family == "trivial":
-        q = trivial_quandle(args.n)
+        q = constructions.trivial_quandle(args.n)
         summary = f"trivial quandle of order {args.n}"
     elif args.family == "alexander":
-        q = alexander_quandle(args.n, args.t)
+        q = constructions.alexander_quandle(args.n, args.t)
         summary = f"alexander quandle mod {args.n}, t={args.t}"
     elif args.family == "conj":
         g = qio.read_group(args.group)
-        q, labels = conjugation_quandle(g, _element(g, "--elem", args.elem))
+        q, labels = constructions.conjugation_quandle(
+            g, _element(g, "--elem", args.elem))
         summary = f"conjugacy class of element {args.elem}, order {q.n}"
         emit({"record": "conj_labels",
               "labels": [v + 1 for v in labels]})
     elif args.family == "galex":
         g = qio.read_group(args.group)
         if args.conj_by is not None:
-            f = conjugation_automorphism(
+            f = constructions.conjugation_automorphism(
                 g, _element(g, "--conj-by", args.conj_by))
         else:
             images = tuple(_element(g, "--images", v) for v in args.images)
@@ -280,17 +279,17 @@ def cmd_make(args):
                 raise QuandleError(
                     f"--images gives {len(images)} values; the group has "
                     f"{g.order} elements")
-            f = GroupAutomorphism(g, images)
-        q = generalized_alexander_quandle(g, f)
+            f = constructions.GroupAutomorphism(g, images)
+        q = constructions.generalized_alexander_quandle(g, f)
         summary = f"generalized Alexander quandle of order {q.n}"
     elif args.family == "cyclic-group":
         summary = f"cyclic group of order {args.n}"
-        _write_text(qio.group_to_text(cyclic_group(args.n), comment=summary),
-                    args, summary)
+        g = constructions.cyclic_group(args.n)
+        _write_text(qio.group_to_text(g, comment=summary), args, summary)
         return 0
     elif args.family == "sym-group":
         summary = f"symmetric group on {args.n} points"
-        g, _ = symmetric_group(args.n)
+        g, _ = constructions.symmetric_group(args.n)
         _write_text(qio.group_to_text(g, comment=summary), args, summary)
         return 0
     _write_text(qio.quandle_to_text(q, comment=summary), args, summary)

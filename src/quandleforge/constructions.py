@@ -13,7 +13,7 @@ from itertools import permutations
 from math import gcd
 from operator import itemgetter
 
-from .cohomology import cocycle
+from . import cohomology
 from .core import (Quandle, QuandleMap, _first_failure, _law_failure,
                    validate_quandle)
 from .errors import NotAUnit
@@ -183,7 +183,7 @@ def abelian_extension(x, m, phi):
     exactly when phi is a diagonal-zero cocycle, so it is not validated
     again.
     """
-    return _extension(x, m, cocycle(x, m, phi))
+    return _extension(x, m, cohomology.cocycle(x, m, phi))
 
 
 def _extension(x, m, phi):

@@ -30,7 +30,9 @@ from operator import itemgetter
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
                      NotAHomomorphism, NotEpimorphism)
 
+# the default budgets: elements of Inn(q), cosets of an enumeration
 DEFAULT_GROUP_CAP = 10 ** 7
+DEFAULT_MAX_COSETS = 10 ** 6
 
 
 class Quandle(namedtuple("Quandle", "n table")):

@@ -3,10 +3,9 @@
 The enveloping group of a quandle has one generator per element and the
 conjugation relations  x_j^-1 x_i x_j = x_{i*j}.  Adjoining x_i^{n_i}, where
 n_i is the order of the right translation by i (the lcm of its cycle
-lengths, _permutation_order), gives the finite enveloping group; coset
-enumeration over the trivial subgroup realizes it as a permutation group on
-itself (the regular action), and a connected quandle is a conjugation
-quandle exactly when the generator images stay pairwise distinct there.
+lengths, _permutation_order), gives the finite enveloping group G, and a
+connected quandle is a conjugation quandle exactly when the generators x_i
+stay pairwise distinct in G.
 
 conjugation_criterion is the one entry point to that group: it walks the
 orbits once and, for a connected quandle only, reads the verdict, the group
@@ -38,12 +37,27 @@ R_{u*s} = R_s^-1 R_u R_s.  So x_v -> y_v respects every conjugation
 relation, and x_s -> x_s inverts it.  Every x_v is conjugate to an x_s, and
 R_v to R_s, so n_v = n_s and the powers of elements outside S follow too.
 
+The enumeration runs over H = <x_s>, s the first element of S, not over the
+trivial subgroup, so its table has |G|/k cosets instead of |G|.  Here k is
+the order of R_s; q is connected, so every R_i is conjugate to R_s and has
+order k too.  This is exact:
+
+- x_s has order k in G, so |G| = k [G : H].  x_s^k is a relator, and the
+  map eps: G -> Z_k sending every x_i to 1 respects every relator (a
+  conjugation relator has exponent sum 0, a power x_i^k has k), so
+  eps(x_s^m) = m mod k, and x_s^m = 1 only when k divides m.
+- x_i and x_j act alike on G/H exactly when x_i = x_j.  Acting alike means
+  that x_i x_j^-1 lies in every conjugate of H, so in H; it has eps = 0,
+  and the only element of H with eps = 0 is 1.  So the first collision of
+  the generator images on G/H is their first collision in G.
+
 The table is still checked against the original presentation:
+todd_coxeter checks that each subgroup generator fixes coset 0,
 verify_coset_table traces every reduced relator from all cosets at once,
-one column lookup per letter, and the permutation of each element, derived
-along the tree from the generator columns, must satisfy all n^2 relations
-x_i x_j = x_j x_{i*j}.  The order and the first collision are read off
-those permutations.
+one column lookup per letter, and the permutation of each element on G/H,
+derived along the tree from the generator columns, must satisfy all n^2
+relations x_i x_j = x_j x_{i*j}.  The first collision is read off those
+permutations.
 
 Words are tuples of signed 1-based generator indices.  Enumeration is the
 single pure-Python HLT with deductions in _kernels (scans from both ends,
@@ -57,10 +71,8 @@ from math import lcm
 from operator import itemgetter
 
 from ._kernels import coset_enumeration
-from .core import _generating_tree, is_connected
+from .core import DEFAULT_MAX_COSETS, _generating_tree, is_connected
 from .errors import Capped
-
-DEFAULT_MAX_COSETS = 10 ** 6
 
 
 class Presentation(namedtuple("Presentation", "ngens relators")):
@@ -80,11 +92,13 @@ class Presentation(namedtuple("Presentation", "ngens relators")):
 
 
 class CosetTable(namedtuple("CosetTable", "presentation size columns")):
-    """A completed coset table of a Presentation: the regular action of the
-    presented group.
+    """A completed coset table of a Presentation over a subgroup: the
+    action of the presented group on the subgroup's cosets, coset 0 the
+    subgroup itself.
 
     columns[2*i] is generator i's permutation of the cosets, columns[2*i + 1]
-    its inverse's.  size is the live coset count, i.e. the group order.
+    its inverse's.  size is the live coset count, i.e. the subgroup's index;
+    over the trivial subgroup, the group order.
     """
 
     __slots__ = ()
@@ -157,21 +171,31 @@ def _permutation_order(images):
     return lcm(*lens)
 
 
-def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate the cosets of the trivial subgroup; the live count is the
-    group order.  Raises Capped when the allocation budget is exceeded, and
-    verifies the completed table before returning it."""
+def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS, subgroup=()):
+    """Enumerate the cosets of the subgroup generated by the words of
+    subgroup, the trivial subgroup by default; the live count is its index.
+    Raises Capped when the allocation budget is exceeded, and verifies the
+    completed table, and that every subgroup word fixes coset 0, before
+    returning it."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     stats = {}
+    words = [_to_columns(w) for w in subgroup]
     complete, result = coset_enumeration(
-        p.ngens, [_to_columns(r) for r in p.relators], max_cosets, stats)
+        p.ngens, [_to_columns(r) for r in p.relators], max_cosets, stats,
+        subgroup=words)
     if not complete:
         raise Capped(max_cosets, result, stats["live"], p.ngens,
                      len(p.relators))
     table = CosetTable(presentation=p, size=len(result),
                        columns=tuple(zip(*result)))
     verify_coset_table(table)
+    for word, cols in zip(subgroup, words):
+        c = 0
+        for col in cols:
+            c = table.columns[col][c]
+        if c != 0:
+            raise AssertionError(f"subgroup word {word} moves coset 0 to {c}")
     return table
 
 
@@ -200,13 +224,14 @@ def verify_coset_table(t):
 
 class ConjugationCriterion(namedtuple("ConjugationCriterion",
                                       "connected order collision")):
-    """Vendramin's criterion read off one enumeration of q's finite
-    enveloping group.
+    """Vendramin's criterion read off one enumeration of the cosets of
+    <x_s> in q's finite enveloping group G (see the module docstring).
 
-    order is the group order; collision is the first pair (i, j), i < j,
-    of distinct elements with equal images, or None when the natural map
-    is injective.  The criterion is stated for connected quandles only, so
-    a disconnected one is not enumerated and both are None.
+    order is the order of G, k [G : <x_s>]; collision is the first pair
+    (i, j), i < j, of distinct elements with equal images, or None when the
+    natural map is injective.  The criterion is stated for connected
+    quandles only, so a disconnected one is not enumerated and both are
+    None.
     """
 
     __slots__ = ()
@@ -219,8 +244,8 @@ class ConjugationCriterion(namedtuple("ConjugationCriterion",
 
 
 def _element_columns(q, t, tree):
-    """The permutation of each element of q on the cosets of t, the table
-    of generator_presentation(q), derived along its tree.  Raises
+    """The permutation of each element of q on the cosets of t, a table of
+    generator_presentation(q), derived along its tree.  Raises
     AssertionError unless all n^2 relations x_i x_j = x_j x_{i*j} hold."""
     gens = [t.generator_column(k) for k in range(t.presentation.ngens)]
     cols = [None] * q.n
@@ -246,19 +271,22 @@ def _element_columns(q, t, tree):
 
 
 def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
-    """Walk q's orbits once and, when q is connected, enumerate its finite
-    enveloping group once for the order, the first generator collision and
-    the verdict."""
+    """Walk q's orbits once and, when q is connected, enumerate the cosets
+    of <x_s> in its finite enveloping group once for the order, the first
+    generator collision and the verdict (see the module docstring);
+    max_cosets bounds those cosets."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     if not is_connected(q):
         return ConjugationCriterion(connected=False, order=None,
                                     collision=None)
     p, tree = generator_presentation(q)
-    t = todd_coxeter(p, max_cosets)
+    # x_s is generator 1, s the root of the tree's first branch
+    t = todd_coxeter(p, max_cosets, subgroup=((1,),))
+    order = _permutation_order(q.column(tree[0][0])) * t.size
     seen = {}
     for i, col in enumerate(_element_columns(q, t, tree)):
         if col in seen:
-            return ConjugationCriterion(True, t.size, (seen[col], i))
+            return ConjugationCriterion(True, order, (seen[col], i))
         seen[col] = i
-    return ConjugationCriterion(True, t.size, None)
+    return ConjugationCriterion(True, order, None)

@@ -14,10 +14,7 @@ Quandle and group entries are 1-based on disk (matching common Cayley-table
 exports) and 0-based in memory.
 """
 
-from .cohomology import Cocycle2
-from .constructions import finite_group
-from .core import validate_quandle
-from .knots import parse_braid
+from . import cohomology, constructions, core, knots
 
 GROUP_HEADER = "#group"
 
@@ -85,18 +82,18 @@ def _table_to_text(head, rows, comment, base=0, marker=None):
 
 def parse_quandle_text(text):
     (n,), rows = _parse_table(text, "quandle", base=1)
-    return validate_quandle(n, rows)
+    return core.validate_quandle(n, rows)
 
 
 def parse_group_text(text):
     _, rows = _parse_table(text, "group", base=1)
-    return finite_group(rows)
+    return constructions.finite_group(rows)
 
 
 def parse_cocycle_text(text):
     (n, m), rows = _parse_table(text, "cocycle", header="n m")
-    return Cocycle2(n=n, m=m,
-                    values=tuple(tuple(v % m for v in row) for row in rows))
+    return cohomology.Cocycle2(
+        n=n, m=m, values=tuple(tuple(v % m for v in row) for row in rows))
 
 
 def quandle_to_text(q, comment=None):
@@ -113,7 +110,7 @@ def cocycle_to_text(phi, comment=None):
 
 
 def parse_knots_text(text):
-    knots = []
+    out = []
     for line in _content_lines(text):
         parts = line.split(";")
         if len(parts) != 3:
@@ -121,8 +118,8 @@ def parse_knots_text(text):
         name, strands = parts[0].strip(), int(parts[1])
         word = [int(t) for t in parts[2].split(",") if t.strip()] \
             if parts[2].strip() else []
-        knots.append(parse_braid(name, strands, word))
-    return knots
+        out.append(knots.parse_braid(name, strands, word))
+    return out
 
 
 def read_quandle(path):

@@ -14,15 +14,14 @@ bug detector, not a report line.
 
 from collections import namedtuple
 
-from .cohomology import cocycle, cocycle_power
-from .constructions import _extension
-from .core import (QuandleMap, inner_group, inn_image, is_covering,
-                   is_faithful)
-from .envgroup import DEFAULT_MAX_COSETS, conjugation_criterion
+# core and errors load with every command; the other layers are reached
+# through their modules at call time, so inn-seq and recover-ext leave the
+# knot and enveloping-group layers unloaded
+from . import cohomology, constructions, envgroup, knotdata
+from . import knots as qknots
+from .core import (DEFAULT_MAX_COSETS, QuandleMap, inner_group, inn_image,
+                   is_covering, is_faithful)
 from .errors import NotACovering, NotIndex2, TheoremViolation
-from .knotdata import bundled_knots
-from .knots import GroupRingElt, is_constant, state_sum
-
 
 class InnSequence(namedtuple("InnSequence", "quandles maps")):
     """Q0 -> Q1 -> ... -> Qk with each map the projection onto the quandle of
@@ -78,9 +77,9 @@ def recover_index2_cocycle(f):
     for b, (low, high) in fibers.items():   # preimages in ascending order
         section[b] = low
         level[high] = 1
-    phi = cocycle(x, 2, [[level[y.table[sa][sb]] for sb in section]
-                         for sa in section])
-    e, _ = _extension(x, 2, phi)
+    phi = cohomology.cocycle(x, 2, [[level[y.table[sa][sb]]
+                                     for sb in section] for sa in section])
+    e, _ = constructions._extension(x, 2, phi)
     QuandleMap(y, e, tuple(2 * b + level[u] for u, b in enumerate(f.images)))
     return phi
 
@@ -132,9 +131,9 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
     Theorem 3.1: an extension that is a conjugation quandle has constant
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
-    e, proj = _extension(x, m, phi)
-    conjugation = conjugation_criterion(e, max_cosets).verdict
-    constant = all(is_constant(inv) for inv in invariants.values())
+    e, proj = constructions._extension(x, m, phi)
+    conjugation = envgroup.conjugation_criterion(e, max_cosets).verdict
+    constant = all(qknots.is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:
         raise TheoremViolation(
             "extension is a conjugation quandle but some invariant is "
@@ -150,8 +149,8 @@ def _validated(x, m, phi, knots):
     """Validate phi as a 2-cocycle mod m on x (ShapeMismatch or NotACocycle)
     and the knot names as distinct (ValueError).  Returns the validated
     cocycle and the knot table (default: the bundled one)."""
-    knots = bundled_knots() if knots is None else knots
-    phi = cocycle(x, m, phi)
+    knots = knotdata.bundled_knots() if knots is None else knots
+    phi = cohomology.cocycle(x, m, phi)
     names = set()
     for k in knots:
         if k.name in names:
@@ -162,7 +161,7 @@ def _validated(x, m, phi, knots):
 
 def _knot_invariants(x, phi, knots):
     """The phi-invariant of each knot, keyed by name."""
-    return {k.name: state_sum(x, phi, k) for k in knots}
+    return {k.name: qknots.state_sum(x, phi, k) for k in knots}
 
 
 def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
@@ -197,7 +196,7 @@ def power_coefficient_check(x, n, psi, d, knots=None,
     (DNotDividesModulus) and the knot names must be distinct (ValueError);
     all three are checked before any state sum."""
     psi, knots = _validated(x, n, psi, knots)
-    phi = cocycle_power(psi, d)
+    phi = cohomology.cocycle_power(psi, d)
     invariants = _knot_invariants(x, psi, knots)
     coefficients = {name: inv.coeffs for name, inv in invariants.items()}
     m = phi.m
@@ -208,8 +207,8 @@ def power_coefficient_check(x, n, psi, d, knots=None,
         vanishing_ok = True
     else:
         # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
-        folded = {name: GroupRingElt(m, tuple(sum(inv.coeffs[j::m])
-                                              for j in range(m)))
+        folded = {name: qknots.GroupRingElt(
+                      m, tuple(sum(inv.coeffs[j::m]) for j in range(m)))
                   for name, inv in invariants.items()}
         verdict = _extension_verdict(x, m, phi, folded, max_cosets)
         held = verdict.is_conjugation == "yes"
@@ -255,7 +254,7 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     phi, knots = _validated(x, m, phi, knots)
     invariants = _knot_invariants(x, phi, knots)
     witnesses = [name for name, inv in invariants.items()
-                 if not is_constant(inv)]
+                 if not qknots.is_constant(inv)]
     if not witnesses:
         return None
     verdict = _extension_verdict(x, m, phi, invariants, max_cosets)

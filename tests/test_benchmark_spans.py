@@ -10,6 +10,7 @@ counts from argument positions (assignments is n ** strands), which real
 traced requests check against what the requests print.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -56,6 +57,26 @@ def test_span_is_a_public_function_of_its_layer(name):
     assert fn.__module__ == module.__name__, name
 
 
+def test_every_shim_layer_is_in_sys_modules_after_importing_cli():
+    # forgebench/shim.py looks up each layer of its LAYERS in sys.modules
+    # after `import quandleforge.cli`; the package registers every layer
+    # there, lazily, before any of them runs
+    shim = ast.parse((ROOT / "forgebench" / "shim.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in shim.body
+                  if isinstance(node, ast.Assign)
+                  and node.targets[0].id == "LAYERS")
+    assert "envgroup" in layers
+    script = ("import json, sys\n"
+              "import quandleforge.cli\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {f"quandleforge.{layer}" for layer in layers} <= loaded
+
+
 def traced(tmp_path, request, *args):
     """Run one forge request under forgebench/shim.py: its stdout records
     and its span counts, summed by span name and count name."""
@@ -81,8 +102,10 @@ def test_shim_counts_read_the_kernel_arguments(tmp_path, monkeypatch):
 
     (record,), counts = traced(tmp_path, "vendramin", "vendramin",
                                "--quandle", str(quandle))
-    assert counts["kernels.coset_enumeration.live_cosets"] \
-        == record["finite_enveloping_order"]
+    # the enumeration runs over <x_s>, and each R_s of dihedral(5) has
+    # order 2, so it has half as many cosets as the group has elements
+    assert 2 * counts["kernels.coset_enumeration.live_cosets"] \
+        == record["finite_enveloping_order"] == 10
 
     records, counts = traced(tmp_path, "tangle", "invariant", "--tangle",
                              "--quandle", str(quandle))

@@ -1,8 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from helpers import Permutation, corpus_extensions
+from helpers import Permutation, corpus_extensions, sym_class_quandle
 
 from oracles import coxeter_s3_order, enveloping_relators
+from quandleforge import envgroup
+from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected, is_faithful
@@ -11,6 +15,7 @@ from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
                                    conjugation_criterion,
                                    generator_presentation, todd_coxeter,
                                    verify_coset_table)
+from quandleforge._kernels import coset_enumeration
 from quandleforge.errors import Capped
 
 
@@ -291,3 +296,92 @@ class TestGeneratorPresentation:
         # x_1^-1 x_1 x_1 x_1^-1, reduces away and only its power is left
         p, _ = generator_presentation(trivial_quandle(1))
         assert p == Presentation(1, ((1,),))
+
+
+def e120():
+    """E(c30, Z_4, rep0), c30 the 4-cycles of Sym(5): order 120, connected,
+    and not a conjugation quandle."""
+    c30 = sym_class_quandle(5, (1, 4))
+    rep0 = second_cohomology(c30, 4).representatives[0]
+    return abelian_extension(c30, 4, rep0)[0]
+
+
+class TestCosetsOfGeneratorSubgroup:
+    """conjugation_criterion enumerates the cosets of <x_s>, not of the
+    trivial subgroup (see the envgroup docstring); the enumeration of the
+    full presentation over the trivial subgroup is its oracle."""
+
+    def test_matches_full_presentation(self, corpus):
+        # every connected corpus quandle and the transpositions of Sym(5),
+        # and each of their Z_2, Z_3 and Z_4 extensions (orders up to 40),
+        # over the zero cocycle and every H^2 representative; a
+        # disconnected extension is not enumerated
+        bases = [(name, q) for name, q in corpus if is_connected(q)]
+        bases.append(("sym5_transpositions",
+                       sym_class_quandle(5, (1, 1, 1, 2))))
+        cases = list(bases)
+        for name, x in bases:
+            for m in (2, 3, 4):
+                h = second_cohomology(x, m)
+                for i, phi in enumerate((Cocycle2.zero(x.n, m),
+                                         *h.representatives)):
+                    cases.append((f"E({name},Z{m},{i})",
+                                  abelian_extension(x, m, phi)[0]))
+        verdicts = Counter()
+        for name, q in cases:
+            crit = conjugation_criterion(q)
+            verdicts[crit.verdict] += 1
+            if crit.connected:
+                assert (crit.order, crit.collision) == _oracle(q), name
+            else:
+                assert not is_connected(q), name
+        assert verdicts == {"yes": 16, "no": 4, "not_applicable": 45}
+
+    @pytest.mark.parametrize("build, order, collision", [
+        (lambda: alexander_quandle(47, 5), 2162, None),
+        (e120, 480, (0, 1)),
+    ], ids=["alexander_47_5", "e120"])
+    def test_paper_scale(self, build, order, collision):
+        # order and collision frozen from the full presentation (47 and 120
+        # generators), which takes 5 and 11 s to enumerate; the generating
+        # set's presentation over the trivial subgroup, which the corpus
+        # tests match to the full one, checks them here
+        q = build()
+        crit = conjugation_criterion(q)
+        assert (crit.order, crit.collision) == (order, collision)
+        t, cols = _fast(q)
+        assert (t.size, _first_collision(cols)) == (order, collision)
+
+    def test_index_of_a_subgroup(self):
+        # Sym(3) = <a, b | a^2, b^2, (ab)^3>: <a> has index 3, <a, b> index 1
+        p = Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2, 1, 2)))
+        assert todd_coxeter(p, subgroup=((1,),)).size == 3
+        assert todd_coxeter(p, subgroup=((1,), (2,))).size == 1
+        assert todd_coxeter(p, subgroup=((1, 2),)).size == 2
+
+    def test_subgroup_words_are_checked(self, monkeypatch):
+        # a kernel that returns the regular action of Z_2 as if x fixed
+        # coset 0: the table is a valid one, but not over <x>
+        monkeypatch.setattr(envgroup, "coset_enumeration",
+                            lambda *args, **kwargs: (True, [[1, 1], [0, 0]]))
+        p = Presentation(1, ((1, 1),))
+        assert todd_coxeter(p).size == 2
+        with pytest.raises(AssertionError,
+                           match=r"subgroup word \(1,\) moves coset 0 to 1$"):
+            todd_coxeter(p, subgroup=((1,),))
+
+    def test_max_cosets_counts_cosets_of_the_subgroup(self):
+        # alexander(25, 2): |G| = 500 and R_s has order 20, so the criterion
+        # enumerates 25 cosets and completes within a budget far below 500
+        q = alexander_quandle(25, 2)
+        p, _ = generator_presentation(q)
+        stats = {}
+        complete, table = coset_enumeration(
+            p.ngens, [envgroup._to_columns(r) for r in p.relators],
+            DEFAULT_MAX_COSETS, stats, subgroup=[(0,)])
+        assert complete and len(table) == 25
+        crit = conjugation_criterion(q, stats["allocated"])
+        assert (crit.verdict, crit.order) == ("yes", 500)
+        with pytest.raises(Capped) as exc:
+            conjugation_criterion(q, stats["allocated"] - 1)
+        assert exc.value.allocated == stats["allocated"]

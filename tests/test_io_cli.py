@@ -494,13 +494,14 @@ class TestCli:
 
     def test_theorem_violation_exits_2(self, capsys, tmp_path, monkeypatch,
                                        d3_file):
-        from quandleforge import cli
+        from quandleforge import pipeline
         from quandleforge.errors import TheoremViolation
 
         def broken(*args, **kwargs):
             raise TheoremViolation("planted by the test")
 
-        monkeypatch.setattr(cli, "constancy_pipeline", broken)
+        # cli calls the pipeline through its module
+        monkeypatch.setattr(pipeline, "constancy_pipeline", broken)
         cpath = tmp_path / "z.cocycle"
         qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
         code, records, err = run_cli(capsys, "thm31", "--quandle", d3_file,
@@ -547,6 +548,38 @@ def test_no_command_loads_numpy(tmp_path, d3_file, argv):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("argv, executed", [
+    ("vendramin --quandle {q}", "_kernels cli core envgroup errors io"),
+    ("make dihedral --n 3", "cli constructions core errors io"),
+    ("h2 --quandle {q} --mod 2", "cli cohomology core errors io snf"),
+    ("props --quandle {q}", "cli core errors io"),
+    ("invariant --quandle {q} --cocycle {c}",
+     "_kernels cli cohomology core errors io knotdata knots"),
+], ids=["vendramin", "make", "h2", "props", "invariant"])
+def test_command_executes_only_its_layers(tmp_path, d3_file, argv,
+                                          executed):
+    # a fresh interpreter, as each forge request is.  The package registers
+    # every layer but cli with LazyLoader, whose module subclass turns into
+    # a plain module when the layer runs; {c} is the zero cocycle mod 2 on
+    # D_3, and invariant reads the bundled knots
+    cpath = tmp_path / "z.cocycle"
+    qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
+    args = argv.format(q=d3_file, c=cpath).split()
+    script = ("import json, sys, types\n"
+              "from quandleforge.cli import main\n"
+              f"code = main({args!r})\n"
+              "print(code, json.dumps(sorted(\n"
+              "    name.split('.', 1)[1] for name, m in sys.modules.items()\n"
+              "    if name.startswith('quandleforge.')\n"
+              "    and type(m) is types.ModuleType)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, layers = out.stdout.splitlines()[-1].split(" ", 1)
+    assert (code, json.loads(layers)) == ("0", executed.split())
 
 
 def test_coloring_oracle_does_not_load_numpy():

@@ -99,17 +99,23 @@ EXPORTED = [
 ]
 
 
-def test_exported_names_are_pinned():
+def exported_values():
+    """Each public name of the package with its value.  The package looks
+    its names up in their layers on first use, so they are listed by
+    dir(), not held in vars()."""
     import quandleforge
-    public = sorted(name for name, v in vars(quandleforge).items()
-                    if not name.startswith("_")
-                    and not isinstance(v, types.ModuleType))
+    return {name: getattr(quandleforge, name) for name in dir(quandleforge)
+            if not name.startswith("_")}
+
+
+def test_exported_names_are_pinned():
+    public = sorted(name for name, v in exported_values().items()
+                    if not isinstance(v, types.ModuleType))
     assert public == EXPORTED
 
 
 def test_every_public_value_type_is_sampled():
-    import quandleforge
-    exported = {v for v in vars(quandleforge).values()
+    exported = {v for v in exported_values().values()
                 if isinstance(v, type) and not issubclass(v, Exception)}
     assert exported <= set(SAMPLES)
 
