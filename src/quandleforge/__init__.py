@@ -40,8 +40,7 @@ _EXPORTS = {
              "validate_quandle"),
     "envgroup": ("ConjugationCriterion", "CosetTable", "Presentation",
                  "conjugation_criterion", "todd_coxeter"),
-    "knotdata": ("bundled_knots",),
-    "knots": ("BraidKnot", "Coloring", "GroupRingElt", "Tangle",
+    "knots": ("BraidKnot", "Coloring", "GroupRingElt", "bundled_knots",
               "enumerate_colorings", "is_constant", "lift_coloring",
               "parse_braid", "state_sum", "tangle_colorings"),
     "pipeline": ("InnSequence", "constancy_pipeline", "fiber_criterion",

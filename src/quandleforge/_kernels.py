@@ -10,12 +10,13 @@ seed classes: X, O give Y through the table, O, Y give X through the inverse
 translation.  The seeds are chosen greedily, each time the class whose
 closure fixes the most others, once from the top-arc classes alone (at most
 s seeds, so never more candidates than the n^s top tuples) and once from all
-classes; the run with fewer seeds k wins.  Crossings not used to propagate
-are checks.
+classes; the run with fewer seeds k wins.  The plan is built by level, one
+per seed: the seed, the steps its closure takes, and the checks, crossings
+not used to propagate whose three classes are first all known there.
 
-The seeds are assigned depth first, in plan order.  Once seed j has a value,
-the steps it enables run, then every check whose three classes are first all
-known at that level, so a failed check prunes the whole subtree below it.
+The seeds are assigned depth first, in level order.  Once seed j has a
+value, its steps run, then its checks, so a failed check prunes the whole
+subtree below it.
 
 The first seed runs over orbit representatives only.  A right translation
 R_a is a quandle automorphism, so applied to every arc it maps a coloring to
@@ -35,11 +36,13 @@ from collections import namedtuple
 from .errors import EnumerationTooLarge
 
 
-# classes: number of arc classes; seeds: classes guessed, in digit order;
-# steps: (x, o, y, forward) relations that fix y (forward) or x; checks:
-# (x, o, y) relations left to test; top, bottom: class per position;
-# pairs: (x, o) classes per crossing, its source pair.
-_Plan = namedtuple("_Plan", "classes seeds steps checks top bottom pairs")
+# classes: number of arc classes; levels: one (seed, steps, checks) per
+# seed, in digit order, where steps are the (x, o, y, forward) relations that
+# fix y (forward) or x once the seed is known, and checks the (x, o, y)
+# relations left to test whose classes are first all known there; top,
+# bottom: class per position; pairs: (x, o) classes per crossing, its source
+# pair.
+_Plan = namedtuple("_Plan", "classes levels top bottom pairs")
 
 
 def _closure(known, rels):
@@ -61,16 +64,20 @@ def _closure(known, rels):
 
 
 def _greedy(rels, classes, pool):
-    """Seeds from pool, each the one whose closure fixes the most classes
-    (the first in pool on ties), until every class is fixed."""
-    known, seeds, steps = set(), [], []
+    """The levels of seeds from pool, each the one whose closure fixes the
+    most classes (the first in pool on ties), until every class is fixed."""
+    known, levels, done = set(), [], set()
     while len(known) < classes:
         best = max((c for c in pool if c not in known),
                    key=lambda c: len(_closure(known | {c}, rels)[0]))
-        seeds.append(best)
-        known, more = _closure(known | {best}, rels)
-        steps += more
-    return seeds, steps
+        known, steps = _closure(known | {best}, rels)
+        done.update(i for i, _ in steps)
+        checks = [i for i, r in enumerate(rels)
+                  if i not in done and known.issuperset(r)]
+        done.update(checks)
+        levels.append((best, [rels[i] + (forward,) for i, forward in steps],
+                       [rels[i] for i in checks]))
+    return levels
 
 
 def _plan(strands, word, relax_first):
@@ -106,44 +113,9 @@ def _plan(strands, word, relax_first):
     top = cls[:strands]
     runs = [_greedy(rels, len(ids), pool)
             for pool in (sorted(set(top)), range(len(ids)))]
-    seeds, steps = min(runs, key=lambda run: len(run[0]))
-    used = {i for i, _ in steps}
-    return _Plan(classes=len(ids), seeds=seeds,
-                 steps=[rels[i] + (forward,) for i, forward in steps],
-                 checks=[r for i, r in enumerate(rels) if i not in used],
-                 top=top, bottom=[cls[v] for v in state],
+    return _Plan(classes=len(ids), levels=min(runs, key=len), top=top,
+                 bottom=[cls[v] for v in state],
                  pairs=[(x, o) for x, o, _ in rels])
-
-
-def _levels(plan, rows, inv):
-    """The plan split by seed: one (seed, steps, checks) per seed, with the
-    steps its value enables, as (target, lookup, a, b) meaning
-    vals[target] = lookup[vals[a]][vals[b]], and the checks (x, o, y) whose
-    classes are first all known at that level."""
-    known = set()
-    steps = iter(plan.steps)
-    step = next(steps, None)
-    checks = list(plan.checks)
-    levels = []
-    for seed in plan.seeds:
-        known.add(seed)
-        mine = []
-        # the plan lists each seed's steps after the previous seed's, each
-        # one's inputs known from the seeds and steps before it
-        while step is not None and step[1] in known \
-                and (step[0] if step[3] else step[2]) in known:
-            x, o, y, forward = step
-            if forward:
-                mine.append((y, rows, x, o))
-                known.add(y)
-            else:
-                mine.append((x, inv, o, y))
-                known.add(x)
-            step = next(steps, None)
-        now = [c for c in checks if known.issuperset(c)]
-        checks = [c for c in checks if not known.issuperset(c)]
-        levels.append((seed, mine, now))
-    return levels
 
 
 def braid_closure_colorings(table, n, strands, word, forest,
@@ -163,7 +135,7 @@ def braid_closure_colorings(table, n, strands, word, forest,
     r * n^(k-1)).
     """
     plan = _plan(strands, word, relax_first)
-    k = len(plan.seeds)
+    k = len(plan.levels)
     total = n ** k
     if cap is not None and total > cap:
         raise EnumerationTooLarge(n, strands, k, total, cap)
@@ -177,9 +149,12 @@ def braid_closure_colorings(table, n, strands, word, forest,
     paths = {orbit[0]: [] for orbit in orbits}
     for y, a in edges:
         paths[root[y]].append((y, a, table[y][a]))
-    levels = _levels(plan, table, inv)
+    # a step (target, lookup, a, b) is vals[target] = lookup[vals[a]][vals[b]]
+    levels = [(seed, [(y, table, x, o) if forward else (x, inv, o, y)
+                      for x, o, y, forward in steps], checks)
+              for seed, steps, checks in plan.levels]
     roots = list(paths)
-    first = plan.seeds[0]
+    first = plan.levels[0][0]
     vals = [0] * plan.classes
     found = []
     candidates = 0

@@ -6,7 +6,8 @@ human summary to stderr.  Exit codes: 0 ok (--help included), 1 bad input
 failed (implementation bug).  A value of an int option, or an item of make
 --images, that is not an integer is a usage error.  _SHARED declares once
 the options that several subcommands take: --quandle, --cocycle, --knots,
---max-cosets and -o.
+--max-cosets and -o.  A command writes its files before it prints a record,
+so a request whose file cannot be written prints none.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 # core and errors load with every command; the other layers are reached
 # through their modules at call time, so a command executes only the layers
 # it uses (see the package docstring)
-from . import cohomology, constructions, envgroup, knotdata, pipeline
+from . import cohomology, constructions, envgroup, pipeline
 from . import io as qio
 from . import knots as qknots
 from .core import (DEFAULT_MAX_COSETS, inn_image, inner_group, is_connected,
@@ -36,17 +37,21 @@ def note(msg):
 def _load_knots(args):
     if args.knots:
         return qio.read_knots(args.knots)
-    return knotdata.bundled_knots()
+    return qknots.bundled_knots()
 
 
-def _write_text(text, args, summary):
-    """Write a quandle or group file to -o, or to stdout without -o."""
+def _write_text(text, args, summary, record=None):
+    """Write a quandle or group file to -o, or to stdout without -o, after
+    the record if one is given.  The file is written before the record is
+    printed, so a failed write prints none."""
     if args.output:
         qio.write_text(args.output, text)
-        note(f"{summary} -> {args.output}")
-    else:
+        summary = f"{summary} -> {args.output}"
+    if record is not None:
+        emit(record)
+    if not args.output:
         sys.stdout.write(text)
-        note(summary)
+    note(summary)
 
 
 def cmd_validate(args):
@@ -93,9 +98,9 @@ def cmd_inn_seq(args):
 def cmd_h2(args):
     q = qio.read_quandle(args.quandle)
     h = cohomology.second_cohomology(q, args.mod)
-    emit({"record": "h2", "mod": args.mod,
-          "invariant_factors": list(h.invariant_factors),
-          "order": h.order})
+    records = [{"record": "h2", "mod": args.mod,
+                "invariant_factors": list(h.invariant_factors),
+                "order": h.order}]
     if args.emit_reps:
         os.makedirs(args.emit_reps, exist_ok=True)
         for i, rep in enumerate(h.representatives):
@@ -103,8 +108,10 @@ def cmd_h2(args):
             qio.write_text(path, qio.cocycle_to_text(
                 rep, comment=f"H2 representative {i}, factor "
                 f"{h.invariant_factors[i]}"))
-            emit({"record": "h2_rep", "index": i, "path": path,
-                  "factor": h.invariant_factors[i]})
+            records.append({"record": "h2_rep", "index": i, "path": path,
+                            "factor": h.invariant_factors[i]})
+    for rec in records:
+        emit(rec)
     factors = " x ".join(f"Z{d}" for d in h.invariant_factors) or "trivial"
     note(f"H2(Q, Z{args.mod}) = {factors}")
     return 0
@@ -114,11 +121,11 @@ def cmd_extend(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
     e, proj = constructions.abelian_extension(q, phi.m, phi)
-    emit({"record": "extend", "base_order": q.n, "mod": phi.m,
-          "extension_order": e.n,
-          "connected": is_connected(e), "faithful": is_faithful(e)})
+    rec = {"record": "extend", "base_order": q.n, "mod": phi.m,
+           "extension_order": e.n,
+           "connected": is_connected(e), "faithful": is_faithful(e)}
     summary = f"extension of order {e.n}"
-    _write_text(qio.quandle_to_text(e, comment=summary), args, summary)
+    _write_text(qio.quandle_to_text(e, comment=summary), args, summary, rec)
     return 0
 
 
@@ -133,7 +140,7 @@ def cmd_invariant(args):
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:
-            cols = qknots.tangle_colorings(q, qknots.Tangle(k))
+            cols = qknots.tangle_colorings(q, k)
             mono = all(c.y0 == c.y1 for c in cols)
             emit({"record": "tangle", "knot": k.name,
                   "colorings": len(cols), "end_monochromatic": mono})
@@ -163,14 +170,13 @@ def cmd_recover_ext(args):
     q = qio.read_quandle(args.quandle)
     img, f = inn_image(q)
     phi = pipeline.recover_index2_cocycle(f)
-    emit({"record": "recover_ext", "base_order": img.n,
-          "cocycle": [list(r) for r in phi.values]})
     if args.output:
         qio.write_text(args.output, qio.cocycle_to_text(
             phi, comment="recovered from the inner representation"))
-        note(f"cocycle -> {args.output}")
-    else:
-        note("recovered index-2 cocycle")
+    emit({"record": "recover_ext", "base_order": img.n,
+          "cocycle": [list(r) for r in phi.values]})
+    note(f"cocycle -> {args.output}" if args.output
+         else "recovered index-2 cocycle")
     return 0
 
 
@@ -252,6 +258,7 @@ def cmd_make(args):
     if args.family == "galex" and args.conj_by is not None \
             and args.images is not None:
         raise QuandleError("make galex takes one of --conj-by and --images")
+    record = None
     if args.family == "dihedral":
         q = constructions.dihedral_quandle(args.n)
         summary = f"dihedral quandle of order {args.n}"
@@ -266,8 +273,8 @@ def cmd_make(args):
         q, labels = constructions.conjugation_quandle(
             g, _element(g, "--elem", args.elem))
         summary = f"conjugacy class of element {args.elem}, order {q.n}"
-        emit({"record": "conj_labels",
-              "labels": [v + 1 for v in labels]})
+        record = {"record": "conj_labels",
+                  "labels": [v + 1 for v in labels]}
     elif args.family == "galex":
         g = qio.read_group(args.group)
         if args.conj_by is not None:
@@ -292,7 +299,8 @@ def cmd_make(args):
         g, _ = constructions.symmetric_group(args.n)
         _write_text(qio.group_to_text(g, comment=summary), args, summary)
         return 0
-    _write_text(qio.quandle_to_text(q, comment=summary), args, summary)
+    _write_text(qio.quandle_to_text(q, comment=summary), args, summary,
+                record)
     return 0
 
 

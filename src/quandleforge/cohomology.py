@@ -55,9 +55,6 @@ class Cocycle2(namedtuple("Cocycle2", "n m values")):
                 raise ValueError("values must be reduced mod m")
         return super().__new__(cls, n, m, values)
 
-    def __call__(self, x, y):
-        return self.values[x][y]
-
     def add(self, other):
         if (self.n, self.m) != (other.n, other.m):
             raise ShapeMismatch("cochain shapes differ")

@@ -25,9 +25,6 @@ class FiniteGroup(namedtuple("FiniteGroup", "order mult identity inverse")):
 
     __slots__ = ()
 
-    def op(self, a, b):
-        return self.mult[a][b]
-
     def conj(self, a, b):
         """b^-1 * a * b."""
         m = self.mult
@@ -68,6 +65,8 @@ def finite_group(mult_table):
 
 
 def cyclic_group(k):
+    if k < 1:
+        raise ValueError("order must be positive")
     return finite_group([[(a + b) % k for b in range(k)] for a in range(k)])
 
 

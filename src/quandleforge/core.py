@@ -72,9 +72,6 @@ class QuandleMap(namedtuple("QuandleMap", "source target images")):
             raise NotAHomomorphism(f"f({a}*{b}) != f({a})*f({b})")
         return super().__new__(cls, source, target, images)
 
-    def __call__(self, x):
-        return self.images[x]
-
     def is_epimorphism(self):
         return len(set(self.images)) == self.target.n
 

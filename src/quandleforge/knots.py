@@ -15,19 +15,27 @@ The kernel does not push every top tuple through these moves.  It turns the
 diagram into a propagation plan: each crossing is one relation X * O = Y
 between arc classes (the closure merges each bottom arc with its top), a few
 seed classes are guessed, the others follow from the relations, and the
-crossings not used to propagate are checked.  The seeds, k <= s of them,
-are assigned depth first, the first one over orbit representatives only,
-and each coloring found is carried to the rest of that orbit by right
-translations; the cap bounds n^k.  The tests hold the plan to the scan of
-all n^s top tuples in tests/oracles.py, whose move loop the braid-relation
-tests certify; the Markov tests compare the plan's state sums across
-presentations of one knot.
+crossings not used to propagate are checked.  The plan holds one level per
+seed: the seed, the steps it enables and the checks it completes.  The
+seeds, k <= s of them, are assigned depth first, the first one over orbit
+representatives only, and each coloring found is carried to the rest of that
+orbit by right translations; the cap bounds n^k.  The tests hold the plan to
+the scan of all n^s top tuples in tests/oracles.py, whose move loop the
+braid-relation tests certify; the Markov tests compare the plan's state sums
+across presentations of one knot.
 
-A 1-tangle is the knot cut open at the closure arc of position 0; its
-endpoints are the top of position 0 (y0) and the bottom of position 0 (y1).
-Callers read the end colors off each Coloring (`forge invariant --tangle`
-reports whether they agree), and lift_coloring states the paper's lifting
-property of tangle colorings along a covering.
+A 1-tangle is the knot cut open at the closure arc of position 0, so the
+tangle functions take the BraidKnot itself; its endpoints are the top of
+position 0 (y0) and the bottom of position 0 (y1).  Callers read the end
+colors off each Coloring (`forge invariant --tangle` reports whether they
+agree), and lift_coloring states the paper's lifting property of tangle
+colorings along a covering.
+
+BUNDLED_WORDS is the knot table that the knot-taking commands read when no
+--knots file is given; bundled_knots() checks that each closure is a single
+component.  The tests pin coloring-count fingerprints of every entry over
+dihedral quandles; the alternate presentations that the Markov tests compare
+live with those tests.
 """
 
 from collections import namedtuple
@@ -51,16 +59,6 @@ class BraidKnot(namedtuple("BraidKnot", "name strands word closure_perm")):
 
     def __repr__(self):
         return f"BraidKnot({self.name!r}, s={self.strands}, word={list(self.word)})"
-
-
-class Tangle(namedtuple("Tangle", "knot")):
-    """The 1-tangle of a BraidKnot: the closure arc at position 0 is cut."""
-
-    __slots__ = ()
-
-    @property
-    def name(self):
-        return self.knot.name
 
 
 class Coloring(namedtuple("Coloring", "top bottom source_pairs")):
@@ -92,10 +90,6 @@ class GroupRingElt(namedtuple("GroupRingElt", "m coeffs")):
             raise ValueError("coefficient vector must have length m")
         return super().__new__(cls, m, coeffs)
 
-    def __str__(self):
-        terms = [f"{c}*u^{j}" for j, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
 
 def parse_braid(name, strands, word):
     """Validate a braid word and check its closure is a knot.
@@ -124,6 +118,27 @@ def parse_braid(name, strands, word):
                      closure_perm=tuple(cur))
 
 
+# name, strands, word
+BUNDLED_WORDS = [
+    ("unknot", 1, []),
+    ("3_1", 2, [1, 1, 1]),
+    ("4_1", 3, [1, -2, 1, -2]),
+    ("5_1", 2, [1, 1, 1, 1, 1]),
+    ("5_2", 3, [1, 1, 1, 2, -1, 2]),
+    ("6_1", 4, [1, 1, 2, -1, -3, 2, -3]),
+    ("6_2", 3, [1, 1, 1, -2, 1, -2]),
+    ("6_3", 3, [1, 1, -2, 1, -2, -2]),
+    ("7_1", 2, [1, 1, 1, 1, 1, 1, 1]),
+    ("8_19", 3, [1, 2, 1, 2, 1, 2, 1, 2]),
+    ("8_20", 3, [1, 1, 1, -2, -1, -1, -1, -2]),
+]
+
+
+def bundled_knots():
+    """The bundled table, parsed and closure-checked."""
+    return [parse_braid(name, s, w) for name, s, w in BUNDLED_WORDS]
+
+
 def _colorings(q, knot, relax_first, cap):
     return [Coloring(top, bottom, pairs) for top, bottom, pairs
             in braid_closure_colorings(q.table, q.n, knot.strands,
@@ -136,10 +151,10 @@ def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):
     return _colorings(q, k, False, cap)
 
 
-def tangle_colorings(q, t):
-    """Colorings of the 1-tangle: the closure constraint is dropped at the
-    cut arc, so y0 and y1 may differ."""
-    return _colorings(q, t.knot, True, DEFAULT_ASSIGNMENT_CAP)
+def tangle_colorings(q, k):
+    """Colorings of the 1-tangle of k: the closure constraint is dropped at
+    the cut arc, so y0 and y1 may differ."""
+    return _colorings(q, k, True, DEFAULT_ASSIGNMENT_CAP)
 
 
 def coloring_weight(phi, coloring):
@@ -166,9 +181,9 @@ def is_constant(e):
     return all(c == 0 for c in e.coeffs[1:])
 
 
-def lift_coloring(f, t, coloring, y):
-    """The unique lift of a base tangle coloring along a covering f, with top
-    cut color y over coloring.y0.
+def lift_coloring(f, k, coloring, y):
+    """The unique lift of a coloring of k's 1-tangle along a covering f, with
+    top cut color y over coloring.y0.
 
     Uniqueness and existence are certified by exhausting all source
     colorings; a count other than one contradicts the covering lifting
@@ -178,7 +193,7 @@ def lift_coloring(f, t, coloring, y):
         raise NotACovering("lifting requires a covering map")
     if f.images[y] != coloring.y0:
         raise FiberMismatch(f"f({y}) != base color {coloring.y0}")
-    lifts = [c for c in tangle_colorings(f.source, t)
+    lifts = [c for c in tangle_colorings(f.source, k)
              if c.top[0] == y
              and tuple(f.images[v] for v in c.top) == coloring.top]
     if len(lifts) != 1:

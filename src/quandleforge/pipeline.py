@@ -17,11 +17,12 @@ from collections import namedtuple
 # core and errors load with every command; the other layers are reached
 # through their modules at call time, so inn-seq and recover-ext leave the
 # knot and enveloping-group layers unloaded
-from . import cohomology, constructions, envgroup, knotdata
+from . import cohomology, constructions, envgroup
 from . import knots as qknots
 from .core import (DEFAULT_MAX_COSETS, QuandleMap, inner_group, inn_image,
                    is_covering, is_faithful)
-from .errors import NotACovering, NotIndex2, TheoremViolation
+from .errors import (NotACovering, NotEpimorphism, NotIndex2,
+                     TheoremViolation)
 
 class InnSequence(namedtuple("InnSequence", "quandles maps")):
     """Q0 -> Q1 -> ... -> Qk with each map the projection onto the quandle of
@@ -96,7 +97,7 @@ def fiber_criterion(f):
     one point of a fiber fixes the fiber pointwise.  A False verdict (with
     witness) certifies that f is not an abelian extension."""
     if not f.is_epimorphism():
-        raise NotACovering("fiber criterion expects an epimorphism")
+        raise NotEpimorphism("fiber criterion expects an epimorphism")
     fibers = [tuple(v) for v in f.fibers().values()]
     for img in inner_group(f.source):
         for fib in fibers:
@@ -149,7 +150,7 @@ def _validated(x, m, phi, knots):
     """Validate phi as a 2-cocycle mod m on x (ShapeMismatch or NotACocycle)
     and the knot names as distinct (ValueError).  Returns the validated
     cocycle and the knot table (default: the bundled one)."""
-    knots = knotdata.bundled_knots() if knots is None else knots
+    knots = qknots.bundled_knots() if knots is None else knots
     phi = cohomology.cocycle(x, m, phi)
     names = set()
     for k in knots:

@@ -7,8 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import abelian_extension, dihedral_quandle
-from quandleforge.knotdata import bundled_knots
-from quandleforge.knots import Tangle
+from quandleforge.knots import bundled_knots
 
 from helpers import corpus_quandles, sym4_class_quandle, tetrahedral_quandle
 
@@ -63,11 +62,6 @@ def tet_psi(tetrahedral):
 @pytest.fixture(scope="session")
 def knots():
     return bundled_knots()
-
-
-@pytest.fixture(scope="session")
-def tangles():
-    return [Tangle(k) for k in bundled_knots()]
 
 
 @pytest.fixture(scope="session")

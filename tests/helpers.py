@@ -20,8 +20,7 @@ from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         trivial_quandle)
 from quandleforge.core import QuandleMap, validate_quandle
 from quandleforge.errors import NotAHomomorphism
-from quandleforge.knotdata import BUNDLED_WORDS
-from quandleforge.knots import parse_braid, tangle_colorings
+from quandleforge.knots import BUNDLED_WORDS, parse_braid, tangle_colorings
 
 
 class Permutation(namedtuple("Permutation", "images")):
@@ -77,14 +76,14 @@ def presentations(name):
     return out
 
 
-def endpoints_same_translation(q, t):
-    """True iff R_{y0} == R_{y1} for every tangle coloring.
+def endpoints_same_translation(q, k):
+    """True iff R_{y0} == R_{y1} for every coloring of k's 1-tangle.
 
     This must hold for every quandle, because the tangles are classical by
     construction; a failure here is an implementation bug.
     """
     return all(q.column(c.y0) == q.column(c.y1)
-               for c in tangle_colorings(q, t))
+               for c in tangle_colorings(q, k))
 
 
 def tetrahedral_quandle():

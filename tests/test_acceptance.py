@@ -26,9 +26,9 @@ from quandleforge.core import (inn_image, is_connected, is_faithful,
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter, verify_coset_table)
 from quandleforge.errors import AxiomViolation
-from quandleforge.knotdata import bundled_knots
-from quandleforge.knots import (Tangle, enumerate_colorings, is_constant,
-                                parse_braid, state_sum, tangle_colorings)
+from quandleforge.knots import (bundled_knots, enumerate_colorings,
+                                is_constant, parse_braid, state_sum,
+                                tangle_colorings)
 from quandleforge.pipeline import fiber_criterion, recover_index2_cocycle
 
 
@@ -196,16 +196,15 @@ def test_criterion_5_theorem_constancy_end_to_end(x6):
               f"every bundled knot ({elapsed:.2f}s)", failures)
 
 
-def test_criterion_6_tangle_lemma_suites(extensions, tangles):
+def test_criterion_6_tangle_lemma_suites(extensions, knots):
     failures = []
     for name, q in corpus_quandles(max_order=12):
-        for t in tangles:
-            if not endpoints_same_translation(q, t):
-                failures.append(f"translation equality fails: {name}/{t.name}")
-    knots = bundled_knots()
+        for k in knots:
+            if not endpoints_same_translation(q, k):
+                failures.append(f"translation equality fails: {name}/{k.name}")
     for name, x, m, phi, e, proj in extensions:
         for k in knots:
-            mono = all(c.y0 == c.y1 for c in tangle_colorings(e, Tangle(k)))
+            mono = all(c.y0 == c.y1 for c in tangle_colorings(e, k))
             const = is_constant(state_sum(x, phi, k))
             if mono != const:
                 failures.append(

@@ -27,7 +27,7 @@ from quandleforge import io as qio
 from quandleforge import snf
 from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import dihedral_quandle
-from quandleforge.knotdata import bundled_knots
+from quandleforge.knots import bundled_knots
 
 ROOT = Path(__file__).resolve().parent.parent
 

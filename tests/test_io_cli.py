@@ -13,7 +13,7 @@ from quandleforge.cli import build_parser, main
 from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (cyclic_group, dihedral_quandle,
                                         symmetric_group, trivial_quandle)
-from quandleforge.knotdata import bundled_knots
+from quandleforge.knots import bundled_knots
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -417,6 +417,17 @@ class TestCli:
         (["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"], None),
         (["vendramin", "--quandle", "{d3}", "--max-cosets", "0"], None),
         (["vendramin", "--quandle", "{t2}", "--max-cosets", "0"], None),
+        (["props", "--quandle", "{empty}"], "empty quandle file"),
+        (["props", "--quandle", "{comments}"], "empty quandle file"),
+        (["props", "--quandle", "{header2}"], "quandle header must be 'n'"),
+        (["props", "--quandle", "{short}"],
+         "quandle row has 2 entries, expected 3"),
+        (["invariant", "--quandle", "{d3}", "--tangle", "--knots",
+          "{badknots}"], "knot line needs name;strands;word: '3_1;2'"),
+        (["h2", "--quandle", "{d3}", "--mod", "1"], "modulus must be >= 2"),
+        (["make", "sym-group", "--n", "6"],
+         "symmetric_group supports degrees 1..5"),
+        (["make", "cyclic-group", "--n", "0"], "order must be positive"),
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
@@ -424,23 +435,70 @@ class TestCli:
             "galex-images-past-end", "galex-images-short",
             "galex-images-not-integer", "galex-images-empty-item",
             "cocycle-mod-0",
-            "max-cosets-0-connected", "max-cosets-0-disconnected"])
+            "max-cosets-0-connected", "max-cosets-0-disconnected",
+            "quandle-empty", "quandle-only-comments", "quandle-header-2",
+            "quandle-short-row", "knot-line-2-fields", "h2-mod-1",
+            "sym-group-6", "cyclic-group-0"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv, message):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
                  "klein": tmp_path / "klein.group",
-                 "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle"}
+                 "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle",
+                 "empty": tmp_path / "empty.quandle",
+                 "comments": tmp_path / "comments.quandle",
+                 "header2": tmp_path / "header2.quandle",
+                 "short": tmp_path / "short.quandle",
+                 "badknots": tmp_path / "bad.knots"}
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
         qio.write_text(files["klein"],
                        "#group\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n")
         qio.write_text(files["t2"], qio.quandle_to_text(trivial_quandle(2)))
         qio.write_text(files["m0"], "3 0\n0 0 0\n0 0 0\n0 0 0\n")
+        qio.write_text(files["empty"], "")
+        qio.write_text(files["comments"], "# no table\n#\n")
+        qio.write_text(files["header2"], "3 2\n1 3 2\n3 2 1\n2 1 3\n")
+        qio.write_text(files["short"], "3\n1 3\n3 2 1\n2 1 3\n")
+        qio.write_text(files["badknots"], "3_1;2\n")
         argv = [a.format(**files) for a in argv]
         code, records, err = run_cli(capsys, *argv)
         assert code == 1 and "error:" in err
         assert records == []
         if message is not None:
             assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extend", "--quandle", "{tet}", "--cocycle", "{psi}", "-o",
+         "{missing}"],
+        ["recover-ext", "--quandle", "{e8}", "-o", "{missing}"],
+        ["make", "conj", "--group", "{s3}", "--elem", "2", "-o", "{missing}"],
+        # --emit-reps makes the directories it lacks, so the path lies under
+        # a regular file
+        ["h2", "--quandle", "{tet}", "--mod", "2", "--emit-reps",
+         "{tet}/reps"],
+        ["h2", "--quandle", "{tet}", "--mod", "2", "--emit-reps",
+         "{blocked}"],
+    ], ids=["extend", "recover-ext", "make-conj", "h2-emit-reps",
+            "h2-rep-file-is-a-directory"])
+    def test_failed_write_prints_no_record(self, capsys, tmp_path,
+                                           tetrahedral, tet_psi, argv):
+        # each command prints a record when it succeeds; its files are
+        # written first, so a path it cannot write to prints none
+        from quandleforge.constructions import abelian_extension
+        files = {"tet": tmp_path / "tet.quandle",
+                 "psi": tmp_path / "psi.cocycle",
+                 "e8": tmp_path / "e8.quandle", "s3": tmp_path / "s3.group",
+                 "missing": tmp_path / "missing" / "out",
+                 "blocked": tmp_path / "blocked"}
+        qio.write_text(files["tet"], qio.quandle_to_text(tetrahedral))
+        qio.write_text(files["psi"], qio.cocycle_to_text(tet_psi))
+        qio.write_text(files["e8"], qio.quandle_to_text(
+            abelian_extension(tetrahedral, 2, tet_psi)[0]))
+        qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
+        (files["blocked"] / "rep0.cocycle").mkdir(parents=True)
+        argv = [a.format(**files) for a in argv]
+        code, records, err = run_cli(capsys, *argv)
+        assert code == 1 and "error:" in err
+        assert records == []
 
     @pytest.mark.parametrize("argv", [
         ["h2", "--mod", "2"],
@@ -556,7 +614,7 @@ def test_no_command_loads_numpy(tmp_path, d3_file, argv):
     ("h2 --quandle {q} --mod 2", "cli cohomology core errors io snf"),
     ("props --quandle {q}", "cli core errors io"),
     ("invariant --quandle {q} --cocycle {c}",
-     "_kernels cli cohomology core errors io knotdata knots"),
+     "_kernels cli cohomology core errors io knots"),
 ], ids=["vendramin", "make", "h2", "props", "invariant"])
 def test_command_executes_only_its_layers(tmp_path, d3_file, argv,
                                           executed):

@@ -25,7 +25,7 @@ from quandleforge.cohomology import second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected, orbit_forest, orbits
-from quandleforge.knotdata import BUNDLED_WORDS
+from quandleforge.knots import BUNDLED_WORDS
 
 
 def flat(q):
@@ -104,7 +104,7 @@ class TestColoringScan:
                     stats = {}
                     colorings(q, s, w, relax, stats)
                     k = stats["seeds"]
-                    assert k == len(_kernels._plan(s, w, relax).seeds)
+                    assert k == len(_kernels._plan(s, w, relax).levels)
                     assert stats["orbits"] == len(orbits(q)) == r
                     assert 0 < stats["candidates"] <= r * q.n ** (k - 1)
                     if r == 1:
@@ -119,7 +119,7 @@ class TestColoringScan:
             st.sampled_from([g for g in range(-s + 1, s) if g != 0]),
             max_size=10)) if s > 1 else []
         relax = data.draw(st.booleans())
-        assert len(_kernels._plan(s, word, relax).seeds) <= s
+        assert len(_kernels._plan(s, word, relax).levels) <= s
         assert colorings(q, s, word, relax) \
             == scan_colorings(flat(q), q.n, s, word, relax_first=relax)
 

@@ -15,9 +15,9 @@ from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
 from quandleforge.core import QuandleMap, is_faithful, orbit_forest
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
-                                 FiberMismatch, NotACovering, NotAKnot)
-from quandleforge.knotdata import BUNDLED_WORDS
-from quandleforge.knots import (GroupRingElt, Tangle, coloring_weight,
+                                 FiberMismatch, NotACovering, NotAKnot,
+                                 ShapeMismatch)
+from quandleforge.knots import (BUNDLED_WORDS, GroupRingElt, coloring_weight,
                                 enumerate_colorings, is_constant,
                                 lift_coloring, parse_braid, state_sum,
                                 tangle_colorings)
@@ -106,7 +106,7 @@ class TestColoringCounts:
         # 5_2 stabilized to 6 strands: 7^6 top tuples, but a plan of at
         # most 5 seed arcs fits a cap of 7^5
         k = parse_braid("5_2", 6, [1, 1, 1, 2, -1, 2, 3, 4, 5])
-        assert len(_kernels._plan(k.strands, k.word, False).seeds) <= 5
+        assert len(_kernels._plan(k.strands, k.word, False).levels) <= 5
         cols = enumerate_colorings(dihedral_quandle(7), k, cap=7 ** 5)
         assert len(cols) == dihedral_linear_count(7, 6, k.word) == 49
 
@@ -204,6 +204,12 @@ class TestStateSum:
             assert state_sum(tetrahedral, tet_psi, k).coeffs \
                 == state_sum(tetrahedral, shifted, k).coeffs, k.name
 
+    def test_cocycle_of_another_order_rejected(self, d3, d5):
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        with pytest.raises(ShapeMismatch, match="cocycle on 5 elements, "
+                           "quandle of order 3"):
+            state_sum(d3, Cocycle2.zero(5, 2), k)
+
     def test_is_constant(self):
         assert is_constant(GroupRingElt(1, (9,)))
         assert is_constant(GroupRingElt(3, (9, 0, 0)))
@@ -213,95 +219,95 @@ class TestStateSum:
 
 class TestTangles:
     def test_faithful_connected_ends_equal(self, d3):
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        cols = tangle_colorings(d3, t)
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        cols = tangle_colorings(d3, k)
         assert cols and all(c.y0 == c.y1 for c in cols)
 
     def test_trivial_quandle_ends_equal(self):
         q = trivial_quandle(4)
-        t = Tangle(parse_braid("4_1", 3, [1, -2, 1, -2]))
-        cols = tangle_colorings(q, t)
+        k = parse_braid("4_1", 3, [1, -2, 1, -2])
+        cols = tangle_colorings(q, k)
         assert cols and all(c.y0 == c.y1 for c in cols)
 
     def test_figure8_d3_end_monochromatic(self, d3):
-        t = Tangle(parse_braid("4_1", 3, [1, -2, 1, -2]))
-        assert all(c.y0 == c.y1 for c in tangle_colorings(d3, t))
+        k = parse_braid("4_1", 3, [1, -2, 1, -2])
+        assert all(c.y0 == c.y1 for c in tangle_colorings(d3, k))
 
-    def test_translation_equality_everywhere(self, corpus, tangles):
+    def test_translation_equality_everywhere(self, corpus, knots):
         for name, q in corpus:
             if q.n > 9:
                 continue
-            for t in tangles:
-                assert endpoints_same_translation(q, t), (name, t.name)
+            for k in knots:
+                assert endpoints_same_translation(q, k), (name, k.name)
 
     def test_translation_equality_nonfaithful(self, tetrahedral, tet_psi,
-                                              tangles):
+                                              knots):
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)
         assert not is_faithful(e)
-        for t in tangles:
-            assert endpoints_same_translation(e, t), t.name
+        for k in knots:
+            assert endpoints_same_translation(e, k), k.name
 
     def test_unknot_tangle(self, d3):
-        t = Tangle(parse_braid("unknot", 1, []))
-        assert all(c.y0 == c.y1 for c in tangle_colorings(d3, t))
-        assert endpoints_same_translation(d3, t)
+        k = parse_braid("unknot", 1, [])
+        assert all(c.y0 == c.y1 for c in tangle_colorings(d3, k))
+        assert endpoints_same_translation(d3, k)
 
     def test_nonfaithful_extension_can_split_ends(self, tetrahedral,
                                                   tet_psi):
         # the trefoil tangle over E(tetrahedral) has fiber-splitting ends
         # exactly because the base invariant is non-constant
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        assert not all(c.y0 == c.y1 for c in tangle_colorings(e, t))
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        assert not all(c.y0 == c.y1 for c in tangle_colorings(e, k))
 
 
 class TestLifts:
     def test_identity_lift(self, d3):
         f = QuandleMap(d3, d3, (0, 1, 2))
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        base = tangle_colorings(d3, t)[0]
-        assert lift_coloring(f, t, base, base.y0).top == base.top
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        base = tangle_colorings(d3, k)[0]
+        assert lift_coloring(f, k, base, base.y0).top == base.top
 
     def test_zero_extension_m_lifts(self, d3):
         m = 3
         e, proj = abelian_extension(d3, m, Cocycle2.zero(3, m))
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        for base in tangle_colorings(d3, t):
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        for base in tangle_colorings(d3, k):
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
             assert len(fiber) == m
-            lifts = [lift_coloring(proj, t, base, y) for y in fiber]
+            lifts = [lift_coloring(proj, k, base, y) for y in fiber]
             assert len({l.top for l in lifts}) == m
 
     def test_generator_extension_unique_lift_per_fiber(self, tetrahedral,
                                                        tet_psi):
         e, proj = abelian_extension(tetrahedral, 2, tet_psi)
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        for base in tangle_colorings(tetrahedral, t)[:6]:
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        for base in tangle_colorings(tetrahedral, k)[:6]:
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
             for y in fiber:
-                lift = lift_coloring(proj, t, base, y)
+                lift = lift_coloring(proj, k, base, y)
                 assert lift.top[0] == y
                 assert tuple(proj.images[v] for v in lift.top) == base.top
 
     def test_fiber_mismatch(self, d3):
         e, proj = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        base = tangle_colorings(d3, t)[0]
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        base = tangle_colorings(d3, k)[0]
         wrong = next(y for y in range(e.n) if proj.images[y] != base.y0)
         with pytest.raises(FiberMismatch):
-            lift_coloring(proj, t, base, wrong)
+            lift_coloring(proj, k, base, wrong)
 
     def test_not_a_covering_rejected(self, d3):
         p = product_quandle(d3, d3)
         f = QuandleMap(p, d3, tuple(i // 3 for i in range(9)))
-        t = Tangle(parse_braid("3_1", 2, [1, 1, 1]))
-        base = tangle_colorings(d3, t)[0]
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        base = tangle_colorings(d3, k)[0]
         with pytest.raises(NotACovering):
-            lift_coloring(f, t, base, 0)
+            lift_coloring(f, k, base, 0)
 
 
 class TestPowerWeights:
-    def test_exponent_law_per_coloring(self, tangles):
+    def test_exponent_law_per_coloring(self, knots):
         # phi = psi^d: tangle weights reduce mod m, i.e. d*B_phi == d*B_psi
         # in Z_n, coloring by coloring
         from helpers import sym4_class_quandle
@@ -310,8 +316,8 @@ class TestPowerWeights:
         d = 2
         phi = cocycle_power(psi, d)
         n, m = psi.m, phi.m
-        for t in tangles[:5]:
-            for c in tangle_colorings(q, t):
+        for k in knots[:5]:
+            for c in tangle_colorings(q, k):
                 wn = coloring_weight(psi, c)
                 wm = coloring_weight(phi, c)
                 assert wm == wn % m

@@ -19,13 +19,12 @@ from quandleforge.core import (QuandleMap, inn_image, is_connected,
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
-                                 NotACovering, NotAHomomorphism, NotIndex2,
-                                 ShapeMismatch)
+                                 NotACovering, NotAHomomorphism,
+                                 NotEpimorphism, NotIndex2, ShapeMismatch)
 from quandleforge import cohomology, constructions, envgroup
-from quandleforge.knotdata import bundled_knots
-from quandleforge.knots import (coloring_weight, enumerate_colorings,
-                               is_constant, parse_braid, state_sum,
-                               tangle_colorings)
+from quandleforge.knots import (bundled_knots, coloring_weight,
+                                enumerate_colorings, is_constant,
+                                parse_braid, state_sum, tangle_colorings)
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
@@ -164,6 +163,12 @@ class TestFiberCriterion:
         f = QuandleMap(d3, d3, (0, 1, 2))
         assert fiber_criterion(f).holds
 
+    def test_not_an_epimorphism_rejected(self, d3):
+        # every element to the idempotent 0 is a homomorphism onto one point
+        f = QuandleMap(d3, d3, (0, 0, 0))
+        with pytest.raises(NotEpimorphism, match="expects an epimorphism"):
+            fiber_criterion(f)
+
     def test_synthetic_covering_fails_with_witness(self):
         q, proj = synthetic_noncommuting_covering()
         assert is_covering(proj)
@@ -268,13 +273,13 @@ class TestConstancyPipeline:
             assert is_constant(inv)
 
     def test_constancy_matches_end_monochromatic(self, tetrahedral, tet_psi,
-                                                 knots, tangles):
+                                                 knots):
         # two independent computations of the same dichotomy
         e, _ = abelian_extension(tetrahedral, 2, tet_psi)
         verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
-        for k, t in zip(knots, tangles):
+        for k in knots:
             assert is_constant(verdict.invariants[k.name]) \
-                == all(c.y0 == c.y1 for c in tangle_colorings(e, t)), k.name
+                == all(c.y0 == c.y1 for c in tangle_colorings(e, k)), k.name
 
 
 class TestPowerCheck:
@@ -506,23 +511,44 @@ def sign_visible(x, phi, knots):
     return False
 
 
+# a knot on which the lift count over E(sym4_fourcycles, Z_4, h2gen0), as
+# over its mirror, sees a crossing's sign, though no bundled knot's does; it
+# stays out of the bundled table, which the frozen benchmark records read
+SIGN_PROBE = parse_braid("sign_probe", 3, [2, 2, -1, -1, -1, 2])
+
+
 @pytest.fixture(scope="module")
 def fuzz_pools(sym5_ext):
     """The corpus extensions that are connected (the only ones with a 'yes'
     or 'no' verdict), all of them, the S_5 "yes" extension alone, whose
     base of order 10 is outside the corpus pools, and the extensions whose
-    lift counts see the sign of a crossing's weight on some bundled knot:
-    the 12 nonzero classes mod 3, 4 and 6 over dihedral_6 and
-    galex_sym3_conj.  At m = 2 no count can.  Of the 16 classes that m > 2,
-    a nonzero cocycle and a nontrivial base used to admit, a probe of 300
-    random knots and their mirrors saw a sign over one more,
-    E(sym4_fourcycles, Z_4), on 4 knots, against 64 for
-    E(dihedral_6, Z_3)."""
+    lift counts see the sign of a crossing's weight on some bundled knot or
+    on SIGN_PROBE: the 12 nonzero classes mod 3, 4 and 6 over dihedral_6 and
+    galex_sym3_conj, and E(sym4_fourcycles, Z_4, h2gen0).  At m = 2 no count
+    can.  Of the 16 classes that m > 2, a nonzero cocycle and a nontrivial
+    base used to admit, a probe of 300 random knots and their mirrors saw a
+    sign over no other; over E(sym4_fourcycles, Z_4) on 4 knots, against 64
+    for E(dihedral_6, Z_3)."""
     pool = corpus_extensions(moduli=(2, 3, 4, 6))
+    probes = bundled_knots() + [SIGN_PROBE]
     signed = [c for c in pool
-              if c[2] > 2 and sign_visible(c[1], c[3], bundled_knots())]
+              if c[2] > 2 and sign_visible(c[1], c[3], probes)]
     return ([c for c in pool if is_connected(c[4])], pool, [sym5_ext],
             signed)
+
+
+def test_sign_pool_keeps_13_extensions(fuzz_pools):
+    signed = fuzz_pools[-1]
+    assert len(signed) == 13
+    assert "E(sym4_fourcycles,Z4,h2gen0)" in [c[0] for c in signed]
+    # SIGN_PROBE is what keeps it, and both the probe and its mirror see
+    # the sign there
+    name, x, m, phi, e, _ = next(c for c in signed
+                                 if c[0] == "E(sym4_fourcycles,Z4,h2gen0)")
+    assert not sign_visible(x, phi, bundled_knots())
+    mirror = parse_braid("mirror", 3, [-g for g in SIGN_PROBE.word])
+    assert sign_visible(x, phi, [SIGN_PROBE])
+    assert sign_visible(x, phi, [mirror])
 
 
 def joining_letters(strands, word, signs):

@@ -17,8 +17,7 @@ from quandleforge.core import IndexReport, Quandle, QuandleMap
 from quandleforge.envgroup import (ConjugationCriterion, CosetTable,
                                    Presentation, todd_coxeter)
 from quandleforge.errors import NotACocycle, NotAHomomorphism
-from quandleforge.knots import (BraidKnot, Coloring, GroupRingElt, Tangle,
-                                parse_braid)
+from quandleforge.knots import BraidKnot, Coloring, GroupRingElt, parse_braid
 from quandleforge.pipeline import (Certificate, ExtensionVerdict,
                                    FiberReport, InnSequence, PowerCheckReport)
 from quandleforge.snf import SmithForm
@@ -50,7 +49,6 @@ SAMPLES = {
                            "collision": (0, 1)},
     BraidKnot: {"name": "3_1", "strands": 2, "word": (1, 1, 1),
                 "closure_perm": TREFOIL.closure_perm},
-    Tangle: {"knot": TREFOIL},
     Coloring: {"top": (0, 1), "bottom": (1, 0),
                "source_pairs": ((0, 1, 1), (1, 2, 1), (2, 0, 1))},
     GroupRingElt: {"m": 3, "coeffs": (3, 0, 6)},
@@ -84,7 +82,7 @@ EXPORTED = [
     "BraidKnot", "Cocycle2", "CohomologyGroup", "Coloring",
     "ConjugationCriterion", "CosetTable", "FiniteGroup", "GroupAutomorphism",
     "GroupRingElt", "InnSequence", "Presentation", "Quandle", "QuandleMap",
-    "Tangle", "abelian_extension", "alexander_quandle", "bundled_knots",
+    "abelian_extension", "alexander_quandle", "bundled_knots",
     "coboundary", "cocycle", "cocycle_power", "cohomologous",
     "conjugation_automorphism", "conjugation_criterion", "conjugation_quandle",
     "constancy_pipeline", "cyclic_group", "dihedral_quandle",
