@@ -7,7 +7,10 @@ failed (implementation bug).  A value of an int option, or an item of make
 --images, that is not an integer is a usage error.  _SHARED declares once
 the options that several subcommands take: --quandle, --cocycle, --knots,
 --max-cosets and -o.  A command writes its files before it prints a record,
-so a request whose file cannot be written prints none.
+so a request whose file cannot be written prints none.  h2 --emit-reps DIR
+creates DIR and its missing parents; -o FILE creates no directory.  Element
+indices inside records (validate's witness, vendramin's collision) are
+0-based, while files, --elem, --conj-by and --images are 1-based.
 """
 
 import argparse
@@ -120,7 +123,7 @@ def cmd_h2(args):
 def cmd_extend(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    e, proj = constructions.abelian_extension(q, phi.m, phi)
+    e, _ = constructions.abelian_extension(q, phi.m, phi)
     rec = {"record": "extend", "base_order": q.n, "mod": phi.m,
            "extension_order": e.n,
            "connected": is_connected(e), "faithful": is_faithful(e)}
@@ -189,7 +192,7 @@ def cmd_thm31(args):
     emit({"record": "constancy",
           "extension_order": verdict.extension.n,
           "is_conjugation": verdict.is_conjugation,
-          "inn_preimage_found": verdict.inn_preimage_found,
+          "inn_preimage_found": verdict.is_conjugation == "yes",
           "all_constant": verdict.invariant_constant_on_corpus,
           "invariants": {k: list(v.coeffs)
                          for k, v in verdict.invariants.items()}})

@@ -96,9 +96,6 @@ class GroupAutomorphism(namedtuple("GroupAutomorphism", "group images")):
             raise ValueError(f"not multiplicative at {bad}")
         return super().__new__(cls, group, images)
 
-    def __call__(self, a):
-        return self.images[a]
-
 
 def _check_element(g, x):
     if not 0 <= x < g.order:
@@ -137,8 +134,8 @@ def generalized_alexander_quandle(g, f):
     if f.group is not g and f.group != g:
         raise ValueError("automorphism is for a different group")
     k = g.order
-    table = [[g.mult[f(g.mult[x][g.inverse[y]])][y] for y in range(k)]
-             for x in range(k)]
+    table = [[g.mult[f.images[g.mult[x][g.inverse[y]]]][y]
+              for y in range(k)] for x in range(k)]
     return validate_quandle(k, table)
 
 
@@ -182,13 +179,13 @@ def abelian_extension(x, m, phi):
     exactly when phi is a diagonal-zero cocycle, so it is not validated
     again.
     """
-    return _extension(x, m, cohomology.cocycle(x, m, phi))
+    e = _extension(x, m, cohomology.cocycle(x, m, phi))
+    return e, QuandleMap(e, x, tuple(i // m for i in range(e.n)))
 
 
 def _extension(x, m, phi):
-    """E(X, Z_m, phi) and its projection, for a Cocycle2 phi that has
-    already been checked against x; nothing is checked again."""
-    e = Quandle(n=x.n * m, table=tuple(
+    """E(X, Z_m, phi) alone, for a Cocycle2 phi already checked against x:
+    nothing is checked again, and no projection is built for callers that
+    read only E."""
+    return Quandle(n=x.n * m, table=tuple(
         tuple(row) for row in extension_table(x, m, phi.values)))
-    proj = QuandleMap(e, x, tuple(i // m for i in range(e.n)))
-    return e, proj

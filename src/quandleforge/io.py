@@ -11,7 +11,10 @@ Cocycle:        the header is "n m", m >= 1; entries are read mod m.
 Knot table:     one "name;strands;comma-separated word" per line.
 
 Quandle and group entries are 1-based on disk (matching common Cayley-table
-exports) and 0-based in memory.
+exports) and 0-based in memory.  A malformed file is a ValueError that names
+the file kind, the line (the header, a row by its 1-based number, or the
+knot line) and the token at fault; a quandle or group entry outside 1..n is
+named as it stands on disk.
 """
 
 from . import cohomology, constructions, core, knots
@@ -42,15 +45,28 @@ def _is_group_text(text):
     return False
 
 
+def _ints(tokens, where):
+    """The tokens as integers; ValueError naming where and the first token
+    that is not one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{where}: {tok!r} is not an integer") from None
+    return out
+
+
 def _parse_table(text, kind, header="n", base=0):
     """The header (the integers that header names) and the n rows of a
     table file, each entry base less than on disk; ValueError for any
     departure from the grammar.  A second header integer is a cocycle
-    modulus, checked before the rows."""
+    modulus, checked before the rows.  The entries of a table with base 1
+    are elements, each in 1..n on disk."""
     lines = _content_lines(text)
     if not lines:
         raise ValueError(f"empty {kind} file")
-    head = [int(tok) for tok in lines[0].split()]
+    head = _ints(lines[0].split(), f"{kind} header")
     if len(head) != len(header.split()):
         raise ValueError(f"{kind} header must be '{header}'")
     n = head[0]
@@ -60,11 +76,17 @@ def _parse_table(text, kind, header="n", base=0):
         raise ValueError(
             f"{kind} file promises {n} rows, found {len(lines) - 1}")
     rows = []
-    for line in lines[1:]:
-        row = [int(tok) - base for tok in line.split()]
+    for i, line in enumerate(lines[1:], 1):
+        row = _ints(line.split(), f"{kind} row {i}")
         if len(row) != n:
             raise ValueError(
                 f"{kind} row has {len(row)} entries, expected {n}")
+        if base:
+            bad = next((v for v in row if not 1 <= v <= n), None)
+            if bad is not None:
+                raise ValueError(
+                    f"{kind} row {i}: entry {bad} is not in 1..{n}")
+            row = [v - 1 for v in row]
         rows.append(row)
     return head, rows
 
@@ -115,10 +137,10 @@ def parse_knots_text(text):
         parts = line.split(";")
         if len(parts) != 3:
             raise ValueError(f"knot line needs name;strands;word: {line!r}")
-        name, strands = parts[0].strip(), int(parts[1])
-        word = [int(t) for t in parts[2].split(",") if t.strip()] \
-            if parts[2].strip() else []
-        out.append(knots.parse_braid(name, strands, word))
+        where = f"knot line {line!r}"
+        (strands,) = _ints([parts[1]], where)
+        word = _ints([t for t in parts[2].split(",") if t.strip()], where)
+        out.append(knots.parse_braid(parts[0].strip(), strands, word))
     return out
 
 

@@ -48,12 +48,9 @@ from .errors import (BadGenerator, FiberMismatch, NotACovering, NotAKnot,
 DEFAULT_ASSIGNMENT_CAP = 10 ** 8
 
 
-class BraidKnot(namedtuple("BraidKnot", "name strands word closure_perm")):
-    """A braid word whose closure is a knot (single component).
-
-    closure_perm maps each bottom position to the top position of the same
-    strand.
-    """
+class BraidKnot(namedtuple("BraidKnot", "name strands word")):
+    """A braid word, a tuple of signed letters on strands strands, whose
+    closure is a knot (a single component); parse_braid checks both."""
 
     __slots__ = ()
 
@@ -114,8 +111,7 @@ def parse_braid(name, strands, word):
         seen += 1
     if seen != strands:
         raise NotAKnot(f"closure of {name} has more than one component")
-    return BraidKnot(name=name, strands=strands, word=tuple(word),
-                     closure_perm=tuple(cur))
+    return BraidKnot(name=name, strands=strands, word=tuple(word))
 
 
 # name, strands, word

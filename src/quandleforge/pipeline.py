@@ -80,7 +80,7 @@ def recover_index2_cocycle(f):
         level[high] = 1
     phi = cohomology.cocycle(x, 2, [[level[y.table[sa][sb]]
                                      for sb in section] for sa in section])
-    e, _ = constructions._extension(x, 2, phi)
+    e = constructions._extension(x, 2, phi)
     QuandleMap(y, e, tuple(2 * b + level[u] for u, b in enumerate(f.images)))
     return phi
 
@@ -111,13 +111,12 @@ def fiber_criterion(f):
 
 class ExtensionVerdict(namedtuple(
         "ExtensionVerdict",
-        "base m phi extension projection is_conjugation inn_preimage_found "
-        "invariants invariant_constant_on_corpus")):
+        "extension is_conjugation invariants invariant_constant_on_corpus")):
     """Outcome of the constancy pipeline for one (X, m, phi).
 
-    phi is the Cocycle2, projection the QuandleMap from the extension onto
-    the base; is_conjugation is "yes", "no" or "not_applicable", and
-    invariants maps knot names to GroupRingElt.
+    extension is the Quandle E(X, Z_m, phi); is_conjugation is "yes", "no"
+    or "not_applicable" (E has an inner-representation preimage exactly when
+    it is "yes"), and invariants maps knot names to GroupRingElt.
     """
 
     __slots__ = ()
@@ -132,16 +131,14 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
     Theorem 3.1: an extension that is a conjugation quandle has constant
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
-    e, proj = constructions._extension(x, m, phi)
+    e = constructions._extension(x, m, phi)
     conjugation = envgroup.conjugation_criterion(e, max_cosets).verdict
     constant = all(qknots.is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:
         raise TheoremViolation(
             "extension is a conjugation quandle but some invariant is "
             "non-constant; the implementation is broken")
-    return ExtensionVerdict(base=x, m=m, phi=phi, extension=e,
-                            projection=proj, is_conjugation=conjugation,
-                            inn_preimage_found=conjugation == "yes",
+    return ExtensionVerdict(extension=e, is_conjugation=conjugation,
                             invariants=invariants,
                             invariant_constant_on_corpus=constant)
 
@@ -183,6 +180,8 @@ class PowerCheckReport(namedtuple(
 
     verdict is the ExtensionVerdict of phi, or None when m == 1;
     coefficients maps each knot name to its coefficient tuple over Z_n.
+    vanishing_ok is True when m == 1 or the hypothesis held, else None:
+    never False, because a failed vanishing raises TheoremViolation.
     """
 
     __slots__ = ()
@@ -227,12 +226,10 @@ def power_coefficient_check(x, n, psi, d, knots=None,
 
 
 class Certificate(namedtuple(
-        "Certificate",
-        "base m phi extension witness_knots conjugation_verdict")):
-    """A proof that no finite quandle has E as its inner image.
-
-    phi is the Cocycle2, witness_knots the list of names of the knots whose
-    invariant is non-constant.
+        "Certificate", "m extension witness_knots conjugation_verdict")):
+    """A proof that no finite quandle has E = E(X, Z_m, phi) as its inner
+    image.  witness_knots lists the knots whose invariant is non-constant;
+    conjugation_verdict is E's, never "yes" (that raises TheoremViolation).
     """
 
     __slots__ = ()
@@ -259,6 +256,6 @@ def nonconstancy_certificates(x, m, phi, knots=None,
     if not witnesses:
         return None
     verdict = _extension_verdict(x, m, phi, invariants, max_cosets)
-    return Certificate(base=x, m=m, phi=phi, extension=verdict.extension,
+    return Certificate(m=m, extension=verdict.extension,
                        witness_knots=witnesses,
                        conjugation_verdict=verdict.is_conjugation)

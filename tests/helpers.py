@@ -187,10 +187,12 @@ def dense_rows(rows, ncols):
     return out
 
 
-def dense_smith_form(form):
-    """form with its sparse transforms as dense lists of rows, the layout of
-    oracles.reference_smith_normal_form: Uinv and V come by columns, Vinv
-    by rows."""
+def dense_smith_form(form, a):
+    """The Smith form of the matrix a with its sparse transforms as dense
+    lists of rows, the layout of oracles.reference_smith_normal_form: Uinv
+    and V come by columns, Vinv by rows."""
+    nrows, ncols = len(a), len(a[0]) if a else 0
+
     def by_rows(vectors, k):
         return dense_rows([v.items() for v in vectors], k)
 
@@ -198,9 +200,9 @@ def dense_smith_form(form):
         return [list(r) for r in zip(*by_rows(vectors, k))]
 
     return form._replace(
-        Uinv=form.Uinv and by_columns(form.Uinv, form.nrows),
-        V=form.V and by_columns(form.V, form.ncols),
-        Vinv=form.Vinv and by_rows(form.Vinv, form.ncols))
+        Uinv=form.Uinv and by_columns(form.Uinv, nrows),
+        V=form.V and by_columns(form.V, ncols),
+        Vinv=form.Vinv and by_rows(form.Vinv, ncols))
 
 
 def sym_class_quandle(degree, cycle_type):

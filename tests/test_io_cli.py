@@ -428,6 +428,22 @@ class TestCli:
         (["make", "sym-group", "--n", "6"],
          "symmetric_group supports degrees 1..5"),
         (["make", "cyclic-group", "--n", "0"], "order must be positive"),
+        # a file's tokens and entries are named as they stand on disk
+        (["props", "--quandle", "{headerx}"],
+         "quandle header: 'x' is not an integer"),
+        (["invariant", "--quandle", "{d3}", "--cocycle", "{cocyclex}"],
+         "cocycle row 2: 'x' is not an integer"),
+        (["invariant", "--quandle", "{d3}", "--tangle", "--knots",
+          "{strandsx}"],
+         "knot line '3_1;two;1,1,1': 'two' is not an integer"),
+        (["invariant", "--quandle", "{d3}", "--tangle", "--knots",
+          "{letterx}"], "knot line '3_1;2;1,x,1': 'x' is not an integer"),
+        (["props", "--quandle", "{entry0}"],
+         "quandle row 1: entry 0 is not in 1..3"),
+        (["props", "--quandle", "{entry4}"],
+         "quandle row 2: entry 4 is not in 1..3"),
+        (["make", "conj", "--group", "{group0}", "--elem", "1"],
+         "group row 1: entry 0 is not in 1..4"),
     ], ids=["dihedral-no-n", "alexander-no-t", "alexander-order-0",
             "conj-no-group", "conj-no-elem", "galex-no-automorphism",
             "conj-elem-0", "conj-elem-past-end", "galex-conj-by-0",
@@ -438,7 +454,10 @@ class TestCli:
             "max-cosets-0-connected", "max-cosets-0-disconnected",
             "quandle-empty", "quandle-only-comments", "quandle-header-2",
             "quandle-short-row", "knot-line-2-fields", "h2-mod-1",
-            "sym-group-6", "cyclic-group-0"])
+            "sym-group-6", "cyclic-group-0", "quandle-header-not-integer",
+            "cocycle-entry-not-integer", "knot-strands-not-integer",
+            "knot-letter-not-integer", "quandle-entry-0",
+            "quandle-entry-past-n", "group-entry-0"])
     def test_bad_input_is_an_error_line(self, capsys, tmp_path, d3_file,
                                          argv, message):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
@@ -449,6 +468,17 @@ class TestCli:
                  "header2": tmp_path / "header2.quandle",
                  "short": tmp_path / "short.quandle",
                  "badknots": tmp_path / "bad.knots"}
+        texts = {"headerx": "3 x\n1 3 2\n3 2 1\n2 1 3\n",
+                 "cocyclex": "3 2\n0 0 0\n0 x 0\n0 0 0\n",
+                 "strandsx": "3_1;two;1,1,1\n",
+                 "letterx": "3_1;2;1,x,1\n",
+                 "entry0": "3\n0 3 2\n3 2 1\n2 1 3\n",
+                 "entry4": "3\n1 3 2\n3 2 4\n2 1 3\n",
+                 "group0": "#group\n4\n0 2 3 4\n2 1 4 3\n3 4 1 2\n"
+                           "4 3 2 1\n"}
+        for key, text in texts.items():
+            files[key] = tmp_path / key
+            qio.write_text(files[key], text)
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
         qio.write_text(files["klein"],
                        "#group\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n")

@@ -21,7 +21,7 @@ from quandleforge.envgroup import (Presentation, conjugation_criterion,
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotAHomomorphism,
                                  NotEpimorphism, NotIndex2, ShapeMismatch)
-from quandleforge import cohomology, constructions, envgroup
+from quandleforge import cohomology, constructions, core, envgroup
 from quandleforge.knots import (bundled_knots, coloring_weight,
                                 enumerate_colorings, is_constant,
                                 parse_braid, state_sum, tangle_colorings)
@@ -232,7 +232,6 @@ class TestConstancyPipeline:
         verdict = constancy_pipeline(x6, 2, x6_psi)
         assert verdict.extension.n == 12
         assert verdict.is_conjugation == "yes"
-        assert verdict.inn_preimage_found
         assert verdict.invariant_constant_on_corpus
         assert all(is_constant(v) for v in verdict.invariants.values())
 
@@ -263,7 +262,6 @@ class TestConstancyPipeline:
     def test_nonconjugation_extension_reports(self, tetrahedral, tet_psi):
         verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
         assert verdict.is_conjugation == "no"
-        assert not verdict.inn_preimage_found
         assert not verdict.invariant_constant_on_corpus
 
     def test_zero_cocycle_trivial_extension(self, d3):
@@ -444,6 +442,37 @@ def test_one_enumeration_per_request(x6, x6_psi, tetrahedral, tet_psi,
     n, verdict = count(lambda: constancy_pipeline(dihedral_quandle(4), 2,
                                                   Cocycle2.zero(4, 2)))
     assert (n, verdict.is_conjugation) == (0, "not_applicable")
+
+
+@pytest.fixture(scope="module")
+def c4():
+    """The class of 4-cycles in Sym(4)."""
+    return sym4_class_quandle((4,))
+
+
+@pytest.fixture(scope="module")
+def c4_psi(c4):
+    """The generator of H^2(c4; Z_4) = Z_4."""
+    return second_cohomology(c4, 4).representatives[0]
+
+
+@pytest.mark.parametrize("run, fixtures, checks", [
+    (lambda x, phi: constancy_pipeline(x, 2, phi), ("x6", "x6_psi"), 0),
+    (lambda x, psi: power_coefficient_check(x, 4, psi, 2), ("c4", "c4_psi"),
+     0),
+    (lambda x, phi: nonconstancy_certificates(x, 2, phi),
+     ("tetrahedral", "tet_psi"), 0),
+    (lambda e12: recover_index2_cocycle(e12[1]), ("e12",), 1),
+], ids=["thm31", "thm35", "certify", "recover-ext"])
+def test_homomorphism_checks_per_request(run, fixtures, checks, request):
+    # thm31, thm35 and certify read E alone, so no projection onto X is
+    # built and checked; recover-ext checks only its labeling onto E
+    args = [request.getfixturevalue(name) for name in fixtures]
+    with mock.patch("quandleforge.core._law_failure",
+                    wraps=core._law_failure) as law:
+        result = run(*args)
+    assert law.call_count == checks
+    assert result is not None
 
 
 class TestCertificates:

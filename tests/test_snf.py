@@ -60,7 +60,7 @@ def det(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices)
 def test_smith_form_properties(a):
-    form = dense_smith_form(snf.smith_normal_form(a, want=TRANSFORMS))
+    form = dense_smith_form(snf.smith_normal_form(a, want=TRANSFORMS), a)
     nr, nc = len(a), len(a[0])
     s = [[form.diag[i] if i == j and i < form.rank else 0
           for j in range(nc)] for i in range(nr)]
@@ -81,11 +81,10 @@ def test_smith_form_matches_reference(a, want):
     # it must give the same diagonal and the same transforms, entry for entry
     form = snf.smith_normal_form(a, want=want)
     ref = reference_smith_normal_form(a, want=want)
-    assert (form.diag, form.rank, form.nrows, form.ncols) \
-        == (ref.diag, ref.rank, ref.nrows, ref.ncols)
+    assert (form.diag, form.rank) == (ref.diag, ref.rank)
     for vectors in filter(None, (form.Uinv, form.V, form.Vinv)):
         assert all(v for vector in vectors for v in vector.values())
-    dense = dense_smith_form(form)
+    dense = dense_smith_form(form, a)
     for name in TRANSFORMS:
         assert getattr(dense, name) == getattr(ref, name), name
 

@@ -28,7 +28,7 @@ D3 = dihedral_quandle(3)
 Z3 = cyclic_group(3)
 TREFOIL = parse_braid("3_1", 2, [1, 1, 1])
 ZERO = Cocycle2.zero(3, 2)
-E6, PROJ = abelian_extension(D3, 2, ZERO)
+E6, _ = abelian_extension(D3, 2, ZERO)
 CYCLIC = Presentation(1, ((1, 1, 1),))
 
 # one value of each public type, as its fields in declaration order
@@ -47,25 +47,22 @@ SAMPLES = {
                  "columns": todd_coxeter(CYCLIC).columns},
     ConjugationCriterion: {"connected": True, "order": 6,
                            "collision": (0, 1)},
-    BraidKnot: {"name": "3_1", "strands": 2, "word": (1, 1, 1),
-                "closure_perm": TREFOIL.closure_perm},
+    BraidKnot: {"name": "3_1", "strands": 2, "word": (1, 1, 1)},
     Coloring: {"top": (0, 1), "bottom": (1, 0),
                "source_pairs": ((0, 1, 1), (1, 2, 1), (2, 0, 1))},
     GroupRingElt: {"m": 3, "coeffs": (3, 0, 6)},
     InnSequence: {"quandles": (D3,), "maps": ()},
     FiberReport: {"holds": False, "witness": ((1, 0, 2), 2, 0)},
-    ExtensionVerdict: {"base": D3, "m": 2, "phi": ZERO, "extension": E6,
-                       "projection": PROJ, "is_conjugation": "no",
-                       "inn_preimage_found": False,
+    ExtensionVerdict: {"extension": E6, "is_conjugation": "no",
                        "invariants": {"3_1": GroupRingElt(2, (6, 0))},
                        "invariant_constant_on_corpus": True},
     PowerCheckReport: {"n": 4, "d": 2, "m": 2, "hypothesis_held": False,
                        "verdict": None, "coefficients": {"3_1": (4, 0, 0, 0)},
                        "vanishing_ok": None},
-    Certificate: {"base": D3, "m": 2, "phi": ZERO, "extension": E6,
-                  "witness_knots": ["3_1"], "conjugation_verdict": "no"},
-    SmithForm: {"diag": [1, 2], "rank": 2, "nrows": 2, "ncols": 3,
-                "Uinv": None, "V": [{0: 1}, {1: 1}, {2: 1}],
+    Certificate: {"m": 2, "extension": E6, "witness_knots": ["3_1"],
+                  "conjugation_verdict": "no"},
+    SmithForm: {"diag": [1, 2], "rank": 2, "Uinv": None,
+                "V": [{0: 1}, {1: 1}, {2: 1}],
                 "Vinv": [{0: 1}, {1: 1}, {2: 1}]},
 }
 
