@@ -123,7 +123,7 @@ def cmd_h2(args):
 def cmd_extend(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    e, _ = constructions.abelian_extension(q, phi.m, phi)
+    e = constructions.abelian_extension(q, phi.m, phi)
     rec = {"record": "extend", "base_order": q.n, "mod": phi.m,
            "extension_order": e.n,
            "connected": is_connected(e), "faithful": is_faithful(e)}

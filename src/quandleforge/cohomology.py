@@ -14,7 +14,12 @@ which matches relabeling extension fibers by (x, a) -> (x, a - gamma(x));
 the mirror convention differs by a sign and produces the same cohomology.
 
 H^2 is computed over the integers: the off-diagonal pairs index the cochain
-coordinates and the cocycle constraints are row-reduced.  Two matrices are
+coordinates and the cocycle constraints are row-reduced, up to r* pivots.
+For r orbits their rank is at most r* = n(n-1) - (n-r) - r(r-1): over Q,
+the coboundaries (n - r dimensions) and the r(r-1) cocycles
+chi_ij = [x in O_i][y in O_j], i != j, are independent, as summing
+c_ij = gamma(x) - gamma(x*y) over x in O_i gives |O_i| c_ij = 0 (x -> x*y
+permutes O_i).  _spans_constraints certifies the lattice.  Two matrices are
 put in Smith normal form: the reduced constraints give the kernel lattice
 (with V, so representatives are V times a vector), and the quotient of that
 lattice by coboundaries plus m times everything gives the invariant factors.
@@ -31,7 +36,11 @@ from math import gcd
 
 from . import snf
 from .core import orbit_forest, orbits
-from .errors import DNotDividesModulus, NotACocycle, ShapeMismatch
+from .errors import (CohomologyTooLarge, DNotDividesModulus, NotACocycle,
+                     ShapeMismatch)
+
+# cells of the relation matrix: 4.8 * 10^6 at order 47, 2.1 * 10^8 at 120
+MAX_RELATION_CELLS = 2 * 10 ** 7
 
 
 class Cocycle2(namedtuple("Cocycle2", "n m values")):
@@ -213,33 +222,36 @@ def second_cohomology(q, m):
     form, the one of the reduced constraints.  The classes are verified
     independent one prime p | m at a time, by a rank over F_p of their
     coordinates modulo coboundaries, which come from the orbits' spanning
-    forest and not from the solve.
+    forest and not from the solve.  The rows reduced are those read up to
+    r* pivots (module docstring), or all if _spans_constraints fails.
+    CohomologyTooLarge, before any row is built, past MAX_RELATION_CELLS.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     n = q.n
-    pairs, pidx = _pair_index(n)
-    npairs = len(pairs)
+    npairs = n * (n - 1)
+    if npairs * (n + npairs) > MAX_RELATION_CELLS:
+        raise CohomologyTooLarge(n, npairs, n + npairs, MAX_RELATION_CELLS)
     if npairs == 0:
         return CohomologyGroup(m=m, invariant_factors=(), representatives=())
+    pairs, pidx = _pair_index(n)
 
     rows = _constraint_rows(q, pidx)
-    reduced = snf.row_reduce(rows, npairs)
-    if reduced:
+    k = len(orbits(q))
+    for bound in (npairs - (n - k) - k * (k - 1), None):
+        # no reduced row: the Smith form of a zero row, identity transforms
+        reduced = snf.row_reduce(rows, npairs, rank=bound) or [[0] * npairs]
         form = snf.smith_normal_form(reduced, want=("V", "Vinv"))
-        vcols, vinv = form.V, form.Vinv
-        diag, rank = form.diag, form.rank
-    else:
-        vcols = vinv = [{j: 1} for j in range(npairs)]
-        diag, rank = (), 0
-    tdiag = [m // gcd(d, m) for d in diag]
+        if bound is None or _spans_constraints(q, pairs, form):
+            break
+    tdiag = [m // gcd(d, m) for d in form.diag]
     tdiag += [1] * (npairs - len(tdiag))
 
     # kernel lattice K = V . diag(tdiag); relations = coboundaries + m Z^N,
     # in the K basis X = diag(tdiag)^-1 . [Vinv . D | m Vinv], where row
     # (a, b) of the coboundary matrix D is +1 at a and -1 at a*b
     x = []
-    for vrow, t in zip(vinv, tdiag):
+    for vrow, t in zip(form.Vinv, tdiag):
         row = {}
         for c, v in vrow.items():
             a, b = pairs[c]
@@ -269,7 +281,7 @@ def second_cohomology(q, m):
         w = [0] * npairs
         for r, u in ucol.items():
             tu = tdiag[r] * u
-            for c, v in vcols[r].items():
+            for c, v in form.V[r].items():
                 w[c] += v * tu
         vals = [[0] * n for _ in range(n)]
         for (a, b), v in zip(pairs, w):
@@ -280,11 +292,28 @@ def second_cohomology(q, m):
     group = CohomologyGroup(m=m, invariant_factors=tuple(factors),
                             representatives=tuple(reps))
 
-    zorder = cocycle_space_order(diag, rank, npairs, m)
+    zorder = cocycle_space_order(form.diag, form.rank, npairs, m)
     if group.order * coboundary_space_order(q, m) != zorder:
         raise AssertionError("invariant factors disagree with space orders")
     _verify_independent(q, group)
     return group
+
+
+def _spans_constraints(q, pairs, form):
+    """Whether the rows A whose Smith form is form span over Z the
+    constraint rows R that they span over Q.  With S = U A V, R lies in the
+    Z-span iff R.V_i = 0 (mod d_i) for each factor d_i > 1, and R.V_i over
+    all R is the cocycle identity of V_i read as a cochain on pairs."""
+    for d, vcol in zip(form.diag, form.V):
+        if d == 1:
+            continue
+        values = [[0] * q.n for _ in range(q.n)]
+        for c, v in vcol.items():
+            a, b = pairs[c]
+            values[a][b] = v
+        if cocycle_witness(q, d, values) is not None:
+            return False
+    return True
 
 
 def _coboundary_classes(q, m):

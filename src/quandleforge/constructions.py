@@ -14,8 +14,7 @@ from math import gcd
 from operator import itemgetter
 
 from . import cohomology
-from .core import (Quandle, QuandleMap, _first_failure, _law_failure,
-                   validate_quandle)
+from .core import Quandle, _first_failure, _law_failure, validate_quandle
 from .errors import NotAUnit
 
 
@@ -171,21 +170,19 @@ def extension_table(x, m, values):
 
 
 def abelian_extension(x, m, phi):
-    """The extension quandle E(X, Z_m, phi) plus the projection onto X.
+    """The extension quandle E(X, Z_m, phi), whose element x*m + a is (x, a).
 
     phi may be a Cocycle2 or a raw n x n value table; it is validated by
     cohomology.cocycle (ShapeMismatch, or NotACocycle with a witness).
     That check is the only one: the table satisfies the quandle axioms
     exactly when phi is a diagonal-zero cocycle, so it is not validated
-    again.
+    again.  The projection onto X is i -> i // m.
     """
-    e = _extension(x, m, cohomology.cocycle(x, m, phi))
-    return e, QuandleMap(e, x, tuple(i // m for i in range(e.n)))
+    return _extension(x, m, cohomology.cocycle(x, m, phi))
 
 
 def _extension(x, m, phi):
-    """E(X, Z_m, phi) alone, for a Cocycle2 phi already checked against x:
-    nothing is checked again, and no projection is built for callers that
-    read only E."""
+    """E(X, Z_m, phi) for a Cocycle2 phi already checked against x: nothing
+    is checked again."""
     return Quandle(n=x.n * m, table=tuple(
         tuple(row) for row in extension_table(x, m, phi.values)))

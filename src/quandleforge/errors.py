@@ -87,6 +87,17 @@ class Capped(QuandleError):
             f"{ngens} generators and {relators} relators)")
 
 
+class CohomologyTooLarge(QuandleError):
+    """second_cohomology's n(n-1) x n + n(n-1) matrix would pass cap cells."""
+
+    def __init__(self, n, rows, columns, cap):
+        self.n, self.rows, self.columns, self.cap = n, rows, columns, cap
+        super().__init__(
+            f"H^2 of a quandle of order {n} needs a relation matrix of "
+            f"{rows} rows x {columns} columns = {rows * columns} cells, "
+            f"over the budget of {cap}")
+
+
 class NotAKnot(QuandleError):
     """Braid closure has more than one component."""
 

@@ -3,18 +3,14 @@
 Everything is Python ints, so everything is exact.  `row_reduce` cuts the
 tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
 nonzeros each) to an echelon basis of their row lattice, at most one row
-per column.  It takes the rows in input order against the pivots found so
-far.  It drops each row that lies in their Z-span, which it tests against
-a second, cleared copy of them kept up to date in place, and chases the
-rest through them.  A row that meets a pivot which does not divide its
-entry swaps with it by a unimodular 2x2 extended-gcd step, so the lattice
-never changes.  Where no row swaps, the basis is the list of the bucket
-loop that first defined this reduction (`tests/oracles.py`), list for
-list.  Its rows are sparse, and its memory follows the fill, not rows x
-columns.  `smith_normal_form` takes what is left as dense rows, thousands
-of rows and columns at order 47 but under 1 % nonzero, and works on sparse
-rows (dicts column -> value) with a column index (column -> set of rows),
-so each row or column operation touches only the nonzeros of that row or
+per column, by chasing each row once through the one basis it keeps, and
+reads no row past a rank bound: `second_cohomology` passes the bound r* it
+proves and certifies the lattice of the rows read (see `cohomology`).  Its
+rows are sparse, and its memory follows the fill, not rows x columns.
+`smith_normal_form` takes what is left as dense rows, thousands of rows
+and columns at order 47 but under 1 % nonzero, and works on sparse rows
+(dicts column -> value) with a column index (column -> set of rows), so
+each row or column operation touches only the nonzeros of that row or
 column.  Its transforms are sparse too.
 """
 
@@ -22,33 +18,27 @@ from collections import namedtuple
 from itertools import compress
 
 
-def row_reduce(rows, ncols, stats=None):
+def row_reduce(rows, ncols, stats=None, rank=None):
     """Row-echelon reduction over Z by unimodular row operations.
 
     rows are sparse: a sequence whose items are sequences of (column, value)
     pairs, in increasing column order with nonzero values; they are not
-    modified.  Returns an echelon basis of the row lattice of the input:
-    dense rows (lists of length ncols) with strictly increasing leading
-    columns and positive leading entries.  The H^2 representatives follow
-    this list, so its rows are part of the contract.
+    modified.  Returns an echelon basis of the row lattice of the rows
+    read: dense rows (lists of length ncols) with strictly increasing
+    leading columns and positive leading entries.  The H^2 representatives
+    follow this list, so its rows are part of the contract.  Given rank, no
+    row is read once the basis holds rank rows.
 
-    The rows are taken in input order against two views of the pivots found
-    so far: pivots[c], the pivot with leading column c, which is what is
-    returned, and cleared[c], a basis of the same lattice in which each
-    row is cleared at the other pivot columns wherever their pivot divides
-    it.  A row that a chase through the cleared rows takes to zero lies in
-    the lattice and is dropped.  Any other row is chased through pivots; at
-    a column without one it becomes the pivot.
+    Each row, in input order, is chased through pivots (pivots[c] leads at
+    column c): it is dropped if it reaches zero, in their lattice, and it
+    becomes the pivot of a column without one where it stops.
 
     At a column c whose pivot p does not divide the row's entry r_c, the
     row swaps with the pivot: with g = gcd(p_c, r_c) = a p_c + b r_c, the
     pivot becomes a p + b r, with entry g, and the chase goes on with
     (p_c/g) r - (r_c/g) p, which is zero at c.  The 2x2 matrix of this
     step has determinant 1, so the lattice is unchanged, and the pivot's
-    entry at c falls to a proper divisor, so the swaps end.  At each column
-    whose pivot the row changed, the new pivot replaces the cleared row;
-    the other cleared rows lie in the grown lattice and keep its leading
-    entries, so the view stays an echelon basis of it.
+    entry at c falls to a proper divisor, so the swaps end.
 
     Where no row swaps, the list is the bucket loop's (tests/oracles.py),
     list for list.  Each pivot is then the first row that reaches its
@@ -59,25 +49,21 @@ def row_reduce(rows, ncols, stats=None):
     If stats is a dict, it receives 'pivots' (rows returned), 'dropped'
     (rows found in the lattice of earlier pivots) and 'swaps' (2x2 steps).
     """
-    pivots, cleared = {}, {}
-    index = [set() for _ in range(ncols)]
+    pivots = {}
     dropped = swaps = 0
     for row in rows:
-        if _chase(dict(row), cleared) is None:
-            dropped += 1
-            continue
-        # outside the lattice, so r becomes a pivot or swaps with one
+        if len(pivots) == rank:
+            break
         r = dict(row)
-        while True:
-            col = _chase(r, pivots)
-            if col not in pivots:
-                break
+        col = _chase(r, pivots)
+        if col is None:
+            dropped += 1
+        while col in pivots:    # outside the lattice: swap with the pivot
             pivots[col], r = _gcd_step(pivots[col], r, col)
-            _add_pivot(cleared, index, col, pivots[col])
             swaps += 1
+            col = _chase(r, pivots)
         if col is not None:
             pivots[col] = r
-            _add_pivot(cleared, index, col, r)
     out = [_dense(pivots[col], col, ncols) for col in sorted(pivots)]
     if stats is not None:
         stats.update(pivots=len(out), dropped=dropped, swaps=swaps)
@@ -88,8 +74,8 @@ def _chase(r, rows):
     """Reduce the sparse row r in place by the row of rows (a dict by
     leading column) at its leading column, while there is one and it
     divides r's entry.  Returns the column where r then leads, or None
-    when r reaches zero.  Each row of rows is the only one leading at its
-    column, so r reaches zero exactly when it lies in their Z-span."""
+    when r reaches zero.  rows is an echelon basis, so r reaches zero
+    exactly when it lies in their Z-span."""
     while r:
         col = min(r)
         piv = rows.get(col)
@@ -132,30 +118,6 @@ def _dense(row, col, ncols):
     for j, v in row.items():
         dense[j] = sign * v
     return dense
-
-
-def _add_pivot(cleared, index, col, row):
-    """Put the pivot row with leading column col into the cleared view in
-    place of its row at col: clear it at the columns of the cleared rows,
-    then clear column col from them, where the pivot divides the entry."""
-    for j in cleared.pop(col, ()):
-        index[j].discard(col)
-    h = dict(row)
-    for j in sorted(j for j in h if j in cleared):
-        v = h.get(j)
-        if v:
-            q, rem = divmod(v, cleared[j][j])
-            if not rem:
-                _add(h, cleared[j], -q)
-    p = h[col]
-    for k in list(index[col]):
-        hk = cleared[k]
-        q, rem = divmod(hk[col], p)
-        if not rem:
-            _add_indexed(hk, k, h, -q, index)
-    cleared[col] = h
-    for j in h:
-        index[j].add(col)
 
 
 class SmithForm(namedtuple("SmithForm", "diag rank Uinv V Vinv")):
@@ -208,8 +170,10 @@ def smith_normal_form(a, want=()):
     columns >= t, the first in row-major order; the pivot row and column
     are cleared by floor-quotient operations, and the block is searched
     again until both are clear.  A last pass enforces d1 | d2 | ... on the
-    diagonal.  The rows are dicts and index[j] is the set of rows nonzero
-    in column j, so each operation costs the nonzeros it touches.
+    diagonal (Euclid on two positive entries, by floor quotients, leaves
+    their gcd at (k, k), so only row k+1 may need negating).  The rows are
+    dicts and index[j] is the set of rows nonzero in column j, so each
+    operation costs the nonzeros it touches.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
@@ -348,8 +312,6 @@ def smith_normal_form(a, want=()):
                 if q:
                     add_row(k + 1, k, -q)
                 swap_rows(k, k + 1)
-            if entry(k, k) < 0:
-                negate_row(k)
             # row op may have refilled (k, k+1); clear it
             if entry(k, k + 1):
                 q = entry(k, k + 1) // entry(k, k)

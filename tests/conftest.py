@@ -6,10 +6,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from quandleforge.cohomology import second_cohomology
-from quandleforge.constructions import abelian_extension, dihedral_quandle
+from quandleforge.constructions import dihedral_quandle
 from quandleforge.knots import bundled_knots
 
-from helpers import corpus_quandles, sym4_class_quandle, tetrahedral_quandle
+from helpers import (corpus_quandles, extension_with_projection,
+                     sym4_class_quandle, tetrahedral_quandle)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +50,7 @@ def x6_psi(x6):
 @pytest.fixture(scope="session")
 def e12(x6, x6_psi):
     """E(x6, Z_2, generator): order 12, with its projection."""
-    return abelian_extension(x6, 2, x6_psi)
+    return extension_with_projection(x6, 2, x6_psi)
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,8 @@
 """Constructions, test data and oracles shared by several test modules.
 
 Nothing in the package calls these: corpus builders (product_quandle,
-tetrahedral_quandle, corpus_quandles), the isomorphism search the census
+tetrahedral_quandle, corpus_quandles, and extension_with_projection, an
+extension with the map onto its base), the isomorphism search the census
 tests use as oracle (are_isomorphic), the alternate braid presentations of
 the Markov tests (presentations), a tangle check whose failure would be an
 implementation bug (endpoints_same_translation), and the permutation algebra
@@ -220,6 +221,12 @@ def sym4_class_quandle(cycle_type):
     return sym_class_quandle(4, cycle_type)
 
 
+def extension_with_projection(x, m, phi):
+    """E(X, Z_m, phi) and its projection onto X, (x, a) -> x."""
+    e = abelian_extension(x, m, phi)
+    return e, QuandleMap(e, x, tuple(i // m for i in range(e.n)))
+
+
 def corpus_quandles(max_order=24):
     """The structural corpus every suite runs over: everything this package
     can construct at desk scale, identified by name (never by any external
@@ -268,6 +275,6 @@ def corpus_extensions(max_base_order=6, moduli=(2, 3)):
             for i, rep in enumerate(h.representatives):
                 reps.append((f"h2gen{i}", rep))
             for tag, phi in reps:
-                e, proj = abelian_extension(x, m, phi)
+                e, proj = extension_with_projection(x, m, phi)
                 out.append((f"E({name},Z{m},{tag})", x, m, phi, e, proj))
     return out

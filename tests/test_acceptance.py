@@ -12,15 +12,14 @@ from itertools import product
 import pytest
 
 from helpers import (are_isomorphic, corpus_extensions, corpus_quandles,
-                     endpoints_same_translation, presentations,
-                     sym4_class_quandle)
+                     endpoints_same_translation, extension_with_projection,
+                     presentations, sym4_class_quandle)
 from oracles import (brute_coboundary_count, brute_cocycle_count,
                      coxeter_s3_order, grid_coloring_count, quandles_up_to_iso)
 from quandleforge.cohomology import (Cocycle2, coboundary_space_order,
                                      cocycle_witness, cohomologous,
                                      second_cohomology)
-from quandleforge.constructions import (abelian_extension, dihedral_quandle,
-                                        extension_table)
+from quandleforge.constructions import dihedral_quandle, extension_table
 from quandleforge.core import (inn_image, is_connected, is_faithful,
                                validate_quandle)
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
@@ -175,7 +174,7 @@ def test_criterion_5_theorem_constancy_end_to_end(x6):
         failures.append(f"H2(X,Z2) = {h.invariant_factors}, expected (2,)")
     else:
         psi = h.representatives[0]
-        e, proj = abelian_extension(x6, 2, psi)
+        e, proj = extension_with_projection(x6, 2, psi)
         if e.n != 12:
             failures.append(f"extension order {e.n}, expected 12")
         if is_faithful(e):

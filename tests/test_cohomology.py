@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (are_isomorphic, corpus_quandles, dense_rows,
-                     product_quandle, sym4_class_quandle)
+from helpers import (are_isomorphic, corpus_extensions, corpus_quandles,
+                     dense_rows, product_quandle, sym4_class_quandle,
+                     sym_class_quandle)
 from oracles import (brute_coboundaries, brute_coboundary_count,
                      brute_cocycle_count, bucket_reduce, quandles_up_to_iso,
                      reference_row_reduce, reference_smith_normal_form)
@@ -18,11 +20,14 @@ from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      cocycle_power, cocycle_witness,
                                      cohomologous, second_cohomology)
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
+                                        conjugation_automorphism,
                                         conjugation_quandle, dihedral_quandle,
+                                        generalized_alexander_quandle,
                                         symmetric_group, trivial_quandle)
 from quandleforge.core import (inner_group, is_connected, orbits,
                                validate_quandle)
-from quandleforge.errors import DNotDividesModulus, NotACocycle, ShapeMismatch
+from quandleforge.errors import (CohomologyTooLarge, DNotDividesModulus,
+                                 NotACocycle, ShapeMismatch)
 
 
 class TestIsCocycle:
@@ -169,7 +174,8 @@ class TestSecondCohomology:
         expected = [second_cohomology(q, m) for _, q, m in cases]
         calls = []
 
-        def reference(rows, ncols):
+        def reference(rows, ncols, rank=None):
+            # the full reduction, which the bound must not change
             calls.append(ncols)
             return reference_row_reduce(dense_rows(rows, ncols), ncols)
 
@@ -193,7 +199,9 @@ class TestSecondCohomology:
         assert snf.row_reduce(rows, len(pairs)) \
             != bucket_reduce(rows, len(pairs))
         expected = [second_cohomology(q, m) for m in (2, 3, 4, 6)]
-        monkeypatch.setattr(snf, "row_reduce", bucket_reduce)
+        monkeypatch.setattr(snf, "row_reduce",
+                            lambda rows, ncols, rank=None:
+                            bucket_reduce(rows, ncols))
         for m, h in zip((2, 3, 4, 6), expected):
             assert second_cohomology(q, m) == h, m
 
@@ -303,6 +311,101 @@ class TestSecondCohomology:
                 assert cohomologous(q, rep.scale(d), zero)
 
 
+def rank_bound(q):
+    """r* = n(n-1) - (n-r) - r(r-1) for r orbits: the coboundaries and the
+    orbit-pair cocycles are that many independent cocycles over Q."""
+    n, r = q.n, len(orbits(q))
+    return n * (n - 1) - (n - r) - r * (r - 1)
+
+
+def paper_scale_quandles():
+    """c30, the 4-cycles of Sym(5); y24, `make galex --group s4.group
+    --conj-by 2`; a47, alexander(47,5)."""
+    g, _ = symmetric_group(4)
+    return [("c30", sym_class_quandle(5, (1, 4))),
+            ("y24", generalized_alexander_quandle(
+                g, conjugation_automorphism(g, 1))),
+            ("a47", alexander_quandle(47, 5))]
+
+
+class TestRankBound:
+    """second_cohomology stops reducing at the rank bound r* and certifies
+    the lattice from the Smith form; the groups are those of a reduction of
+    every row."""
+
+    def check(self, name, q, moduli, monkeypatch):
+        pairs, pidx = cohomology._pair_index(q.n)
+        full = snf.row_reduce(cohomology._constraint_rows(q, pidx),
+                              len(pairs))
+        assert len(full) == rank_bound(q), name
+        bounded = [second_cohomology(q, m) for m in moduli]
+        # the bound ignored: every call gets the reduction of every row
+        monkeypatch.setattr(snf, "row_reduce", lambda rows, ncols, rank=None:
+                            [list(row) for row in full])
+        for m, h in zip(moduli, bounded):
+            assert second_cohomology(q, m) == h, (name, m)
+        monkeypatch.undo()
+
+    def test_corpus_quandles(self, monkeypatch):
+        for name, q in corpus_quandles():
+            if q.n > 1:
+                self.check(name, q, (2, 3, 4, 6), monkeypatch)
+
+    def test_corpus_extensions(self, monkeypatch):
+        for name, _, _, _, e, _ in corpus_extensions():
+            self.check(name, e, (2, 3, 4, 6), monkeypatch)
+
+    @pytest.mark.parametrize("name, q", paper_scale_quandles(),
+                             ids=["c30", "y24", "a47"])
+    def test_paper_scale(self, name, q, monkeypatch):
+        self.check(name, q, (2,), monkeypatch)
+
+    def test_failed_certificate_reads_every_row(self, x6, monkeypatch):
+        # the first reduction returns the bounded basis with a unit pivot
+        # doubled: its lattice misses that pivot, a constraint combination,
+        # so a Smith column fails the cocycle identity and every row is
+        # reduced again; the group is the one pinned in PINNED_REPS
+        reduce, calls = snf.row_reduce, []
+
+        def doubled(rows, ncols, rank=None):
+            out = reduce(rows, ncols, rank=rank)
+            if not calls:
+                i = next(i for i, row in enumerate(out)
+                         if next(v for v in row if v) == 1)
+                out[i] = [2 * v for v in out[i]]
+                pairs, _ = cohomology._pair_index(x6.n)
+                assert not cohomology._spans_constraints(
+                    x6, pairs, snf.smith_normal_form(out, want=("V",)))
+            calls.append(rank)
+            return out
+
+        monkeypatch.setattr(snf, "row_reduce", doubled)
+        h = second_cohomology(x6, 2)
+        assert calls == [rank_bound(x6), None]
+        pinned = TestSecondCohomology.PINNED_REPS[0]
+        assert pinned[0] == "x6"
+        assert h.invariant_factors == (2,)
+        assert h.representatives[0].values == pinned[3]
+
+    def test_over_budget_fails_before_building_rows(self, monkeypatch):
+        # dihedral(68): 4,556 x 4,624 = 2.1 * 10^7 cells, just over
+        q, built = dihedral_quandle(68), []
+        monkeypatch.setattr(cohomology, "_constraint_rows",
+                            lambda *args: built.append(args))
+        start = time.process_time()
+        with pytest.raises(CohomologyTooLarge) as exc:
+            second_cohomology(q, 2)
+        assert time.process_time() - start < 0.5
+        assert built == []
+        err = exc.value
+        assert (err.n, err.rows, err.columns) == (68, 4556, 4624)
+        assert err.rows * err.columns > cohomology.MAX_RELATION_CELLS
+        assert str(err) == (
+            "H^2 of a quandle of order 68 needs a relation matrix of 4556 "
+            f"rows x 4624 columns = 21066944 cells, over the budget of "
+            f"{cohomology.MAX_RELATION_CELLS}")
+
+
 class TestVerifyIndependent:
     """The independence check on H^2(dihedral(12); Z_4) = Z_2^2 + Z_4^2, fed
     altered representative lists."""
@@ -392,8 +495,8 @@ class TestCohomologous:
 
     def test_extension_iso_under_coboundary(self, tetrahedral, tet_psi):
         g = coboundary(tetrahedral, 2, (0, 1, 1, 0))
-        e1, _ = abelian_extension(tetrahedral, 2, tet_psi)
-        e2, _ = abelian_extension(tetrahedral, 2, tet_psi.add(g))
+        e1 = abelian_extension(tetrahedral, 2, tet_psi)
+        e2 = abelian_extension(tetrahedral, 2, tet_psi.add(g))
         assert are_isomorphic(e1, e2) is not None
 
 

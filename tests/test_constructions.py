@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import Permutation, are_isomorphic, corpus_extensions
+from helpers import (Permutation, are_isomorphic, corpus_extensions,
+                     extension_with_projection)
 from oracles import dihedral_table, group_axiom_failure, trivial_table
 from quandleforge.cohomology import Cocycle2, cocycle_witness
 from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
@@ -200,12 +201,12 @@ class TestConjugationQuandle:
 class TestAbelianExtension:
     def test_zero_cocycle_sizes(self, d3):
         for m in (2, 3, 4):
-            e, proj = abelian_extension(d3, m, Cocycle2.zero(3, m))
+            e, proj = extension_with_projection(d3, m, Cocycle2.zero(3, m))
             assert e.n == 3 * m
             assert is_covering(proj)
 
     def test_generator_extension_valid(self, tetrahedral, tet_psi):
-        e, proj = abelian_extension(tetrahedral, 2, tet_psi)
+        e, proj = extension_with_projection(tetrahedral, 2, tet_psi)
         assert e.n == 8
         assert is_covering(proj)
 

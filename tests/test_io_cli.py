@@ -4,18 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from helpers import tetrahedral_quandle
 from quandleforge import io as qio
 from quandleforge.cli import build_parser, main
 from quandleforge.cohomology import Cocycle2, second_cohomology
-from quandleforge.constructions import (cyclic_group, dihedral_quandle,
-                                        symmetric_group, trivial_quandle)
+from quandleforge.constructions import (alexander_quandle, cyclic_group,
+                                        dihedral_quandle, symmetric_group,
+                                        trivial_quandle)
 from quandleforge.knots import bundled_knots
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the Klein four-group; `make galex --images 1,3,4,2` on it is tetrahedral
+KLEIN_GROUP = "#group\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"
 
 
 def knots_to_text(knots):
@@ -170,6 +175,27 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert out.read_text() == text
 
+    @pytest.mark.parametrize("argv, quandle, summary", [
+        (["trivial", "--n", "4"], trivial_quandle(4),
+         "trivial quandle of order 4"),
+        (["alexander", "--n", "7", "--t", "3"], alexander_quandle(7, 3),
+         "alexander quandle mod 7, t=3"),
+        (["galex", "--group", "{klein}", "--images", "1,3,4,2"],
+         tetrahedral_quandle(),
+         "generalized Alexander quandle of order 4"),
+    ], ids=["trivial", "alexander", "galex-images"])
+    def test_make_quandle_family(self, capsys, tmp_path, argv, quandle,
+                                 summary):
+        klein = tmp_path / "klein.group"
+        qio.write_text(klein, KLEIN_GROUP)
+        out = tmp_path / "q.quandle"
+        argv = [a.format(klein=klein) for a in argv]
+        code, records, err = run_cli(capsys, "make", *argv, "-o", str(out))
+        assert code == 0 and records == []
+        assert out.read_text() \
+            == qio.quandle_to_text(quandle, comment=summary)
+        assert f"{summary} -> {out}" in err
+
     def test_make_conj_from_group_file(self, capsys, tmp_path):
         gpath = tmp_path / "s4.group"
         code, _, _ = run_cli(capsys, "make", "sym-group", "--n", "4",
@@ -218,6 +244,28 @@ class TestCli:
         assert records[0]["verdict"] == "yes"
         assert records[0]["finite_enveloping_order"] == 6
 
+    def test_vendramin_collision(self, capsys, tmp_path):
+        # e8 built as the benchmark builds it: tet is `make galex` on the
+        # Klein group, and e8 its extension by the first H^2 representative
+        # mod 2; two 0-based elements act alike in the enveloping group
+        files = {k: str(tmp_path / k) for k in ("klein.group", "tet.quandle",
+                                                 "reps", "e8.quandle")}
+        qio.write_text(files["klein.group"], KLEIN_GROUP)
+        for argv in (["make", "galex", "--group", files["klein.group"],
+                      "--images", "1,3,4,2", "-o", files["tet.quandle"]],
+                     ["h2", "--quandle", files["tet.quandle"], "--mod", "2",
+                      "--emit-reps", files["reps"]],
+                     ["extend", "--quandle", files["tet.quandle"],
+                      "--cocycle", os.path.join(files["reps"], "rep0.cocycle"),
+                      "-o", files["e8.quandle"]]):
+            assert run_cli(capsys, *argv)[0] == 0
+        code, records, _ = run_cli(capsys, "vendramin", "--quandle",
+                                   files["e8.quandle"])
+        assert code == 0
+        assert records == [{"record": "vendramin", "verdict": "no",
+                            "finite_enveloping_order": 24,
+                            "collision": [0, 1]}]
+
     def test_vendramin_not_applicable(self, capsys, tmp_path):
         path = tmp_path / "d4.quandle"
         qio.write_text(path, qio.quandle_to_text(dihedral_quandle(4)))
@@ -246,7 +294,7 @@ class TestCli:
 
     def test_inn_seq(self, capsys, tmp_path, tetrahedral, tet_psi):
         from quandleforge.constructions import abelian_extension
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, 2, tet_psi)
         path = tmp_path / "e8.quandle"
         qio.write_text(path, qio.quandle_to_text(e))
         code, records, _ = run_cli(capsys, "inn-seq", "--quandle", str(path))
@@ -256,7 +304,7 @@ class TestCli:
 
     def test_recover_ext(self, capsys, tmp_path, tetrahedral, tet_psi):
         from quandleforge.constructions import abelian_extension
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, 2, tet_psi)
         path = tmp_path / "e8.quandle"
         qio.write_text(path, qio.quandle_to_text(e))
         out = tmp_path / "rec.cocycle"
@@ -333,6 +381,16 @@ class TestCli:
         rec = records[0]
         assert rec["emitted"] and rec["conjugation_verdict"] == "no"
         assert "no finite quandle" in err
+
+    def test_certify_all_constant(self, capsys, tmp_path, d3_file):
+        # the zero cocycle weighs every coloring 0, so no certificate
+        cpath = tmp_path / "zero.cocycle"
+        qio.write_text(cpath, qio.cocycle_to_text(Cocycle2.zero(3, 2)))
+        code, records, err = run_cli(capsys, "certify", "--quandle",
+                                     d3_file, "--cocycle", str(cpath))
+        assert code == 0
+        assert records == [{"record": "certificate", "emitted": False}]
+        assert "all invariants constant; no certificate" in err
 
     def test_custom_knot_table(self, capsys, tmp_path, d3_file,
                                tetrahedral, tet_psi):
@@ -496,6 +554,21 @@ class TestCli:
         if message is not None:
             assert message in err
 
+    def test_h2_over_budget_is_an_error_line(self, capsys, tmp_path):
+        # dihedral(68)'s relation matrix has 4,556 x 4,624 cells, over the
+        # budget: one error line naming the order and the shape, fast
+        path = tmp_path / "d68.quandle"
+        qio.write_text(path, qio.quandle_to_text(dihedral_quandle(68)))
+        start = time.process_time()
+        code, records, err = run_cli(capsys, "h2", "--quandle", str(path),
+                                     "--mod", "2")
+        assert time.process_time() - start < 0.5
+        assert code == 1 and records == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert all(v in lines[0] for v in ("order 68", "4556 rows",
+                                           "4624 columns"))
+
     @pytest.mark.parametrize("argv", [
         ["extend", "--quandle", "{tet}", "--cocycle", "{psi}", "-o",
          "{missing}"],
@@ -522,7 +595,7 @@ class TestCli:
         qio.write_text(files["tet"], qio.quandle_to_text(tetrahedral))
         qio.write_text(files["psi"], qio.cocycle_to_text(tet_psi))
         qio.write_text(files["e8"], qio.quandle_to_text(
-            abelian_extension(tetrahedral, 2, tet_psi)[0]))
+            abelian_extension(tetrahedral, 2, tet_psi)))
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
         (files["blocked"] / "rep0.cocycle").mkdir(parents=True)
         argv = [a.format(**files) for a in argv]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (Permutation, corpus_extensions,
-                     endpoints_same_translation, presentations,
-                     product_quandle)
+                     endpoints_same_translation, extension_with_projection,
+                     presentations, product_quandle)
 from oracles import (dihedral_linear_count, grid_coloring_count,
                      move_tables, propagate_moves)
 from quandleforge import _kernels
@@ -241,7 +241,7 @@ class TestTangles:
 
     def test_translation_equality_nonfaithful(self, tetrahedral, tet_psi,
                                               knots):
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, 2, tet_psi)
         assert not is_faithful(e)
         for k in knots:
             assert endpoints_same_translation(e, k), k.name
@@ -255,7 +255,7 @@ class TestTangles:
                                                   tet_psi):
         # the trefoil tangle over E(tetrahedral) has fiber-splitting ends
         # exactly because the base invariant is non-constant
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, 2, tet_psi)
         k = parse_braid("3_1", 2, [1, 1, 1])
         assert not all(c.y0 == c.y1 for c in tangle_colorings(e, k))
 
@@ -269,7 +269,7 @@ class TestLifts:
 
     def test_zero_extension_m_lifts(self, d3):
         m = 3
-        e, proj = abelian_extension(d3, m, Cocycle2.zero(3, m))
+        e, proj = extension_with_projection(d3, m, Cocycle2.zero(3, m))
         k = parse_braid("3_1", 2, [1, 1, 1])
         for base in tangle_colorings(d3, k):
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
@@ -279,7 +279,7 @@ class TestLifts:
 
     def test_generator_extension_unique_lift_per_fiber(self, tetrahedral,
                                                        tet_psi):
-        e, proj = abelian_extension(tetrahedral, 2, tet_psi)
+        e, proj = extension_with_projection(tetrahedral, 2, tet_psi)
         k = parse_braid("3_1", 2, [1, 1, 1])
         for base in tangle_colorings(tetrahedral, k)[:6]:
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
@@ -289,7 +289,7 @@ class TestLifts:
                 assert tuple(proj.images[v] for v in lift.top) == base.top
 
     def test_fiber_mismatch(self, d3):
-        e, proj = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e, proj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
         k = parse_braid("3_1", 2, [1, 1, 1])
         base = tangle_colorings(d3, k)[0]
         wrong = next(y for y in range(e.n) if proj.images[y] != base.y0)
@@ -354,7 +354,7 @@ class TestLiftCounts:
         for name, x, _, phi, e, _ in corpus_extensions(6, (m,)):
             # E(X, Z_m, k*phi) for each k | m; k = m is the zero cocycle
             scaled = [(k, e if k == 1 else abelian_extension(
-                x, m, [[k * v % m for v in row] for row in phi.values])[0])
+                x, m, [[k * v % m for v in row] for row in phi.values]))
                 for k in range(1, m + 1) if m % k == 0]
             for knot in knots:
                 base = enumerate_colorings(x, knot)

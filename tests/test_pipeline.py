@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (Permutation, are_isomorphic, corpus_extensions,
-                     product_quandle, sym4_class_quandle, sym_class_quandle)
+                     extension_with_projection, product_quandle,
+                     sym4_class_quandle, sym_class_quandle)
 from oracles import enveloping_relators
 from quandleforge.cohomology import (Cocycle2, cocycle_power, cohomologous,
                                      second_cohomology)
@@ -63,7 +64,7 @@ class TestInnSequence:
         assert len(seq.quandles) == 1 and seq.terminal_faithful
 
     def test_zero_extension_one_step(self, d3):
-        e, _ = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
         seq = inn_sequence(e)
         assert [q.n for q in seq.quandles] == [6, 3]
         assert seq.terminal_faithful
@@ -73,8 +74,8 @@ class TestInnSequence:
         assert [q.n for q in seq.quandles] == [4, 1]
 
     def test_maps_are_coverings_and_compose(self, tetrahedral, tet_psi):
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
-        big, _ = abelian_extension(e, 2, Cocycle2.zero(e.n, 2))
+        e = abelian_extension(tetrahedral, 2, tet_psi)
+        big = abelian_extension(e, 2, Cocycle2.zero(e.n, 2))
         seq = inn_sequence(big)
         for f in seq.maps:
             assert is_covering(f)
@@ -88,23 +89,23 @@ class TestInnSequence:
 
 class TestRecoverIndex2:
     def test_roundtrip_exact_on_projection(self, x6, x6_psi):
-        e, proj = abelian_extension(x6, 2, x6_psi)
+        e, proj = extension_with_projection(x6, 2, x6_psi)
         phi = recover_index2_cocycle(proj)
         assert phi.values == x6_psi.values
 
     def test_zero_cocycle_roundtrip(self, d3):
-        e, proj = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e, proj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
         phi = recover_index2_cocycle(proj)
         assert cohomologous(d3, phi, Cocycle2.zero(3, 2))
 
     def test_inn_map_of_connected_index2(self, x6, x6_psi):
         # an index-2 inner representation with connected source
-        e, _ = abelian_extension(x6, 2, x6_psi)
+        e = abelian_extension(x6, 2, x6_psi)
         assert is_connected(e)
         img, f = inn_image(e)
         assert e.n == 2 * img.n
         phi = recover_index2_cocycle(f)
-        rebuilt, _ = abelian_extension(img, 2, phi)
+        rebuilt = abelian_extension(img, 2, phi)
         assert are_isomorphic(rebuilt, e) is not None
 
     def test_disconnected_equal_fibers_still_recovers(self):
@@ -118,7 +119,7 @@ class TestRecoverIndex2:
         img, f = inn_image(y)
         assert y.n == 2 * img.n
         phi = recover_index2_cocycle(f)
-        rebuilt, _ = abelian_extension(img, 2, phi)
+        rebuilt = abelian_extension(img, 2, phi)
         assert are_isomorphic(rebuilt, y) is not None
 
     def test_corpus_roundtrip_exact(self):
@@ -132,7 +133,7 @@ class TestRecoverIndex2:
     def test_labeling_check_is_live(self, monkeypatch, x6, x6_psi):
         # with E built from the zero cocycle instead of the recovered one,
         # the labeling is no quandle map, and that check must say so
-        _, proj = abelian_extension(x6, 2, x6_psi)
+        _, proj = extension_with_projection(x6, 2, x6_psi)
         build = constructions._extension
         monkeypatch.setattr(constructions, "_extension",
                             lambda x, m, phi: build(
@@ -141,7 +142,7 @@ class TestRecoverIndex2:
             recover_index2_cocycle(proj)
 
     def test_not_index_two(self, d3):
-        e, proj = abelian_extension(d3, 3, Cocycle2.zero(3, 3))
+        e, proj = extension_with_projection(d3, 3, Cocycle2.zero(3, 3))
         with pytest.raises(NotIndex2):
             recover_index2_cocycle(proj)
 
@@ -156,7 +157,7 @@ class TestFiberCriterion:
     def test_holds_on_extensions(self, x6, x6_psi, tetrahedral, tet_psi):
         for x, m, phi in [(x6, 2, x6_psi), (tetrahedral, 2, tet_psi),
                           (dihedral_quandle(5), 3, Cocycle2.zero(5, 3))]:
-            _, proj = abelian_extension(x, m, phi)
+            _, proj = extension_with_projection(x, m, phi)
             assert fiber_criterion(proj).holds
 
     def test_identity_trivial_fibers(self, d3):
@@ -182,7 +183,7 @@ class TestFiberCriterion:
         # pairing the bad covering with an honest abelian extension keeps the
         # witness alive in the product
         q, proj = synthetic_noncommuting_covering()
-        e, eproj = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e, eproj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
         p = product_quandle(q, e)
         images = tuple(proj.images[i // e.n] * d3.n
                        + eproj.images[i % e.n]
@@ -273,7 +274,7 @@ class TestConstancyPipeline:
     def test_constancy_matches_end_monochromatic(self, tetrahedral, tet_psi,
                                                  knots):
         # two independent computations of the same dichotomy
-        e, _ = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, 2, tet_psi)
         verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
         for k in knots:
             assert is_constant(verdict.invariants[k.name]) \
@@ -463,10 +464,11 @@ def c4_psi(c4):
     (lambda x, phi: nonconstancy_certificates(x, 2, phi),
      ("tetrahedral", "tet_psi"), 0),
     (lambda e12: recover_index2_cocycle(e12[1]), ("e12",), 1),
-], ids=["thm31", "thm35", "certify", "recover-ext"])
+    (lambda x, phi: abelian_extension(x, 2, phi), ("x6", "x6_psi"), 0),
+], ids=["thm31", "thm35", "certify", "recover-ext", "extend"])
 def test_homomorphism_checks_per_request(run, fixtures, checks, request):
-    # thm31, thm35 and certify read E alone, so no projection onto X is
-    # built and checked; recover-ext checks only its labeling onto E
+    # thm31, thm35, certify and extend read E alone, so no projection onto
+    # X is built and checked; recover-ext checks only its labeling onto E
     args = [request.getfixturevalue(name) for name in fixtures]
     with mock.patch("quandleforge.core._law_failure",
                     wraps=core._law_failure) as law:
@@ -520,7 +522,7 @@ def sym5_ext():
     as a corpus_extensions tuple."""
     x = sym_class_quandle(5, (1, 1, 1, 2))
     phi = second_cohomology(x, 2).representatives[0]
-    e, proj = abelian_extension(x, 2, phi)
+    e, proj = extension_with_projection(x, 2, phi)
     return ("E(sym5_transpositions,Z2,h2gen0)", x, 2, phi, e, proj)
 
 

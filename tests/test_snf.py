@@ -198,6 +198,21 @@ def test_row_reduce_matches_reference_on_lattice_rows(case):
     check_row_reduce(*case)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tall_matrices())
+def test_row_reduce_stops_at_rank(case):
+    # with rank given, the basis is that of the shortest prefix of the rows
+    # whose basis has rank rows, and a bound above the rank reads them all
+    a, nc = case
+    rows = sparse_rows(a)
+    full = snf.row_reduce(rows, nc)
+    assert snf.row_reduce(rows, nc, rank=len(full) + 1) == full
+    for rank in range(len(full) + 1):
+        prefix = next(snf.row_reduce(rows[:i], nc) for i in range(len(a) + 1)
+                      if len(snf.row_reduce(rows[:i], nc)) == rank)
+        assert snf.row_reduce(rows, nc, rank=rank) == prefix
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda c: st.lists(
     st.tuples(st.integers(-30, 30).filter(bool),
@@ -246,7 +261,7 @@ def e12():
     `make conj --group s4.group --elem 2`, `h2 --emit-reps` and `extend`."""
     x6 = sym4_class_quandle((1, 1, 2))
     return abelian_extension(
-        x6, 2, second_cohomology(x6, 2).representatives[0])[0]
+        x6, 2, second_cohomology(x6, 2).representatives[0])
 
 
 # the H^2 representatives follow the reduced list, so every input whose

@@ -28,7 +28,7 @@ D3 = dihedral_quandle(3)
 Z3 = cyclic_group(3)
 TREFOIL = parse_braid("3_1", 2, [1, 1, 1])
 ZERO = Cocycle2.zero(3, 2)
-E6, _ = abelian_extension(D3, 2, ZERO)
+E6 = abelian_extension(D3, 2, ZERO)
 CYCLIC = Presentation(1, ((1, 1, 1),))
 
 # one value of each public type, as its fields in declaration order
