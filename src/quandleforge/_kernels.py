@@ -119,7 +119,7 @@ def _plan(strands, word, relax_first):
 
 
 def braid_closure_colorings(table, n, strands, word, forest,
-                            relax_first=False, cap=None, stats=None):
+                            relax_first=False, *, cap, stats=None):
     """The colorings of the braid closure, in lexicographic top-tuple order.
 
     table: the n rows of the quandle table (a*b is table[a][b]).
@@ -128,16 +128,16 @@ def braid_closure_colorings(table, n, strands, word, forest,
     Each coloring is (top, bottom, source_pairs), with one (x, y, sign) per
     crossing in word order; see _plan for the rules.  The closure
     constraint bottom == top holds at every position, or at positions 1..
-    when relax_first is set (the 1-tangle case).  When cap is given and the
-    plan's n^k seed tuples exceed it, EnumerationTooLarge is raised before
-    any is evaluated.  If stats is a dict, it receives 'seeds' (k), 'orbits'
+    when relax_first is set (the 1-tangle case).  When the plan's n^k seed
+    tuples exceed cap, EnumerationTooLarge is raised before any is
+    evaluated.  If stats is a dict, it receives 'seeds' (k), 'orbits'
     (r) and 'candidates' (complete seed tuples evaluated, at most
     r * n^(k-1)).
     """
     plan = _plan(strands, word, relax_first)
     k = len(plan.levels)
     total = n ** k
-    if cap is not None and total > cap:
+    if total > cap:
         raise EnumerationTooLarge(n, strands, k, total, cap)
     orbits, edges = forest
     inv = [[0] * n for _ in range(n)]

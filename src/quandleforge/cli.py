@@ -1,16 +1,18 @@
 """forge: the command-line interface.
 
 Every subcommand writes line-oriented JSON records to stdout and a short
-human summary to stderr.  Exit codes: 0 ok (--help included), 1 bad input
-(a usage error included) or data error, 2 a mechanically checked theorem
-failed (implementation bug).  A value of an int option, or an item of make
---images, that is not an integer is a usage error.  _SHARED declares once
-the options that several subcommands take: --quandle, --cocycle, --knots,
---max-cosets and -o.  A command writes its files before it prints a record,
-so a request whose file cannot be written prints none.  h2 --emit-reps DIR
-creates DIR and its missing parents; -o FILE creates no directory.  Element
-indices inside records (validate's witness, vendramin's collision) are
-0-based, while files, --elem, --conj-by and --images are 1-based.
+human summary to stderr.  Exit codes: 0 ok (--help included); 1 the input
+is at fault (a usage error or bad data); 2 a self-check of a computed
+result or a mechanically checked theorem failed (TheoremViolation, one
+"THEOREM VIOLATION:" line on stderr), which is an implementation bug.  A
+value of an int option, or an item of make --images, that is not an
+integer is a usage error.  _SHARED declares once the options that several
+subcommands take: --quandle, --cocycle, --knots, --max-cosets and -o.  A
+command writes its files before it prints a record, so a request whose
+file cannot be written prints none.  h2 --emit-reps DIR creates DIR and its
+missing parents; -o FILE creates no directory.  Element indices inside
+records (validate's witness, vendramin's collision) are 0-based, while
+files, --elem, --conj-by and --images are 1-based.
 """
 
 import argparse

@@ -72,7 +72,7 @@ from operator import itemgetter
 
 from ._kernels import coset_enumeration
 from .core import DEFAULT_MAX_COSETS, _generating_tree, is_connected
-from .errors import Capped
+from .errors import Capped, TheoremViolation
 
 
 class Presentation(namedtuple("Presentation", "ngens relators")):
@@ -176,7 +176,7 @@ def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS, subgroup=()):
     subgroup, the trivial subgroup by default; the live count is its index.
     Raises Capped when the allocation budget is exceeded, and verifies the
     completed table, and that every subgroup word fixes coset 0, before
-    returning it."""
+    returning it; a failed check raises TheoremViolation."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     stats = {}
@@ -195,7 +195,8 @@ def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS, subgroup=()):
         for col in cols:
             c = table.columns[col][c]
         if c != 0:
-            raise AssertionError(f"subgroup word {word} moves coset 0 to {c}")
+            raise TheoremViolation(
+                f"subgroup word {word} moves coset 0 to {c}")
     return table
 
 
@@ -203,15 +204,17 @@ def verify_coset_table(t):
     """Full verification pass over the columns: each generator's two columns
     are mutually inverse permutations, and every relator, traced from all
     cosets at once one column per letter, closes at every coset.  Raises
-    AssertionError naming the least coset where a relator fails."""
+    TheoremViolation when a check fails, naming the least coset where a
+    relator fails."""
     cols = t.columns
     cosets = list(range(t.size))
     for i in range(t.presentation.ngens):
         fwd, bwd = cols[2 * i], cols[2 * i + 1]
         if sorted(fwd) != cosets or sorted(bwd) != cosets:
-            raise AssertionError(f"generator {i} does not act by a permutation")
+            raise TheoremViolation(
+                f"generator {i} does not act by a permutation")
         if [bwd[c] for c in fwd] != cosets:
-            raise AssertionError(f"generator {i} columns are not inverse")
+            raise TheoremViolation(f"generator {i} columns are not inverse")
     for rel in t.presentation.relators:
         ends = cosets
         for col in _to_columns(rel):
@@ -219,7 +222,8 @@ def verify_coset_table(t):
             ends = [step[c] for c in ends]
         if ends != cosets:
             c = next(c for c in cosets if ends[c] != c)
-            raise AssertionError(f"relator {rel} does not close at coset {c}")
+            raise TheoremViolation(
+                f"relator {rel} does not close at coset {c}")
 
 
 class ConjugationCriterion(namedtuple("ConjugationCriterion",
@@ -246,7 +250,7 @@ class ConjugationCriterion(namedtuple("ConjugationCriterion",
 def _element_columns(q, t, tree):
     """The permutation of each element of q on the cosets of t, a table of
     generator_presentation(q), derived along its tree.  Raises
-    AssertionError unless all n^2 relations x_i x_j = x_j x_{i*j} hold."""
+    TheoremViolation unless all n^2 relations x_i x_j = x_j x_{i*j} hold."""
     gens = [t.generator_column(k) for k in range(t.presentation.ngens)]
     cols = [None] * q.n
     for v, u, k in tree:
@@ -264,7 +268,7 @@ def _element_columns(q, t, tree):
         for j, cj in enumerate(cols):
             ij = q.table[i][j]
             if then_i(cj) != then[j](cols[ij]):
-                raise AssertionError(
+                raise TheoremViolation(
                     f"relation x_{i} x_{j} = x_{j} x_{ij} fails on the "
                     f"enumerated table")
     return cols

@@ -137,5 +137,12 @@ class NotIndex2(QuandleError):
 
 
 class TheoremViolation(QuandleError):
-    """A mechanically checked theorem failed: this signals an implementation
-    bug, never a mathematical discovery. Fail loudly."""
+    """A mechanically checked theorem, or a check of a result the library
+    has just computed, failed: this signals an implementation bug, never a
+    mathematical discovery or bad input, and forge exits 2 on it.  Raised
+    by second_cohomology (the relation lattice, the order, each
+    representative, their independence), todd_coxeter, verify_coset_table
+    and _element_columns (the coset table, the subgroup words, the n^2
+    relations), recover_index2_cocycle (the recovered cocycle and
+    labeling), lift_coloring (one lift) and the constancy, vanishing and
+    certificate pipelines.  Fail loudly."""

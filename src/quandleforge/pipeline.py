@@ -17,10 +17,10 @@ from collections import namedtuple
 # core and errors load with every command; the other layers are reached
 # through their modules at call time, so inn-seq and recover-ext leave the
 # knot and enveloping-group layers unloaded
-from . import cohomology, constructions, envgroup
+from . import cohomology, constructions, core, envgroup
 from . import knots as qknots
-from .core import (DEFAULT_MAX_COSETS, QuandleMap, inner_group, inn_image,
-                   is_covering, is_faithful)
+from .core import (DEFAULT_MAX_COSETS, inner_group, inn_image, is_covering,
+                   is_faithful)
 from .errors import (NotACovering, NotEpimorphism, NotIndex2,
                      TheoremViolation)
 
@@ -55,9 +55,10 @@ def recover_index2_cocycle(f):
     preimage at level 0; phi(a, b) is the level of s(a) * s(b), for s(a) the
     level-0 point over a.  phi is checked once as a 2-cocycle, and
     u -> 2 f(u) + level(u) once as a quandle map onto E(X, Z_2, phi); the
-    map is a bijection, so that check proves the isomorphism.
+    map is a bijection, so that check proves the isomorphism.  Both check
+    the result, not the input, and raise TheoremViolation when they fail.
 
-    The check cannot fail for a covering whose fibers have two points,
+    The checks cannot fail for a covering whose fibers have two points,
     connected or not.  f is a covering, so both points over z have one right
     translation; it is a bijection and f a homomorphism, so it maps the
     fiber over x bijectively onto the fiber over x*z.  So if s(x) lands at
@@ -78,10 +79,20 @@ def recover_index2_cocycle(f):
     for b, (low, high) in fibers.items():   # preimages in ascending order
         section[b] = low
         level[high] = 1
-    phi = cohomology.cocycle(x, 2, [[level[y.table[sa][sb]]
-                                     for sb in section] for sa in section])
+    values = tuple(tuple(level[y.table[sa][sb]] for sb in section)
+                   for sa in section)
+    w = cohomology.cocycle_witness(x, 2, values)
+    if w is not None:
+        raise TheoremViolation(
+            f"recovered values are not a 2-cocycle; witness {w}")
+    phi = cohomology.Cocycle2(x.n, 2, values)
     e = constructions._extension(x, 2, phi)
-    QuandleMap(y, e, tuple(2 * b + level[u] for u, b in enumerate(f.images)))
+    bad = core._law_failure(y.table, e.table,
+                            [2 * b + level[u] for u, b in enumerate(f.images)])
+    if bad is not None:
+        a, b = bad
+        raise TheoremViolation(f"recovered labeling is not a quandle map: "
+                               f"f({a}*{b}) != f({a})*f({b})")
     return phi
 
 

@@ -120,11 +120,11 @@ def _dense(row, col, ncols):
     return dense
 
 
-class SmithForm(namedtuple("SmithForm", "diag rank Uinv V Vinv")):
+class SmithForm(namedtuple("SmithForm", "diag Uinv V Vinv")):
     """S = U @ A @ V with U, V unimodular; diag = invariant factors d1 | d2 | ...
 
-    diag is a list of the rank nonzero factors; S has the shape of A, which
-    the caller holds.  Each transform is sparse, a list of dicts that hold
+    diag is a list of the nonzero factors, so len(diag) is the rank of A;
+    S has the shape of A, which the caller holds.  Each transform is sparse, a list of dicts that hold
     only nonzero entries, in the orientation its operations and its reader
     use: Uinv and V by columns (V[j] is column j as {row: value}), Vinv by
     rows (Vinv[i] is row i as {column: value}).  U itself is never formed.
@@ -321,5 +321,4 @@ def smith_normal_form(a, want=()):
 
     diag = [entry(i, i) for i in range(min(nr, nc))]
     rank = sum(1 for d in diag if d != 0)
-    diag = diag[:rank]
-    return SmithForm(diag=diag, rank=rank, Uinv=Ui, V=V, Vinv=Vi)
+    return SmithForm(diag=diag[:rank], Uinv=Ui, V=V, Vinv=Vi)

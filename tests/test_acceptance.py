@@ -24,7 +24,7 @@ from quandleforge.core import (inn_image, is_connected, is_faithful,
                                validate_quandle)
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter, verify_coset_table)
-from quandleforge.errors import AxiomViolation
+from quandleforge.errors import AxiomViolation, TheoremViolation
 from quandleforge.knots import (bundled_knots, enumerate_colorings,
                                 is_constant, parse_braid, state_sum,
                                 tangle_colorings)
@@ -236,7 +236,7 @@ def test_criterion_8_coset_enumeration_targets(corpus):
         failures.append("word-rewriting oracle disagrees on S3")
     try:
         verify_coset_table(t)
-    except AssertionError as exc:
+    except TheoremViolation as exc:
         failures.append(f"relator-trace verification failed: {exc}")
     for name, q in corpus:
         if not (is_connected(q) and is_faithful(q)) or q.n > 9:

@@ -27,7 +27,7 @@ from quandleforge.constructions import (abelian_extension, alexander_quandle,
 from quandleforge.core import (inner_group, is_connected, orbits,
                                validate_quandle)
 from quandleforge.errors import (CohomologyTooLarge, DNotDividesModulus,
-                                 NotACocycle, ShapeMismatch)
+                                 NotACocycle, ShapeMismatch, TheoremViolation)
 
 
 class TestIsCocycle:
@@ -268,7 +268,7 @@ class TestSecondCohomology:
         count = cohomology.cocycle_space_order
         monkeypatch.setattr(cohomology, "cocycle_space_order",
                             lambda *args: count(*args) + 1)
-        with pytest.raises(AssertionError, match="invariant factors "
+        with pytest.raises(TheoremViolation, match="invariant factors "
                            "disagree with space orders"):
             second_cohomology(tetrahedral, 2)
 
@@ -328,37 +328,64 @@ def paper_scale_quandles():
             ("a47", alexander_quandle(47, 5))]
 
 
+# the corpus extensions whose first r* pivots span a proper sublattice of
+# their rows (28 of 182 rows outside it, and 60 of 612), so second_cohomology
+# reduces every row again: (base, m, index of the H^2 representative)
+FALLBACK = {"E(dihedral_4,Z2,h2gen3)": (dihedral_quandle(4), 2, 3),
+            "E(dihedral_4,Z3,h2gen1)": (dihedral_quandle(4), 3, 1)}
+
+
 class TestRankBound:
     """second_cohomology stops reducing at the rank bound r* and certifies
-    the lattice from the Smith form; the groups are those of a reduction of
-    every row."""
+    the lattice from the Smith form.  The bound changes nothing but the
+    basis it reduces, so the bounded basis must be that of every row, or be
+    rejected by _spans_constraints, after which every row is reduced."""
 
-    def check(self, name, q, moduli, monkeypatch):
+    def check(self, name, q, moduli):
+        """Whether q's bounded basis is rejected, so that second_cohomology
+        reduces every row; each of its runs verifies its group itself."""
         pairs, pidx = cohomology._pair_index(q.n)
-        full = snf.row_reduce(cohomology._constraint_rows(q, pidx),
-                              len(pairs))
+        rows = cohomology._constraint_rows(q, pidx)
+        full = snf.row_reduce(rows, len(pairs))
         assert len(full) == rank_bound(q), name
-        bounded = [second_cohomology(q, m) for m in moduli]
-        # the bound ignored: every call gets the reduction of every row
-        monkeypatch.setattr(snf, "row_reduce", lambda rows, ncols, rank=None:
-                            [list(row) for row in full])
-        for m, h in zip(moduli, bounded):
-            assert second_cohomology(q, m) == h, (name, m)
-        monkeypatch.undo()
+        bounded = snf.row_reduce(rows, len(pairs), rank=rank_bound(q))
+        fallback = bounded != full
+        if fallback:
+            assert not cohomology._spans_constraints(
+                q, pairs, snf.smith_normal_form(bounded, want=("V",))), name
+        for m in moduli:
+            second_cohomology(q, m)
+        return fallback
 
-    def test_corpus_quandles(self, monkeypatch):
+    def test_corpus_quandles(self):
         for name, q in corpus_quandles():
             if q.n > 1:
-                self.check(name, q, (2, 3, 4, 6), monkeypatch)
+                assert not self.check(name, q, (2, 3, 4, 6)), name
 
-    def test_corpus_extensions(self, monkeypatch):
-        for name, _, _, _, e, _ in corpus_extensions():
-            self.check(name, e, (2, 3, 4, 6), monkeypatch)
+    def test_corpus_extensions(self):
+        taken = {name for name, _, _, _, e, _ in corpus_extensions()
+                 if self.check(name, e, (2, 3, 4, 6))}
+        assert taken == set(FALLBACK)
 
     @pytest.mark.parametrize("name, q", paper_scale_quandles(),
                              ids=["c30", "y24", "a47"])
-    def test_paper_scale(self, name, q, monkeypatch):
-        self.check(name, q, (2,), monkeypatch)
+    def test_paper_scale(self, name, q):
+        assert not self.check(name, q, (2,)), name
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK))
+    def test_real_inputs_take_the_fallback(self, name, monkeypatch):
+        # the only inputs known to reach the unbounded reduction: at every
+        # modulus the bounded call is rejected and every row is reduced
+        x, m, i = FALLBACK[name]
+        e = abelian_extension(x, m, second_cohomology(x, m).representatives[i])
+        reduce, calls = snf.row_reduce, []
+        monkeypatch.setattr(snf, "row_reduce", lambda rows, ncols, rank=None:
+                            calls.append(rank) or reduce(rows, ncols,
+                                                         rank=rank))
+        for mod in (2, 3, 4, 6):
+            calls.clear()
+            second_cohomology(e, mod)
+            assert calls == [rank_bound(e), None], (name, mod)
 
     def test_failed_certificate_reads_every_row(self, x6, monkeypatch):
         # the first reduction returns the bounded basis with a unit pivot
@@ -430,7 +457,7 @@ class TestVerifyIndependent:
     ], ids=["duplicate", "double_in_z4", "negated", "order4_in_z2"])
     def test_rejects(self, d12, alter, message):
         q, reps = d12
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(TheoremViolation, match=message):
             self.check(q, alter(reps))
 
     def test_accepts_basis_change(self, d12):

@@ -16,7 +16,7 @@ from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
                                    generator_presentation, todd_coxeter,
                                    verify_coset_table)
 from quandleforge._kernels import coset_enumeration
-from quandleforge.errors import Capped
+from quandleforge.errors import Capped, TheoremViolation
 
 
 def full_presentation(q):
@@ -91,7 +91,7 @@ class TestToddCoxeter:
         verify_coset_table(t)   # every relator from every coset
         broken = CosetTable(presentation=Presentation(1, ((1, 1),)),
                             size=2, columns=((1, 1), (1, 0)))
-        with pytest.raises(AssertionError, match="not act by a permutation"):
+        with pytest.raises(TheoremViolation, match="not act by a permutation"):
             verify_coset_table(broken)
 
     def test_verification_rejects_non_inverse_columns(self):
@@ -99,14 +99,14 @@ class TestToddCoxeter:
         # of the first
         t = CosetTable(presentation=Presentation(1, ((1, 1, 1),)), size=3,
                        columns=((1, 2, 0), (1, 2, 0)))
-        with pytest.raises(AssertionError, match="columns are not inverse"):
+        with pytest.raises(TheoremViolation, match="columns are not inverse"):
             verify_coset_table(t)
 
     def test_verification_names_least_failing_coset(self):
         # x swaps cosets 1 and 2, so the relator x closes at 0 only
         t = CosetTable(presentation=Presentation(1, ((1,),)), size=3,
                        columns=((0, 2, 1), (0, 2, 1)))
-        with pytest.raises(AssertionError,
+        with pytest.raises(TheoremViolation,
                            match=r"relator \(1,\) does not close at coset 1$"):
             verify_coset_table(t)
 
@@ -267,7 +267,7 @@ class TestGeneratorPresentation:
         # x_0 x_1 = x_1 x_2
         _, tree = generator_presentation(d3)
         klein = todd_coxeter(Presentation(2, ((1, 1), (2, 2), (1, 2, 1, 2))))
-        with pytest.raises(AssertionError, match="relation x_"):
+        with pytest.raises(TheoremViolation, match="relation x_"):
             _element_columns(d3, klein, tree)
 
     def test_alexander_47_5_presentation_size(self):
@@ -366,7 +366,7 @@ class TestCosetsOfGeneratorSubgroup:
                             lambda *args, **kwargs: (True, [[1, 1], [0, 0]]))
         p = Presentation(1, ((1, 1),))
         assert todd_coxeter(p).size == 2
-        with pytest.raises(AssertionError,
+        with pytest.raises(TheoremViolation,
                            match=r"subgroup word \(1,\) moves coset 0 to 1$"):
             todd_coxeter(p, subgroup=((1,),))
 

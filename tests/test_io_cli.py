@@ -670,6 +670,45 @@ class TestCli:
         assert code == 2 and records == []
         assert "THEOREM VIOLATION: planted by the test" in err
 
+    @pytest.mark.parametrize("command, message", [
+        ("h2", "H^2 representative 0: not a 2-cocycle; witness "
+               "('identity', 0, 1, 0)"),
+        ("vendramin", "subgroup word (1,) moves coset 0 to 1"),
+        ("recover-ext", "recovered labeling is not a quandle map: "
+                        "f(0*2) != f(0)*f(2)"),
+    ], ids=["h2", "vendramin", "recover-ext"])
+    def test_failed_self_check_exits_2(self, capsys, tmp_path, monkeypatch,
+                                       tetrahedral, tet_psi, command,
+                                       message):
+        # one planted failure per family of self-checks: every cocycle
+        # identity fails in H^2, the coset kernel returns the regular action
+        # of Z_2 (a valid table, but x_s moves coset 0), and recover-ext
+        # builds E from the zero cocycle.  Each is the implementation's
+        # fault: exit 2, one line on stderr, no record
+        from quandleforge import cohomology, constructions, envgroup
+        from quandleforge.constructions import abelian_extension
+        quandle = {"h2": tetrahedral, "vendramin": dihedral_quandle(3),
+                   "recover-ext": abelian_extension(tetrahedral, 2, tet_psi)}
+        path = tmp_path / "q.quandle"
+        qio.write_text(path, qio.quandle_to_text(quandle[command]))
+        if command == "h2":
+            monkeypatch.setattr(cohomology, "cocycle_witness",
+                                lambda *args: ("identity", 0, 1, 0))
+        elif command == "vendramin":
+            monkeypatch.setattr(envgroup, "coset_enumeration",
+                                lambda ngens, *args, **kwargs: (
+                                    True, [[1, 1] * ngens, [0, 0] * ngens]))
+        else:
+            build = constructions._extension
+            monkeypatch.setattr(constructions, "_extension",
+                                lambda x, m, phi: build(
+                                    x, m, Cocycle2.zero(x.n, m)))
+        argv = [command, "--quandle", str(path)]
+        code = main(argv + ["--mod", "2"] if command == "h2" else argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"THEOREM VIOLATION: {message}\n"
+
     def test_error_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "props", "--quandle",
                                str(tmp_path / "missing.quandle"))

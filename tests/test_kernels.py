@@ -33,8 +33,10 @@ def flat(q):
 
 
 def colorings(q, s, word, relax, stats=None):
+    # the plan guesses at most s seed arcs, so n^s candidates never trip cap
     return braid_closure_colorings(q.table, q.n, s, word, orbit_forest(q),
-                                   relax_first=relax, stats=stats)
+                                   relax_first=relax, cap=q.n ** s,
+                                   stats=stats)
 
 
 def to_columns(word):

@@ -146,7 +146,7 @@ class TestBraidMoves:
                                                              repeat=2)]
         assert (pairs[:, 0] == pairs[:, 1]).all()
         cols = _kernels.braid_closure_colorings(d5.table, 5, 2, [1, -1],
-                                                orbit_forest(d5))
+                                                orbit_forest(d5), cap=25)
         assert len(cols) == 25
         for top, bottom, ((x1, y1, s1), (x2, y2, s2)) in cols:
             assert bottom == top

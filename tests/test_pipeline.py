@@ -20,8 +20,8 @@ from quandleforge.core import (QuandleMap, inn_image, is_connected,
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
-                                 NotACovering, NotAHomomorphism,
-                                 NotEpimorphism, NotIndex2, ShapeMismatch)
+                                 NotACovering, NotEpimorphism, NotIndex2,
+                                 ShapeMismatch, TheoremViolation)
 from quandleforge import cohomology, constructions, core, envgroup
 from quandleforge.knots import (bundled_knots, coloring_weight,
                                 enumerate_colorings, is_constant,
@@ -138,7 +138,19 @@ class TestRecoverIndex2:
         monkeypatch.setattr(constructions, "_extension",
                             lambda x, m, phi: build(
                                 x, m, Cocycle2.zero(x.n, m)))
-        with pytest.raises(NotAHomomorphism):
+        with pytest.raises(TheoremViolation, match=r"^recovered labeling is "
+                           r"not a quandle map: f\(\d+\*\d+\) != "
+                           r"f\(\d+\)\*f\(\d+\)$"):
+            recover_index2_cocycle(proj)
+
+    def test_cocycle_check_is_live(self, monkeypatch, x6, x6_psi):
+        # the recovered values are checked as a 2-cocycle of the result
+        _, proj = extension_with_projection(x6, 2, x6_psi)
+        monkeypatch.setattr(cohomology, "cocycle_witness",
+                            lambda *args: ("identity", 0, 1, 0))
+        with pytest.raises(TheoremViolation, match=r"^recovered values are "
+                           r"not a 2-cocycle; witness \('identity', 0, 1, "
+                           r"0\)$"):
             recover_index2_cocycle(proj)
 
     def test_not_index_two(self, d3):

@@ -61,7 +61,7 @@ SAMPLES = {
                        "vanishing_ok": None},
     Certificate: {"m": 2, "extension": E6, "witness_knots": ["3_1"],
                   "conjugation_verdict": "no"},
-    SmithForm: {"diag": [1, 2], "rank": 2, "Uinv": None,
+    SmithForm: {"diag": [1, 2], "Uinv": None,
                 "V": [{0: 1}, {1: 1}, {2: 1}],
                 "Vinv": [{0: 1}, {1: 1}, {2: 1}]},
 }
