@@ -7,12 +7,16 @@ and mechanically cross-checks the constancy statements tying those together
 cocycles force coefficient vanishing, non-constant invariants certify that no
 quandle has the extension as its inner image).
 
-All data types are immutable after construction and every operation is a
-pure function, so everything here is safe to call concurrently once the
-layers it uses have loaded.  The data types are named tuples, checked in
-__new__: a value equals the plain tuple of its fields and iterates over
-them, and _make and _replace, which skip __new__ and its checks, are never
-called.
+Every operation is a pure function and every value built here is immutable,
+so everything here is safe to call concurrently once the layers it uses
+have loaded.  The data types are named tuples: a value equals the plain
+tuple of its fields and iterates over them.  Quandle, FiniteGroup and
+BraidKnot have no __new__: validate_quandle, finite_group and parse_braid
+check them, and an extension's Quandle is built from a checked cocycle.
+_make and _replace, which skip __new__ and its checks, are never called.
+A value is immutable and hashable when its fields are tuples, as every
+constructor here passes; Cocycle2 copies list rows into tuples, and the
+other types keep the lists they are given.
 
 Every layer except cli is registered here with importlib's LazyLoader, so a
 request executes only the layers it uses: each module is in sys.modules from

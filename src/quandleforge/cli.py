@@ -125,7 +125,7 @@ def cmd_h2(args):
 def cmd_extend(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    e = constructions.abelian_extension(q, phi.m, phi)
+    e = constructions.abelian_extension(q, phi)
     rec = {"record": "extend", "base_order": q.n, "mod": phi.m,
            "extension_order": e.n,
            "connected": is_connected(e), "faithful": is_faithful(e)}
@@ -141,7 +141,7 @@ def cmd_invariant(args):
     phi = None
     if not args.tangle:
         phi = qio.read_cocycle(args.cocycle)
-        cohomology.cocycle(q, phi.m, phi)
+        cohomology.cocycle(q, phi)
     knots = _load_knots(args)
     for k in knots:
         if args.tangle:
@@ -188,8 +188,7 @@ def cmd_recover_ext(args):
 def cmd_thm31(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    verdict = pipeline.constancy_pipeline(q, phi.m, phi,
-                                          knots=_load_knots(args),
+    verdict = pipeline.constancy_pipeline(q, phi, knots=_load_knots(args),
                                           max_cosets=args.max_cosets)
     emit({"record": "constancy",
           "extension_order": verdict.extension.n,
@@ -206,7 +205,7 @@ def cmd_thm31(args):
 def cmd_thm35(args):
     q = qio.read_quandle(args.quandle)
     psi = qio.read_cocycle(args.cocycle)
-    report = pipeline.power_coefficient_check(q, psi.m, psi, args.d,
+    report = pipeline.power_coefficient_check(q, psi, args.d,
                                               knots=_load_knots(args),
                                               max_cosets=args.max_cosets)
     emit({"record": "power_check", "n": report.n, "d": report.d,
@@ -222,8 +221,7 @@ def cmd_thm35(args):
 def cmd_certify(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    cert = pipeline.nonconstancy_certificates(q, phi.m, phi,
-                                              knots=_load_knots(args),
+    cert = pipeline.nonconstancy_certificates(q, phi, knots=_load_knots(args),
                                               max_cosets=args.max_cosets)
     if cert is None:
         emit({"record": "certificate", "emitted": False})

@@ -6,7 +6,10 @@ that vanishes on the diagonal; it is a cocycle when
 
     values[x][y] - values[x][z] + values[x*y][z] - values[x*z][y*z] == 0 (mod m)
 
-for all x, y, z.  Coboundaries follow the convention
+for all x, y, z.  A cochain enters as a Cocycle2, which carries m, and
+cocycle(q, phi) checks it against q.  cocycle_witness alone takes a raw
+table and a modulus: _spans_constraints evaluates columns of V modulo Smith
+factors, which are no cocycle's modulus.  Coboundaries follow the convention
 
     (d gamma)(x, y) = gamma(x) - gamma(x*y),
 
@@ -46,13 +49,17 @@ MAX_RELATION_CELLS = 2 * 10 ** 7
 class Cocycle2(namedtuple("Cocycle2", "n m values")):
     """A Z_m-valued 2-cochain with zero diagonal.
 
-    Shape and the diagonal are enforced here; use cocycle() to also verify
-    the cocycle identity against a quandle.
+    Shape, the diagonal and the range 0..m-1 are enforced here, and values
+    is stored as a tuple of row tuples, so the value hashes; use cocycle()
+    to also verify the cocycle identity against a quandle.
     """
 
     __slots__ = ()
 
     def __new__(cls, n, m, values):
+        if not (isinstance(values, tuple)
+                and all(isinstance(r, tuple) for r in values)):
+            values = tuple(map(tuple, values))
         if m < 1:
             raise ValueError("modulus must be >= 1")
         if len(values) != n or any(len(r) != n for r in values):
@@ -67,28 +74,23 @@ class Cocycle2(namedtuple("Cocycle2", "n m values")):
     def add(self, other):
         if (self.n, self.m) != (other.n, other.m):
             raise ShapeMismatch("cochain shapes differ")
-        return Cocycle2(self.n, self.m, tuple(
-            tuple((a + b) % self.m for a, b in zip(r1, r2))
+        return Cocycle2(self.n, self.m, (
+            [(a + b) % self.m for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.values, other.values)))
 
     def scale(self, k):
-        return Cocycle2(self.n, self.m, tuple(
-            tuple((k * v) % self.m for v in row) for row in self.values))
+        return Cocycle2(self.n, self.m, (
+            [(k * v) % self.m for v in row] for row in self.values))
 
     @staticmethod
     def zero(n, m):
-        return Cocycle2(n, m, tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-
-
-def _as_values(phi):
-    return getattr(phi, "values", phi)
+        return Cocycle2(n, m, [[0] * n] * n)
 
 
 def cocycle_witness(q, m, values):
-    """None if values is a diagonal-zero 2-cocycle mod m on q; otherwise a
-    witness: ('diagonal', x) or ('identity', x, y, z).  ShapeMismatch if
-    values is not q.n x q.n."""
-    values = _as_values(values)
+    """None if the raw table values is a diagonal-zero 2-cocycle mod m on q;
+    otherwise a witness: ('diagonal', x) or ('identity', x, y, z).
+    ShapeMismatch if values is not q.n x q.n."""
     n = q.n
     if len(values) != n or any(len(row) != n for row in values):
         raise ShapeMismatch(f"cochain is not {n} x {n}")
@@ -107,25 +109,21 @@ def cocycle_witness(q, m, values):
     return None
 
 
-def cocycle(q, m, values):
-    """Validate values as a 2-cocycle mod m on q and wrap it: ShapeMismatch
-    for a table that is not q.n x q.n or a cochain of another modulus,
-    NotACocycle when the identity fails."""
-    if getattr(values, "m", m) != m:
-        raise ShapeMismatch(f"cochain is mod {values.m}, not mod {m}")
-    values = _as_values(values)
-    w = cocycle_witness(q, m, values)
+def cocycle(q, phi):
+    """Check the Cocycle2 phi against q and return it: ShapeMismatch when
+    phi is not of order q.n, NotACocycle with a witness when the cocycle
+    identity fails."""
+    w = cocycle_witness(q, phi.m, phi.values)
     if w is not None:
         raise NotACocycle(w)
-    return Cocycle2(q.n, m, tuple(tuple(v % m for v in row) for row in values))
+    return phi
 
 
 def coboundary(q, m, gamma):
-    """The coboundary of a 1-cochain gamma: X -> Z_m (callable or indexable)."""
-    gamma = [gamma(x) if callable(gamma) else gamma[x] for x in range(q.n)]
-    vals = [[(gamma[x] - gamma[q.table[x][y]]) % m for y in range(q.n)]
-            for x in range(q.n)]
-    return Cocycle2(q.n, m, tuple(tuple(r) for r in vals))
+    """The coboundary of a 1-cochain gamma: X -> Z_m, given as the sequence
+    of its values on 0..n-1."""
+    return Cocycle2(q.n, m, ([(gamma[x] - gamma[q.table[x][y]]) % m
+                              for y in range(q.n)] for x in range(q.n)))
 
 
 def _pair_index(n):
@@ -290,7 +288,7 @@ def second_cohomology(q, m):
         # through cocycle(), whose span forgebench's h2 workload requires;
         # its NotACocycle would blame the input, and the solve is at fault
         try:
-            reps.append(cocycle(q, m, vals))
+            reps.append(cocycle(q, Cocycle2(n, m, vals)))
         except NotACocycle as exc:
             raise TheoremViolation(
                 f"H^2 representative {len(reps)}: {exc}") from None
@@ -406,5 +404,4 @@ def cocycle_power(psi, d):
     if d < 1 or n % d:
         raise DNotDividesModulus(f"{d} does not divide the modulus {n}")
     m = n // d
-    return Cocycle2(psi.n, m, tuple(
-        tuple(v % m for v in row) for row in psi.values))
+    return Cocycle2(psi.n, m, ([v % m for v in row] for row in psi.values))

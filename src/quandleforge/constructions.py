@@ -169,20 +169,21 @@ def extension_table(x, m, values):
     return table
 
 
-def abelian_extension(x, m, phi):
-    """The extension quandle E(X, Z_m, phi), whose element x*m + a is (x, a).
+def abelian_extension(x, phi):
+    """The extension quandle E(X, Z_m, phi) for the Cocycle2 phi mod m,
+    whose element x*m + a is (x, a).
 
-    phi may be a Cocycle2 or a raw n x n value table; it is validated by
-    cohomology.cocycle (ShapeMismatch, or NotACocycle with a witness).
-    That check is the only one: the table satisfies the quandle axioms
-    exactly when phi is a diagonal-zero cocycle, so it is not validated
-    again.  The projection onto X is i -> i // m.
+    phi is checked against x by cohomology.cocycle (ShapeMismatch, or
+    NotACocycle with a witness).  That check is the only one: the table
+    satisfies the quandle axioms exactly when phi is a diagonal-zero
+    cocycle, so it is not validated again.  The projection onto X is
+    i -> i // m.
     """
-    return _extension(x, m, cohomology.cocycle(x, m, phi))
+    return _extension(x, cohomology.cocycle(x, phi))
 
 
-def _extension(x, m, phi):
+def _extension(x, phi):
     """E(X, Z_m, phi) for a Cocycle2 phi already checked against x: nothing
     is checked again."""
-    return Quandle(n=x.n * m, table=tuple(
-        tuple(row) for row in extension_table(x, m, phi.values)))
+    return Quandle(n=x.n * phi.m, table=tuple(
+        tuple(row) for row in extension_table(x, phi.m, phi.values)))

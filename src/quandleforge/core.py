@@ -18,9 +18,9 @@ Conventions, used everywhere in this package:
   ``tuple(r[i] for i in p)``.  Under this convention the translations
   satisfy ``R_{a*b} = R_b^-1 R_a R_b``,
 * value types are ``collections.namedtuple`` subclasses with
-  ``__slots__ = ()``, checked in ``__new__``: immutable, equal and hashed by
-  their fields, so a value also equals the plain tuple of its fields and
-  iterates over them.  ``_make`` and ``_replace`` build a value without
+  ``__slots__ = ()``, equal to the plain tuple of their fields and
+  iterating over them, and hashable when those are tuples (the package
+  docstring says which types check what).  ``_make`` and ``_replace`` skip
   ``__new__`` and its checks, so nothing may call them.
 """
 

@@ -114,8 +114,7 @@ def parse_group_text(text):
 
 def parse_cocycle_text(text):
     (n, m), rows = _parse_table(text, "cocycle", header="n m")
-    return cohomology.Cocycle2(
-        n=n, m=m, values=tuple(tuple(v % m for v in row) for row in rows))
+    return cohomology.Cocycle2(n, m, ([v % m for v in row] for row in rows))
 
 
 def quandle_to_text(q, comment=None):

@@ -4,12 +4,12 @@ These orchestrate the other modules: terminating sequences of inner
 representations, recovery of the 2-cocycle of an index-2 covering, the
 fixed-fiber criterion that abelian extensions must satisfy, constancy
 verdicts for cocycle invariants of extensions that are conjugation quandles,
-the coefficient-vanishing check for power cocycles, and negative
+the coefficient-vanishing report for power cocycles, and negative
 certificates ("no quandle has this extension as its inner image").
 
-Constancy and vanishing are proved facts for the hypotheses checked here, so
-a pipeline that observes a counterexample raises TheoremViolation: that is a
-bug detector, not a report line.
+Constancy is a proved fact for the hypotheses checked here, and vanishing
+follows from it, so a pipeline that observes a counterexample raises
+TheoremViolation: that is a bug detector, not a report line.
 """
 
 from collections import namedtuple
@@ -86,7 +86,7 @@ def recover_index2_cocycle(f):
         raise TheoremViolation(
             f"recovered values are not a 2-cocycle; witness {w}")
     phi = cohomology.Cocycle2(x.n, 2, values)
-    e = constructions._extension(x, 2, phi)
+    e = constructions._extension(x, phi)
     bad = core._law_failure(y.table, e.table,
                             [2 * b + level[u] for u, b in enumerate(f.images)])
     if bad is not None:
@@ -133,7 +133,7 @@ class ExtensionVerdict(namedtuple(
     __slots__ = ()
 
 
-def _extension_verdict(x, m, phi, invariants, max_cosets):
+def _extension_verdict(x, phi, invariants, max_cosets):
     """Build E(X, Z_m, phi) and take its Vendramin verdict, beside the
     phi-invariants of a knot table (knot name -> GroupRingElt).  phi is a
     Cocycle2 already checked against x (by _validated, or as the power of
@@ -142,7 +142,7 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
     Theorem 3.1: an extension that is a conjugation quandle has constant
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
-    e = constructions._extension(x, m, phi)
+    e = constructions._extension(x, phi)
     conjugation = envgroup.conjugation_criterion(e, max_cosets).verdict
     constant = all(qknots.is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:
@@ -154,18 +154,18 @@ def _extension_verdict(x, m, phi, invariants, max_cosets):
                             invariant_constant_on_corpus=constant)
 
 
-def _validated(x, m, phi, knots):
-    """Validate phi as a 2-cocycle mod m on x (ShapeMismatch or NotACocycle)
-    and the knot names as distinct (ValueError).  Returns the validated
-    cocycle and the knot table (default: the bundled one)."""
+def _validated(x, phi, knots):
+    """Check the Cocycle2 phi against x (ShapeMismatch or NotACocycle) and
+    the knot names as distinct (ValueError).  Returns the knot table
+    (default: the bundled one)."""
     knots = qknots.bundled_knots() if knots is None else knots
-    phi = cohomology.cocycle(x, m, phi)
+    cohomology.cocycle(x, phi)
     names = set()
     for k in knots:
         if k.name in names:
             raise ValueError(f"knot name {k.name!r} is repeated in the table")
         names.add(k.name)
-    return phi, knots
+    return knots
 
 
 def _knot_invariants(x, phi, knots):
@@ -173,14 +173,15 @@ def _knot_invariants(x, phi, knots):
     return {k.name: qknots.state_sum(x, phi, k) for k in knots}
 
 
-def constancy_pipeline(x, m, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
-    """Build E(X, Z_m, phi), decide whether E is a conjugation quandle (hence
-    has an inner-representation preimage), and compute the cocycle invariant
-    on the knot corpus.  A 'yes' verdict together with any non-constant
-    invariant raises TheoremViolation.  phi and the knot names are validated
-    before any state sum (ShapeMismatch, NotACocycle or ValueError)."""
-    phi, knots = _validated(x, m, phi, knots)
-    return _extension_verdict(x, m, phi, _knot_invariants(x, phi, knots),
+def constancy_pipeline(x, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
+    """For the Cocycle2 phi mod m: build E(X, Z_m, phi), decide whether E is
+    a conjugation quandle (hence has an inner-representation preimage), and
+    compute the cocycle invariant on the knot corpus.  A 'yes' verdict
+    together with any non-constant invariant raises TheoremViolation.  phi
+    is checked against x and the knot names are validated before any state
+    sum (ShapeMismatch, NotACocycle or ValueError)."""
+    knots = _validated(x, phi, knots)
+    return _extension_verdict(x, phi, _knot_invariants(x, phi, knots),
                                max_cosets)
 
 
@@ -192,48 +193,43 @@ class PowerCheckReport(namedtuple(
     verdict is the ExtensionVerdict of phi, or None when m == 1;
     coefficients maps each knot name to its coefficient tuple over Z_n.
     vanishing_ok is True when m == 1 or the hypothesis held, else None:
-    never False, because a failed vanishing raises TheoremViolation.
+    never False, as power_coefficient_check proves.
     """
 
     __slots__ = ()
 
 
-def power_coefficient_check(x, n, psi, d, knots=None,
+def power_coefficient_check(x, psi, d, knots=None,
                             max_cosets=DEFAULT_MAX_COSETS):
-    """For psi mod n and phi = psi^d mod m = n/d: when the extension by phi
-    is a conjugation quandle, every coefficient a_k of the psi-invariant with
-    k not divisible by m must vanish.  psi must be a 2-cocycle mod n on x
-    (ShapeMismatch or NotACocycle otherwise), d must divide n
+    """For the Cocycle2 psi mod n and phi = psi^d mod m = n/d: when the
+    extension by phi is a conjugation quandle, every coefficient a_k of the
+    psi-invariant with k not divisible by m must vanish.  psi is checked
+    against x (ShapeMismatch or NotACocycle), d must divide n
     (DNotDividesModulus) and the knot names must be distinct (ValueError);
-    all three are checked before any state sum."""
-    psi, knots = _validated(x, n, psi, knots)
+    all three are checked before any state sum.
+
+    Vanishing needs no check of its own.  Theorem 3.1 is checked on the
+    phi-invariant, which folds the psi-invariant, b_j = sum of a_k over
+    k = j (mod m): under a 'yes', b_j = 0 for j != 0.  The a_k count
+    colorings, so they are >= 0, and then a_k = 0 for every k != 0 (mod m).
+    """
+    knots = _validated(x, psi, knots)
     phi = cohomology.cocycle_power(psi, d)
     invariants = _knot_invariants(x, psi, knots)
     coefficients = {name: inv.coeffs for name, inv in invariants.items()}
     m = phi.m
-    verdict = vanishing_ok = None
-    held = False
-    if m == 1:
-        # phi is trivial mod 1; nothing to test, the report stands vacuously
-        vanishing_ok = True
-    else:
+    verdict, held = None, False
+    if m > 1:
         # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
         folded = {name: qknots.GroupRingElt(
                       m, tuple(sum(inv.coeffs[j::m]) for j in range(m)))
                   for name, inv in invariants.items()}
-        verdict = _extension_verdict(x, m, phi, folded, max_cosets)
+        verdict = _extension_verdict(x, phi, folded, max_cosets)
         held = verdict.is_conjugation == "yes"
-        if held:
-            vanishing_ok = all(c == 0
-                               for coeffs in coefficients.values()
-                               for k, c in enumerate(coeffs) if k % m)
-            if not vanishing_ok:
-                raise TheoremViolation(
-                    "power-cocycle coefficients fail to vanish under a "
-                    "conjugation-quandle hypothesis")
-    return PowerCheckReport(n=n, d=d, m=m, hypothesis_held=held,
+    # at m == 1 phi is trivial, and the report stands vacuously
+    return PowerCheckReport(n=psi.m, d=d, m=m, hypothesis_held=held,
                             verdict=verdict, coefficients=coefficients,
-                            vanishing_ok=vanishing_ok)
+                            vanishing_ok=True if m == 1 or held else None)
 
 
 class Certificate(namedtuple(
@@ -252,21 +248,22 @@ class Certificate(namedtuple(
                 f"conjugation quandle (witnessing knots: {w})")
 
 
-def nonconstancy_certificates(x, m, phi, knots=None,
+def nonconstancy_certificates(x, phi, knots=None,
                               max_cosets=DEFAULT_MAX_COSETS):
-    """Emit a certificate when some knot invariant is non-constant: the
-    extension then has no inner-representation preimage and is not a
-    conjugation quandle.  The enveloping-group verdict cross-checks this; a
-    'yes' would contradict the certificate and raises TheoremViolation.  phi
-    and the knot names are validated first (ShapeMismatch, NotACocycle or
+    """For the Cocycle2 phi mod m, emit a certificate when some knot
+    invariant is non-constant: E(X, Z_m, phi) then has no
+    inner-representation preimage and is not a conjugation quandle.  The
+    enveloping-group verdict cross-checks this; a 'yes' would contradict the
+    certificate and raises TheoremViolation.  phi is checked against x and
+    the knot names are validated first (ShapeMismatch, NotACocycle or
     ValueError), and the extension is built only once a witness knot exists."""
-    phi, knots = _validated(x, m, phi, knots)
+    knots = _validated(x, phi, knots)
     invariants = _knot_invariants(x, phi, knots)
     witnesses = [name for name, inv in invariants.items()
                  if not qknots.is_constant(inv)]
     if not witnesses:
         return None
-    verdict = _extension_verdict(x, m, phi, invariants, max_cosets)
-    return Certificate(m=m, extension=verdict.extension,
+    verdict = _extension_verdict(x, phi, invariants, max_cosets)
+    return Certificate(m=phi.m, extension=verdict.extension,
                        witness_knots=witnesses,
                        conjugation_verdict=verdict.is_conjugation)

@@ -50,7 +50,7 @@ def x6_psi(x6):
 @pytest.fixture(scope="session")
 def e12(x6, x6_psi):
     """E(x6, Z_2, generator): order 12, with its projection."""
-    return extension_with_projection(x6, 2, x6_psi)
+    return extension_with_projection(x6, x6_psi)
 
 
 @pytest.fixture(scope="session")

@@ -221,10 +221,10 @@ def sym4_class_quandle(cycle_type):
     return sym_class_quandle(4, cycle_type)
 
 
-def extension_with_projection(x, m, phi):
+def extension_with_projection(x, phi):
     """E(X, Z_m, phi) and its projection onto X, (x, a) -> x."""
-    e = abelian_extension(x, m, phi)
-    return e, QuandleMap(e, x, tuple(i // m for i in range(e.n)))
+    e = abelian_extension(x, phi)
+    return e, QuandleMap(e, x, tuple(i // phi.m for i in range(e.n)))
 
 
 def corpus_quandles(max_order=24):
@@ -275,6 +275,6 @@ def corpus_extensions(max_base_order=6, moduli=(2, 3)):
             for i, rep in enumerate(h.representatives):
                 reps.append((f"h2gen{i}", rep))
             for tag, phi in reps:
-                e, proj = extension_with_projection(x, m, phi)
+                e, proj = extension_with_projection(x, phi)
                 out.append((f"E({name},Z{m},{tag})", x, m, phi, e, proj))
     return out

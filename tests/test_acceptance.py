@@ -174,7 +174,7 @@ def test_criterion_5_theorem_constancy_end_to_end(x6):
         failures.append(f"H2(X,Z2) = {h.invariant_factors}, expected (2,)")
     else:
         psi = h.representatives[0]
-        e, proj = extension_with_projection(x6, 2, psi)
+        e, proj = extension_with_projection(x6, psi)
         if e.n != 12:
             failures.append(f"extension order {e.n}, expected 12")
         if is_faithful(e):

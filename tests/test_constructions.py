@@ -201,12 +201,12 @@ class TestConjugationQuandle:
 class TestAbelianExtension:
     def test_zero_cocycle_sizes(self, d3):
         for m in (2, 3, 4):
-            e, proj = extension_with_projection(d3, m, Cocycle2.zero(3, m))
+            e, proj = extension_with_projection(d3, Cocycle2.zero(3, m))
             assert e.n == 3 * m
             assert is_covering(proj)
 
     def test_generator_extension_valid(self, tetrahedral, tet_psi):
-        e, proj = extension_with_projection(tetrahedral, 2, tet_psi)
+        e, proj = extension_with_projection(tetrahedral, tet_psi)
         assert e.n == 8
         assert is_covering(proj)
 
@@ -214,7 +214,7 @@ class TestAbelianExtension:
         vals = [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
         assert cocycle_witness(d3, 2, vals) is not None
         with pytest.raises(NotACocycle) as exc:
-            abelian_extension(d3, 2, vals)
+            abelian_extension(d3, Cocycle2(3, 2, vals))
         assert exc.value.witness is not None
 
     def test_extensions_pass_table_check(self):

@@ -260,7 +260,7 @@ class TestConnectivityFaithfulness:
         assert not is_faithful(q)
 
     def test_zero_extension_unfaithful(self, d3):
-        e = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e = abelian_extension(d3, Cocycle2.zero(3, 2))
         assert not is_faithful(e)
 
 
@@ -276,7 +276,7 @@ class TestInnImage:
         assert img.n == 1
 
     def test_zero_extension_collapses(self, d3):
-        e = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e = abelian_extension(d3, Cocycle2.zero(3, 2))
         img, f = inn_image(e)
         assert img.n == 3
         assert is_covering(f)
@@ -300,7 +300,7 @@ class TestInnImage:
 
 class TestCovering:
     def test_projection_is_covering(self, d3):
-        e, proj = extension_with_projection(d3, 3, Cocycle2.zero(3, 3))
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, 3))
         assert is_covering(proj)
 
     def test_product_projection_covering_iff_dropped_factor_trivial(self, d3):
@@ -389,7 +389,7 @@ class TestProduct:
 
 class TestEpimorphismIndex:
     def test_projection_index_two(self, d3):
-        _, proj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
+        _, proj = extension_with_projection(d3, Cocycle2.zero(3, 2))
         rep = epimorphism_index(proj)
         assert rep.index == 2 and rep.fibers_equal
 

@@ -175,7 +175,7 @@ class TestVendramin:
             assert conjugation_criterion(q).verdict == "yes", name
 
     def test_collision_on_non_injective(self, tetrahedral, tet_psi):
-        e = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
         assert is_connected(e)
         crit = conjugation_criterion(e)
         assert (crit.verdict, crit.order, crit.collision) == ("no", 24, (0, 1))
@@ -303,7 +303,7 @@ def e120():
     and not a conjugation quandle."""
     c30 = sym_class_quandle(5, (1, 4))
     rep0 = second_cohomology(c30, 4).representatives[0]
-    return abelian_extension(c30, 4, rep0)
+    return abelian_extension(c30, rep0)
 
 
 class TestCosetsOfGeneratorSubgroup:
@@ -326,7 +326,7 @@ class TestCosetsOfGeneratorSubgroup:
                 for i, phi in enumerate((Cocycle2.zero(x.n, m),
                                          *h.representatives)):
                     cases.append((f"E({name},Z{m},{i})",
-                                  abelian_extension(x, m, phi)))
+                                  abelian_extension(x, phi)))
         verdicts = Counter()
         for name, q in cases:
             crit = conjugation_criterion(q)

@@ -294,7 +294,7 @@ class TestCli:
 
     def test_inn_seq(self, capsys, tmp_path, tetrahedral, tet_psi):
         from quandleforge.constructions import abelian_extension
-        e = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
         path = tmp_path / "e8.quandle"
         qio.write_text(path, qio.quandle_to_text(e))
         code, records, _ = run_cli(capsys, "inn-seq", "--quandle", str(path))
@@ -304,7 +304,7 @@ class TestCli:
 
     def test_recover_ext(self, capsys, tmp_path, tetrahedral, tet_psi):
         from quandleforge.constructions import abelian_extension
-        e = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
         path = tmp_path / "e8.quandle"
         qio.write_text(path, qio.quandle_to_text(e))
         out = tmp_path / "rec.cocycle"
@@ -595,7 +595,7 @@ class TestCli:
         qio.write_text(files["tet"], qio.quandle_to_text(tetrahedral))
         qio.write_text(files["psi"], qio.cocycle_to_text(tet_psi))
         qio.write_text(files["e8"], qio.quandle_to_text(
-            abelian_extension(tetrahedral, 2, tet_psi)))
+            abelian_extension(tetrahedral, tet_psi)))
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
         (files["blocked"] / "rep0.cocycle").mkdir(parents=True)
         argv = [a.format(**files) for a in argv]
@@ -670,41 +670,66 @@ class TestCli:
         assert code == 2 and records == []
         assert "THEOREM VIOLATION: planted by the test" in err
 
+    THEOREM_31 = ("extension is a conjugation quandle but some invariant "
+                  "is non-constant; the implementation is broken")
+
     @pytest.mark.parametrize("command, message", [
         ("h2", "H^2 representative 0: not a 2-cocycle; witness "
                "('identity', 0, 1, 0)"),
         ("vendramin", "subgroup word (1,) moves coset 0 to 1"),
         ("recover-ext", "recovered labeling is not a quandle map: "
                         "f(0*2) != f(0)*f(2)"),
-    ], ids=["h2", "vendramin", "recover-ext"])
+        ("thm31", THEOREM_31),
+        ("thm35", THEOREM_31),
+        ("certify", THEOREM_31),
+    ], ids=["h2", "vendramin", "recover-ext", "thm31", "thm35", "certify"])
     def test_failed_self_check_exits_2(self, capsys, tmp_path, monkeypatch,
                                        tetrahedral, tet_psi, command,
                                        message):
         # one planted failure per family of self-checks: every cocycle
         # identity fails in H^2, the coset kernel returns the regular action
-        # of Z_2 (a valid table, but x_s moves coset 0), and recover-ext
-        # builds E from the zero cocycle.  Each is the implementation's
-        # fault: exit 2, one line on stderr, no record
+        # of Z_2 (a valid table, but x_s moves coset 0), recover-ext builds
+        # E from the zero cocycle, and the theorem requests hear "yes" from
+        # Vendramin's criterion beside a non-constant invariant.  thm35 on
+        # c4 mod 4 with d = 2 fails Theorem 3.1 on the folded invariant, so
+        # its vanishing needs no check of its own.  Each is the
+        # implementation's fault: exit 2, one line on stderr, no record
+        from helpers import sym4_class_quandle
         from quandleforge import cohomology, constructions, envgroup
         from quandleforge.constructions import abelian_extension
-        quandle = {"h2": tetrahedral, "vendramin": dihedral_quandle(3),
-                   "recover-ext": abelian_extension(tetrahedral, 2, tet_psi)}
-        path = tmp_path / "q.quandle"
-        qio.write_text(path, qio.quandle_to_text(quandle[command]))
+        quandle, phi, extra = tetrahedral, None, []
         if command == "h2":
             monkeypatch.setattr(cohomology, "cocycle_witness",
                                 lambda *args: ("identity", 0, 1, 0))
+            extra = ["--mod", "2"]
         elif command == "vendramin":
+            quandle = dihedral_quandle(3)
             monkeypatch.setattr(envgroup, "coset_enumeration",
                                 lambda ngens, *args, **kwargs: (
                                     True, [[1, 1] * ngens, [0, 0] * ngens]))
-        else:
+        elif command == "recover-ext":
+            quandle = abelian_extension(tetrahedral, tet_psi)
             build = constructions._extension
             monkeypatch.setattr(constructions, "_extension",
-                                lambda x, m, phi: build(
-                                    x, m, Cocycle2.zero(x.n, m)))
+                                lambda x, phi: build(
+                                    x, Cocycle2.zero(x.n, phi.m)))
+        else:
+            phi = tet_psi
+            if command == "thm35":
+                quandle = sym4_class_quandle((4,))
+                phi = second_cohomology(quandle, 4).representatives[0]
+                extra = ["--d", "2"]
+            monkeypatch.setattr(envgroup, "conjugation_criterion",
+                                lambda *args: envgroup.ConjugationCriterion(
+                                    True, 1, None))
+        path = tmp_path / "q.quandle"
+        qio.write_text(path, qio.quandle_to_text(quandle))
         argv = [command, "--quandle", str(path)]
-        code = main(argv + ["--mod", "2"] if command == "h2" else argv)
+        if phi is not None:
+            cpath = tmp_path / "phi.cocycle"
+            qio.write_text(cpath, qio.cocycle_to_text(phi))
+            argv += ["--cocycle", str(cpath)]
+        code = main(argv + extra)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"THEOREM VIOLATION: {message}\n"

@@ -49,7 +49,7 @@ def tetrahedral_extension():
     Over faithful or Alexander quandles (all dihedral ones) it never does."""
     t = tetrahedral_quandle()
     psi = second_cohomology(t, 2).representatives[0]
-    return abelian_extension(t, 2, psi)
+    return abelian_extension(t, psi)
 
 
 class TestColoringScan:

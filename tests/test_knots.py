@@ -16,7 +16,7 @@ from quandleforge.constructions import (abelian_extension, dihedral_quandle,
 from quandleforge.core import QuandleMap, is_faithful, orbit_forest
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
                                  FiberMismatch, NotACovering, NotAKnot,
-                                 ShapeMismatch)
+                                 ShapeMismatch, TheoremViolation)
 from quandleforge.knots import (BUNDLED_WORDS, GroupRingElt, coloring_weight,
                                 enumerate_colorings, is_constant,
                                 lift_coloring, parse_braid, state_sum,
@@ -241,7 +241,7 @@ class TestTangles:
 
     def test_translation_equality_nonfaithful(self, tetrahedral, tet_psi,
                                               knots):
-        e = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
         assert not is_faithful(e)
         for k in knots:
             assert endpoints_same_translation(e, k), k.name
@@ -255,7 +255,7 @@ class TestTangles:
                                                   tet_psi):
         # the trefoil tangle over E(tetrahedral) has fiber-splitting ends
         # exactly because the base invariant is non-constant
-        e = abelian_extension(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
         k = parse_braid("3_1", 2, [1, 1, 1])
         assert not all(c.y0 == c.y1 for c in tangle_colorings(e, k))
 
@@ -269,7 +269,7 @@ class TestLifts:
 
     def test_zero_extension_m_lifts(self, d3):
         m = 3
-        e, proj = extension_with_projection(d3, m, Cocycle2.zero(3, m))
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, m))
         k = parse_braid("3_1", 2, [1, 1, 1])
         for base in tangle_colorings(d3, k):
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
@@ -279,7 +279,7 @@ class TestLifts:
 
     def test_generator_extension_unique_lift_per_fiber(self, tetrahedral,
                                                        tet_psi):
-        e, proj = extension_with_projection(tetrahedral, 2, tet_psi)
+        e, proj = extension_with_projection(tetrahedral, tet_psi)
         k = parse_braid("3_1", 2, [1, 1, 1])
         for base in tangle_colorings(tetrahedral, k)[:6]:
             fiber = [y for y in range(e.n) if proj.images[y] == base.y0]
@@ -289,12 +289,27 @@ class TestLifts:
                 assert tuple(proj.images[v] for v in lift.top) == base.top
 
     def test_fiber_mismatch(self, d3):
-        e, proj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, 2))
         k = parse_braid("3_1", 2, [1, 1, 1])
         base = tangle_colorings(d3, k)[0]
         wrong = next(y for y in range(e.n) if proj.images[y] != base.y0)
         with pytest.raises(FiberMismatch):
             lift_coloring(proj, k, base, wrong)
+
+    def test_lift_count_check_is_live(self, d3, monkeypatch):
+        # every source coloring listed twice gives two lifts where the
+        # covering lifting property allows one: the implementation's fault
+        from quandleforge import knots as qknots
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, 2))
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        base = tangle_colorings(d3, k)[0]
+        y = next(y for y in range(e.n) if proj.images[y] == base.y0)
+        colorings = qknots.tangle_colorings
+        monkeypatch.setattr(qknots, "tangle_colorings",
+                            lambda q, k: 2 * colorings(q, k))
+        with pytest.raises(TheoremViolation,
+                           match="^expected exactly one lift, found 2$"):
+            lift_coloring(proj, k, base, y)
 
     def test_not_a_covering_rejected(self, d3):
         p = product_quandle(d3, d3)
@@ -353,9 +368,8 @@ class TestLiftCounts:
         knots = [k for k in knots if k.strands <= 3] + random_knots(1, 8)
         for name, x, _, phi, e, _ in corpus_extensions(6, (m,)):
             # E(X, Z_m, k*phi) for each k | m; k = m is the zero cocycle
-            scaled = [(k, e if k == 1 else abelian_extension(
-                x, m, [[k * v % m for v in row] for row in phi.values]))
-                for k in range(1, m + 1) if m % k == 0]
+            scaled = [(k, e if k == 1 else abelian_extension(x, phi.scale(k)))
+                      for k in range(1, m + 1) if m % k == 0]
             for knot in knots:
                 base = enumerate_colorings(x, knot)
                 weights = [coloring_weight(phi, c) for c in base]

@@ -21,7 +21,7 @@ from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotEpimorphism, NotIndex2,
-                                 ShapeMismatch, TheoremViolation)
+                                 TheoremViolation)
 from quandleforge import cohomology, constructions, core, envgroup
 from quandleforge.knots import (bundled_knots, coloring_weight,
                                 enumerate_colorings, is_constant,
@@ -64,7 +64,7 @@ class TestInnSequence:
         assert len(seq.quandles) == 1 and seq.terminal_faithful
 
     def test_zero_extension_one_step(self, d3):
-        e = abelian_extension(d3, 2, Cocycle2.zero(3, 2))
+        e = abelian_extension(d3, Cocycle2.zero(3, 2))
         seq = inn_sequence(e)
         assert [q.n for q in seq.quandles] == [6, 3]
         assert seq.terminal_faithful
@@ -74,8 +74,8 @@ class TestInnSequence:
         assert [q.n for q in seq.quandles] == [4, 1]
 
     def test_maps_are_coverings_and_compose(self, tetrahedral, tet_psi):
-        e = abelian_extension(tetrahedral, 2, tet_psi)
-        big = abelian_extension(e, 2, Cocycle2.zero(e.n, 2))
+        e = abelian_extension(tetrahedral, tet_psi)
+        big = abelian_extension(e, Cocycle2.zero(e.n, 2))
         seq = inn_sequence(big)
         for f in seq.maps:
             assert is_covering(f)
@@ -89,23 +89,23 @@ class TestInnSequence:
 
 class TestRecoverIndex2:
     def test_roundtrip_exact_on_projection(self, x6, x6_psi):
-        e, proj = extension_with_projection(x6, 2, x6_psi)
+        e, proj = extension_with_projection(x6, x6_psi)
         phi = recover_index2_cocycle(proj)
         assert phi.values == x6_psi.values
 
     def test_zero_cocycle_roundtrip(self, d3):
-        e, proj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, 2))
         phi = recover_index2_cocycle(proj)
         assert cohomologous(d3, phi, Cocycle2.zero(3, 2))
 
     def test_inn_map_of_connected_index2(self, x6, x6_psi):
         # an index-2 inner representation with connected source
-        e = abelian_extension(x6, 2, x6_psi)
+        e = abelian_extension(x6, x6_psi)
         assert is_connected(e)
         img, f = inn_image(e)
         assert e.n == 2 * img.n
         phi = recover_index2_cocycle(f)
-        rebuilt = abelian_extension(img, 2, phi)
+        rebuilt = abelian_extension(img, phi)
         assert are_isomorphic(rebuilt, e) is not None
 
     def test_disconnected_equal_fibers_still_recovers(self):
@@ -119,7 +119,7 @@ class TestRecoverIndex2:
         img, f = inn_image(y)
         assert y.n == 2 * img.n
         phi = recover_index2_cocycle(f)
-        rebuilt = abelian_extension(img, 2, phi)
+        rebuilt = abelian_extension(img, phi)
         assert are_isomorphic(rebuilt, y) is not None
 
     def test_corpus_roundtrip_exact(self):
@@ -133,11 +133,11 @@ class TestRecoverIndex2:
     def test_labeling_check_is_live(self, monkeypatch, x6, x6_psi):
         # with E built from the zero cocycle instead of the recovered one,
         # the labeling is no quandle map, and that check must say so
-        _, proj = extension_with_projection(x6, 2, x6_psi)
+        _, proj = extension_with_projection(x6, x6_psi)
         build = constructions._extension
         monkeypatch.setattr(constructions, "_extension",
-                            lambda x, m, phi: build(
-                                x, m, Cocycle2.zero(x.n, m)))
+                            lambda x, phi: build(
+                                x, Cocycle2.zero(x.n, phi.m)))
         with pytest.raises(TheoremViolation, match=r"^recovered labeling is "
                            r"not a quandle map: f\(\d+\*\d+\) != "
                            r"f\(\d+\)\*f\(\d+\)$"):
@@ -145,7 +145,7 @@ class TestRecoverIndex2:
 
     def test_cocycle_check_is_live(self, monkeypatch, x6, x6_psi):
         # the recovered values are checked as a 2-cocycle of the result
-        _, proj = extension_with_projection(x6, 2, x6_psi)
+        _, proj = extension_with_projection(x6, x6_psi)
         monkeypatch.setattr(cohomology, "cocycle_witness",
                             lambda *args: ("identity", 0, 1, 0))
         with pytest.raises(TheoremViolation, match=r"^recovered values are "
@@ -154,7 +154,7 @@ class TestRecoverIndex2:
             recover_index2_cocycle(proj)
 
     def test_not_index_two(self, d3):
-        e, proj = extension_with_projection(d3, 3, Cocycle2.zero(3, 3))
+        e, proj = extension_with_projection(d3, Cocycle2.zero(3, 3))
         with pytest.raises(NotIndex2):
             recover_index2_cocycle(proj)
 
@@ -167,9 +167,9 @@ class TestRecoverIndex2:
 
 class TestFiberCriterion:
     def test_holds_on_extensions(self, x6, x6_psi, tetrahedral, tet_psi):
-        for x, m, phi in [(x6, 2, x6_psi), (tetrahedral, 2, tet_psi),
-                          (dihedral_quandle(5), 3, Cocycle2.zero(5, 3))]:
-            _, proj = extension_with_projection(x, m, phi)
+        for x, phi in [(x6, x6_psi), (tetrahedral, tet_psi),
+                       (dihedral_quandle(5), Cocycle2.zero(5, 3))]:
+            _, proj = extension_with_projection(x, phi)
             assert fiber_criterion(proj).holds
 
     def test_identity_trivial_fibers(self, d3):
@@ -195,7 +195,7 @@ class TestFiberCriterion:
         # pairing the bad covering with an honest abelian extension keeps the
         # witness alive in the product
         q, proj = synthetic_noncommuting_covering()
-        e, eproj = extension_with_projection(d3, 2, Cocycle2.zero(3, 2))
+        e, eproj = extension_with_projection(d3, Cocycle2.zero(3, 2))
         p = product_quandle(q, e)
         images = tuple(proj.images[i // e.n] * d3.n
                        + eproj.images[i % e.n]
@@ -242,7 +242,7 @@ def regular_group(t):
 
 class TestConstancyPipeline:
     def test_conjugation_extension_constant(self, x6, x6_psi):
-        verdict = constancy_pipeline(x6, 2, x6_psi)
+        verdict = constancy_pipeline(x6, x6_psi)
         assert verdict.extension.n == 12
         assert verdict.is_conjugation == "yes"
         assert verdict.invariant_constant_on_corpus
@@ -268,17 +268,17 @@ class TestConstancyPipeline:
         assert second_cohomology(x, m).invariant_factors == (2,)
         criterion = conjugation_criterion(e)
         assert (criterion.verdict, criterion.order) == ("yes", 240)
-        verdict = constancy_pipeline(x, m, phi)
+        verdict = constancy_pipeline(x, phi)
         assert verdict.is_conjugation == "yes"
         assert verdict.invariant_constant_on_corpus
 
     def test_nonconjugation_extension_reports(self, tetrahedral, tet_psi):
-        verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
+        verdict = constancy_pipeline(tetrahedral, tet_psi)
         assert verdict.is_conjugation == "no"
         assert not verdict.invariant_constant_on_corpus
 
     def test_zero_cocycle_trivial_extension(self, d3):
-        verdict = constancy_pipeline(d3, 2, Cocycle2.zero(3, 2))
+        verdict = constancy_pipeline(d3, Cocycle2.zero(3, 2))
         assert verdict.invariant_constant_on_corpus
         for inv in verdict.invariants.values():
             assert is_constant(inv)
@@ -286,8 +286,8 @@ class TestConstancyPipeline:
     def test_constancy_matches_end_monochromatic(self, tetrahedral, tet_psi,
                                                  knots):
         # two independent computations of the same dichotomy
-        e = abelian_extension(tetrahedral, 2, tet_psi)
-        verdict = constancy_pipeline(tetrahedral, 2, tet_psi)
+        e = abelian_extension(tetrahedral, tet_psi)
+        verdict = constancy_pipeline(tetrahedral, tet_psi)
         for k in knots:
             assert is_constant(verdict.invariants[k.name]) \
                 == all(c.y0 == c.y1 for c in tangle_colorings(e, k)), k.name
@@ -295,7 +295,7 @@ class TestConstancyPipeline:
 
 class TestPowerCheck:
     def test_d_one_reduces_to_constancy(self, x6, x6_psi):
-        report = power_coefficient_check(x6, 2, x6_psi, 1)
+        report = power_coefficient_check(x6, x6_psi, 1)
         assert report.m == 2
         assert report.hypothesis_held
         assert report.vanishing_ok
@@ -305,13 +305,13 @@ class TestPowerCheck:
         # holds: phi = psi^3 mod 2 gives the conjugation quandle E(x6, Z_2)
         h = second_cohomology(x6, 6)
         assert h.invariant_factors == (2,)
-        report = power_coefficient_check(x6, 6, h.representatives[0], 3)
+        report = power_coefficient_check(x6, h.representatives[0], 3)
         assert report.m == 2
         assert report.hypothesis_held
         assert report.vanishing_ok
 
     def test_d_equals_n_vacuous(self, x6, x6_psi):
-        report = power_coefficient_check(x6, 2, x6_psi, 2)
+        report = power_coefficient_check(x6, x6_psi, 2)
         assert report.m == 1 and report.vanishing_ok
 
     def test_fourcycles_z4_hypothesis_fails_with_witness(self):
@@ -319,7 +319,7 @@ class TestPowerCheck:
         # preimage, and indeed some odd coefficient over Z4 is nonzero
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
-        report = power_coefficient_check(q, 4, psi, 2)
+        report = power_coefficient_check(q, psi, 2)
         assert report.m == 2
         assert not report.hypothesis_held
         assert report.verdict.is_conjugation == "no"
@@ -348,7 +348,7 @@ class TestPowerCheck:
             for psi in second_cohomology(x, 4).representatives:
                 for d in (1, 2, 4):
                     calls.clear()
-                    report = power_coefficient_check(x, 4, psi, d,
+                    report = power_coefficient_check(x, psi, d,
                                                      knots=knots)
                     assert calls == [k.name for k in knots], (name, d)
                     if d == 4:
@@ -363,9 +363,9 @@ class TestPowerCheck:
 
 
 @pytest.mark.parametrize("run", [
-    lambda x, phi: constancy_pipeline(x, 2, phi),
-    lambda x, phi: power_coefficient_check(x, 2, phi, 1),
-    lambda x, phi: nonconstancy_certificates(x, 2, phi),
+    lambda x, phi: constancy_pipeline(x, phi),
+    lambda x, phi: power_coefficient_check(x, phi, 1),
+    lambda x, phi: nonconstancy_certificates(x, phi),
 ], ids=["thm31", "thm35", "certify"])
 def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
     calls = []
@@ -374,8 +374,6 @@ def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
     not_cocycle = Cocycle2(3, 2, ((0, 1, 1), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(NotACocycle):
         run(d3, not_cocycle)
-    with pytest.raises(ShapeMismatch):
-        run(d3, Cocycle2.zero(3, 4))
     assert calls == []
 
 
@@ -389,14 +387,14 @@ def test_d_not_dividing_modulus_rejected_before_any_state_sum(d,
     monkeypatch.setattr("quandleforge.knots.state_sum",
                         lambda *args: calls.append(args))
     with pytest.raises(DNotDividesModulus):
-        power_coefficient_check(c4, 4, psi, d)
+        power_coefficient_check(c4, psi, d)
     assert calls == []
 
 
 @pytest.mark.parametrize("run", [
-    lambda x, phi, knots: constancy_pipeline(x, 2, phi, knots=knots),
-    lambda x, phi, knots: power_coefficient_check(x, 2, phi, 1, knots=knots),
-    lambda x, phi, knots: nonconstancy_certificates(x, 2, phi, knots=knots),
+    lambda x, phi, knots: constancy_pipeline(x, phi, knots=knots),
+    lambda x, phi, knots: power_coefficient_check(x, phi, 1, knots=knots),
+    lambda x, phi, knots: nonconstancy_certificates(x, phi, knots=knots),
 ], ids=["thm31", "thm35", "certify"])
 def test_repeated_knot_name_rejected_before_any_state_sum(
         run, tetrahedral, tet_psi, monkeypatch):
@@ -411,9 +409,9 @@ def test_repeated_knot_name_rejected_before_any_state_sum(
 
 
 @pytest.mark.parametrize("run", [
-    lambda x, phi: constancy_pipeline(x, 2, phi),
-    lambda x, phi: power_coefficient_check(x, 2, phi, 1),
-    lambda x, phi: nonconstancy_certificates(x, 2, phi),
+    lambda x, phi: constancy_pipeline(x, phi),
+    lambda x, phi: power_coefficient_check(x, phi, 1),
+    lambda x, phi: nonconstancy_certificates(x, phi),
 ], ids=["thm31", "thm35", "certify"])
 def test_one_cocycle_check_per_request(run, tetrahedral, tet_psi):
     # phi is checked in _validated; the extension is built from that
@@ -445,14 +443,13 @@ def test_one_enumeration_per_request(x6, x6_psi, tetrahedral, tet_psi,
         result = request()
         return len(calls), result
 
-    n, verdict = count(lambda: constancy_pipeline(x6, 2, x6_psi))
+    n, verdict = count(lambda: constancy_pipeline(x6, x6_psi))
     assert (n, verdict.is_conjugation) == (1, "yes")
-    n, report = count(lambda: power_coefficient_check(c4, 4, c4_psi, 2))
+    n, report = count(lambda: power_coefficient_check(c4, c4_psi, 2))
     assert (n, report.verdict.is_conjugation) == (1, "no")
-    n, cert = count(lambda: nonconstancy_certificates(tetrahedral, 2,
-                                                      tet_psi))
+    n, cert = count(lambda: nonconstancy_certificates(tetrahedral, tet_psi))
     assert n == 1 and cert.witness_knots
-    n, verdict = count(lambda: constancy_pipeline(dihedral_quandle(4), 2,
+    n, verdict = count(lambda: constancy_pipeline(dihedral_quandle(4),
                                                   Cocycle2.zero(4, 2)))
     assert (n, verdict.is_conjugation) == (0, "not_applicable")
 
@@ -470,13 +467,13 @@ def c4_psi(c4):
 
 
 @pytest.mark.parametrize("run, fixtures, checks", [
-    (lambda x, phi: constancy_pipeline(x, 2, phi), ("x6", "x6_psi"), 0),
-    (lambda x, psi: power_coefficient_check(x, 4, psi, 2), ("c4", "c4_psi"),
+    (lambda x, phi: constancy_pipeline(x, phi), ("x6", "x6_psi"), 0),
+    (lambda x, psi: power_coefficient_check(x, psi, 2), ("c4", "c4_psi"),
      0),
-    (lambda x, phi: nonconstancy_certificates(x, 2, phi),
+    (lambda x, phi: nonconstancy_certificates(x, phi),
      ("tetrahedral", "tet_psi"), 0),
     (lambda e12: recover_index2_cocycle(e12[1]), ("e12",), 1),
-    (lambda x, phi: abelian_extension(x, 2, phi), ("x6", "x6_psi"), 0),
+    (lambda x, phi: abelian_extension(x, phi), ("x6", "x6_psi"), 0),
 ], ids=["thm31", "thm35", "certify", "recover-ext", "extend"])
 def test_homomorphism_checks_per_request(run, fixtures, checks, request):
     # thm31, thm35, certify and extend read E alone, so no projection onto
@@ -491,7 +488,7 @@ def test_homomorphism_checks_per_request(run, fixtures, checks, request):
 
 class TestCertificates:
     def test_tetrahedral_certificate(self, tetrahedral, tet_psi):
-        cert = nonconstancy_certificates(tetrahedral, 2, tet_psi)
+        cert = nonconstancy_certificates(tetrahedral, tet_psi)
         assert cert is not None
         assert cert.extension.n == 8
         assert "3_1" in cert.witness_knots
@@ -499,7 +496,7 @@ class TestCertificates:
         assert "no finite quandle" in cert.text()
 
     def test_zero_cocycle_no_certificate(self, d3):
-        assert nonconstancy_certificates(d3, 2, Cocycle2.zero(3, 2)) is None
+        assert nonconstancy_certificates(d3, Cocycle2.zero(3, 2)) is None
 
     def test_squared_generator_order12_certificate(self):
         # index-2 extension of the four-cycle class by the squared generator:
@@ -507,13 +504,13 @@ class TestCertificates:
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         phi = cocycle_power(psi, 2)
-        cert = nonconstancy_certificates(q, 2, phi)
+        cert = nonconstancy_certificates(q, phi)
         assert cert is not None
         assert cert.extension.n == 12
         assert cert.conjugation_verdict == "no"
 
     def test_constant_family_never_certified(self, x6, x6_psi):
-        assert nonconstancy_certificates(x6, 2, x6_psi) is None
+        assert nonconstancy_certificates(x6, x6_psi) is None
 
 
 class TestCorpusCoherence:
@@ -534,7 +531,7 @@ def sym5_ext():
     as a corpus_extensions tuple."""
     x = sym_class_quandle(5, (1, 1, 1, 2))
     phi = second_cohomology(x, 2).representatives[0]
-    e, proj = extension_with_projection(x, 2, phi)
+    e, proj = extension_with_projection(x, phi)
     return ("E(sym5_transpositions,Z2,h2gen0)", x, 2, phi, e, proj)
 
 
@@ -665,12 +662,12 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
                 == m * weights.count(0), (name, knot.name)
     with mock.patch.object(envgroup, "conjugation_criterion", memoized):
         for name, x, m, phi, e, _ in drawn:
-            verdict = constancy_pipeline(x, m, phi, knots=[k])
+            verdict = constancy_pipeline(x, phi, knots=[k])
             if verdict.is_conjugation == "yes":
                 assert is_constant(verdict.invariants["fuzz"]), name
             # d = 1 is the constancy check above
             for d in (d for d in range(2, m + 1) if m % d == 0):
-                report = power_coefficient_check(x, m, phi, d, knots=[k])
+                report = power_coefficient_check(x, phi, d, knots=[k])
                 if report.hypothesis_held:
                     assert not any(c for j, c in enumerate(
                         report.coefficients["fuzz"]) if j % report.m), \

@@ -261,8 +261,7 @@ def e12():
     """E(x6, Z_2, rep0), the order-12 extension the benchmark builds with
     `make conj --group s4.group --elem 2`, `h2 --emit-reps` and `extend`."""
     x6 = sym4_class_quandle((1, 1, 2))
-    return abelian_extension(
-        x6, 2, second_cohomology(x6, 2).representatives[0])
+    return abelian_extension(x6, second_cohomology(x6, 2).representatives[0])
 
 
 # the H^2 representatives follow the reduced list, so every input whose

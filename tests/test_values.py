@@ -28,7 +28,7 @@ D3 = dihedral_quandle(3)
 Z3 = cyclic_group(3)
 TREFOIL = parse_braid("3_1", 2, [1, 1, 1])
 ZERO = Cocycle2.zero(3, 2)
-E6 = abelian_extension(D3, 2, ZERO)
+E6 = abelian_extension(D3, ZERO)
 CYCLIC = Presentation(1, ((1, 1, 1),))
 
 # one value of each public type, as its fields in declaration order
@@ -189,6 +189,16 @@ def test_values_are_tuples_of_their_fields(cls):
 def test_validators_raise(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         build()
+
+
+def test_cocycle_rows_are_stored_as_tuples():
+    # Cocycle2 alone copies list rows into tuples, so one built from lists
+    # hashes, and equals the value built from tuples
+    from_lists = Cocycle2(2, 2, [[0, 1], [1, 0]])
+    from_tuples = Cocycle2(2, 2, ((0, 1), (1, 0)))
+    assert from_lists.values == ((0, 1), (1, 0))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
 
 
 def test_custom_reprs():
