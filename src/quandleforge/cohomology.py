@@ -7,9 +7,8 @@ that vanishes on the diagonal; it is a cocycle when
     values[x][y] - values[x][z] + values[x*y][z] - values[x*z][y*z] == 0 (mod m)
 
 for all x, y, z.  A cochain enters as a Cocycle2, which carries m, and
-cocycle(q, phi) checks it against q.  cocycle_witness alone takes a raw
-table and a modulus: _spans_constraints evaluates columns of V modulo Smith
-factors, which are no cocycle's modulus.  Coboundaries follow the convention
+cocycle(q, phi) checks it against q; only cocycle_witness takes a raw
+table.  Coboundaries follow the convention
 
     (d gamma)(x, y) = gamma(x) - gamma(x*y),
 
@@ -17,15 +16,16 @@ which matches relabeling extension fibers by (x, a) -> (x, a - gamma(x));
 the mirror convention differs by a sign and produces the same cohomology.
 
 H^2 is computed over the integers: the off-diagonal pairs index the cochain
-coordinates and the cocycle constraints are row-reduced, up to r* pivots.
-For r orbits their rank is at most r* = n(n-1) - (n-r) - r(r-1): over Q,
-the coboundaries (n - r dimensions) and the r(r-1) cocycles
+coordinates and the cocycle constraints are row-reduced once, up to r*
+pivots.  For r orbits their rank is at most r* = n(n-1) - (n-r) - r(r-1):
+over Q, the coboundaries (n - r dimensions) and the r(r-1) cocycles
 chi_ij = [x in O_i][y in O_j], i != j, are independent, as summing
 c_ij = gamma(x) - gamma(x*y) over x in O_i gives |O_i| c_ij = 0 (x -> x*y
-permutes O_i).  _spans_constraints certifies the lattice.  Two matrices are
-put in Smith normal form: the reduced constraints give the kernel lattice
-(with V, so representatives are V times a vector), and the quotient of that
-lattice by coboundaries plus m times everything gives the invariant factors.
+permutes O_i).  So the pivots span every row over Q; with the rows outside
+their Z-span (_outside), if any, they give the Smith form of all the rows,
+and so the kernel lattice (with V, so representatives are V times a
+vector).  The quotient of that lattice by coboundaries plus m times
+everything gives the invariant factors.
 A spanning forest of the orbits gives coordinates on cochains modulo
 coboundaries, which check the result independently of the solve: each factor
 annihilates its representative, and for each prime p | m the elements of
@@ -90,7 +90,8 @@ class Cocycle2(namedtuple("Cocycle2", "n m values")):
 def cocycle_witness(q, m, values):
     """None if the raw table values is a diagonal-zero 2-cocycle mod m on q;
     otherwise a witness: ('diagonal', x) or ('identity', x, y, z).
-    ShapeMismatch if values is not q.n x q.n."""
+    ShapeMismatch if values is not q.n x q.n.  The tables are those not yet
+    a Cocycle2: recover_index2_cocycle's and the tests' candidates."""
     n = q.n
     if len(values) != n or any(len(row) != n for row in values):
         raise ShapeMismatch(f"cochain is not {n} x {n}")
@@ -208,22 +209,21 @@ def coboundary_space_order(q, m):
 def second_cohomology(q, m):
     """H^2_Q(q, Z_m): invariant factors plus representative cocycles.
 
-    Two Smith normal forms, one per matrix: the reduced cocycle constraints
-    (kernel lattice, with V and Vinv) and the quotient presentation
-    (invariant factors, with Uinv).  Representatives are V times the
-    generators of the quotient; each is verified to be a cocycle.  The
-    transforms are sparse, so each relation row is built from the nonzeros
-    of a row of Vinv, and each representative from the nonzeros of a
-    column of Uinv and the columns of V they select.  The
-    order is verified exactly: |H^2| * coboundary_space_order must equal
-    cocycle_space_order read off the diagonal of the first Smith form, the
-    one of the reduced constraints.  The classes are verified independent
-    one prime p | m at a time, by a rank over F_p of their coordinates
-    modulo coboundaries, which come from the orbits' spanning forest and
-    not from the solve.  Each of these checks raises TheoremViolation when
-    it fails.  The rows reduced are those read up to r* pivots (module
-    docstring), or all if _spans_constraints fails.  CohomologyTooLarge,
-    before any row is built, past MAX_RELATION_CELLS.
+    Smith normal forms of two matrices: the cocycle constraints, reduced
+    once and completed by the rows _outside finds (kernel lattice, with V
+    and Vinv; module docstring), and the quotient presentation (invariant
+    factors, with Uinv).  Representatives are V times the generators of the
+    quotient; each is verified to be a cocycle.  The transforms are sparse,
+    so each relation row is built from the nonzeros of a row of Vinv, and
+    each representative from the nonzeros of a column of Uinv and the
+    columns of V they select.  The order is verified exactly:
+    |H^2| * coboundary_space_order must equal cocycle_space_order read off the
+    diagonal of the constraint lattice's Smith form.  The classes are
+    verified independent one prime p | m at a time, by a rank over F_p of
+    their coordinates modulo coboundaries, which come from the orbits'
+    spanning forest and not from the solve.  Each of these checks raises
+    TheoremViolation when it fails.  CohomologyTooLarge, before any row is
+    built, past MAX_RELATION_CELLS.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -237,12 +237,13 @@ def second_cohomology(q, m):
 
     rows = _constraint_rows(q, pidx)
     k = len(orbits(q))
-    for bound in (npairs - (n - k) - k * (k - 1), None):
-        # no reduced row: the Smith form of a zero row, identity transforms
-        reduced = snf.row_reduce(rows, npairs, rank=bound) or [[0] * npairs]
-        form = snf.smith_normal_form(reduced, want=("V", "Vinv"))
-        if bound is None or _spans_constraints(q, pairs, form):
-            break
+    # no reduced row: the Smith form of a zero row, identity transforms
+    basis = snf.row_reduce(rows, npairs, rank=npairs - (n - k) - k * (k - 1)) \
+        or [[0] * npairs]
+    form = snf.smith_normal_form(basis, want=("V", "Vinv"))
+    outside = _outside(rows, npairs, form)
+    if outside:
+        form = snf.smith_normal_form(basis + outside, want=("V", "Vinv"))
     tdiag = [m // gcd(d, m) for d in form.diag]
     tdiag += [1] * (npairs - len(tdiag))
 
@@ -304,21 +305,20 @@ def second_cohomology(q, m):
     return group
 
 
-def _spans_constraints(q, pairs, form):
-    """Whether the rows A whose Smith form is form span over Z the
-    constraint rows R that they span over Q.  With S = U A V, R lies in the
-    Z-span iff R.V_i = 0 (mod d_i) for each factor d_i > 1, and R.V_i over
-    all R is the cocycle identity of V_i read as a cochain on pairs."""
-    for d, vcol in zip(form.diag, form.V):
-        if d == 1:
-            continue
-        values = [[0] * q.n for _ in range(q.n)]
-        for c, v in vcol.items():
-            a, b = pairs[c]
-            values[a][b] = v
-        if cocycle_witness(q, d, values) is not None:
-            return False
-    return True
+def _outside(rows, npairs, form):
+    """The rows outside the Z-span of A, made dense, for form the Smith form
+    S = U A V: R in A's Q-span is in it iff R.V_i = 0 (mod d_i), d_i > 1."""
+    checks = [(d, vcol.get) for d, vcol in zip(form.diag, form.V) if d > 1]
+    out = []
+    for row in rows:
+        for d, get in checks:
+            s = 0
+            for c, v in row:
+                s += v * get(c, 0)
+            if s % d:
+                out.append(dict(row))
+                break
+    return [[r.get(c, 0) for c in range(npairs)] for r in out]
 
 
 def _coboundary_classes(q, m):

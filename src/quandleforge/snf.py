@@ -3,10 +3,9 @@
 Everything is Python ints, so everything is exact.  `row_reduce` cuts the
 tall, sparse cocycle constraint systems (10^4 rows at order 24, at most 4
 nonzeros each) to an echelon basis of their row lattice, at most one row
-per column, by chasing each row once through the one basis it keeps, and
-reads no row past a rank bound: `second_cohomology` passes the bound r* it
-proves and certifies the lattice of the rows read (see `cohomology`).  Its
-rows are sparse, and its memory follows the fill, not rows x columns.
+per column, chasing each row once through the one basis it keeps and
+reading no row past a rank bound (`second_cohomology` reduces once, up to
+its r*; see `cohomology`).  Its sparse rows keep its memory to the fill.
 `smith_normal_form` takes what is left as dense rows, thousands of rows
 and columns at order 47 but under 1 % nonzero, and works on sparse rows
 (dicts column -> value) with a column index (column -> set of rows), so
@@ -27,7 +26,8 @@ def row_reduce(rows, ncols, stats=None, rank=None):
     read: dense rows (lists of length ncols) with strictly increasing
     leading columns and positive leading entries.  The H^2 representatives
     follow this list, so its rows are part of the contract.  Given rank, no
-    row is read once the basis holds rank rows.
+    row is read once the basis holds rank rows; the caller accounts for
+    the rows left unread, as second_cohomology does with _outside.
 
     Each row, in input order, is chased through pivots (pivots[c] leads at
     column c): it is dropped if it reaches zero, in their lattice, and it

@@ -328,86 +328,123 @@ def paper_scale_quandles():
 
 
 # the corpus extensions whose first r* pivots span a proper sublattice of
-# their rows (28 of 182 rows outside it, and 60 of 612), so second_cohomology
-# reduces every row again: (base, m, index of the H^2 representative)
-FALLBACK = {"E(dihedral_4,Z2,h2gen3)": (dihedral_quandle(4), 2, 3),
-            "E(dihedral_4,Z3,h2gen1)": (dihedral_quandle(4), 3, 1)}
+# their rows, so that second_cohomology completes their Smith form with the
+# rows outside it: (base, m, index of the H^2 representative, rows outside,
+# the factors of H^2 at m = 2, 3, 4, 6 as the reduction of every row gave
+# them)
+FALLBACK = {
+    "E(dihedral_4,Z2,h2gen3)": (
+        dihedral_quandle(4), 2, 3, 28,
+        [(2,) * 9, (3,) * 6, (2,) * 3 + (4,) * 6, (2,) * 3 + (6,) * 6]),
+    "E(dihedral_4,Z3,h2gen1)": (
+        dihedral_quandle(4), 3, 1, 60,
+        [(2,) * 16, (3,) * 12, (2,) * 4 + (4,) * 12, (2,) * 4 + (6,) * 12]),
+}
+
+
+def recorded_ranks(monkeypatch, change=None):
+    """The rank bound of each snf.row_reduce call, recorded; change, if
+    given, alters each basis returned in place."""
+    reduce, ranks = snf.row_reduce, []
+
+    def wrapper(rows, ncols, rank=None):
+        out = reduce(rows, ncols, rank=rank)
+        if change is not None:
+            change(out)
+        ranks.append(rank)
+        return out
+
+    monkeypatch.setattr(snf, "row_reduce", wrapper)
+    return ranks
 
 
 class TestRankBound:
-    """second_cohomology stops reducing at the rank bound r* and certifies
-    the lattice from the Smith form.  The bound changes nothing but the
-    basis it reduces, so the bounded basis must be that of every row, or be
-    rejected by _spans_constraints, after which every row is reduced."""
+    """second_cohomology reduces its constraint rows once, up to the rank
+    bound r*, and certifies the lattice on the Smith form: the rows that
+    _outside finds beyond the lattice of the basis complete that form.  The
+    bound changes nothing but the basis reduced, so _outside finds no row
+    exactly when the bounded basis is that of every row."""
 
-    def check(self, name, q, moduli):
-        """Whether q's bounded basis is rejected, so that second_cohomology
-        reduces every row; each of its runs verifies its group itself."""
+    def check(self, name, q):
+        """The constraint rows of q outside the lattice of its bounded
+        basis, which must be none exactly when that basis is the full one,
+        and which must complete its Smith form to that of the full one."""
         pairs, pidx = cohomology._pair_index(q.n)
         rows = cohomology._constraint_rows(q, pidx)
         full = snf.row_reduce(rows, len(pairs))
         assert len(full) == rank_bound(q), name
         bounded = snf.row_reduce(rows, len(pairs), rank=rank_bound(q))
-        fallback = bounded != full
-        if fallback:
-            assert not cohomology._spans_constraints(
-                q, pairs, snf.smith_normal_form(bounded, want=("V",))), name
-        for m in moduli:
-            second_cohomology(q, m)
-        return fallback
+        outside = cohomology._outside(
+            rows, len(pairs), snf.smith_normal_form(bounded, want=("V",)))
+        assert (outside == []) == (bounded == full), name
+        if outside:
+            assert snf.smith_normal_form(bounded + outside).diag \
+                == snf.smith_normal_form(full).diag, name
+        return outside
 
     def test_corpus_quandles(self):
         for name, q in corpus_quandles():
             if q.n > 1:
-                assert not self.check(name, q, (2, 3, 4, 6)), name
+                assert self.check(name, q) == [], name
 
     def test_corpus_extensions(self):
-        taken = {name for name, _, _, _, e, _ in corpus_extensions()
-                 if self.check(name, e, (2, 3, 4, 6))}
-        assert taken == set(FALLBACK)
+        outside = {name: len(self.check(name, e))
+                   for name, _, _, _, e, _ in corpus_extensions()}
+        assert {name: k for name, k in outside.items() if k} \
+            == {name: case[3] for name, case in FALLBACK.items()}
 
     @pytest.mark.parametrize("name, q", paper_scale_quandles(),
                              ids=["c30", "y24", "a47"])
-    def test_paper_scale(self, name, q):
-        assert not self.check(name, q, (2,)), name
+    def test_paper_scale(self, name, q, monkeypatch):
+        assert self.check(name, q) == [], name
+        ranks = recorded_ranks(monkeypatch)
+        second_cohomology(q, 2)
+        assert ranks == [rank_bound(q)], name
+
+    def test_reduces_once(self, monkeypatch):
+        # every run also verifies its group itself
+        cases = [(name, q) for name, q in corpus_quandles() if q.n > 1]
+        cases += [(name, e) for name, _, _, _, e, _ in corpus_extensions()]
+        ranks = recorded_ranks(monkeypatch)
+        for name, q in cases:
+            for m in (2, 3, 4, 6):
+                ranks.clear()
+                second_cohomology(q, m)
+                assert ranks == [rank_bound(q)], (name, m)
 
     @pytest.mark.parametrize("name", sorted(FALLBACK))
     def test_real_inputs_take_the_fallback(self, name, monkeypatch):
-        # the only inputs known to reach the unbounded reduction: at every
-        # modulus the bounded call is rejected and every row is reduced
-        x, m, i = FALLBACK[name]
+        # the only inputs known to fail the certificate: at every modulus
+        # the rows are reduced once, with r*, the rows outside complete the
+        # Smith form, and the factors are those of the full reduction
+        x, m, i, k, factors = FALLBACK[name]
         e = abelian_extension(x, second_cohomology(x, m).representatives[i])
-        reduce, calls = snf.row_reduce, []
-        monkeypatch.setattr(snf, "row_reduce", lambda rows, ncols, rank=None:
-                            calls.append(rank) or reduce(rows, ncols,
-                                                         rank=rank))
-        for mod in (2, 3, 4, 6):
-            calls.clear()
-            second_cohomology(e, mod)
-            assert calls == [rank_bound(e), None], (name, mod)
+        assert len(self.check(name, e)) == k
+        ranks = recorded_ranks(monkeypatch)
+        for mod, want in zip((2, 3, 4, 6), factors):
+            ranks.clear()
+            assert second_cohomology(e, mod).invariant_factors == want, \
+                (name, mod)
+            assert ranks == [rank_bound(e)], (name, mod)
 
     def test_failed_certificate_reads_every_row(self, x6, monkeypatch):
-        # the first reduction returns the bounded basis with a unit pivot
-        # doubled: its lattice misses that pivot, a constraint combination,
-        # so a Smith column fails the cocycle identity and every row is
-        # reduced again; the group is the one pinned in PINNED_REPS
-        reduce, calls = snf.row_reduce, []
+        # the reduction returns the bounded basis with a unit pivot doubled:
+        # its lattice misses that pivot, a constraint combination, so
+        # _outside finds constraint rows beyond it, and they complete the
+        # Smith form; the group is the one pinned in PINNED_REPS
+        def double(out):
+            i = next(i for i, row in enumerate(out)
+                     if next(v for v in row if v) == 1)
+            out[i] = [2 * v for v in out[i]]
 
-        def doubled(rows, ncols, rank=None):
-            out = reduce(rows, ncols, rank=rank)
-            if not calls:
-                i = next(i for i, row in enumerate(out)
-                         if next(v for v in row if v) == 1)
-                out[i] = [2 * v for v in out[i]]
-                pairs, _ = cohomology._pair_index(x6.n)
-                assert not cohomology._spans_constraints(
-                    x6, pairs, snf.smith_normal_form(out, want=("V",)))
-            calls.append(rank)
-            return out
-
-        monkeypatch.setattr(snf, "row_reduce", doubled)
+        ranks = recorded_ranks(monkeypatch, double)
+        outside, found = cohomology._outside, []
+        monkeypatch.setattr(cohomology, "_outside",
+                            lambda *args: found.append(outside(*args))
+                            or found[-1])
         h = second_cohomology(x6, 2)
-        assert calls == [rank_bound(x6), None]
+        assert ranks == [rank_bound(x6)]
+        assert len(found) == 1 and found[0]
         pinned = TestSecondCohomology.PINNED_REPS[0]
         assert pinned[0] == "x6"
         assert h.invariant_factors == (2,)

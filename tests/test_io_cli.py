@@ -266,6 +266,31 @@ class TestCli:
                             "finite_enveloping_order": 24,
                             "collision": [0, 1]}]
 
+    def test_h2_completes_the_lattice(self, capsys, tmp_path, monkeypatch):
+        # E(d4, Z_2, rep3): 28 of its constraint rows lie outside the
+        # lattice of the first r* pivots, and complete its Smith form
+        from quandleforge import cohomology
+        outside, found = cohomology._outside, []
+        monkeypatch.setattr(cohomology, "_outside",
+                            lambda *args: found.append(outside(*args))
+                            or found[-1])
+        files = {k: str(tmp_path / k) for k in ("d4.quandle", "reps",
+                                                 "e8.quandle")}
+        for argv in (["make", "dihedral", "--n", "4",
+                      "-o", files["d4.quandle"]],
+                     ["h2", "--quandle", files["d4.quandle"], "--mod", "2",
+                      "--emit-reps", files["reps"]],
+                     ["extend", "--quandle", files["d4.quandle"],
+                      "--cocycle", os.path.join(files["reps"], "rep3.cocycle"),
+                      "-o", files["e8.quandle"]]):
+            assert run_cli(capsys, *argv)[0] == 0
+        found.clear()
+        code, records, _ = run_cli(capsys, "h2", "--quandle",
+                                   files["e8.quandle"], "--mod", "2")
+        assert code == 0
+        assert records[0]["invariant_factors"] == [2] * 9
+        assert [len(rows) for rows in found] == [28]
+
     def test_vendramin_not_applicable(self, capsys, tmp_path):
         path = tmp_path / "d4.quandle"
         qio.write_text(path, qio.quandle_to_text(dihedral_quandle(4)))
