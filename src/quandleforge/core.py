@@ -30,8 +30,11 @@ from operator import itemgetter
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
                      NotAHomomorphism, NotEpimorphism)
 
-# the default budgets: elements of Inn(q), cosets of an enumeration
-DEFAULT_GROUP_CAP = 10 ** 7
+# the default budgets: cells of Inn(q) (elements x degree), cosets of an
+# enumeration.  The closure holds each element as a tuple of its images, at
+# 9 to 11 bytes a cell (measured at degrees 98 and 39), so 2 x 10^7 cells
+# keep it near 200 MB
+DEFAULT_GROUP_CELLS = 2 * 10 ** 7
 DEFAULT_MAX_COSETS = 10 ** 6
 
 
@@ -207,11 +210,14 @@ def _generating_tree(q):
     return gens, tuple(tree)
 
 
-def inner_group(q, cap=DEFAULT_GROUP_CAP):
+def inner_group(q, cap=None):
     """Inn(q), the group generated by the right translations: the tuple of
     its elements as image tuples, in discovery order (identity first).  The
     closure runs over R_s for s in the generating set of _generating_tree
-    only.  GroupTooLarge once the closure would pass cap elements."""
+    only.  GroupTooLarge once the closure would pass cap elements; by
+    default cap is the elements of degree n that fit DEFAULT_GROUP_CELLS."""
+    if cap is None:
+        cap = DEFAULT_GROUP_CELLS // q.n
     gens, _ = _generating_tree(q)
     return tuple(_closure(q.n, [q.column(s) for s in gens], cap))
 

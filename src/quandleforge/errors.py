@@ -31,7 +31,9 @@ class NonIntegralIndex(QuandleError):
 
 
 class GroupTooLarge(QuandleError):
-    """Permutation-group closure exceeded the configured element cap.
+    """Permutation-group closure exceeded its element cap.  Each element is
+    a tuple of degree images, so inner_group's default cap is a budget of
+    cells (elements x degree) divided by the degree.
 
     reached counts the elements found, including the one that broke the
     cap, so it is cap + 1; degree is the number of points permuted."""
@@ -144,5 +146,5 @@ class TheoremViolation(QuandleError):
     representative, their independence), todd_coxeter, verify_coset_table
     and _element_columns (the coset table, the subgroup words, the n^2
     relations), recover_index2_cocycle (the recovered cocycle and
-    labeling), lift_coloring (one lift) and the constancy, vanishing and
-    certificate pipelines.  Fail loudly."""
+    labeling), lift_coloring (one lift) and _extension_verdict, the
+    Theorem 3.1 check behind thm31, thm35 and certify.  Fail loudly."""

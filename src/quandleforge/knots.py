@@ -92,13 +92,18 @@ def parse_braid(name, strands, word):
     """Validate a braid word and check its closure is a knot.
 
     BadGenerator for out-of-range letters, NotAKnot when the closure has
-    more than one component.
+    more than one component.  Each letter is one transposition of the
+    strands, so a closure of s strands and L letters has at least s - L
+    components: a count past L + 1 is refused before any per-strand list is
+    built, however large it is.
     """
     if strands < 1:
         raise BadGenerator("strand count must be positive")
     for g in word:
         if g == 0 or abs(g) > strands - 1:
             raise BadGenerator(f"letter {g} invalid on {strands} strands")
+    if strands > len(word) + 1:
+        raise NotAKnot(f"closure of {name} has more than one component")
     cur = list(range(strands))
     for g in word:
         p = abs(g) - 1

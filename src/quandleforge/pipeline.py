@@ -1,11 +1,13 @@
 """End-to-end verification pipelines.
 
 These orchestrate the other modules: terminating sequences of inner
-representations, recovery of the 2-cocycle of an index-2 covering, the
-fixed-fiber criterion that abelian extensions must satisfy, constancy
-verdicts for cocycle invariants of extensions that are conjugation quandles,
-the coefficient-vanishing report for power cocycles, and negative
-certificates ("no quandle has this extension as its inner image").
+representations, recovery of the 2-cocycle of an index-2 covering, and the
+fixed-fiber criterion that abelian extensions must satisfy, which returns
+its witness when it fails.  The three theorem checks return what they
+checked, one ExtensionVerdict from _extension_verdict: Theorem 3.1's
+constancy verdict for E(X, Z_m, phi), the verdict of phi = psi^d beside the
+psi-invariants for Theorem 3.5, and the verdict of a non-constant phi as a
+negative certificate ("no quandle has this extension as its inner image").
 
 Constancy is a proved fact for the hypotheses checked here, and vanishing
 follows from it, so a pipeline that observes a counterexample raises
@@ -96,17 +98,12 @@ def recover_index2_cocycle(f):
     return phi
 
 
-class FiberReport(namedtuple("FiberReport", "holds witness")):
-    """Whether the fixed-fiber criterion holds; when it does not, witness is
-    (inner automorphism images, fixed point, moved point), else None."""
-
-    __slots__ = ()
-
-
 def fiber_criterion(f):
     """Abelian extensions satisfy: an inner automorphism of the source fixing
-    one point of a fiber fixes the fiber pointwise.  A False verdict (with
-    witness) certifies that f is not an abelian extension."""
+    one point of a fiber fixes the fiber pointwise.  Returns None when f
+    satisfies it, and otherwise the witness (inner automorphism images,
+    fixed point, moved point), which certifies that f is not an abelian
+    extension."""
     if not f.is_epimorphism():
         raise NotEpimorphism("fiber criterion expects an epimorphism")
     fibers = [tuple(v) for v in f.fibers().values()]
@@ -115,9 +112,8 @@ def fiber_criterion(f):
             fixed = [p for p in fib if img[p] == p]
             if fixed and len(fixed) != len(fib):
                 moved = next(p for p in fib if img[p] != p)
-                return FiberReport(holds=False,
-                                   witness=(img, fixed[0], moved))
-    return FiberReport(holds=True, witness=None)
+                return img, fixed[0], moved
+    return None
 
 
 class ExtensionVerdict(namedtuple(
@@ -185,16 +181,10 @@ def constancy_pipeline(x, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
                                max_cosets)
 
 
-class PowerCheckReport(namedtuple(
-        "PowerCheckReport",
-        "n d m hypothesis_held verdict coefficients vanishing_ok")):
-    """Coefficient-vanishing report for phi = psi^d.
-
-    verdict is the ExtensionVerdict of phi, or None when m == 1;
-    coefficients maps each knot name to its coefficient tuple over Z_n.
-    vanishing_ok is True when m == 1 or the hypothesis held, else None:
-    never False, as power_coefficient_check proves.
-    """
+class PowerCheckReport(namedtuple("PowerCheckReport", "invariants verdict")):
+    """Theorem 3.5's check of phi = psi^d: invariants maps knot names to the
+    psi-invariants (GroupRingElt over Z_n), and verdict is the
+    ExtensionVerdict of phi, or None when m = n/d is 1."""
 
     __slots__ = ()
 
@@ -216,54 +206,31 @@ def power_coefficient_check(x, psi, d, knots=None,
     knots = _validated(x, psi, knots)
     phi = cohomology.cocycle_power(psi, d)
     invariants = _knot_invariants(x, psi, knots)
-    coefficients = {name: inv.coeffs for name, inv in invariants.items()}
     m = phi.m
-    verdict, held = None, False
-    if m > 1:
-        # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
-        folded = {name: qknots.GroupRingElt(
-                      m, tuple(sum(inv.coeffs[j::m]) for j in range(m)))
-                  for name, inv in invariants.items()}
-        verdict = _extension_verdict(x, phi, folded, max_cosets)
-        held = verdict.is_conjugation == "yes"
-    # at m == 1 phi is trivial, and the report stands vacuously
-    return PowerCheckReport(n=psi.m, d=d, m=m, hypothesis_held=held,
-                            verdict=verdict, coefficients=coefficients,
-                            vanishing_ok=True if m == 1 or held else None)
-
-
-class Certificate(namedtuple(
-        "Certificate", "m extension witness_knots conjugation_verdict")):
-    """A proof that no finite quandle has E = E(X, Z_m, phi) as its inner
-    image.  witness_knots lists the knots whose invariant is non-constant;
-    conjugation_verdict is E's, never "yes" (that raises TheoremViolation).
-    """
-
-    __slots__ = ()
-
-    def text(self):
-        w = ", ".join(self.witness_knots)
-        return (f"E(X, Z_{self.m}, phi) of order {self.extension.n} admits no "
-                f"finite quandle Y with inn(Y) isomorphic to it, and is not a "
-                f"conjugation quandle (witnessing knots: {w})")
+    if m == 1:
+        # phi is trivial, and Theorem 3.5 holds vacuously
+        return PowerCheckReport(invariants=invariants, verdict=None)
+    # the phi-invariant folds the psi-invariant: phi = psi mod m and m | n
+    folded = {name: qknots.GroupRingElt(
+                  m, tuple(sum(inv.coeffs[j::m]) for j in range(m)))
+              for name, inv in invariants.items()}
+    return PowerCheckReport(
+        invariants=invariants,
+        verdict=_extension_verdict(x, phi, folded, max_cosets))
 
 
 def nonconstancy_certificates(x, phi, knots=None,
                               max_cosets=DEFAULT_MAX_COSETS):
-    """For the Cocycle2 phi mod m, emit a certificate when some knot
-    invariant is non-constant: E(X, Z_m, phi) then has no
-    inner-representation preimage and is not a conjugation quandle.  The
-    enveloping-group verdict cross-checks this; a 'yes' would contradict the
-    certificate and raises TheoremViolation.  phi is checked against x and
-    the knot names are validated first (ShapeMismatch, NotACocycle or
-    ValueError), and the extension is built only once a witness knot exists."""
+    """For the Cocycle2 phi mod m: None when every knot invariant is
+    constant, and otherwise the ExtensionVerdict of E(X, Z_m, phi).  Its
+    non-constant invariants certify that E has no inner-representation
+    preimage and is not a conjugation quandle; the enveloping-group verdict
+    cross-checks this, and a 'yes' raises TheoremViolation.  phi is checked
+    against x and the knot names are validated first (ShapeMismatch,
+    NotACocycle or ValueError), and the extension is built only once a
+    non-constant invariant exists."""
     knots = _validated(x, phi, knots)
     invariants = _knot_invariants(x, phi, knots)
-    witnesses = [name for name, inv in invariants.items()
-                 if not qknots.is_constant(inv)]
-    if not witnesses:
+    if all(qknots.is_constant(inv) for inv in invariants.values()):
         return None
-    verdict = _extension_verdict(x, phi, invariants, max_cosets)
-    return Certificate(m=phi.m, extension=verdict.extension,
-                       witness_knots=witnesses,
-                       conjugation_verdict=verdict.is_conjugation)
+    return _extension_verdict(x, phi, invariants, max_cosets)

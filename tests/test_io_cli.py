@@ -361,18 +361,27 @@ class TestCli:
         assert rec["all_constant"] is False
 
     def test_thm35(self, capsys, tmp_path):
+        # the record derives n, d, m, hypothesis_held and vanishing_ok from
+        # the request and its verdict; at d = n, m = 1 and the theorem holds
+        # vacuously
         from helpers import sym4_class_quandle
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         qpath, cpath = tmp_path / "q.quandle", tmp_path / "psi.cocycle"
         qio.write_text(qpath, qio.quandle_to_text(q))
         qio.write_text(cpath, qio.cocycle_to_text(psi))
-        code, records, _ = run_cli(capsys, "thm35", "--quandle", str(qpath),
-                                   "--cocycle", str(cpath), "--d", "2")
-        assert code == 0
-        rec = records[0]
-        assert rec["m"] == 2 and rec["hypothesis_held"] is False
-        assert rec["coefficients"]["3_1"] == [6, 24, 0, 0]
+        for d, m, vanishing in (("2", 2, None), ("4", 1, True)):
+            code, records, err = run_cli(capsys, "thm35", "--quandle",
+                                         str(qpath), "--cocycle", str(cpath),
+                                         "--d", d)
+            assert code == 0
+            rec = records[0]
+            assert (rec["n"], rec["d"], rec["m"]) == (4, int(d), m)
+            assert rec["hypothesis_held"] is False
+            assert rec["vanishing_ok"] is vanishing
+            assert rec["coefficients"]["3_1"] == [6, 24, 0, 0]
+            assert err == (f"m={m} hypothesis=False "
+                           f"vanishing={vanishing}\n")
 
     @pytest.mark.parametrize("command,n,m,d", [
         ("thm35", 5, 4, "2"),   # not a cocycle mod 4, zero mod 2
@@ -403,9 +412,13 @@ class TestCli:
         code, records, err = run_cli(capsys, "certify", "--quandle",
                                      str(qpath), "--cocycle", str(cpath))
         assert code == 0
-        rec = records[0]
-        assert rec["emitted"] and rec["conjugation_verdict"] == "no"
-        assert "no finite quandle" in err
+        assert records == [{"record": "certificate", "emitted": True,
+                            "extension_order": 8,
+                            "witness_knots": ["3_1", "4_1"],
+                            "conjugation_verdict": "no"}]
+        assert err == ("E(X, Z_2, phi) of order 8 admits no finite quandle "
+                       "Y with inn(Y) isomorphic to it, and is not a "
+                       "conjugation quandle (witnessing knots: 3_1, 4_1)\n")
 
     def test_certify_all_constant(self, capsys, tmp_path, d3_file):
         # the zero cocycle weighs every coloring 0, so no certificate

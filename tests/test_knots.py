@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -43,6 +44,20 @@ class TestParseBraid:
     def test_two_component_closure_rejected(self):
         with pytest.raises(NotAKnot):
             parse_braid("bad", 2, [1, 1])
+
+    def test_more_strands_than_letters_refused_before_any_list(self):
+        # each letter is one transposition, so 10^6 strands and one letter
+        # close to 999,999 components; a list of the strands alone would
+        # take about 38 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotAKnot, match="^closure of k has more than "
+                               "one component$"):
+                parse_braid("k", 10 ** 6, [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
     def test_bad_generator(self):
         with pytest.raises(BadGenerator):

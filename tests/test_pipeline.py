@@ -23,9 +23,9 @@ from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotEpimorphism, NotIndex2,
                                  TheoremViolation)
 from quandleforge import cohomology, constructions, core, envgroup
-from quandleforge.knots import (bundled_knots, coloring_weight,
-                                enumerate_colorings, is_constant,
-                                parse_braid, state_sum, tangle_colorings)
+from quandleforge.knots import (GroupRingElt, bundled_knots, coloring_weight,
+                                enumerate_colorings, is_constant, parse_braid,
+                                state_sum, tangle_colorings)
 from quandleforge.pipeline import (constancy_pipeline, fiber_criterion,
                                    inn_sequence, nonconstancy_certificates,
                                    power_coefficient_check,
@@ -170,11 +170,11 @@ class TestFiberCriterion:
         for x, phi in [(x6, x6_psi), (tetrahedral, tet_psi),
                        (dihedral_quandle(5), Cocycle2.zero(5, 3))]:
             _, proj = extension_with_projection(x, phi)
-            assert fiber_criterion(proj).holds
+            assert fiber_criterion(proj) is None
 
     def test_identity_trivial_fibers(self, d3):
         f = QuandleMap(d3, d3, (0, 1, 2))
-        assert fiber_criterion(f).holds
+        assert fiber_criterion(f) is None
 
     def test_not_an_epimorphism_rejected(self, d3):
         # every element to the idempotent 0 is a homomorphism onto one point
@@ -185,9 +185,7 @@ class TestFiberCriterion:
     def test_synthetic_covering_fails_with_witness(self):
         q, proj = synthetic_noncommuting_covering()
         assert is_covering(proj)
-        rep = fiber_criterion(proj)
-        assert not rep.holds
-        img, fixed, moved = rep.witness
+        img, fixed, moved = fiber_criterion(proj)
         assert img[fixed] == fixed and img[moved] != moved
         assert proj.images[fixed] == proj.images[moved]
 
@@ -203,7 +201,7 @@ class TestFiberCriterion:
         target = product_quandle(proj.target, d3)
         f = QuandleMap(p, target, images)
         assert is_covering(f)
-        assert not fiber_criterion(f).holds
+        assert fiber_criterion(f) is not None
 
 
 def regular_group(t):
@@ -296,9 +294,9 @@ class TestConstancyPipeline:
 class TestPowerCheck:
     def test_d_one_reduces_to_constancy(self, x6, x6_psi):
         report = power_coefficient_check(x6, x6_psi, 1)
-        assert report.m == 2
-        assert report.hypothesis_held
-        assert report.vanishing_ok
+        assert report.verdict == constancy_pipeline(x6, x6_psi)
+        assert report.verdict.is_conjugation == "yes"
+        assert report.invariants == report.verdict.invariants
 
     def test_x6_mod6_d3_hypothesis_holds(self, x6):
         # the one corpus case of Theorem 3.5 with d > 1 whose hypothesis
@@ -306,13 +304,17 @@ class TestPowerCheck:
         h = second_cohomology(x6, 6)
         assert h.invariant_factors == (2,)
         report = power_coefficient_check(x6, h.representatives[0], 3)
-        assert report.m == 2
-        assert report.hypothesis_held
-        assert report.vanishing_ok
+        assert report.verdict.extension.n == 2 * x6.n
+        assert report.verdict.is_conjugation == "yes"
+        for name, inv in report.invariants.items():
+            assert inv.m == 6
+            assert not any(c for k, c in enumerate(inv.coeffs) if k % 2), \
+                name
 
-    def test_d_equals_n_vacuous(self, x6, x6_psi):
+    def test_d_equals_n_vacuous(self, x6, x6_psi, knots):
         report = power_coefficient_check(x6, x6_psi, 2)
-        assert report.m == 1 and report.vanishing_ok
+        assert report.verdict is None
+        assert list(report.invariants) == [k.name for k in knots]
 
     def test_fourcycles_z4_hypothesis_fails_with_witness(self):
         # the order-12 extension by the squared generator admits no inner
@@ -320,14 +322,13 @@ class TestPowerCheck:
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         report = power_coefficient_check(q, psi, 2)
-        assert report.m == 2
-        assert not report.hypothesis_held
+        assert report.verdict.extension.n == 2 * q.n
         assert report.verdict.is_conjugation == "no"
-        odd = [c for coeffs in report.coefficients.values()
-               for k, c in enumerate(coeffs) if k % 2]
+        odd = [c for inv in report.invariants.values()
+               for k, c in enumerate(inv.coeffs) if k % 2]
         assert any(odd)
-        assert report.coefficients["3_1"] == (6, 24, 0, 0)
-        assert report.coefficients["6_1"] == (6, 0, 0, 24)
+        assert report.invariants["3_1"] == GroupRingElt(4, (6, 24, 0, 0))
+        assert report.invariants["6_1"] == GroupRingElt(4, (6, 0, 0, 24))
 
 
     def test_folded_invariants_one_state_sum_per_knot(self, corpus, knots,
@@ -447,8 +448,9 @@ def test_one_enumeration_per_request(x6, x6_psi, tetrahedral, tet_psi,
     assert (n, verdict.is_conjugation) == (1, "yes")
     n, report = count(lambda: power_coefficient_check(c4, c4_psi, 2))
     assert (n, report.verdict.is_conjugation) == (1, "no")
-    n, cert = count(lambda: nonconstancy_certificates(tetrahedral, tet_psi))
-    assert n == 1 and cert.witness_knots
+    n, verdict = count(lambda: nonconstancy_certificates(tetrahedral,
+                                                         tet_psi))
+    assert n == 1 and not verdict.invariant_constant_on_corpus
     n, verdict = count(lambda: constancy_pipeline(dihedral_quandle(4),
                                                   Cocycle2.zero(4, 2)))
     assert (n, verdict.is_conjugation) == (0, "not_applicable")
@@ -488,12 +490,13 @@ def test_homomorphism_checks_per_request(run, fixtures, checks, request):
 
 class TestCertificates:
     def test_tetrahedral_certificate(self, tetrahedral, tet_psi):
-        cert = nonconstancy_certificates(tetrahedral, tet_psi)
-        assert cert is not None
-        assert cert.extension.n == 8
-        assert "3_1" in cert.witness_knots
-        assert cert.conjugation_verdict == "no"
-        assert "no finite quandle" in cert.text()
+        # the certificate is thm31's verdict, returned only when some
+        # invariant is non-constant
+        verdict = nonconstancy_certificates(tetrahedral, tet_psi)
+        assert verdict == constancy_pipeline(tetrahedral, tet_psi)
+        assert verdict.extension.n == 8
+        assert not is_constant(verdict.invariants["3_1"])
+        assert verdict.is_conjugation == "no"
 
     def test_zero_cocycle_no_certificate(self, d3):
         assert nonconstancy_certificates(d3, Cocycle2.zero(3, 2)) is None
@@ -504,10 +507,10 @@ class TestCertificates:
         q = sym4_class_quandle((4,))
         psi = second_cohomology(q, 4).representatives[0]
         phi = cocycle_power(psi, 2)
-        cert = nonconstancy_certificates(q, phi)
-        assert cert is not None
-        assert cert.extension.n == 12
-        assert cert.conjugation_verdict == "no"
+        verdict = nonconstancy_certificates(q, phi)
+        assert verdict.extension.n == 12
+        assert not verdict.invariant_constant_on_corpus
+        assert verdict.is_conjugation == "no"
 
     def test_constant_family_never_certified(self, x6, x6_psi):
         assert nonconstancy_certificates(x6, x6_psi) is None
@@ -668,7 +671,7 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
             # d = 1 is the constancy check above
             for d in (d for d in range(2, m + 1) if m % d == 0):
                 report = power_coefficient_check(x, phi, d, knots=[k])
-                if report.hypothesis_held:
+                if d < m and report.verdict.is_conjugation == "yes":
                     assert not any(c for j, c in enumerate(
-                        report.coefficients["fuzz"]) if j % report.m), \
+                        report.invariants["fuzz"].coeffs) if j % (m // d)), \
                         (name, d)

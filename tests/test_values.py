@@ -18,8 +18,8 @@ from quandleforge.envgroup import (ConjugationCriterion, CosetTable,
                                    Presentation, todd_coxeter)
 from quandleforge.errors import NotACocycle, NotAHomomorphism
 from quandleforge.knots import BraidKnot, Coloring, GroupRingElt, parse_braid
-from quandleforge.pipeline import (Certificate, ExtensionVerdict,
-                                   FiberReport, InnSequence, PowerCheckReport)
+from quandleforge.pipeline import (ExtensionVerdict, InnSequence,
+                                   PowerCheckReport)
 from quandleforge.snf import SmithForm
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,22 +52,18 @@ SAMPLES = {
                "source_pairs": ((0, 1, 1), (1, 2, 1), (2, 0, 1))},
     GroupRingElt: {"m": 3, "coeffs": (3, 0, 6)},
     InnSequence: {"quandles": (D3,), "maps": ()},
-    FiberReport: {"holds": False, "witness": ((1, 0, 2), 2, 0)},
     ExtensionVerdict: {"extension": E6, "is_conjugation": "no",
                        "invariants": {"3_1": GroupRingElt(2, (6, 0))},
                        "invariant_constant_on_corpus": True},
-    PowerCheckReport: {"n": 4, "d": 2, "m": 2, "hypothesis_held": False,
-                       "verdict": None, "coefficients": {"3_1": (4, 0, 0, 0)},
-                       "vanishing_ok": None},
-    Certificate: {"m": 2, "extension": E6, "witness_knots": ["3_1"],
-                  "conjugation_verdict": "no"},
+    PowerCheckReport: {"invariants": {"3_1": GroupRingElt(4, (4, 0, 0, 0))},
+                       "verdict": None},
     SmithForm: {"diag": [1, 2], "Uinv": None,
                 "V": [{0: 1}, {1: 1}, {2: 1}],
                 "Vinv": [{0: 1}, {1: 1}, {2: 1}]},
 }
 
 # the types holding a dict or a list, which cannot be hashed
-UNHASHABLE = {ExtensionVerdict, PowerCheckReport, Certificate, SmithForm}
+UNHASHABLE = {ExtensionVerdict, PowerCheckReport, SmithForm}
 
 TYPES = pytest.mark.parametrize("cls", list(SAMPLES),
                                 ids=[cls.__name__ for cls in SAMPLES])
