@@ -12,7 +12,8 @@ so everything here is safe to call concurrently once the layers it uses
 have loaded.  The data types are named tuples: a value equals the plain
 tuple of its fields and iterates over them.  Quandle, FiniteGroup and
 BraidKnot have no __new__: validate_quandle, finite_group and parse_braid
-check them, and an extension's Quandle is built from a checked cocycle.
+check them, an extension's Quandle is built from a checked cocycle, and an
+inner image's from its checked projection.
 _make and _replace, which skip __new__ and its checks, are never called.
 A value is immutable and hashable when its fields are tuples, as every
 constructor here passes; Cocycle2 copies list rows into tuples, and the

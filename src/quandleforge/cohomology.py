@@ -7,8 +7,9 @@ that vanishes on the diagonal; it is a cocycle when
     values[x][y] - values[x][z] + values[x*y][z] - values[x*z][y*z] == 0 (mod m)
 
 for all x, y, z.  A cochain enters as a Cocycle2, which carries m, and
-cocycle(q, phi) checks it against q; only cocycle_witness takes a raw
-table.  Coboundaries follow the convention
+cocycle(q, phi), its one checker, checks it against q (under
+errors.computed for a cochain derived here).  Coboundaries follow the
+convention
 
     (d gamma)(x, y) = gamma(x) - gamma(x*y),
 
@@ -35,12 +36,12 @@ exact.
 """
 
 from collections import namedtuple
-from math import gcd
+from math import gcd, lcm
 
 from . import snf
 from .core import orbit_forest, orbits
 from .errors import (CohomologyTooLarge, DNotDividesModulus, NotACocycle,
-                     ShapeMismatch, TheoremViolation)
+                     ShapeMismatch, TheoremViolation, computed)
 
 # cells of the relation matrix: 4.8 * 10^6 at order 47, 2.1 * 10^8 at 120
 MAX_RELATION_CELLS = 2 * 10 ** 7
@@ -87,18 +88,17 @@ class Cocycle2(namedtuple("Cocycle2", "n m values")):
         return Cocycle2(n, m, [[0] * n] * n)
 
 
-def cocycle_witness(q, m, values):
-    """None if the raw table values is a diagonal-zero 2-cocycle mod m on q;
-    otherwise a witness: ('diagonal', x) or ('identity', x, y, z).
-    ShapeMismatch if values is not q.n x q.n.  The tables are those not yet
-    a Cocycle2: recover_index2_cocycle's and the tests' candidates."""
+def cocycle(q, phi):
+    """Check the Cocycle2 phi against q and return it: ShapeMismatch when
+    phi is not of order q.n, NotACocycle with the witness ('identity', x,
+    y, z), the least triple where the identity fails.  Cocycle2 has already
+    rejected a nonzero diagonal."""
     n = q.n
-    if len(values) != n or any(len(row) != n for row in values):
+    if phi.n != n:
         raise ShapeMismatch(f"cochain is not {n} x {n}")
     t = q.table
-    for x in range(n):
-        if values[x][x] % m != 0:
-            return ("diagonal", x)
+    m = phi.m
+    values = phi.values
     for x in range(n):
         vx = values[x]
         for y in range(n):
@@ -106,17 +106,7 @@ def cocycle_witness(q, m, values):
             vxy = values[xy]
             for z in range(n):
                 if (vx[y] - vx[z] + vxy[z] - values[t[x][z]][t[y][z]]) % m:
-                    return ("identity", x, y, z)
-    return None
-
-
-def cocycle(q, phi):
-    """Check the Cocycle2 phi against q and return it: ShapeMismatch when
-    phi is not of order q.n, NotACocycle with a witness when the cocycle
-    identity fails."""
-    w = cocycle_witness(q, phi.m, phi.values)
-    if w is not None:
-        raise NotACocycle(w)
+                    raise NotACocycle(("identity", x, y, z))
     return phi
 
 
@@ -213,7 +203,7 @@ def second_cohomology(q, m):
     once and completed by the rows _outside finds (kernel lattice, with V
     and Vinv; module docstring), and the quotient presentation (invariant
     factors, with Uinv).  Representatives are V times the generators of the
-    quotient; each is verified to be a cocycle.  The transforms are sparse,
+    quotient; each is checked by cocycle().  The transforms are sparse,
     so each relation row is built from the nonzeros of a row of Vinv, and
     each representative from the nonzeros of a column of Uinv and the
     columns of V they select.  The order is verified exactly:
@@ -286,13 +276,8 @@ def second_cohomology(q, m):
         vals = [[0] * n for _ in range(n)]
         for (a, b), v in zip(pairs, w):
             vals[a][b] = v % m
-        # through cocycle(), whose span forgebench's h2 workload requires;
-        # its NotACocycle would blame the input, and the solve is at fault
-        try:
+        with computed(f"H^2 representative {len(reps)}"):
             reps.append(cocycle(q, Cocycle2(n, m, vals)))
-        except NotACocycle as exc:
-            raise TheoremViolation(
-                f"H^2 representative {len(reps)}: {exc}") from None
 
     # SNF already orders the factors by the divisibility chain
     group = CohomologyGroup(m=m, invariant_factors=tuple(factors),
@@ -376,7 +361,9 @@ def _verify_independent(q, group):
     for d, rep in slots:
         if any(coords(rep.scale(d))):
             raise TheoremViolation("representative order exceeds its factor")
-    for p in _prime_divisors(group.m):
+    # a prime dividing no factor has no classes of its order, and every
+    # factor divides their lcm, so m itself is never factored
+    for p in _prime_divisors(lcm(*group.invariant_factors)):
         rows = [[c // (group.m // p) for c in coords(rep.scale(d // p))]
                 for d, rep in slots if d % p == 0]
         rank_p = sum(1 for s in snf.smith_normal_form(rows).diag if s % p)

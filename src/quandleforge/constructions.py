@@ -6,6 +6,10 @@ Coefficient groups are always cyclic Z_m written additively (identity 0);
 that covers every computation this package targets.  Groups are raw
 multiplication tables with helper constructors for cyclic and symmetric
 groups; group multiplication composes left to right like permutations.
+
+A constructor checks its input, refuses a table past core.MAX_TABLE_CELLS,
+and checks what it built once, by its type's checker under errors.computed;
+an extension's table is not checked, as its cocycle is.
 """
 
 from collections import namedtuple
@@ -14,8 +18,9 @@ from math import gcd
 from operator import itemgetter
 
 from . import cohomology
-from .core import Quandle, _first_failure, _law_failure, validate_quandle
-from .errors import NotAUnit
+from .core import (Quandle, _first_failure, _law_failure, _table_budget,
+                   validate_quandle)
+from .errors import NotAUnit, computed
 
 
 class FiniteGroup(namedtuple("FiniteGroup", "order mult identity inverse")):
@@ -64,9 +69,13 @@ def finite_group(mult_table):
 
 
 def cyclic_group(k):
+    """Z_k; TableTooLarge past core.MAX_TABLE_CELLS."""
     if k < 1:
         raise ValueError("order must be positive")
-    return finite_group([[(a + b) % k for b in range(k)] for a in range(k)])
+    _table_budget(k)
+    with computed("cyclic group"):
+        return finite_group(
+            [[(a + b) % k for b in range(k)] for a in range(k)])
 
 
 def symmetric_group(degree):
@@ -77,8 +86,8 @@ def symmetric_group(degree):
     elems = sorted(permutations(range(degree)))
     index = {p: i for i, p in enumerate(elems)}
     mult = [[index[tuple(q[i] for i in p)] for q in elems] for p in elems]
-    g = finite_group(mult)
-    return g, tuple(elems)
+    with computed("symmetric group"):
+        return finite_group(mult), tuple(elems)
 
 
 class GroupAutomorphism(namedtuple("GroupAutomorphism", "group images")):
@@ -105,17 +114,22 @@ def _check_element(g, x):
 def conjugation_automorphism(g, x):
     """The inner automorphism a -> x^-1 a x."""
     _check_element(g, x)
-    return GroupAutomorphism(g, tuple(g.conj(a, x) for a in range(g.order)))
+    with computed("conjugation automorphism"):
+        return GroupAutomorphism(
+            g, tuple(g.conj(a, x) for a in range(g.order)))
 
 
 def alexander_quandle(n, t):
-    """a*b = t*a + (1-t)*b mod n for a unit t."""
+    """a*b = t*a + (1-t)*b mod n for a unit t; TableTooLarge past
+    core.MAX_TABLE_CELLS."""
     if n < 1:
         raise ValueError("order must be positive")
     if gcd(t % n, n) != 1:
         raise NotAUnit(f"{t} is not a unit mod {n}")
-    return validate_quandle(
-        n, [[(t * a + (1 - t) * b) % n for b in range(n)] for a in range(n)])
+    _table_budget(n)
+    table = [[(t * a + (1 - t) * b) % n for b in range(n)] for a in range(n)]
+    with computed("alexander quandle"):
+        return validate_quandle(n, table)
 
 
 def dihedral_quandle(n):
@@ -135,7 +149,8 @@ def generalized_alexander_quandle(g, f):
     k = g.order
     table = [[g.mult[f.images[g.mult[x][g.inverse[y]]]][y]
               for y in range(k)] for x in range(k)]
-    return validate_quandle(k, table)
+    with computed("generalized alexander quandle"):
+        return validate_quandle(k, table)
 
 
 def conjugation_quandle(g, x):
@@ -146,44 +161,25 @@ def conjugation_quandle(g, x):
     pos = {v: i for i, v in enumerate(cls)}
     k = len(cls)
     table = [[pos[g.conj(cls[a], cls[b])] for b in range(k)] for a in range(k)]
-    return validate_quandle(k, table), tuple(cls)
-
-
-def extension_table(x, m, values):
-    """The raw table on X x Z_m for (x,a)*(y,b) = (x*y, a + values[x][y]).
-
-    No cocycle check: the table is a quandle exactly when values is a
-    diagonal-zero 2-cocycle, which tests exercise both ways.  Pairs are
-    encoded as x*m + a.
-    """
-    n = x.n
-    size = n * m
-    table = [[0] * size for _ in range(size)]
-    for a in range(n):
-        for lev in range(m):
-            row = table[a * m + lev]
-            for b in range(n):
-                base = x.table[a][b] * m + (lev + values[a][b]) % m
-                for lev2 in range(m):
-                    row[b * m + lev2] = base
-    return table
+    with computed("conjugation quandle"):
+        return validate_quandle(k, table), tuple(cls)
 
 
 def abelian_extension(x, phi):
-    """The extension quandle E(X, Z_m, phi) for the Cocycle2 phi mod m,
-    whose element x*m + a is (x, a).
-
-    phi is checked against x by cohomology.cocycle (ShapeMismatch, or
-    NotACocycle with a witness).  That check is the only one: the table
-    satisfies the quandle axioms exactly when phi is a diagonal-zero
-    cocycle, so it is not validated again.  The projection onto X is
-    i -> i // m.
-    """
+    """E(X, Z_m, phi) for the Cocycle2 phi, element x*m + a the pair
+    (x, a), projecting onto X by i -> i // m.  phi is checked against x by
+    cohomology.cocycle, the only check: the table satisfies the axioms
+    exactly when phi is a cocycle."""
     return _extension(x, cohomology.cocycle(x, phi))
 
 
 def _extension(x, phi):
     """E(X, Z_m, phi) for a Cocycle2 phi already checked against x: nothing
-    is checked again."""
-    return Quandle(n=x.n * phi.m, table=tuple(
-        tuple(row) for row in extension_table(x, phi.m, phi.values)))
+    is checked again.  (x, a)*(y, b) = (x*y, a + phi(x, y)) for every b.
+    TableTooLarge, before any row is built, past core.MAX_TABLE_CELLS."""
+    m = phi.m
+    _table_budget(x.n * m)
+    return Quandle(n=x.n * m, table=tuple(
+        tuple(c for xy, v in zip(row, vals)
+              for c in (xy * m + (a + v) % m,) * m)
+        for row, vals in zip(x.table, phi.values) for a in range(m)))

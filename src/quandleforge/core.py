@@ -28,7 +28,8 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
-                     NotAHomomorphism, NotEpimorphism)
+                     NotAHomomorphism, NotEpimorphism, TableTooLarge,
+                     computed)
 
 # the default budgets: cells of Inn(q) (elements x degree), cosets of an
 # enumeration.  The closure holds each element as a tuple of its images, at
@@ -36,6 +37,15 @@ from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
 # keep it near 200 MB
 DEFAULT_GROUP_CELLS = 2 * 10 ** 7
 DEFAULT_MAX_COSETS = 10 ** 6
+# cells of a table built from a few numbers: an extension's at a peak of 8
+# bytes a cell, an Alexander quandle's or a cyclic group's at 49 (measured at
+# orders 1,000 to 2,001), so 10^7 cells keep each under 0.5 GB
+MAX_TABLE_CELLS = 10 ** 7
+
+
+def _table_budget(order):
+    if order * order > MAX_TABLE_CELLS:
+        raise TableTooLarge(order, MAX_TABLE_CELLS)
 
 
 class Quandle(namedtuple("Quandle", "n table")):
@@ -268,6 +278,12 @@ def inn_image(q):
     Elements of the image are numbered by first occurrence.  The operation is
     induced by representatives, which is well defined because translations of
     products depend only on the translations of the factors.
+
+    The one check, under errors.computed, is of the projection f as a
+    homomorphism and as onto; it proves the image's axioms.  For i = f(a),
+    j = f(b), k = f(c): i*i = f(a*a) = i, (i*j)*k = f((a*b)*c) =
+    f((a*c)*(b*c)) = (i*k)*(j*k), and j = f(b')*k for b = b'*c, so R_k is
+    onto the finite image.
     """
     index = {}
     reps = []
@@ -278,10 +294,13 @@ def inn_image(q):
             index[col] = len(reps)
             reps.append(a)
         img.append(index[col])
-    m = len(reps)
-    table = [[img[q.op(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    image_q = validate_quandle(m, table)
-    return image_q, QuandleMap(q, image_q, tuple(img))
+    image_q = Quandle(n=len(reps), table=tuple(
+        tuple(img[q.op(r, s)] for s in reps) for r in reps))
+    with computed("inner representation"):
+        f = QuandleMap(q, image_q, tuple(img))
+        if not f.is_epimorphism():
+            raise NotEpimorphism("projection is not onto")
+    return image_q, f
 
 
 def is_covering(f):

@@ -72,7 +72,7 @@ from operator import itemgetter
 
 from ._kernels import coset_enumeration
 from .core import DEFAULT_MAX_COSETS, _generating_tree, is_connected
-from .errors import Capped, TheoremViolation
+from .errors import Capped, TheoremViolation, computed
 
 
 class Presentation(namedtuple("Presentation", "ngens relators")):
@@ -151,7 +151,8 @@ def generator_presentation(q):
                     rels[rel] = None
     for k, g in enumerate(gens):
         rels[(k + 1,) * _permutation_order(q.column(g))] = None
-    return Presentation(ngens=len(gens), relators=tuple(rels)), tree
+    with computed("generator presentation"):
+        return Presentation(ngens=len(gens), relators=tuple(rels)), tree
 
 
 def _permutation_order(images):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and computed."""
+
+from contextlib import contextmanager
 
 
 class QuandleError(Exception):
@@ -100,6 +102,16 @@ class CohomologyTooLarge(QuandleError):
             f"over the budget of {cap}")
 
 
+class TableTooLarge(QuandleError):
+    """A table of order^2 cells would pass core.MAX_TABLE_CELLS."""
+
+    def __init__(self, order, budget):
+        self.order, self.cells, self.budget = order, order * order, budget
+        super().__init__(
+            f"a table of order {order} has {self.cells} cells, over the "
+            f"budget of {budget}")
+
+
 class NotAKnot(QuandleError):
     """Braid closure has more than one component."""
 
@@ -145,6 +157,21 @@ class TheoremViolation(QuandleError):
     by second_cohomology (the relation lattice, the order, each
     representative, their independence), todd_coxeter, verify_coset_table
     and _element_columns (the coset table, the subgroup words, the n^2
-    relations), recover_index2_cocycle (the recovered cocycle and
-    labeling), lift_coloring (one lift) and _extension_verdict, the
-    Theorem 3.1 check behind thm31, thm35 and certify.  Fail loudly."""
+    relations), generator_presentation, recover_index2_cocycle (the
+    recovered cocycle and labeling), inn_image (its projection), the
+    constructors of the make families, lift_coloring (one lift) and
+    _extension_verdict, the Theorem 3.1 check behind thm31, thm35 and
+    certify.  Fail loudly."""
+
+
+@contextmanager
+def computed(what):
+    """Around the check of a value the library derived: a QuandleError or
+    ValueError there is the implementation's fault, and leaves as
+    TheoremViolation(f"{what}: {exc}"); a TheoremViolation passes."""
+    try:
+        yield
+    except TheoremViolation:
+        raise
+    except (QuandleError, ValueError) as exc:
+        raise TheoremViolation(f"{what}: {exc}") from None

@@ -11,7 +11,8 @@ negative certificate ("no quandle has this extension as its inner image").
 
 Constancy is a proved fact for the hypotheses checked here, and vanishing
 follows from it, so a pipeline that observes a counterexample raises
-TheoremViolation: that is a bug detector, not a report line.
+TheoremViolation: that is a bug detector, not a report line.  So does a
+failed check of what a pipeline derives (errors.computed).
 """
 
 from collections import namedtuple
@@ -24,7 +25,7 @@ from . import knots as qknots
 from .core import (DEFAULT_MAX_COSETS, inner_group, inn_image, is_covering,
                    is_faithful)
 from .errors import (NotACovering, NotEpimorphism, NotIndex2,
-                     TheoremViolation)
+                     TheoremViolation, computed)
 
 class InnSequence(namedtuple("InnSequence", "quandles maps")):
     """Q0 -> Q1 -> ... -> Qk with each map the projection onto the quandle of
@@ -55,10 +56,10 @@ def recover_index2_cocycle(f):
 
     The fiber over each base point is labeled {0, 1} with the least
     preimage at level 0; phi(a, b) is the level of s(a) * s(b), for s(a) the
-    level-0 point over a.  phi is checked once as a 2-cocycle, and
-    u -> 2 f(u) + level(u) once as a quandle map onto E(X, Z_2, phi); the
-    map is a bijection, so that check proves the isomorphism.  Both check
-    the result, not the input, and raise TheoremViolation when they fail.
+    level-0 point over a.  phi is checked once by cohomology.cocycle under
+    errors.computed, and u -> 2 f(u) + level(u) once as a quandle map onto
+    E(X, Z_2, phi), a bijection, so that check proves the isomorphism.  Both
+    check the result, not the input; they raise TheoremViolation.
 
     The checks cannot fail for a covering whose fibers have two points,
     connected or not.  f is a covering, so both points over z have one right
@@ -81,13 +82,9 @@ def recover_index2_cocycle(f):
     for b, (low, high) in fibers.items():   # preimages in ascending order
         section[b] = low
         level[high] = 1
-    values = tuple(tuple(level[y.table[sa][sb]] for sb in section)
-                   for sa in section)
-    w = cohomology.cocycle_witness(x, 2, values)
-    if w is not None:
-        raise TheoremViolation(
-            f"recovered values are not a 2-cocycle; witness {w}")
-    phi = cohomology.Cocycle2(x.n, 2, values)
+    with computed("recovered cocycle"):
+        phi = cohomology.cocycle(x, cohomology.Cocycle2(x.n, 2, (
+            [level[y.table[sa][sb]] for sb in section] for sa in section)))
     e = constructions._extension(x, phi)
     bad = core._law_failure(y.table, e.table,
                             [2 * b + level[u] for u, b in enumerate(f.images)])

@@ -17,14 +17,14 @@ from helpers import (are_isomorphic, corpus_extensions, corpus_quandles,
 from oracles import (brute_coboundary_count, brute_cocycle_count,
                      coxeter_s3_order, grid_coloring_count, quandles_up_to_iso)
 from quandleforge.cohomology import (Cocycle2, coboundary_space_order,
-                                     cocycle_witness, cohomologous,
-                                     second_cohomology)
-from quandleforge.constructions import dihedral_quandle, extension_table
+                                     cocycle, cohomologous, second_cohomology)
+from quandleforge.constructions import _extension, dihedral_quandle
 from quandleforge.core import (inn_image, is_connected, is_faithful,
                                validate_quandle)
 from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter, verify_coset_table)
-from quandleforge.errors import AxiomViolation, TheoremViolation
+from quandleforge.errors import (AxiomViolation, NotACocycle,
+                                 TheoremViolation)
 from quandleforge.knots import (bundled_knots, enumerate_colorings,
                                 is_constant, parse_braid, state_sum,
                                 tangle_colorings)
@@ -118,9 +118,14 @@ def test_criterion_3_extension_iff_cocycle():
                 vals = [[0] * n for _ in range(n)]
                 for v, (x, y) in zip(assignment, pairs):
                     vals[x][y] = v
-                is_co = cocycle_witness(q, m, vals) is None
+                phi = Cocycle2(n, m, vals)
                 try:
-                    validate_quandle(n * m, extension_table(q, m, vals))
+                    cocycle(q, phi)
+                    is_co = True
+                except NotACocycle:
+                    is_co = False
+                try:
+                    validate_quandle(n * m, _extension(q, phi).table)
                     valid = True
                 except AxiomViolation:
                     valid = False

@@ -17,8 +17,8 @@ from quandleforge import cohomology, snf
 from quandleforge.cohomology import (CohomologyGroup, Cocycle2,
                                      _verify_independent, coboundary,
                                      coboundary_space_order, cocycle,
-                                     cocycle_power, cocycle_witness,
-                                     cohomologous, second_cohomology)
+                                     cocycle_power, cohomologous,
+                                     second_cohomology)
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         conjugation_automorphism,
                                         conjugation_quandle, dihedral_quandle,
@@ -32,26 +32,27 @@ from quandleforge.errors import (CohomologyTooLarge, DNotDividesModulus,
 
 class TestIsCocycle:
     def test_zero(self, d3):
-        assert cocycle_witness(d3, 3, Cocycle2.zero(3, 3).values) is None
+        zero = Cocycle2.zero(3, 3)
+        assert cocycle(d3, zero) is zero
 
     @pytest.mark.parametrize("rows,cols", [(3, 3), (5, 3), (7, 5)],
                              ids=["small", "short-rows", "extra-rows"])
     def test_shape_mismatch(self, d5, rows, cols):
         values = [[0] * cols for _ in range(rows)]
-        with pytest.raises(ShapeMismatch):
-            cocycle_witness(d5, 2, values)
         if rows != cols:
             # a table that is not square is no Cocycle2
             with pytest.raises(ValueError, match="n x n"):
                 Cocycle2(rows, 2, values)
         else:
+            phi = Cocycle2(rows, 2, values)
+            with pytest.raises(ShapeMismatch, match=r"^cochain is not 5 x 5$"):
+                cocycle(d5, phi)
             with pytest.raises(ShapeMismatch):
-                abelian_extension(d5, Cocycle2(rows, 2, values))
+                abelian_extension(d5, phi)
 
     def test_coboundaries_are_cocycles(self, d3):
         for gamma in [(0, 1, 2), (1, 1, 0), (2, 0, 1)]:
-            assert cocycle_witness(
-                d3, 3, coboundary(d3, 3, gamma).values) is None
+            cocycle(d3, coboundary(d3, 3, gamma))
 
     def test_all_ones_off_diagonal_d3_mod3(self, d3):
         # direct evaluation: the identity already fails at (x,y,z) = (0,1,0)
@@ -59,16 +60,24 @@ class TestIsCocycle:
         lhs = (vals[0][1] - vals[0][0] + vals[d3.op(0, 1)][0]
                - vals[d3.op(0, 0)][d3.op(1, 0)]) % 3
         assert lhs != 0
-        assert cocycle_witness(d3, 3, vals) is not None
+        with pytest.raises(NotACocycle):
+            cocycle(d3, Cocycle2(3, 3, vals))
 
     def test_witness_returned(self, d3):
+        # the least failing triple, in the message that forge prints
         vals = [[0 if x == y else 1 for y in range(3)] for x in range(3)]
-        w = cocycle_witness(d3, 3, vals)
-        assert w is not None and w[0] == "identity"
+        with pytest.raises(NotACocycle, match=r"^not a 2-cocycle; witness "
+                           r"\('identity', 0, 1, 0\)$") as exc:
+            cocycle(d3, Cocycle2(3, 3, vals))
+        assert exc.value.witness == ("identity", 0, 1, 0)
 
     def test_diagonal_witness(self, d3):
+        # Cocycle2 rejects a nonzero diagonal, so cocycle() never sees one
         vals = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-        assert cocycle_witness(d3, 2, vals) == ("diagonal", 0)
+        with pytest.raises(NotACocycle, match="^nonzero diagonal entry; "
+                           "witness 0$") as exc:
+            Cocycle2(3, 2, vals)
+        assert exc.value.witness == 0
 
 
 class TestCoboundary:
@@ -84,7 +93,7 @@ class TestCoboundary:
         assert expected == ((0, 1, 1), (0, 0, 1), (0, 1, 0))
         got = coboundary(d3, 2, gamma)
         assert got.values == expected
-        assert cocycle_witness(d3, 2, got.values) is None
+        cocycle(d3, got)
 
     def test_linearity(self, d5):
         g1, g2 = (0, 1, 2, 3, 4), (2, 2, 0, 1, 4)
@@ -99,7 +108,7 @@ class TestCoboundary:
         m = data.draw(st.integers(2, 5))
         gamma = data.draw(st.lists(st.integers(0, m - 1), min_size=q.n,
                                    max_size=q.n))
-        assert cocycle_witness(q, m, coboundary(q, m, gamma).values) is None
+        cocycle(q, coboundary(q, m, gamma))
 
 
 class TestSecondCohomology:
@@ -305,7 +314,7 @@ class TestSecondCohomology:
             h = second_cohomology(q, m)
             zero = Cocycle2.zero(q.n, m)
             for d, rep in zip(h.invariant_factors, h.representatives):
-                assert cocycle_witness(q, m, rep.values) is None
+                cocycle(q, rep)
                 assert not cohomologous(q, rep, zero)
                 assert cohomologous(q, rep.scale(d), zero)
 
@@ -505,6 +514,23 @@ class TestVerifyIndependent:
         g = coboundary(q, 4, range(q.n))
         self.check(q, (r[0].add(g), r[1], r[2].add(g), r[3]))
 
+    @pytest.mark.parametrize("name, m, factors, factored", [
+        ("dihedral_3", 2, (), 1),
+        ("tetrahedral", 12, (2,), 2),
+        ("sym4_fourcycles", 12, (4,), 4),
+    ])
+    def test_factors_lcm_not_modulus(self, monkeypatch, name, m, factors,
+                                     factored):
+        # a prime of m that divides no factor gives no class, so only the
+        # factors' lcm is factored: 1 when H^2 is trivial, whatever m is
+        q = dict(corpus_quandles())[name]
+        seen = []
+        primes = cohomology._prime_divisors
+        monkeypatch.setattr(cohomology, "_prime_divisors",
+                            lambda k: seen.append(k) or primes(k))
+        assert second_cohomology(q, m).invariant_factors == factors
+        assert seen == [factored]
+
 
 class TestCohomologous:
     def test_reflexive(self, d3):
@@ -572,7 +598,7 @@ class TestCocyclePower:
         psi = second_cohomology(q, 4).representatives[0]
         phi = cocycle_power(psi, 2)
         assert phi.m == 2
-        assert cocycle_witness(q, 2, phi.values) is None
+        cocycle(q, phi)
         # the reindexed values are the originals mod 2
         for x in range(q.n):
             for y in range(q.n):

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 from helpers import (Permutation, are_isomorphic, corpus_extensions,
                      extension_with_projection)
 from oracles import dihedral_table, group_axiom_failure, trivial_table
-from quandleforge.cohomology import Cocycle2, cocycle_witness
-from quandleforge.constructions import (GroupAutomorphism, abelian_extension,
-                                        alexander_quandle,
+from quandleforge.cohomology import Cocycle2, cocycle
+from quandleforge.constructions import (GroupAutomorphism, _extension,
+                                        abelian_extension, alexander_quandle,
                                         conjugation_automorphism,
                                         conjugation_quandle, cyclic_group,
-                                        dihedral_quandle, extension_table,
-                                        finite_group,
+                                        dihedral_quandle, finite_group,
                                         generalized_alexander_quandle,
                                         symmetric_group, trivial_quandle)
+from quandleforge import core
 from quandleforge.core import (QuandleMap, inn_image, is_connected,
                                is_covering, validate_quandle)
-from quandleforge.errors import AxiomViolation, NotACocycle, NotAUnit
+from quandleforge.errors import (AxiomViolation, NotACocycle, NotAUnit,
+                                 TableTooLarge)
 
 
 def inversion_automorphism(g):
@@ -212,10 +213,9 @@ class TestAbelianExtension:
 
     def test_bad_cocycle_rejected(self, d3):
         vals = [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
-        assert cocycle_witness(d3, 2, vals) is not None
         with pytest.raises(NotACocycle) as exc:
             abelian_extension(d3, Cocycle2(3, 2, vals))
-        assert exc.value.witness is not None
+        assert exc.value.witness[0] == "identity"
 
     def test_extensions_pass_table_check(self):
         # abelian_extension checks only the cocycle; the axioms of the table
@@ -226,7 +226,7 @@ class TestAbelianExtension:
             assert validate_quandle(e.n, e.table) == e, name
 
     def test_extension_valid_iff_cocycle(self):
-        # exhaustive equivalence between the quandle axioms on the raw
+        # exhaustive equivalence between the quandle axioms on the unchecked
         # extension table and the cocycle identity
         cases = [(trivial_quandle(2), 2), (trivial_quandle(2), 3),
                  (dihedral_quandle(3), 2), (dihedral_quandle(3), 3),
@@ -238,13 +238,59 @@ class TestAbelianExtension:
                 vals = [[0] * q.n for _ in range(q.n)]
                 for v, (x, y) in zip(assignment, pairs):
                     vals[x][y] = v
-                really = cocycle_witness(q, m, vals) is None
-                table = extension_table(q, m, vals)
+                phi = Cocycle2(q.n, m, vals)
                 try:
-                    validate_quandle(q.n * m, table)
+                    cocycle(q, phi)
+                    really = True
+                except NotACocycle:
+                    really = False
+                try:
+                    validate_quandle(q.n * m, _extension(q, phi).table)
                     valid = True
                 except AxiomViolation:
                     valid = False
                 if valid != really:
                     mismatches += 1
             assert mismatches == 0, (q.n, m)
+
+
+class TestTableBudget:
+    """The constructors that build a table from a few numbers refuse one
+    past core.MAX_TABLE_CELLS before building any row; planted at 100."""
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: alexander_quandle(11, 2), 11),
+        (lambda: dihedral_quandle(11), 11),
+        (lambda: cyclic_group(11), 11),
+        (lambda: abelian_extension(dihedral_quandle(3), Cocycle2.zero(3, 4)),
+         12),
+    ], ids=["alexander", "dihedral", "cyclic-group", "extension"])
+    def test_refused(self, monkeypatch, build, order):
+        monkeypatch.setattr(core, "MAX_TABLE_CELLS", 100)
+        with pytest.raises(TableTooLarge, match=(
+                rf"^a table of order {order} has {order * order} cells, "
+                rf"over the budget of 100$")) as exc:
+            build()
+        assert (exc.value.order, exc.value.cells, exc.value.budget) \
+            == (order, order * order, 100)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_TABLE_CELLS", 100)
+        assert dihedral_quandle(10).n == 10
+        assert cyclic_group(10).order == 10
+        assert abelian_extension(dihedral_quandle(5),
+                                 Cocycle2.zero(5, 2)).n == 10
+
+    def test_refused_before_any_row(self):
+        # at the default budget, a 3 x 3 cochain mod 10^6 would ask for
+        # 9 x 10^12 cells: refused with nothing allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableTooLarge):
+                _extension(dihedral_quandle(3), Cocycle2.zero(3, 10 ** 6))
+            with pytest.raises(TableTooLarge):
+                dihedral_quandle(10 ** 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak

@@ -711,6 +711,8 @@ class TestCli:
     THEOREM_31 = ("extension is a conjugation quandle but some invariant "
                   "is non-constant; the implementation is broken")
 
+    INNER = "inner representation: f(0*6) != f(0)*f(6)"
+
     @pytest.mark.parametrize("command, message", [
         ("h2", "H^2 representative 0: not a 2-cocycle; witness "
                "('identity', 0, 1, 0)"),
@@ -720,9 +722,14 @@ class TestCli:
         ("thm31", THEOREM_31),
         ("thm35", THEOREM_31),
         ("certify", THEOREM_31),
-    ], ids=["h2", "vendramin", "recover-ext", "thm31", "thm35", "certify"])
+        ("props", INNER),
+        ("inn-seq", INNER),
+        ("recover-ext", INNER),
+        ("make", "alexander quandle: idempotency fails at 0"),
+    ], ids=["h2", "vendramin", "recover-ext", "thm31", "thm35", "certify",
+            "props", "inn-seq", "recover-ext-inn", "make"])
     def test_failed_self_check_exits_2(self, capsys, tmp_path, monkeypatch,
-                                       tetrahedral, tet_psi, command,
+                                       tetrahedral, tet_psi, e12, command,
                                        message):
         # one planted failure per family of self-checks: every cocycle
         # identity fails in H^2, the coset kernel returns the regular action
@@ -730,15 +737,25 @@ class TestCli:
         # E from the zero cocycle, and the theorem requests hear "yes" from
         # Vendramin's criterion beside a non-constant invariant.  thm35 on
         # c4 mod 4 with d = 2 fails Theorem 3.1 on the folded invariant, so
-        # its vanishing needs no check of its own.  Each is the
-        # implementation's fault: exit 2, one line on stderr, no record
+        # its vanishing needs no check of its own.  inn_image on e12 reads
+        # every product of its image table transposed, so its projection is
+        # no homomorphism; make dihedral hands the axiom check a table with
+        # each row rotated.  Each is the implementation's fault, not the
+        # input's: exit 2, one line on stderr, no record
         from helpers import sym4_class_quandle
-        from quandleforge import cohomology, constructions, envgroup
+        from quandleforge import cohomology, constructions, core, envgroup
         from quandleforge.constructions import abelian_extension
+        from quandleforge.errors import NotACocycle
         quandle, phi, extra = tetrahedral, None, []
-        if command == "h2":
-            monkeypatch.setattr(cohomology, "cocycle_witness",
-                                lambda *args: ("identity", 0, 1, 0))
+        if message == self.INNER:
+            quandle = e12[0]
+            monkeypatch.setattr(core.Quandle, "op",
+                                lambda self, a, b: self.table[b][a])
+        elif command == "h2":
+            def fails(q, phi):
+                raise NotACocycle(("identity", 0, 1, 0))
+
+            monkeypatch.setattr(cohomology, "cocycle", fails)
             extra = ["--mod", "2"]
         elif command == "vendramin":
             quandle = dihedral_quandle(3)
@@ -751,6 +768,11 @@ class TestCli:
             monkeypatch.setattr(constructions, "_extension",
                                 lambda x, phi: build(
                                     x, Cocycle2.zero(x.n, phi.m)))
+        elif command == "make":
+            validate = constructions.validate_quandle
+            monkeypatch.setattr(constructions, "validate_quandle",
+                                lambda n, table: validate(
+                                    n, [row[1:] + row[:1] for row in table]))
         else:
             phi = tet_psi
             if command == "thm35":
@@ -760,9 +782,12 @@ class TestCli:
             monkeypatch.setattr(envgroup, "conjugation_criterion",
                                 lambda *args: envgroup.ConjugationCriterion(
                                     True, 1, None))
-        path = tmp_path / "q.quandle"
-        qio.write_text(path, qio.quandle_to_text(quandle))
-        argv = [command, "--quandle", str(path)]
+        if command == "make":
+            argv = ["make", "dihedral", "--n", "3"]
+        else:
+            path = tmp_path / "q.quandle"
+            qio.write_text(path, qio.quandle_to_text(quandle))
+            argv = [command, "--quandle", str(path)]
         if phi is not None:
             cpath = tmp_path / "phi.cocycle"
             qio.write_text(cpath, qio.cocycle_to_text(phi))

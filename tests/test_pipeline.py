@@ -144,14 +144,21 @@ class TestRecoverIndex2:
             recover_index2_cocycle(proj)
 
     def test_cocycle_check_is_live(self, monkeypatch, x6, x6_psi):
-        # the recovered values are checked as a 2-cocycle of the result
+        # the recovered values are checked by cocycle(), and its failure is
+        # the implementation's: a TheoremViolation, not a NotACocycle
         _, proj = extension_with_projection(x6, x6_psi)
-        monkeypatch.setattr(cohomology, "cocycle_witness",
-                            lambda *args: ("identity", 0, 1, 0))
-        with pytest.raises(TheoremViolation, match=r"^recovered values are "
+        seen = []
+
+        def fails(q, phi):
+            seen.append(phi)
+            raise NotACocycle(("identity", 0, 1, 0))
+
+        monkeypatch.setattr(cohomology, "cocycle", fails)
+        with pytest.raises(TheoremViolation, match=r"^recovered cocycle: "
                            r"not a 2-cocycle; witness \('identity', 0, 1, "
                            r"0\)$"):
             recover_index2_cocycle(proj)
+        assert [phi.values for phi in seen] == [x6_psi.values]
 
     def test_not_index_two(self, d3):
         e, proj = extension_with_projection(d3, Cocycle2.zero(3, 3))
@@ -418,10 +425,10 @@ def test_one_cocycle_check_per_request(run, tetrahedral, tet_psi):
     # phi is checked in _validated; the extension is built from that
     # Cocycle2 without a second check.  tet_psi has non-constant invariants,
     # so certify builds the extension too
-    with mock.patch("quandleforge.cohomology.cocycle_witness",
-                    wraps=cohomology.cocycle_witness) as witness:
+    with mock.patch("quandleforge.cohomology.cocycle",
+                    wraps=cohomology.cocycle) as check:
         result = run(tetrahedral, tet_psi)
-    assert witness.call_count == 1
+    assert check.call_count == 1
     verdict = getattr(result, "verdict", result)
     assert verdict.extension.n == 8
 
