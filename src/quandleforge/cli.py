@@ -2,7 +2,7 @@
 
 Every subcommand writes line-oriented JSON records to stdout and a short
 human summary to stderr.  Exit codes: 0 ok (--help included); 1 the input
-is at fault (a usage error or bad data, a table over its budget
+is at fault (a usage error or bad data, a request over a budget
 included); 2 a self-check of a computed result or a mechanically checked
 theorem failed (TheoremViolation, one "THEOREM VIOLATION:" line on
 stderr), which is an implementation bug.  Every check of a derived value,
@@ -10,7 +10,7 @@ from an H^2 representative to a make family's table, fails through
 errors.computed, so it exits 2, never 1.  A value of an int option, or an
 item of make --images, that is not an integer is a usage error.  _SHARED
 declares once the options that several subcommands take: --quandle,
---cocycle, --knots, --max-cosets and -o.  A command writes its files
+--cocycle, --knots and -o (none sets a budget).  A command writes its files
 before it prints a record, so a request whose file cannot be written
 prints none.  h2 --emit-reps DIR creates DIR and its missing parents; -o
 FILE creates no directory.  Element indices inside records (validate's
@@ -29,8 +29,7 @@ import sys
 from . import cohomology, constructions, envgroup, pipeline
 from . import io as qio
 from . import knots as qknots
-from .core import (DEFAULT_MAX_COSETS, inn_image, inner_group, is_connected,
-                   is_faithful)
+from .core import inn_image, inner_group, is_connected, is_faithful
 from .errors import AxiomViolation, QuandleError, TheoremViolation
 
 
@@ -163,7 +162,7 @@ def cmd_invariant(args):
 
 def cmd_vendramin(args):
     q = qio.read_quandle(args.quandle)
-    crit = envgroup.conjugation_criterion(q, args.max_cosets)
+    crit = envgroup.conjugation_criterion(q)
     rec = {"record": "vendramin", "verdict": crit.verdict}
     if crit.connected:
         rec["finite_enveloping_order"] = crit.order
@@ -191,8 +190,7 @@ def cmd_recover_ext(args):
 def cmd_thm31(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
-    verdict = pipeline.constancy_pipeline(q, phi, knots=_load_knots(args),
-                                          max_cosets=args.max_cosets)
+    verdict = pipeline.constancy_pipeline(q, phi, knots=_load_knots(args))
     emit({"record": "constancy",
           "extension_order": verdict.extension.n,
           "is_conjugation": verdict.is_conjugation,
@@ -209,8 +207,7 @@ def cmd_thm35(args):
     q = qio.read_quandle(args.quandle)
     psi = qio.read_cocycle(args.cocycle)
     report = pipeline.power_coefficient_check(q, psi, args.d,
-                                              knots=_load_knots(args),
-                                              max_cosets=args.max_cosets)
+                                              knots=_load_knots(args))
     m = psi.m // args.d
     held = (report.verdict is not None
             and report.verdict.is_conjugation == "yes")
@@ -230,7 +227,7 @@ def cmd_certify(args):
     q = qio.read_quandle(args.quandle)
     phi = qio.read_cocycle(args.cocycle)
     verdict = pipeline.nonconstancy_certificates(
-        q, phi, knots=_load_knots(args), max_cosets=args.max_cosets)
+        q, phi, knots=_load_knots(args))
     if verdict is None:
         emit({"record": "certificate", "emitted": False})
         note("all invariants constant; no certificate")
@@ -336,8 +333,6 @@ _SHARED = {
     "quandle": (("--quandle",), {"required": True}),
     "cocycle": (("--cocycle",), {"required": True}),
     "knots": (("--knots",), {}),
-    "max-cosets": (("--max-cosets",),
-                   {"type": int, "default": DEFAULT_MAX_COSETS}),
     "output": (("-o", "--output"), {}),
 }
 
@@ -378,17 +373,17 @@ def build_parser():
     p.add_argument("--tangle", action="store_true",
                    help="report 1-tangle colorings instead")
 
-    add("vendramin", cmd_vendramin, "quandle", "max-cosets",
+    add("vendramin", cmd_vendramin, "quandle",
         help="decide the conjugation-quandle criterion")
     add("recover-ext", cmd_recover_ext, "quandle", "output",
         help="recover the Z_2 cocycle of an index-2 inner representation")
-    add("thm31", cmd_thm31, "quandle", "cocycle", "knots", "max-cosets",
+    add("thm31", cmd_thm31, "quandle", "cocycle", "knots",
         help="extension constancy pipeline over the knot corpus")
     p = add("thm35", cmd_thm35, "quandle", "cocycle",
             help="power-cocycle coefficient vanishing check")
     p.add_argument("--d", type=int, required=True)
-    _add_shared(p, "knots", "max-cosets")
-    add("certify", cmd_certify, "quandle", "cocycle", "knots", "max-cosets",
+    _add_shared(p, "knots")
+    add("certify", cmd_certify, "quandle", "cocycle", "knots",
         help="emit no-inner-preimage certificates from non-constant "
              "invariants")
 

@@ -31,12 +31,10 @@ from .errors import (AxiomViolation, GroupTooLarge, NonIntegralIndex,
                      NotAHomomorphism, NotEpimorphism, TableTooLarge,
                      computed)
 
-# the default budgets: cells of Inn(q) (elements x degree), cosets of an
-# enumeration.  The closure holds each element as a tuple of its images, at
-# 9 to 11 bytes a cell (measured at degrees 98 and 39), so 2 x 10^7 cells
-# keep it near 200 MB
-DEFAULT_GROUP_CELLS = 2 * 10 ** 7
-DEFAULT_MAX_COSETS = 10 ** 6
+# cells of Inn(q) (elements x degree).  The closure holds each element as a
+# tuple of its images, at 9 to 11 bytes a cell (measured at degrees 98 and
+# 39), so 2 x 10^7 cells keep it near 200 MB
+MAX_GROUP_CELLS = 2 * 10 ** 7
 # cells of a table built from a few numbers: an extension's at a peak of 8
 # bytes a cell, an Alexander quandle's or a cyclic group's at 49 (measured at
 # orders 1,000 to 2,001), so 10^7 cells keep each under 0.5 GB
@@ -220,16 +218,15 @@ def _generating_tree(q):
     return gens, tuple(tree)
 
 
-def inner_group(q, cap=None):
+def inner_group(q):
     """Inn(q), the group generated by the right translations: the tuple of
     its elements as image tuples, in discovery order (identity first).  The
     closure runs over R_s for s in the generating set of _generating_tree
-    only.  GroupTooLarge once the closure would pass cap elements; by
-    default cap is the elements of degree n that fit DEFAULT_GROUP_CELLS."""
-    if cap is None:
-        cap = DEFAULT_GROUP_CELLS // q.n
+    only.  GroupTooLarge once the closure would pass the elements of degree
+    n that fit MAX_GROUP_CELLS."""
     gens, _ = _generating_tree(q)
-    return tuple(_closure(q.n, [q.column(s) for s in gens], cap))
+    return tuple(_closure(q.n, [q.column(s) for s in gens],
+                          MAX_GROUP_CELLS // q.n))
 
 
 def orbit_forest(q):

@@ -64,6 +64,7 @@ single pure-Python HLT with deductions in _kernels (scans from both ends,
 queued coincidences, deterministic numbering); a completed table is stored
 by columns and gets a full verification pass (each generator's two columns
 mutually inverse permutations, every relator closing at every coset).
+todd_coxeter reads its budget, MAX_COSETS, at call time; past it, Capped.
 """
 
 from collections import namedtuple
@@ -71,8 +72,12 @@ from math import lcm
 from operator import itemgetter
 
 from ._kernels import coset_enumeration
-from .core import DEFAULT_MAX_COSETS, _generating_tree, is_connected
+from .core import _generating_tree, is_connected
 from .errors import Capped, TheoremViolation, computed
+
+# cosets that one enumeration may allocate.  e120 = E(c30, Z_4, rep0), the
+# largest enumeration measured, allocates 9,830
+MAX_COSETS = 10 ** 6
 
 
 class Presentation(namedtuple("Presentation", "ngens relators")):
@@ -172,21 +177,20 @@ def _permutation_order(images):
     return lcm(*lens)
 
 
-def todd_coxeter(p, max_cosets=DEFAULT_MAX_COSETS, subgroup=()):
+def todd_coxeter(p, subgroup=()):
     """Enumerate the cosets of the subgroup generated by the words of
     subgroup, the trivial subgroup by default; the live count is its index.
-    Raises Capped when the allocation budget is exceeded, and verifies the
-    completed table, and that every subgroup word fixes coset 0, before
-    returning it; a failed check raises TheoremViolation."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
+    Raises Capped once the enumeration would allocate more than MAX_COSETS
+    cosets, and verifies the completed table, and that every subgroup word
+    fixes coset 0, before returning it; a failed check raises
+    TheoremViolation."""
     stats = {}
     words = [_to_columns(w) for w in subgroup]
     complete, result = coset_enumeration(
-        p.ngens, [_to_columns(r) for r in p.relators], max_cosets, stats,
+        p.ngens, [_to_columns(r) for r in p.relators], MAX_COSETS, stats,
         subgroup=words)
     if not complete:
-        raise Capped(max_cosets, result, stats["live"], p.ngens,
+        raise Capped(MAX_COSETS, result, stats["live"], p.ngens,
                      len(p.relators))
     table = CosetTable(presentation=p, size=len(result),
                        columns=tuple(zip(*result)))
@@ -275,19 +279,17 @@ def _element_columns(q, t, tree):
     return cols
 
 
-def conjugation_criterion(q, max_cosets=DEFAULT_MAX_COSETS):
+def conjugation_criterion(q):
     """Walk q's orbits once and, when q is connected, enumerate the cosets
     of <x_s> in its finite enveloping group once for the order, the first
     generator collision and the verdict (see the module docstring);
-    max_cosets bounds those cosets."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be positive")
+    MAX_COSETS bounds those cosets."""
     if not is_connected(q):
         return ConjugationCriterion(connected=False, order=None,
                                     collision=None)
     p, tree = generator_presentation(q)
     # x_s is generator 1, s the root of the tree's first branch
-    t = todd_coxeter(p, max_cosets, subgroup=((1,),))
+    t = todd_coxeter(p, subgroup=((1,),))
     order = _permutation_order(q.column(tree[0][0])) * t.size
     seen = {}
     for i, col in enumerate(_element_columns(q, t, tree)):

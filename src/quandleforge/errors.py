@@ -34,8 +34,8 @@ class NonIntegralIndex(QuandleError):
 
 class GroupTooLarge(QuandleError):
     """Permutation-group closure exceeded its element cap.  Each element is
-    a tuple of degree images, so inner_group's default cap is a budget of
-    cells (elements x degree) divided by the degree.
+    a tuple of degree images, so inner_group's cap is core.MAX_GROUP_CELLS,
+    a budget of cells (elements x degree), divided by the degree.
 
     reached counts the elements found, including the one that broke the
     cap, so it is cap + 1; degree is the number of points permuted."""
@@ -71,8 +71,8 @@ class DNotDividesModulus(QuandleError):
 
 
 class Capped(QuandleError):
-    """Coset enumeration exceeded max_cosets. Either raise the cap or accept
-    that the group is larger than the budget.
+    """Coset enumeration would allocate more than max_cosets cosets,
+    envgroup.MAX_COSETS: the group is larger than the budget.
 
     allocated counts the cosets allocated, including the one that broke the
     cap; live counts the cosets still live at the abort.  ngens and
@@ -112,6 +112,17 @@ class TableTooLarge(QuandleError):
             f"budget of {budget}")
 
 
+class StateSumTooLarge(QuandleError):
+    """A state sum mod m would hold m coefficients, past
+    knots.MAX_COEFFICIENTS."""
+
+    def __init__(self, m, budget):
+        self.m, self.budget = m, budget
+        super().__init__(
+            f"a state sum mod {m} has {m} coefficients, over the budget of "
+            f"{budget}")
+
+
 class NotAKnot(QuandleError):
     """Braid closure has more than one component."""
 
@@ -121,7 +132,8 @@ class BadGenerator(QuandleError):
 
 
 class EnumerationTooLarge(QuandleError):
-    """Coloring enumeration would exceed the assignment cap.
+    """Coloring enumeration would exceed the assignment cap,
+    knots.MAX_ASSIGNMENTS.
 
     n is the quandle's order and strands the braid's; seeds is the number
     of seed arcs whose colors are enumerated, and candidates = n^seeds the

@@ -24,6 +24,10 @@ the scan of all n^s top tuples in tests/oracles.py, whose move loop the
 braid-relation tests certify; the Markov tests compare the plan's state sums
 across presentations of one knot.
 
+The budgets are module constants, read at call time and checked before the
+work they bound: MAX_ASSIGNMENTS is the cap on n^k, and MAX_COEFFICIENTS on
+the m coefficients of a state sum mod m.
+
 A 1-tangle is the knot cut open at the closure arc of position 0, so the
 tangle functions take the BraidKnot itself; its endpoints are the top of
 position 0 (y0) and the bottom of position 0 (y1).  Callers read the end
@@ -43,9 +47,15 @@ from collections import namedtuple
 from ._kernels import braid_closure_colorings
 from .core import is_covering, orbit_forest
 from .errors import (BadGenerator, FiberMismatch, NotACovering, NotAKnot,
-                     ShapeMismatch, TheoremViolation)
+                     ShapeMismatch, StateSumTooLarge, TheoremViolation)
 
-DEFAULT_ASSIGNMENT_CAP = 10 ** 8
+MAX_ASSIGNMENTS = 10 ** 8
+# coefficients of one state sum, m for a cocycle mod m.  A request keeps up
+# to one vector of m per knot: forge certify over the bundled table peaks at
+# about 100 bytes per unit of m, and thm35 with d = n, which also prints
+# them, at about 250 (tracemalloc, m = 10^5 and 10^6), so 2 x 10^6 keeps
+# each under 0.5 GB
+MAX_COEFFICIENTS = 2 * 10 ** 6
 
 
 class BraidKnot(namedtuple("BraidKnot", "name strands word")):
@@ -140,22 +150,22 @@ def bundled_knots():
     return [parse_braid(name, s, w) for name, s, w in BUNDLED_WORDS]
 
 
-def _colorings(q, knot, relax_first, cap):
+def _colorings(q, knot, relax_first):
     return [Coloring(top, bottom, pairs) for top, bottom, pairs
             in braid_closure_colorings(q.table, q.n, knot.strands,
                                        list(knot.word), orbit_forest(q),
-                                       relax_first, cap=cap)]
+                                       relax_first, cap=MAX_ASSIGNMENTS)]
 
 
-def enumerate_colorings(q, k, cap=DEFAULT_ASSIGNMENT_CAP):
+def enumerate_colorings(q, k):
     """All colorings of the closed braid diagram by q."""
-    return _colorings(q, k, False, cap)
+    return _colorings(q, k, False)
 
 
 def tangle_colorings(q, k):
     """Colorings of the 1-tangle of k: the closure constraint is dropped at
     the cut arc, so y0 and y1 may differ."""
-    return _colorings(q, k, True, DEFAULT_ASSIGNMENT_CAP)
+    return _colorings(q, k, True)
 
 
 def coloring_weight(phi, coloring):
@@ -167,10 +177,14 @@ def coloring_weight(phi, coloring):
 
 
 def state_sum(q, phi, k):
-    """The cocycle invariant: one u^weight per coloring of the closure."""
+    """The cocycle invariant: one u^weight per coloring of the closure.
+    StateSumTooLarge, before any coloring is enumerated, when its m
+    coefficients pass MAX_COEFFICIENTS."""
     if phi.n != q.n:
         raise ShapeMismatch(f"cocycle on {phi.n} elements, quandle of "
                             f"order {q.n}")
+    if phi.m > MAX_COEFFICIENTS:
+        raise StateSumTooLarge(phi.m, MAX_COEFFICIENTS)
     coeffs = [0] * phi.m
     for c in enumerate_colorings(q, k):
         coeffs[coloring_weight(phi, c)] += 1

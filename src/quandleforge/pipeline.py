@@ -13,6 +13,13 @@ Constancy is a proved fact for the hypotheses checked here, and vanishing
 follows from it, so a pipeline that observes a counterexample raises
 TheoremViolation: that is a bug detector, not a report line.  So does a
 failed check of what a pipeline derives (errors.computed).
+
+No function here takes a budget: each is a constant of the module that
+enforces it.  constancy_pipeline and power_coefficient_check hold E's table
+to core.MAX_TABLE_CELLS before their state sums, which hold m to
+knots.MAX_COEFFICIENTS, and Vendramin's criterion on E enumerates at most
+envgroup.MAX_COSETS cosets.  nonconstancy_certificates builds E only once
+it finds a non-constant invariant.
 """
 
 from collections import namedtuple
@@ -22,8 +29,7 @@ from collections import namedtuple
 # knot and enveloping-group layers unloaded
 from . import cohomology, constructions, core, envgroup
 from . import knots as qknots
-from .core import (DEFAULT_MAX_COSETS, inner_group, inn_image, is_covering,
-                   is_faithful)
+from .core import inner_group, inn_image, is_covering, is_faithful
 from .errors import (NotACovering, NotEpimorphism, NotIndex2,
                      TheoremViolation, computed)
 
@@ -126,7 +132,7 @@ class ExtensionVerdict(namedtuple(
     __slots__ = ()
 
 
-def _extension_verdict(x, phi, invariants, max_cosets):
+def _extension_verdict(x, phi, invariants):
     """Build E(X, Z_m, phi) and take its Vendramin verdict, beside the
     phi-invariants of a knot table (knot name -> GroupRingElt).  phi is a
     Cocycle2 already checked against x (by _validated, or as the power of
@@ -136,7 +142,7 @@ def _extension_verdict(x, phi, invariants, max_cosets):
     invariants, so a 'yes' beside a non-constant one raises TheoremViolation.
     """
     e = constructions._extension(x, phi)
-    conjugation = envgroup.conjugation_criterion(e, max_cosets).verdict
+    conjugation = envgroup.conjugation_criterion(e).verdict
     constant = all(qknots.is_constant(inv) for inv in invariants.values())
     if conjugation == "yes" and not constant:
         raise TheoremViolation(
@@ -166,16 +172,17 @@ def _knot_invariants(x, phi, knots):
     return {k.name: qknots.state_sum(x, phi, k) for k in knots}
 
 
-def constancy_pipeline(x, phi, knots=None, max_cosets=DEFAULT_MAX_COSETS):
+def constancy_pipeline(x, phi, knots=None):
     """For the Cocycle2 phi mod m: build E(X, Z_m, phi), decide whether E is
     a conjugation quandle (hence has an inner-representation preimage), and
     compute the cocycle invariant on the knot corpus.  A 'yes' verdict
     together with any non-constant invariant raises TheoremViolation.  phi
-    is checked against x and the knot names are validated before any state
-    sum (ShapeMismatch, NotACocycle or ValueError)."""
+    is checked against x, the knot names are validated and E's table is
+    held to core.MAX_TABLE_CELLS before any state sum (ShapeMismatch,
+    NotACocycle, ValueError or TableTooLarge)."""
     knots = _validated(x, phi, knots)
-    return _extension_verdict(x, phi, _knot_invariants(x, phi, knots),
-                               max_cosets)
+    core._table_budget(x.n * phi.m)
+    return _extension_verdict(x, phi, _knot_invariants(x, phi, knots))
 
 
 class PowerCheckReport(namedtuple("PowerCheckReport", "invariants verdict")):
@@ -186,14 +193,14 @@ class PowerCheckReport(namedtuple("PowerCheckReport", "invariants verdict")):
     __slots__ = ()
 
 
-def power_coefficient_check(x, psi, d, knots=None,
-                            max_cosets=DEFAULT_MAX_COSETS):
+def power_coefficient_check(x, psi, d, knots=None):
     """For the Cocycle2 psi mod n and phi = psi^d mod m = n/d: when the
     extension by phi is a conjugation quandle, every coefficient a_k of the
     psi-invariant with k not divisible by m must vanish.  psi is checked
     against x (ShapeMismatch or NotACocycle), d must divide n
-    (DNotDividesModulus) and the knot names must be distinct (ValueError);
-    all three are checked before any state sum.
+    (DNotDividesModulus), the knot names must be distinct (ValueError) and,
+    when m > 1, E's table must fit core.MAX_TABLE_CELLS (TableTooLarge);
+    all four are checked before any state sum.
 
     Vanishing needs no check of its own.  Theorem 3.1 is checked on the
     phi-invariant, which folds the psi-invariant, b_j = sum of a_k over
@@ -202,8 +209,10 @@ def power_coefficient_check(x, psi, d, knots=None,
     """
     knots = _validated(x, psi, knots)
     phi = cohomology.cocycle_power(psi, d)
-    invariants = _knot_invariants(x, psi, knots)
     m = phi.m
+    if m > 1:
+        core._table_budget(x.n * m)
+    invariants = _knot_invariants(x, psi, knots)
     if m == 1:
         # phi is trivial, and Theorem 3.5 holds vacuously
         return PowerCheckReport(invariants=invariants, verdict=None)
@@ -213,11 +222,10 @@ def power_coefficient_check(x, psi, d, knots=None,
               for name, inv in invariants.items()}
     return PowerCheckReport(
         invariants=invariants,
-        verdict=_extension_verdict(x, phi, folded, max_cosets))
+        verdict=_extension_verdict(x, phi, folded))
 
 
-def nonconstancy_certificates(x, phi, knots=None,
-                              max_cosets=DEFAULT_MAX_COSETS):
+def nonconstancy_certificates(x, phi, knots=None):
     """For the Cocycle2 phi mod m: None when every knot invariant is
     constant, and otherwise the ExtensionVerdict of E(X, Z_m, phi).  Its
     non-constant invariants certify that E has no inner-representation
@@ -230,4 +238,4 @@ def nonconstancy_certificates(x, phi, knots=None,
     invariants = _knot_invariants(x, phi, knots)
     if all(qknots.is_constant(inv) for inv in invariants.values()):
         return None
-    return _extension_verdict(x, phi, invariants, max_cosets)
+    return _extension_verdict(x, phi, invariants)

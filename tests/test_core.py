@@ -200,25 +200,28 @@ class TestInnerGroup:
                     assert v == q.table[u][gens[k]], name
                     assert place[u] < i, name
 
-    def test_cap(self, d3):
+    def test_cap(self, d3, monkeypatch):
+        # 9 cells are 3 elements of degree 3
+        monkeypatch.setattr(core, "MAX_GROUP_CELLS", 9)
         with pytest.raises(GroupTooLarge) as info:
-            inner_group(d3, cap=3)
+            inner_group(d3)
         err = info.value
         assert (err.cap, err.reached, err.degree) == (3, 4, 3)
         assert str(err).startswith("group closure exceeded cap 3")
 
     def test_default_cap_budgets_cells(self, d3, monkeypatch):
-        # the default cap counts elements x degree: Inn(d3 x T_20) is Inn(d3)
-        # acting on 60 points, so the six elements that fit a budget of 60
-        # cells at degree 3 do not fit it at degree 60
-        monkeypatch.setattr(core, "DEFAULT_GROUP_CELLS", 60)
+        # the cap counts elements x degree: Inn(d3 x T_20) is Inn(d3) acting
+        # on 60 points, so the six elements that fit a budget of 60 cells at
+        # degree 3 do not fit it at degree 60
+        monkeypatch.setattr(core, "MAX_GROUP_CELLS", 60)
         assert len(inner_group(d3)) == 6
         wide = product_quandle(d3, trivial_quandle(20))
         with pytest.raises(GroupTooLarge) as info:
             inner_group(wide)
         err = info.value
         assert (err.cap, err.reached, err.degree) == (1, 2, 60)
-        assert len(inner_group(wide, cap=6)) == 6
+        monkeypatch.setattr(core, "MAX_GROUP_CELLS", 360)
+        assert len(inner_group(wide)) == 6
 
     def test_group_axioms(self, d5):
         g = inner_group(d5)

@@ -10,9 +10,8 @@ from quandleforge.cohomology import Cocycle2, second_cohomology
 from quandleforge.constructions import (abelian_extension, alexander_quandle,
                                         dihedral_quandle, trivial_quandle)
 from quandleforge.core import is_connected, is_faithful
-from quandleforge.envgroup import (DEFAULT_MAX_COSETS, CosetTable,
-                                   Presentation, _element_columns,
-                                   conjugation_criterion,
+from quandleforge.envgroup import (CosetTable, Presentation,
+                                   _element_columns, conjugation_criterion,
                                    generator_presentation, todd_coxeter,
                                    verify_coset_table)
 from quandleforge._kernels import coset_enumeration
@@ -39,12 +38,13 @@ class TestPresentation:
         assert len(conj) == 9
         assert sorted(powers) == [(1, 1), (2, 2), (3, 3)]
 
-    def test_infinite_without_power_relators(self):
+    def test_infinite_without_power_relators(self, monkeypatch):
         # one generator, only the vacuous conjugation relator of the order-1
         # quandle: a free group, so enumeration must hit the cap
         p = Presentation(1, ((-1, 1, 1, -1),))
+        monkeypatch.setattr(envgroup, "MAX_COSETS", 500)
         with pytest.raises(Capped) as exc:
-            todd_coxeter(p, max_cosets=500)
+            todd_coxeter(p)
         # the cap is checked at every definition, and a free group's cosets
         # never coincide
         assert exc.value.allocated == 501
@@ -119,10 +119,11 @@ class TestToddCoxeter:
                 bigger = Presentation(1, ((1,) * k, (1,) * extra))
                 assert todd_coxeter(bigger).size <= base
 
-    def test_capped_carries_counts(self):
+    def test_capped_carries_counts(self, monkeypatch):
         p = full_presentation(dihedral_quandle(9))
+        monkeypatch.setattr(envgroup, "MAX_COSETS", 3)
         with pytest.raises(Capped) as exc:
-            todd_coxeter(p, max_cosets=3)
+            todd_coxeter(p)
         assert exc.value.max_cosets == 3
         assert exc.value.allocated == 4
         assert exc.value.live == 3
@@ -132,8 +133,9 @@ class TestToddCoxeter:
         assert "9 generators and 90 relators" in str(exc.value)
         # coincidences before the abort take cosets out of the live count
         p = full_presentation(dihedral_quandle(27))
+        monkeypatch.setattr(envgroup, "MAX_COSETS", 1000)
         with pytest.raises(Capped) as exc:
-            todd_coxeter(p, max_cosets=1000)
+            todd_coxeter(p)
         assert exc.value.allocated == 1001
         assert 0 < exc.value.live < 1000
 
@@ -162,12 +164,6 @@ class TestVendramin:
         assert (crit.connected, crit.order, crit.collision) \
             == (False, None, None)
 
-    @pytest.mark.parametrize("q", [dihedral_quandle(3), trivial_quandle(2)],
-                             ids=["connected", "disconnected"])
-    def test_max_cosets_checked_before_connectivity(self, q):
-        with pytest.raises(ValueError, match="must be positive"):
-            conjugation_criterion(q, 0)
-
     def test_faithful_connected_corpus_all_yes(self, corpus):
         for name, q in corpus:
             if not (is_connected(q) and is_faithful(q)) or q.n > 9:
@@ -182,8 +178,7 @@ class TestVendramin:
 
     def test_order_25_alexander_within_default_budget(self):
         # a connected order-25 quandle whose group has 500 elements
-        crit = conjugation_criterion(alexander_quandle(25, 2),
-                                     DEFAULT_MAX_COSETS)
+        crit = conjugation_criterion(alexander_quandle(25, 2))
         assert (crit.verdict, crit.order) == ("yes", 500)
 
     def test_extension_verdict_yes(self, e12):
@@ -278,16 +273,16 @@ class TestGeneratorPresentation:
 
     def test_alexander_47_5_within_default_budget(self):
         # a paper-scale base: order 47, the group has 2,162 elements
-        crit = conjugation_criterion(alexander_quandle(47, 5),
-                                     DEFAULT_MAX_COSETS)
+        crit = conjugation_criterion(alexander_quandle(47, 5))
         assert (crit.verdict, crit.order) == ("yes", 2162)
 
     @pytest.mark.parametrize("ngens", [1, 2])
-    def test_free_presentation_capped(self, ngens):
+    def test_free_presentation_capped(self, ngens, monkeypatch):
         # no relator survives: a free group, capped at the definition that
-        # would allocate coset max_cosets + 1
+        # would allocate coset MAX_COSETS + 1
+        monkeypatch.setattr(envgroup, "MAX_COSETS", 200)
         with pytest.raises(Capped) as exc:
-            todd_coxeter(Presentation(ngens, ()), max_cosets=200)
+            todd_coxeter(Presentation(ngens, ()))
         assert exc.value.allocated == 201
         assert (exc.value.ngens, exc.value.relators) == (ngens, 0)
 
@@ -370,7 +365,7 @@ class TestCosetsOfGeneratorSubgroup:
                            match=r"subgroup word \(1,\) moves coset 0 to 1$"):
             todd_coxeter(p, subgroup=((1,),))
 
-    def test_max_cosets_counts_cosets_of_the_subgroup(self):
+    def test_max_cosets_counts_cosets_of_the_subgroup(self, monkeypatch):
         # alexander(25, 2): |G| = 500 and R_s has order 20, so the criterion
         # enumerates 25 cosets and completes within a budget far below 500
         q = alexander_quandle(25, 2)
@@ -378,10 +373,13 @@ class TestCosetsOfGeneratorSubgroup:
         stats = {}
         complete, table = coset_enumeration(
             p.ngens, [envgroup._to_columns(r) for r in p.relators],
-            DEFAULT_MAX_COSETS, stats, subgroup=[(0,)])
+            envgroup.MAX_COSETS, stats, subgroup=[(0,)])
         assert complete and len(table) == 25
-        crit = conjugation_criterion(q, stats["allocated"])
+        monkeypatch.setattr(envgroup, "MAX_COSETS", stats["allocated"])
+        crit = conjugation_criterion(q)
         assert (crit.verdict, crit.order) == ("yes", 500)
+        monkeypatch.setattr(envgroup, "MAX_COSETS", stats["allocated"] - 1)
         with pytest.raises(Capped) as exc:
-            conjugation_criterion(q, stats["allocated"] - 1)
+            conjugation_criterion(q)
         assert exc.value.allocated == stats["allocated"]
+        assert exc.value.max_cosets == stats["allocated"] - 1

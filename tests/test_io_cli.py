@@ -511,8 +511,18 @@ class TestCli:
         (["make", "galex", "--group", "{klein}", "--images", "1,,3,4"],
          "argument --images: invalid int value: ''"),
         (["invariant", "--quandle", "{d3}", "--cocycle", "{m0}"], None),
-        (["vendramin", "--quandle", "{d3}", "--max-cosets", "0"], None),
-        (["vendramin", "--quandle", "{t2}", "--max-cosets", "0"], None),
+        # no option sets a budget
+        (["vendramin", "--quandle", "{d3}", "--max-cosets", "5"],
+         "unrecognized arguments: --max-cosets 5"),
+        (["invariant", "--quandle", "{d3}", "--cocycle", "{mod1e8}"],
+         "a state sum mod 100000000 has 100000000 coefficients, over the "
+         "budget of 2000000"),
+        (["thm31", "--quandle", "{d3}", "--cocycle", "{mod1e6}"],
+         "a table of order 3000000 has 9000000000000 cells, over the budget "
+         "of 10000000"),
+        (["thm35", "--quandle", "{d3}", "--cocycle", "{mod1e6}", "--d", "1"],
+         "a table of order 3000000 has 9000000000000 cells, over the budget "
+         "of 10000000"),
         (["props", "--quandle", "{empty}"], "empty quandle file"),
         (["props", "--quandle", "{comments}"], "empty quandle file"),
         (["props", "--quandle", "{header2}"], "quandle header must be 'n'"),
@@ -547,7 +557,8 @@ class TestCli:
             "galex-images-past-end", "galex-images-short",
             "galex-images-not-integer", "galex-images-empty-item",
             "cocycle-mod-0",
-            "max-cosets-0-connected", "max-cosets-0-disconnected",
+            "max-cosets-removed", "state-sum-over-budget",
+            "thm31-table-over-budget", "thm35-table-over-budget",
             "quandle-empty", "quandle-only-comments", "quandle-header-2",
             "quandle-short-row", "knot-line-2-fields", "h2-mod-1",
             "sym-group-6", "cyclic-group-0", "quandle-header-not-integer",
@@ -558,13 +569,15 @@ class TestCli:
                                          argv, message):
         files = {"s3": tmp_path / "s3.group", "d3": d3_file,
                  "klein": tmp_path / "klein.group",
-                 "t2": tmp_path / "t2.quandle", "m0": tmp_path / "m0.cocycle",
+                 "m0": tmp_path / "m0.cocycle",
                  "empty": tmp_path / "empty.quandle",
                  "comments": tmp_path / "comments.quandle",
                  "header2": tmp_path / "header2.quandle",
                  "short": tmp_path / "short.quandle",
                  "badknots": tmp_path / "bad.knots"}
         texts = {"headerx": "3 x\n1 3 2\n3 2 1\n2 1 3\n",
+                 "mod1e8": "3 100000000\n0 0 0\n0 0 0\n0 0 0\n",
+                 "mod1e6": "3 1000000\n0 0 0\n0 0 0\n0 0 0\n",
                  "cocyclex": "3 2\n0 0 0\n0 x 0\n0 0 0\n",
                  "strandsx": "3_1;two;1,1,1\n",
                  "letterx": "3_1;2;1,x,1\n",
@@ -578,7 +591,6 @@ class TestCli:
         qio.write_text(files["s3"], qio.group_to_text(symmetric_group(3)[0]))
         qio.write_text(files["klein"],
                        "#group\n4\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n")
-        qio.write_text(files["t2"], qio.quandle_to_text(trivial_quandle(2)))
         qio.write_text(files["m0"], "3 0\n0 0 0\n0 0 0\n0 0 0\n")
         qio.write_text(files["empty"], "")
         qio.write_text(files["comments"], "# no table\n#\n")
@@ -670,12 +682,11 @@ class TestCli:
         "h2": ["--quandle", "--mod", "--emit-reps"],
         "extend": ["--quandle", "--cocycle", "-o", "--output"],
         "invariant": ["--quandle", "--cocycle", "--knots", "--tangle"],
-        "vendramin": ["--quandle", "--max-cosets"],
+        "vendramin": ["--quandle"],
         "recover-ext": ["--quandle", "-o", "--output"],
-        "thm31": ["--quandle", "--cocycle", "--knots", "--max-cosets"],
-        "thm35": ["--quandle", "--cocycle", "--d", "--knots",
-                  "--max-cosets"],
-        "certify": ["--quandle", "--cocycle", "--knots", "--max-cosets"],
+        "thm31": ["--quandle", "--cocycle", "--knots"],
+        "thm35": ["--quandle", "--cocycle", "--d", "--knots"],
+        "certify": ["--quandle", "--cocycle", "--knots"],
         "make": ["--n", "--t", "--group", "--elem", "--conj-by", "--images",
                  "-o", "--output"],
     }
@@ -707,6 +718,22 @@ class TestCli:
                                      "--cocycle", str(cpath))
         assert code == 2 and records == []
         assert "THEOREM VIOLATION: planted by the test" in err
+
+    def test_coset_budget_is_an_error_line(self, capsys, tmp_path,
+                                           monkeypatch, tetrahedral,
+                                           tet_psi):
+        # E(tetrahedral, Z_2, psi) is connected, so thm31 enumerates its
+        # enveloping group, past a budget planted at one coset
+        from quandleforge import envgroup
+        monkeypatch.setattr(envgroup, "MAX_COSETS", 1)
+        qpath, cpath = tmp_path / "t.quandle", tmp_path / "t.cocycle"
+        qio.write_text(qpath, qio.quandle_to_text(tetrahedral))
+        qio.write_text(cpath, qio.cocycle_to_text(tet_psi))
+        code, records, err = run_cli(capsys, "thm31", "--quandle", str(qpath),
+                                     "--cocycle", str(cpath))
+        assert code == 1 and records == []
+        assert err.startswith("error: coset enumeration exceeded cap 1 ")
+        assert err.count("\n") == 1
 
     THEOREM_31 = ("extension is a conjugation quandle but some invariant "
                   "is non-constant; the implementation is broken")

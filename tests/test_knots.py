@@ -10,14 +10,15 @@ from helpers import (Permutation, corpus_extensions,
                      presentations, product_quandle)
 from oracles import (dihedral_linear_count, grid_coloring_count,
                      move_tables, propagate_moves)
-from quandleforge import _kernels
+from quandleforge import _kernels, knots
 from quandleforge.cohomology import Cocycle2, coboundary, cocycle_power, second_cohomology
 from quandleforge.constructions import (abelian_extension, dihedral_quandle,
                                         trivial_quandle)
 from quandleforge.core import QuandleMap, is_faithful, orbit_forest
 from quandleforge.errors import (BadGenerator, EnumerationTooLarge,
                                  FiberMismatch, NotACovering, NotAKnot,
-                                 ShapeMismatch, TheoremViolation)
+                                 ShapeMismatch, StateSumTooLarge,
+                                 TheoremViolation)
 from quandleforge.knots import (BUNDLED_WORDS, GroupRingElt, coloring_weight,
                                 enumerate_colorings, is_constant,
                                 lift_coloring, parse_braid, state_sum,
@@ -106,22 +107,24 @@ class TestColoringCounts:
                     == grid_coloring_count(q.table, k.strands,
                                            list(k.word)), k.name
 
-    def test_cap(self, d5):
+    def test_cap(self, d5, monkeypatch):
         # the trefoil needs 2 seed arcs: 5^2 = 25 candidates
         k = parse_braid("3_1", 2, [1, 1, 1])
+        monkeypatch.setattr(knots, "MAX_ASSIGNMENTS", 10)
         with pytest.raises(EnumerationTooLarge, match=r"2 strands need 2 "
                            r"seed arcs, 5\^2 = 25 candidates") as info:
-            enumerate_colorings(d5, k, cap=10)
+            enumerate_colorings(d5, k)
         err = info.value
         assert (err.n, err.strands, err.seeds, err.candidates, err.cap) \
             == (5, 2, 2, 25, 10)
 
-    def test_cap_bounds_seed_tuples_not_top_tuples(self):
+    def test_cap_bounds_seed_tuples_not_top_tuples(self, monkeypatch):
         # 5_2 stabilized to 6 strands: 7^6 top tuples, but a plan of at
         # most 5 seed arcs fits a cap of 7^5
         k = parse_braid("5_2", 6, [1, 1, 1, 2, -1, 2, 3, 4, 5])
         assert len(_kernels._plan(k.strands, k.word, False).levels) <= 5
-        cols = enumerate_colorings(dihedral_quandle(7), k, cap=7 ** 5)
+        monkeypatch.setattr(knots, "MAX_ASSIGNMENTS", 7 ** 5)
+        cols = enumerate_colorings(dihedral_quandle(7), k)
         assert len(cols) == dihedral_linear_count(7, 6, k.word) == 49
 
 
@@ -223,6 +226,36 @@ class TestStateSum:
         with pytest.raises(ShapeMismatch, match="cocycle on 5 elements, "
                            "quandle of order 3"):
             state_sum(d3, Cocycle2.zero(5, 2), k)
+
+    def test_coefficients_refused_before_any_coloring(self, d3, monkeypatch):
+        # a cocycle mod 10^8 asks for a vector of 10^8 coefficients, about
+        # 800 MB: refused with nothing allocated and no coloring enumerated
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        calls = []
+        monkeypatch.setattr(knots, "enumerate_colorings",
+                            lambda *args: calls.append(args))
+        phi = Cocycle2.zero(3, 10 ** 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSumTooLarge, match=(
+                    r"^a state sum mod 100000000 has 100000000 "
+                    r"coefficients, over the budget of 2000000$")) as exc:
+                state_sum(d3, phi, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        assert (exc.value.m, exc.value.budget) == (10 ** 8, 2 * 10 ** 6)
+        assert calls == []
+
+    def test_coefficient_budget_is_inclusive(self, d3, monkeypatch):
+        k = parse_braid("3_1", 2, [1, 1, 1])
+        # the default admits m = 10^6: the trefoil's 9 colorings by d3
+        assert state_sum(d3, Cocycle2.zero(3, 10 ** 6), k).coeffs[0] == 9
+        monkeypatch.setattr(knots, "MAX_COEFFICIENTS", 4)
+        assert state_sum(d3, Cocycle2.zero(3, 4), k).coeffs == (9, 0, 0, 0)
+        with pytest.raises(StateSumTooLarge, match="over the budget of 4$"):
+            state_sum(d3, Cocycle2.zero(3, 5), k)
 
     def test_is_constant(self):
         assert is_constant(GroupRingElt(1, (9,)))

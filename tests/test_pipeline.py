@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -21,7 +22,7 @@ from quandleforge.envgroup import (Presentation, conjugation_criterion,
                                    todd_coxeter)
 from quandleforge.errors import (DNotDividesModulus, NotACocycle,
                                  NotACovering, NotEpimorphism, NotIndex2,
-                                 TheoremViolation)
+                                 TableTooLarge, TheoremViolation)
 from quandleforge import cohomology, constructions, core, envgroup
 from quandleforge.knots import (GroupRingElt, bundled_knots, coloring_weight,
                                 enumerate_colorings, is_constant, parse_braid,
@@ -385,6 +386,33 @@ def test_cochain_rejected_before_any_state_sum(run, d3, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("run", [
+    lambda x, phi: constancy_pipeline(x, phi),
+    lambda x, phi: power_coefficient_check(x, phi, 1),
+], ids=["thm31", "thm35"])
+def test_table_budget_checked_before_any_state_sum(run, d3):
+    # E(d3, Z_10^6) would have 9 x 10^12 cells: refused with nothing
+    # allocated, where the state sums alone would hold 11 vectors of 10^6
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLarge, match=(
+                r"^a table of order 3000000 has 9000000000000 cells, over "
+                r"the budget of 10000000$")):
+            run(d3, Cocycle2.zero(3, 10 ** 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
+def test_table_budget_only_when_power_is_nontrivial(d3):
+    # at d = n, phi = psi^d is trivial and no E is built, so E(d3, Z_4000)'s
+    # 1.44 x 10^8 cells are never asked for
+    report = power_coefficient_check(d3, Cocycle2.zero(3, 4000), 4000)
+    assert report.verdict is None
+    assert report.invariants["3_1"].coeffs[0] == 9
+
+
 @pytest.mark.parametrize("d", [0, 3])
 def test_d_not_dividing_modulus_rejected_before_any_state_sum(d,
                                                               monkeypatch):
@@ -627,8 +655,8 @@ def joining_letters(strands, word, signs):
 
 @pytest.fixture(scope="module")
 def conjugation_criteria():
-    """Vendramin criteria by (extension table, max_cosets), shared by the
-    fuzz examples, which draw the same few extensions again and again."""
+    """Vendramin criteria by extension table, shared by the fuzz examples,
+    which draw the same few extensions again and again."""
     return {}
 
 
@@ -649,11 +677,10 @@ def test_random_knots_never_violate_theorems(fuzz_pools,
     # and over all of the last, whose counts can see a crossing's sign.
     # Joining letters alone close to the unknot, whose colorings are all
     # trivial and weigh 0, so each word has at least two letters of its own.
-    def memoized(e, max_cosets):
-        key = (e.table, max_cosets)
-        if key not in conjugation_criteria:
-            conjugation_criteria[key] = conjugation_criterion(e, max_cosets)
-        return conjugation_criteria[key]
+    def memoized(e):
+        if e.table not in conjugation_criteria:
+            conjugation_criteria[e.table] = conjugation_criterion(e)
+        return conjugation_criteria[e.table]
 
     s = data.draw(st.integers(2, 5))
     word = data.draw(st.lists(
